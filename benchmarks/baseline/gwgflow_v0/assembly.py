@@ -1,0 +1,394 @@
+"""Global assembly of the saddle-point system.
+
+Velocity DOFs are numbered element-interior blocks first, then per-edge
+trace blocks; pressure DOFs are per-element.  All matrices are assembled
+over the full (unreduced) DOF sets; the Dirichlet reduction and the
+pressure-mean constraint are recorded on the ``SaddleSystem`` and applied
+when the linear operator is formed.  Assembly walks elements in index
+order in fixed-size chunks, so the result is independent of the chunk
+size and of any outer parallelism over chunks.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+import scipy.sparse as sp
+
+from .config import SpaceConfig
+from .localops import ElementKernels, project_boundary_traces
+from .mesh import Mesh
+
+DEFAULT_CHUNK = 2048
+
+FORMS = ("viscous", "convection", "s1", "s2", "divergence", "mass")
+
+
+@dataclass(frozen=True)
+class DofMap:
+    """Global numbering of velocity and pressure unknowns."""
+
+    n_elements: int
+    n_edges: int
+    dk: int
+    dj: int
+    dn: int
+    elem_vel: np.ndarray      # (nT, nloc) velocity dof of each local slot
+    elem_pres: np.ndarray     # (nT, dn)
+    boundary_dofs: np.ndarray  # trace dofs on boundary edges (ordered)
+    free_dofs: np.ndarray
+
+    @property
+    def n_velocity(self) -> int:
+        return 2 * (self.n_elements * self.dk + self.n_edges * self.dj)
+
+    @property
+    def n_pressure(self) -> int:
+        return self.n_elements * self.dn
+
+    def trace_dof(self, edge: int, comp: int, i: int) -> int:
+        return 2 * self.n_elements * self.dk + edge * 2 * self.dj + comp * self.dj + i
+
+
+def build_dofmap(mesh: Mesh, config: SpaceConfig) -> DofMap:
+    from .basis import dim_p
+
+    dk, dj, dn = dim_p(config.k), config.j + 1, dim_p(config.n)
+    nT, nE = mesh.n_elements, mesh.n_edges
+    edge_base = 2 * nT * dk
+
+    elems = np.arange(nT)
+    elem_vel = np.empty((nT, 2 * dk + 6 * dj), dtype=np.int64)
+    elem_vel[:, : 2 * dk] = elems[:, None] * 2 * dk + np.arange(2 * dk)
+    for le in range(3):
+        eids = mesh.element_edges[:, le]
+        block = edge_base + eids[:, None] * 2 * dj + np.arange(2 * dj)
+        elem_vel[:, 2 * dk + le * 2 * dj : 2 * dk + (le + 1) * 2 * dj] = block
+
+    elem_pres = elems[:, None] * dn + np.arange(dn)
+
+    bdofs = (
+        edge_base
+        + mesh.boundary_edges[:, None] * 2 * dj
+        + np.arange(2 * dj)
+    ).ravel()
+    nvel = 2 * (nT * dk + nE * dj)
+    mask = np.ones(nvel, dtype=bool)
+    mask[bdofs] = False
+    return DofMap(
+        n_elements=nT,
+        n_edges=nE,
+        dk=dk,
+        dj=dj,
+        dn=dn,
+        elem_vel=elem_vel,
+        elem_pres=elem_pres,
+        boundary_dofs=bdofs,
+        free_dofs=np.flatnonzero(mask),
+    )
+
+
+@dataclass
+class WeakVelocity:
+    """Weak velocity: per-element interior and per-edge trace coefficients."""
+
+    interior: np.ndarray  # (nT, 2, dk)
+    traces: np.ndarray    # (nE, 2, dj)
+
+    def to_vector(self, dofmap: DofMap) -> np.ndarray:
+        vec = np.empty(dofmap.n_velocity)
+        vec[: self.interior.size] = self.interior.reshape(-1)
+        vec[self.interior.size :] = self.traces.reshape(-1)
+        return vec
+
+    @classmethod
+    def from_vector(cls, dofmap: DofMap, vec: np.ndarray) -> "WeakVelocity":
+        ni = dofmap.n_elements * 2 * dofmap.dk
+        interior = vec[:ni].reshape(dofmap.n_elements, 2, dofmap.dk).copy()
+        traces = vec[ni:].reshape(dofmap.n_edges, 2, dofmap.dj).copy()
+        return cls(interior=interior, traces=traces)
+
+    def copy(self) -> "WeakVelocity":
+        return WeakVelocity(self.interior.copy(), self.traces.copy())
+
+
+@dataclass
+class PressureField:
+    """Broken polynomial pressure, per-element coefficients (nT, dn)."""
+
+    coeffs: np.ndarray
+
+    def to_vector(self) -> np.ndarray:
+        return self.coeffs.reshape(-1)
+
+    @classmethod
+    def from_vector(cls, dofmap: DofMap, vec: np.ndarray) -> "PressureField":
+        return cls(vec.reshape(dofmap.n_elements, dofmap.dn).copy())
+
+
+class _Accumulator:
+    """COO accumulator preserving element order across chunks."""
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.data = []
+        self.rows = []
+        self.cols = []
+
+    def add(self, local: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+        nc, R, C = local.shape
+        self.data.append(local.ravel())
+        self.rows.append(np.broadcast_to(rows[:, :, None], (nc, R, C)).ravel())
+        self.cols.append(np.broadcast_to(cols[:, None, :], (nc, R, C)).ravel())
+
+    def to_csr(self) -> sp.csr_matrix:
+        if not self.data:
+            return sp.csr_matrix(self.shape)
+        mat = sp.coo_matrix(
+            (
+                np.concatenate(self.data),
+                (np.concatenate(self.rows), np.concatenate(self.cols)),
+            ),
+            shape=self.shape,
+        )
+        return mat.tocsr()
+
+
+def _chunks(n: int, size: int):
+    for start in range(0, n, size):
+        yield slice(start, min(start + size, n))
+
+
+def assemble_bilinear(
+    form: str,
+    mesh: Mesh,
+    config: SpaceConfig,
+    beta=None,
+    *,
+    kernels: ElementKernels | None = None,
+    dofmap: DofMap | None = None,
+    chunk_size: int = DEFAULT_CHUNK,
+) -> sp.csr_matrix:
+    """Assemble one bilinear-form block as a sparse matrix.
+
+    ``viscous``, ``convection``, ``s1`` and ``mass`` couple velocity against
+    velocity; ``divergence`` maps velocity to pressure test functions;
+    ``s2`` couples pressure against pressure (identically zero when
+    sigma == 0).  ``beta`` is required for (and only for) the convection
+    form and is evaluated at the volume quadrature points.
+    """
+    if form not in FORMS:
+        raise ValueError(f"unknown form {form!r}, expected one of {FORMS}")
+    if form == "convection" and beta is None:
+        raise ValueError("convection form requires a convection field beta")
+
+    ker = kernels if kernels is not None else ElementKernels(mesh, config)
+    dm = dofmap if dofmap is not None else build_dofmap(mesh, config)
+    nvel, npres = dm.n_velocity, dm.n_pressure
+    nT = mesh.n_elements
+
+    if form == "s2":
+        return _assemble_s2(mesh, config, ker, dm)
+
+    if form == "mass":
+        acc = _Accumulator((nvel, nvel))
+        dk = ker.dk
+        local = np.zeros((nT, 2 * dk, 2 * dk))
+        for c in range(2):
+            local[:, c * dk : (c + 1) * dk, c * dk : (c + 1) * dk] = ker.Mk
+        local *= config.rho
+        idx = dm.elem_vel[:, : 2 * dk]
+        acc.add(local, idx, idx)
+        return acc.to_csr()
+
+    if form == "s1":
+        acc = _Accumulator((nvel, nvel))
+        acc.add(ker.stabilizer_local(), dm.elem_vel, dm.elem_vel)
+        return acc.to_csr()
+
+    if form == "divergence":
+        acc = _Accumulator((npres, nvel))
+        M_nm = np.einsum("tp,tpi,tpj->tij", ker.qw, ker.Vn, ker.Vm)
+        local = np.matmul(M_nm, ker.div)
+        acc.add(local, dm.elem_pres, dm.elem_vel)
+        return acc.to_csr()
+
+    # viscous / convection need the pointwise weak-gradient tables, chunked
+    acc = _Accumulator((nvel, nvel))
+    for sl in _chunks(nT, chunk_size):
+        W = ker.weak_gradient_values(sl)                 # (nc, np, 2, 2, nloc)
+        w = ker.qw[sl]
+        if form == "viscous":
+            nc, npts = w.shape
+            Wr = W.reshape(nc, npts * 4, ker.nloc)
+            Wt = (W * w[:, :, None, None, None]).reshape(nc, npts * 4, ker.nloc)
+            local = config.mu * np.matmul(Wr.transpose(0, 2, 1), Wt)
+        else:
+            x, y = ker.qp[sl, :, 0], ker.qp[sl, :, 1]
+            bvals = np.asarray(beta(x, y), dtype=float)  # (nc, np, 2)
+            V0 = ker.interior_values(sl)                 # (nc, np, 2, nloc)
+            wbeta = np.einsum("tpcqi,tpq->tpci", W, bvals)
+            local = config.rho * np.einsum("tp,tpcj,tpci->tij", w, wbeta, V0)
+        acc.add(local, dm.elem_vel[sl], dm.elem_vel[sl])
+    return acc.to_csr()
+
+
+def _assemble_s2(mesh, config, ker, dm) -> sp.csr_matrix:
+    npres = dm.n_pressure
+    if config.sigma == 0:
+        return sp.csr_matrix((npres, npres))
+    interior = np.flatnonzero(mesh.edge_elements[:, 1] >= 0)
+    t1, t2 = mesh.edge_elements[interior].T
+    le1, le2 = mesh.edge_local_index[interior].T
+    Vo = ker.Vn_e[t1, le1]                       # (nie, nq, dn)
+    Vn_ = ker.Vn_e[t2, le2]
+    jump = np.concatenate([Vo, -Vn_], axis=2)    # (nie, nq, 2*dn)
+    he = mesh.h_edge[interior]
+    wq = ker.edge_w[None, :] * he[:, None]       # physical edge measure
+    scale = config.sigma * he**config.alpha
+    local = scale[:, None, None] * np.einsum("eq,eqa,eqb->eab", wq, jump, jump)
+    cols = np.concatenate([dm.elem_pres[t1], dm.elem_pres[t2]], axis=1)
+    acc = _Accumulator((npres, npres))
+    acc.add(local, cols, cols)
+    return acc.to_csr()
+
+
+def assemble_load(
+    mesh: Mesh,
+    config: SpaceConfig,
+    f,
+    time: float | None = None,
+    *,
+    kernels: ElementKernels | None = None,
+    dofmap: DofMap | None = None,
+) -> np.ndarray:
+    """Load vector (f, v0); only interior velocity entries are nonzero."""
+    ker = kernels if kernels is not None else ElementKernels(mesh, config)
+    dm = dofmap if dofmap is not None else build_dofmap(mesh, config)
+    x, y = ker.qp[..., 0], ker.qp[..., 1]
+    vals = np.asarray(f(x, y) if time is None else f(x, y, time), dtype=float)
+    rhs = np.einsum("tp,tpc,tpi->tci", ker.qw, vals, ker.Vk)
+    vec = np.zeros(dm.n_velocity)
+    vec[: rhs.size] = rhs.reshape(-1)
+    return vec
+
+
+@dataclass
+class SaddleSystem:
+    """Assembled blocks plus boundary and mean-constraint bookkeeping."""
+
+    mesh: Mesh
+    config: SpaceConfig
+    dofmap: DofMap
+    kernels: ElementKernels
+    A: sp.csr_matrix
+    B: sp.csr_matrix
+    S2: sp.csr_matrix
+    rhs_vel: np.ndarray
+    rhs_pres: np.ndarray
+    dirichlet_values: np.ndarray | None = None
+    mean_vector: np.ndarray | None = None
+    _reduced: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def free_dofs(self) -> np.ndarray:
+        return self.dofmap.free_dofs
+
+    def reduced_blocks(self):
+        """Slices of A and B split into free and boundary velocity columns."""
+        if not self._reduced:
+            free, bnd = self.dofmap.free_dofs, self.dofmap.boundary_dofs
+            A = self.A.tocsr()
+            self._reduced = {
+                "A_ff": A[free][:, free].tocsc(),
+                "A_fb": A[free][:, bnd].tocsr(),
+                "B_f": self.B[:, free].tocsr(),
+                "B_b": self.B[:, bnd].tocsr(),
+            }
+        return self._reduced
+
+    def operator(self):
+        """Constrained, Dirichlet-reduced matrix and right-hand side."""
+        if self.dirichlet_values is None:
+            raise ValueError("apply_dirichlet must run before forming the operator")
+        if self.mean_vector is None:
+            raise ValueError("constrain_system must run before forming the operator")
+        red = self.reduced_blocks()
+        free = self.dofmap.free_dofs
+        g = self.dirichlet_values
+        r_vel = self.rhs_vel[free] - red["A_fb"] @ g
+        r_pres = self.rhs_pres - red["B_b"] @ g
+        c = sp.csr_matrix(self.mean_vector[:, None])
+        K = sp.bmat(
+            [
+                [red["A_ff"], -red["B_f"].T, None],
+                [red["B_f"], self.S2, c],
+                [None, c.T, None],
+            ],
+            format="csc",
+        )
+        rhs = np.concatenate([r_vel, r_pres, [0.0]])
+        return K, rhs
+
+    def expand(self, x: np.ndarray):
+        """Split a solution vector into full velocity, pressure, multiplier."""
+        nfree, npres = self.dofmap.free_dofs.size, self.dofmap.n_pressure
+        vel = np.zeros(self.dofmap.n_velocity)
+        vel[self.dofmap.free_dofs] = x[:nfree]
+        vel[self.dofmap.boundary_dofs] = self.dirichlet_values
+        pres = x[nfree : nfree + npres]
+        return vel, pres, float(x[-1])
+
+
+def build_saddle_system(
+    mesh: Mesh,
+    config: SpaceConfig,
+    beta,
+    f,
+    time: float | None = None,
+    *,
+    kernels: ElementKernels | None = None,
+    chunk_size: int = DEFAULT_CHUNK,
+) -> SaddleSystem:
+    """Assemble the steady velocity block, divergence block and load."""
+    ker = kernels if kernels is not None else ElementKernels(mesh, config)
+    dm = build_dofmap(mesh, config)
+    common = dict(kernels=ker, dofmap=dm, chunk_size=chunk_size)
+    A = assemble_bilinear("viscous", mesh, config, **common)
+    A = A + assemble_bilinear("convection", mesh, config, beta, **common)
+    A = A + assemble_bilinear("s1", mesh, config, **common)
+    B = assemble_bilinear("divergence", mesh, config, **common)
+    S2 = assemble_bilinear("s2", mesh, config, **common)
+    rhs_vel = assemble_load(mesh, config, f, time, kernels=ker, dofmap=dm)
+    return SaddleSystem(
+        mesh=mesh,
+        config=config,
+        dofmap=dm,
+        kernels=ker,
+        A=A.tocsr(),
+        B=B,
+        S2=S2,
+        rhs_vel=rhs_vel,
+        rhs_pres=np.zeros(dm.n_pressure),
+    )
+
+
+def apply_dirichlet(system: SaddleSystem, g, time: float | None = None) -> SaddleSystem:
+    """Set boundary trace DOFs to Q_b g and mark them eliminated.
+
+    The eliminated couplings move to the right-hand side when the reduced
+    operator is formed, so the same system can be re-lifted with new
+    boundary data (time stepping) without reassembly.
+    """
+    traces = project_boundary_traces(system.kernels, g, time)
+    system.dirichlet_values = traces.reshape(-1)
+    return system
+
+
+def constrain_system(system: SaddleSystem) -> SaddleSystem:
+    """Append the zero-mean pressure constraint as a Lagrange multiplier."""
+    ker = system.kernels
+    mean = np.einsum("tp,tpi->ti", ker.qw, ker.Vn).reshape(-1)
+    system.mean_vector = mean
+    return system

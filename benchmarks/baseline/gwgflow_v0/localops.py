@@ -1,0 +1,358 @@
+"""Element-local operators: projections, weak gradient and weak divergence.
+
+Everything here is batched over elements.  ``ElementKernels`` precomputes,
+for a mesh/config pair, the basis tables, trace projections and the two
+weak-operator coefficient maps; the assembly layer only contracts and
+scatters them.
+
+Local velocity DOF layout on an element (size ``nloc = 2*dk + 6*dj``):
+interior component 0 (dk), interior component 1 (dk), then for each local
+edge the trace coefficients of component 0 (dj) and component 1 (dj).
+The per-component sublayout (size ``ncomp = dk + 3*dj``) is used for maps
+that act identically on both components.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .basis import (
+    dim_p,
+    eval_edge_values,
+    eval_tri_gradients,
+    eval_tri_values,
+)
+from .config import SpaceConfig
+from .mesh import Mesh
+from .quadrature import edge_quadrature, triangle_quadrature
+
+
+def _solve_mass(mass: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    try:
+        return np.linalg.solve(mass, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"singular local {what} mass matrix (degenerate element geometry)"
+        ) from exc
+
+
+class ElementKernels:
+    """Precomputed per-element discretization data for one mesh/config pair."""
+
+    def __init__(self, mesh: Mesh, config: SpaceConfig, quad_order: int | None = None):
+        self.mesh = mesh
+        self.config = config
+        order = config.quad_order if quad_order is None else quad_order
+
+        k, j, l, m, n = config.degrees
+        self.dk, self.dj = dim_p(k), j + 1
+        self.dl, self.dm, self.dn = dim_p(l), dim_p(m), dim_p(n)
+        self.ncomp = self.dk + 3 * self.dj
+        self.nloc = 2 * self.ncomp
+
+        # local-layout columns of each velocity component
+        cols = np.empty((2, self.ncomp), dtype=np.int64)
+        for c in range(2):
+            cols[c, : self.dk] = c * self.dk + np.arange(self.dk)
+            for le in range(3):
+                start = 2 * self.dk + le * 2 * self.dj + c * self.dj
+                cols[c, self.dk + le * self.dj : self.dk + (le + 1) * self.dj] = (
+                    start + np.arange(self.dj)
+                )
+        self.comp_cols = cols
+
+        self.tri_rule = triangle_quadrature(order)
+        self.edge_rule = edge_quadrature(order)
+
+        self._build_volume_tables(k, l, m, n)
+        self._build_edge_tables(k, l, m, n)
+        self._build_weak_operators()
+
+    # -- construction -------------------------------------------------------
+
+    def _build_volume_tables(self, k, l, m, n):
+        mesh, rule = self.mesh, self.tri_rule
+        verts = mesh.vertices[mesh.elements]           # (nT, 3, 2)
+        self.qp = np.einsum("pb,tbd->tpd", rule.points, verts)
+        self.qw = rule.weights[None, :] * (2.0 * mesh.areas[:, None])
+
+        local = (self.qp - mesh.centroids[:, None, :]) / mesh.h_elem[:, None, None]
+        self.local = local
+        self.Vk = eval_tri_values(k, local)
+        self.Vl = eval_tri_values(l, local)
+        self.Vm = eval_tri_values(m, local)
+        self.Vn = eval_tri_values(n, local)
+        h = mesh.h_elem[:, None]
+        self.Gk = eval_tri_gradients(k, local, h)      # (nT, np, 2, dk)
+        self.Gm = eval_tri_gradients(m, local, h)
+
+        w = self.qw
+        self.Mk = np.einsum("tp,tpi,tpj->tij", w, self.Vk, self.Vk)
+        self.Ml = np.einsum("tp,tpi,tpj->tij", w, self.Vl, self.Vl)
+        self.Mm = np.einsum("tp,tpi,tpj->tij", w, self.Vm, self.Vm)
+        self.Mn = np.einsum("tp,tpi,tpj->tij", w, self.Vn, self.Vn)
+
+    def _build_edge_tables(self, k, l, m, n):
+        mesh, config = self.mesh, self.config
+        s, ew = self.edge_rule.points, self.edge_rule.weights
+        self.edge_s, self.edge_w = s, ew
+
+        va = mesh.vertices[mesh.edges[:, 0]]
+        vb = mesh.vertices[mesh.edges[:, 1]]
+        self.edge_pts = va[:, None, :] + s[None, :, None] * (vb - va)[:, None, :]
+
+        self.Qj = eval_edge_values(config.j, s)                     # (nq, dj)
+        self.Mhat = np.einsum("q,qa,qb->ab", ew, self.Qj, self.Qj)  # (dj, dj)
+
+        eids = mesh.element_edges                                    # (nT, 3)
+        pts = self.edge_pts[eids]                                    # (nT, 3, nq, 2)
+        local = (pts - mesh.centroids[:, None, None, :]) / mesh.h_elem[:, None, None, None]
+        self.local_e = local
+        self.Vk_e = eval_tri_values(k, local)
+        self.Vl_e = eval_tri_values(l, local)
+        self.Vm_e = eval_tri_values(m, local)
+        self.Vn_e = eval_tri_values(n, local)
+
+        self.normals = mesh.edge_normals[eids] * mesh.element_edge_sign[..., None]
+        self.elen = mesh.h_edge[eids]                                # (nT, 3)
+
+        # trace projection Q_b of interior basis, per element edge (dj x dk);
+        # the edge-length factor cancels between mass and moment
+        rhs = np.einsum("q,qa,tEqi->tEai", ew, self.Qj, self.Vk_e)
+        self.E = _solve_mass(self.Mhat, rhs, "edge")
+
+        # physical edge moments <q_a, p_i>_e of the volume bases
+        self.Gl_e = self.elen[..., None, None] * np.einsum(
+            "q,qa,tEqi->tEai", ew, self.Qj, self.Vl_e
+        )
+        self.Gm_e = self.elen[..., None, None] * np.einsum(
+            "q,qa,tEqi->tEai", ew, self.Qj, self.Vm_e
+        )
+
+    def _build_weak_operators(self):
+        dk, dj, dl, dm = self.dk, self.dj, self.dl, self.dm
+        nT = self.mesh.n_elements
+        ncomp = self.ncomp
+
+        # delta_w right-hand side, identical for both velocity components:
+        # rows = tensor column q and target basis, columns = component-local DOFs
+        rhs = np.zeros((nT, 2, dl, ncomp))
+        for le in range(3):
+            nq_ = self.normals[:, le]                    # (nT, 2)
+            G = self.Gl_e[:, le]                         # (nT, dj, dl)
+            GE = np.einsum("tai,tak->tik", G, self.E[:, le])  # (nT, dl, dk)
+            sl = slice(dk + le * dj, dk + (le + 1) * dj)
+            for q in range(2):
+                rhs[:, q, :, sl] += nq_[:, q, None, None] * G.transpose(0, 2, 1)
+                rhs[:, q, :, :dk] -= nq_[:, q, None, None] * GE
+        self.delta = _solve_mass(self.Ml[:, None], rhs, "weak-gradient")
+
+        # P_l representation (projection when k-1 > l) of the interior gradient
+        Al = np.einsum("tp,tpi,tpqj->tqij", self.qw, self.Vl, self.Gk)
+        self.grad_rep = _solve_mass(self.Ml[:, None], Al, "weak-gradient")
+        self.exact_gradient = self.config.k - 1 <= self.config.l
+
+        # weak divergence map on the full local layout (dm x nloc)
+        rhs_div = np.zeros((nT, 2, dm, ncomp))
+        Am = np.einsum("tp,tpci,tpj->tcij", self.qw, self.Gm, self.Vk)
+        rhs_div[:, :, :, :dk] = -Am
+        for le in range(3):
+            block = np.einsum(
+                "tc,tai->tcia", self.normals[:, le], self.Gm_e[:, le]
+            )
+            rhs_div[:, :, :, dk + le * dj : dk + (le + 1) * dj] += block
+        div_comp = _solve_mass(self.Mm[:, None], rhs_div, "weak-divergence")
+        self.div = np.zeros((nT, dm, self.nloc))
+        for c in range(2):
+            self.div[:, :, self.comp_cols[c]] = div_comp[:, c]
+
+    # -- evaluation ---------------------------------------------------------
+
+    def weak_gradient_values(self, sl: slice) -> np.ndarray:
+        """Values of the weak gradient of every local shape function.
+
+        Shape (nchunk, npts, 2, 2, nloc): axes are (element, point,
+        component i, derivative q, local DOF).  The interior-gradient part
+        is evaluated exactly; the delta part through its P_l coefficients.
+        """
+        Vl = self.Vl[sl]
+        Gk = self.Gk[sl]
+        nchunk, npts = Vl.shape[0], Vl.shape[1]
+        W = np.zeros((nchunk, npts, 2, 2, self.nloc))
+        dvals = np.einsum("tpi,tqic->tpqc", Vl, self.delta[sl])
+        for c in range(2):
+            W[:, :, c, :, c * self.dk : (c + 1) * self.dk] = Gk
+            # advanced indices (c, comp_cols) land in the leading axis
+            W[:, :, c, :, self.comp_cols[c]] += dvals.transpose(3, 0, 1, 2)
+        return W
+
+    def interior_values(self, sl: slice) -> np.ndarray:
+        """Values of the interior part of every local shape, (nchunk, npts, 2, nloc)."""
+        Vk = self.Vk[sl]
+        nchunk, npts = Vk.shape[0], Vk.shape[1]
+        V = np.zeros((nchunk, npts, 2, self.nloc))
+        for c in range(2):
+            V[:, :, c, c * self.dk : (c + 1) * self.dk] = Vk
+        return V
+
+    def stabilizer_local(self) -> np.ndarray:
+        """Local s1 matrices, (nT, nloc, nloc), including zeta * h_T**gamma."""
+        cfg = self.config
+        dk, dj = self.dk, self.dj
+        nT = self.mesh.n_elements
+        S_comp = np.zeros((nT, self.ncomp, self.ncomp))
+        for le in range(3):
+            Me = self.elen[:, le, None, None] * self.Mhat
+            E = self.E[:, le]
+            MeE = np.einsum("tab,tbi->tai", Me, E)
+            sl = slice(dk + le * dj, dk + (le + 1) * dj)
+            S_comp[:, sl, sl] += Me
+            S_comp[:, sl, :dk] -= MeE
+            S_comp[:, :dk, sl] -= MeE.transpose(0, 2, 1)
+            S_comp[:, :dk, :dk] += np.einsum("tai,taj->tij", E, MeE)
+        S_comp *= (cfg.zeta * self.mesh.h_elem**cfg.gamma)[:, None, None]
+        S = np.zeros((nT, self.nloc, self.nloc))
+        for c in range(2):
+            S[:, self.comp_cols[c][:, None], self.comp_cols[c][None, :]] = S_comp
+        return S
+
+    def weak_gradient_operator(self, t: int):
+        """Coefficient matrix of the weak gradient on element ``t``.
+
+        Rows are ordered (component i, derivative q, P_l basis); when
+        k-1 > l the interior-gradient rows hold its L2 projection onto the
+        tensor space.
+        """
+        mat = np.zeros((2, 2, self.dl, self.nloc))
+        for c in range(2):
+            mat[c, :, :, self.comp_cols[c]] = (
+                self.delta[t] + np.pad(
+                    self.grad_rep[t],
+                    ((0, 0), (0, 0), (0, self.ncomp - self.dk)),
+                )
+            ).transpose(2, 0, 1)
+        return mat.reshape(4 * self.dl, self.nloc)
+
+
+@dataclass
+class LocalOperator:
+    """Map from an element's local velocity DOFs to target-space coefficients."""
+
+    matrix: np.ndarray
+    target: str
+    exact: bool = True
+
+
+def local_weak_gradient(
+    mesh: Mesh, config: SpaceConfig, element: int, kernels: ElementKernels | None = None
+) -> LocalOperator:
+    """Weak gradient of element ``element`` as a DOFs -> [P_l]^{2x2} map."""
+    ker = kernels if kernels is not None else ElementKernels(mesh, config)
+    return LocalOperator(
+        matrix=ker.weak_gradient_operator(element),
+        target=f"tensor_p{config.l}",
+        exact=ker.exact_gradient,
+    )
+
+
+def local_weak_divergence(
+    mesh: Mesh, config: SpaceConfig, element: int, kernels: ElementKernels | None = None
+) -> LocalOperator:
+    """Weak divergence of element ``element`` as a DOFs -> P_m map."""
+    ker = kernels if kernels is not None else ElementKernels(mesh, config)
+    return LocalOperator(matrix=ker.div[element].copy(), target=f"scalar_p{config.m}")
+
+
+# -- local L2 projections ---------------------------------------------------
+
+
+def _eval_field(f, x, y, time=None):
+    vals = f(x, y) if time is None else f(x, y, time)
+    return np.asarray(vals, dtype=float)
+
+
+def project_interior(
+    mesh: Mesh,
+    element: int,
+    f,
+    degree: int,
+    quad_order: int | None = None,
+    time: float | None = None,
+) -> np.ndarray:
+    """L2-project a field onto P_degree of one element.
+
+    ``f(x, y)`` (or ``f(x, y, t)``) may return scalars or vectors in the
+    trailing axis; coefficients come back with the matching shape
+    (..., dim).
+    """
+    order = quad_order if quad_order is not None else 2 * degree + 6
+    rule = triangle_quadrature(order)
+    verts = mesh.element_vertices(element)
+    pts = rule.points @ verts
+    w = rule.weights * 2.0 * mesh.areas[element]
+    local = (pts - mesh.centroids[element]) / mesh.h_elem[element]
+    V = eval_tri_values(degree, local)
+    vals = _eval_field(f, pts[:, 0], pts[:, 1], time)
+    mass = np.einsum("p,pi,pj->ij", w, V, V)
+    rhs = np.einsum("p,p...,pi->...i", w, vals, V)
+    return _solve_mass(mass, rhs[..., None], "projection")[..., 0]
+
+
+def project_edge(
+    mesh: Mesh,
+    edge: int,
+    f,
+    degree: int,
+    quad_order: int | None = None,
+    time: float | None = None,
+) -> np.ndarray:
+    """L2-project a field onto P_degree of one edge (trailing axis = basis)."""
+    order = quad_order if quad_order is not None else 2 * degree + 6
+    rule = edge_quadrature(order)
+    va, vb = mesh.vertices[mesh.edges[edge]]
+    pts = va + rule.points[:, None] * (vb - va)
+    Q = eval_edge_values(degree, rule.points)
+    vals = _eval_field(f, pts[:, 0], pts[:, 1], time)
+    mass = np.einsum("q,qa,qb->ab", rule.weights, Q, Q)
+    rhs = np.einsum("q,q...,qa->...a", rule.weights, vals, Q)
+    return _solve_mass(mass, rhs[..., None], "edge projection")[..., 0]
+
+
+def project_velocity(
+    kernels: ElementKernels, f, time: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project a vector field onto the weak space: (interior, traces).
+
+    Returns interior coefficients (nT, 2, dk) and trace coefficients
+    (nE, 2, dj); the field is evaluated as ``f(x, y[, t]) -> (..., 2)``.
+    """
+    vals = _eval_field(f, kernels.qp[..., 0], kernels.qp[..., 1], time)
+    rhs = np.einsum("tp,tpc,tpi->tci", kernels.qw, vals, kernels.Vk)
+    interior = _solve_mass(kernels.Mk[:, None], rhs[..., None], "projection")[..., 0]
+
+    evals = _eval_field(
+        f, kernels.edge_pts[..., 0], kernels.edge_pts[..., 1], time
+    )
+    erhs = np.einsum("q,eqc,qa->eca", kernels.edge_w, evals, kernels.Qj)
+    traces = _solve_mass(kernels.Mhat, erhs[..., None], "edge projection")[..., 0]
+    return interior, traces
+
+
+def project_pressure(kernels: ElementKernels, f, time: float | None = None) -> np.ndarray:
+    """Project a scalar field onto the broken pressure space, (nT, dn)."""
+    vals = _eval_field(f, kernels.qp[..., 0], kernels.qp[..., 1], time)
+    rhs = np.einsum("tp,tp,tpi->ti", kernels.qw, vals, kernels.Vn)
+    return _solve_mass(kernels.Mn, rhs[..., None], "pressure projection")[..., 0]
+
+
+def project_boundary_traces(
+    kernels: ElementKernels, g, time: float | None = None
+) -> np.ndarray:
+    """Q_b g on the boundary edges only, (n_boundary, 2, dj)."""
+    be = kernels.mesh.boundary_edges
+    pts = kernels.edge_pts[be]
+    vals = _eval_field(g, pts[..., 0], pts[..., 1], time)
+    rhs = np.einsum("q,eqc,qa->eca", kernels.edge_w, vals, kernels.Qj)
+    return _solve_mass(kernels.Mhat, rhs[..., None], "edge projection")[..., 0]

@@ -1,0 +1,216 @@
+"""Steady solves and backward-Euler time marching for the discrete scheme."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from .assembly import (
+    SaddleSystem,
+    WeakVelocity,
+    PressureField,
+    apply_dirichlet,
+    assemble_bilinear,
+    assemble_load,
+    build_saddle_system,
+    constrain_system,
+)
+from .config import SpaceConfig
+from .localops import ElementKernels, project_pressure, project_velocity
+from .mesh import Mesh
+
+RESIDUAL_TOL = 1e-10
+MAX_TIME_STEPS = 10**7
+
+
+class LinearSolveError(RuntimeError):
+    pass
+
+
+@dataclass(frozen=True)
+class TimeGrid:
+    """Uniform time grid: ``n_steps`` steps of size ``tau`` up to ``t_final``."""
+
+    tau: float
+    n_steps: int
+    t_final: float
+
+    def __post_init__(self):
+        if self.tau <= 0 or self.n_steps <= 0:
+            raise ValueError("tau and n_steps must be positive")
+        if abs(self.n_steps * self.tau - self.t_final) > 1e-14 * max(1.0, self.t_final):
+            raise ValueError("n_steps * tau must equal t_final")
+        if self.n_steps > MAX_TIME_STEPS:
+            raise ValueError(f"step count {self.n_steps} exceeds guard limit")
+
+    @classmethod
+    def from_step_count(cls, t_final: float, n_steps: int) -> "TimeGrid":
+        return cls(tau=t_final / n_steps, n_steps=n_steps, t_final=t_final)
+
+    @classmethod
+    def from_tau(cls, t_final: float, tau: float) -> "TimeGrid":
+        n = round(t_final / tau)
+        return cls(tau=t_final / n, n_steps=n, t_final=t_final)
+
+
+@dataclass
+class DiscreteSolution:
+    """Velocity/pressure pair at one time level plus the mean multiplier."""
+
+    velocity: WeakVelocity
+    pressure: PressureField
+    time: float
+    multiplier: float
+    system: SaddleSystem
+
+    @property
+    def velocity_vector(self) -> np.ndarray:
+        return self.velocity.to_vector(self.system.dofmap)
+
+    @property
+    def pressure_vector(self) -> np.ndarray:
+        return self.pressure.to_vector()
+
+    @property
+    def pressure_mean(self) -> float:
+        return float(self.system.mean_vector @ self.pressure_vector)
+
+
+def linear_solve(system: SaddleSystem, factor=None) -> np.ndarray:
+    """Direct sparse solve of the constrained, reduced system.
+
+    Checks the relative residual against ``RESIDUAL_TOL`` and applies one
+    step of iterative refinement before giving up.
+    """
+    K, rhs = system.operator()
+    lu = factor if factor is not None else _factorize(K)
+    x = lu.solve(rhs)
+    scale = max(np.linalg.norm(rhs), 1e-300)
+    res = np.linalg.norm(K @ x - rhs) / scale
+    if res > RESIDUAL_TOL:
+        x = x + lu.solve(rhs - K @ x)
+        res = np.linalg.norm(K @ x - rhs) / scale
+    if res > RESIDUAL_TOL:
+        raise LinearSolveError(
+            f"linear solve failed: relative residual {res:.3e} > {RESIDUAL_TOL:.1e}"
+        )
+    return x
+
+
+def _factorize(K: sp.csc_matrix):
+    try:
+        return spla.splu(K)
+    except RuntimeError as exc:  # singular factorization, SuperLU reports pivot
+        raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
+
+
+def solve_steady(
+    mesh: Mesh,
+    config: SpaceConfig,
+    problem,
+    *,
+    kernels: ElementKernels | None = None,
+    system: SaddleSystem | None = None,
+) -> DiscreteSolution:
+    """Solve the steady scheme for a manufactured problem bundle."""
+    config.validate_solver_compatibility()
+    if system is None:
+        system = build_saddle_system(
+            mesh, config, problem.beta, problem.f, time=0.0, kernels=kernels
+        )
+    apply_dirichlet(system, problem.g, time=0.0)
+    constrain_system(system)
+    x = linear_solve(system)
+    vel, pres, lam = system.expand(x)
+    return DiscreteSolution(
+        velocity=WeakVelocity.from_vector(system.dofmap, vel),
+        pressure=PressureField.from_vector(system.dofmap, pres),
+        time=0.0,
+        multiplier=lam,
+        system=system,
+    )
+
+
+def solve_evolutionary(
+    mesh: Mesh,
+    config: SpaceConfig,
+    problem,
+    grid: TimeGrid,
+    *,
+    kernels: ElementKernels | None = None,
+    keep_trajectory: bool = False,
+    refactor_each_step: bool = False,
+):
+    """March the fully-discrete scheme with backward Euler.
+
+    The initial state is the weak projection of the initial velocity; each
+    step solves the mass-augmented system at the new time level with the
+    matrix factored once and reused (the coefficients do not depend on
+    time).  Returns the solution at the final time, or the whole
+    trajectory when ``keep_trajectory`` is set.
+    """
+    config.validate_solver_compatibility()
+    ker = kernels if kernels is not None else ElementKernels(mesh, config)
+    system = build_saddle_system(
+        mesh, config, problem.beta, problem.f, time=grid.tau, kernels=ker
+    )
+    mass = assemble_bilinear(
+        "mass", mesh, config, kernels=ker, dofmap=system.dofmap
+    )
+    system.A = (system.A + mass / grid.tau).tocsr()
+    apply_dirichlet(system, problem.g, time=grid.tau)
+    constrain_system(system)
+
+    interior, traces = project_velocity(ker, problem.g2)
+    u_prev = WeakVelocity(interior, traces).to_vector(system.dofmap)
+
+    red = system.reduced_blocks()
+    K, _ = system.operator()
+    lu = _factorize(K)
+    free = system.dofmap.free_dofs
+    trajectory = []
+    solution = None
+
+    for step in range(1, grid.n_steps + 1):
+        t = step * grid.tau
+        gvals = _boundary_values(system, problem.g, t)
+        system.dirichlet_values = gvals
+        load = assemble_load(
+            mesh, config, problem.f, t, kernels=ker, dofmap=system.dofmap
+        )
+        rhs_vel = load + mass @ (u_prev / grid.tau)
+        r = np.concatenate(
+            [
+                rhs_vel[free] - red["A_fb"] @ gvals,
+                -(red["B_b"] @ gvals),
+                [0.0],
+            ]
+        )
+        if refactor_each_step:
+            lu = _factorize(K)
+        x = lu.solve(r)
+        res = np.linalg.norm(K @ x - r) / max(np.linalg.norm(r), 1e-300)
+        if res > RESIDUAL_TOL:
+            x = x + lu.solve(r - K @ x)
+        vel, pres, lam = system.expand(x)
+        u_prev = vel
+        solution = DiscreteSolution(
+            velocity=WeakVelocity.from_vector(system.dofmap, vel),
+            pressure=PressureField.from_vector(system.dofmap, pres),
+            time=t,
+            multiplier=lam,
+            system=system,
+        )
+        if keep_trajectory:
+            trajectory.append(solution)
+
+    return trajectory if keep_trajectory else solution
+
+
+def _boundary_values(system: SaddleSystem, g, time: float) -> np.ndarray:
+    from .localops import project_boundary_traces
+
+    return project_boundary_traces(system.kernels, g, time).reshape(-1)

@@ -1,0 +1,271 @@
+"""Convergence-study driver and report emission.
+
+A study solves one manufactured problem over a list of meshes (and time
+steps), evaluates the error norms, computes observed orders between
+consecutive rows and writes a CSV payload plus a Markdown table.  The CSV
+contains only the numeric payload so identical configurations produce
+byte-identical files; wall time and other metadata go to the Markdown
+report.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from fractions import Fraction
+from pathlib import Path
+
+from .config import SpaceConfig
+from .mesh import build_uniform_triangulation
+from .problems import manufactured_problem
+from .solver import TimeGrid, solve_evolutionary, solve_steady
+from .verify import evaluate_errors, incompressibility_residual
+
+CSV_HEADER = "h,tau,err_energy,ord_energy,err_l2u,ord_l2u,err_l2p,ord_l2p"
+
+
+@dataclass(frozen=True)
+class StudyConfig:
+    """One convergence study: problem, element tuple, parameters, meshes."""
+
+    problem: str
+    elements: tuple[int, int, int, int, int]
+    mesh_sizes: tuple[int, ...]            # cells per side, increasing
+    gamma: float = -1.0
+    alpha: float = 1.0
+    zeta: float = 1.0
+    sigma: int = 0
+    mu: float = 1.0
+    rho: float = 1.0
+    tau_rule: str = "h2"                   # "h2" | "fixed:<v>" | "list:<v,...>"
+    t_final: float = 1.0
+    out_dir: str | None = None
+    formats: tuple[str, ...] = ("csv", "md")
+    workers: int = 1
+
+    def space_config(self) -> SpaceConfig:
+        k, j, l, m, n = self.elements
+        return SpaceConfig(
+            k, j, l, m, n,
+            gamma=self.gamma, alpha=self.alpha, zeta=self.zeta,
+            sigma=self.sigma, mu=self.mu, rho=self.rho,
+        )
+
+    def __post_init__(self):
+        if len(self.mesh_sizes) < 1:
+            raise ValueError("mesh_sizes must not be empty")
+        if any(b <= a for a, b in zip(self.mesh_sizes, self.mesh_sizes[1:])):
+            raise ValueError("mesh_sizes must be strictly increasing (h decreasing)")
+        self.space_config().validate_solver_compatibility()
+        _ = self.cells()  # validate the rule string eagerly
+
+    def cells(self) -> list[tuple[int, float | None]]:
+        """The (cells_per_side, tau) pairs the study runs, in output order.
+
+        Steady problems ignore the tau rule.  A ``list:`` rule with a single
+        mesh runs that mesh once per tau (a time-refinement study).
+        """
+        if _is_steady(self.problem):
+            return [(n, None) for n in self.mesh_sizes]
+        rule = self.tau_rule
+        if rule == "h2":
+            return [(n, 1.0 / (n * n)) for n in self.mesh_sizes]
+        if rule.startswith("fixed:"):
+            v = float(rule.split(":", 1)[1])
+            return [(n, v) for n in self.mesh_sizes]
+        if rule.startswith("list:"):
+            vals = tuple(float(s) for s in rule.split(":", 1)[1].split(","))
+            if len(self.mesh_sizes) == 1:
+                if any(b >= a for a, b in zip(vals, vals[1:])):
+                    raise ValueError("tau list must be strictly decreasing")
+                return [(self.mesh_sizes[0], v) for v in vals]
+            if len(vals) != len(self.mesh_sizes):
+                raise ValueError("tau list length must match mesh_sizes")
+            return list(zip(self.mesh_sizes, vals))
+        raise ValueError(f"unknown tau rule {rule!r}")
+
+
+@dataclass
+class StudyRow:
+    cells: int
+    tau: float | None
+    err_energy: float
+    err_l2u: float
+    err_l2p: float
+    err_l2u_true: float
+    err_l2p_proj: float
+    incompressibility: float
+
+
+@dataclass
+class ConvergenceReport:
+    config: StudyConfig
+    rows: list[StudyRow]
+    orders: dict[str, list[float | None]]
+    wall_time: float
+    commit: str
+
+    def csv_text(self) -> str:
+        lines = [CSV_HEADER]
+        o = self.orders
+        for i, row in enumerate(self.rows):
+            tau = "" if row.tau is None else _format_tau(row.tau)
+            lines.append(
+                f"1/{row.cells},{tau},"
+                f"{row.err_energy:.4e},{_fmt_order(o['energy'][i])},"
+                f"{row.err_l2u:.4e},{_fmt_order(o['l2u'][i])},"
+                f"{row.err_l2p:.4e},{_fmt_order(o['l2p'][i])}"
+            )
+        return "\n".join(lines) + "\n"
+
+    def markdown_text(self) -> str:
+        cfg = self.config
+        o = self.orders
+        lines = [
+            f"# Convergence study: {cfg.problem}",
+            "",
+            f"Elements (k, j, l, m, n) = {cfg.elements}; "
+            f"gamma={cfg.gamma:g}, alpha={cfg.alpha:g}, zeta={cfg.zeta:g}, "
+            f"sigma={cfg.sigma}, mu={cfg.mu:g}, rho={cfg.rho:g}",
+        ]
+        if not _is_steady(cfg.problem):
+            lines.append(f"Time stepping: tau rule `{cfg.tau_rule}`, T = {cfg.t_final:g}")
+        lines += [
+            "",
+            "| h | tau | energy err | order | L2(u) err | order | L2(p) err | order |",
+            "|---|-----|-----------|-------|-----------|-------|-----------|-------|",
+        ]
+        for i, row in enumerate(self.rows):
+            tau = "" if row.tau is None else _format_tau(row.tau)
+            lines.append(
+                f"| 1/{row.cells} | {tau} | {row.err_energy:.4e} | "
+                f"{_fmt_order(o['energy'][i])} | {row.err_l2u:.4e} | "
+                f"{_fmt_order(o['l2u'][i])} | {row.err_l2p:.4e} | "
+                f"{_fmt_order(o['l2p'][i])} |"
+            )
+        lines += [
+            "",
+            f"Wall time: {self.wall_time:.2f} s; commit: {self.commit}",
+            "",
+        ]
+        return "\n".join(lines)
+
+
+def _is_steady(problem: str) -> bool:
+    return problem in ("steady_oseen_ex1", "stokes_patch")
+
+
+def _fmt_order(value: float | None) -> str:
+    return "" if value is None else f"{value:.2f}"
+
+
+def _format_tau(tau: float) -> str:
+    frac = Fraction(tau).limit_denominator(10**6)
+    if abs(float(frac) - tau) < 1e-14:
+        return f"{frac.numerator}/{frac.denominator}" if frac.denominator > 1 else str(frac.numerator)
+    return f"{tau:.6g}"
+
+
+#: errors at or below this are rounding noise (patch-test regime); orders
+#: computed from them are meaningless and stay blank
+ORDER_FLOOR = 1e-12
+
+
+def compute_order(errors, steps) -> list[float | None]:
+    """Observed orders ln(e_prev/e_cur)/ln(s_prev/s_cur); first entry None.
+
+    Entries touching non-positive or rounding-level errors stay None.
+    """
+    if len(errors) != len(steps):
+        raise ValueError("errors and steps must have equal length")
+    if any(b >= a for a, b in zip(steps, steps[1:])):
+        raise ValueError("steps must be strictly decreasing")
+    import math
+
+    orders: list[float | None] = [None]
+    for i in range(1, len(errors)):
+        if errors[i - 1] <= ORDER_FLOOR or errors[i] <= ORDER_FLOOR:
+            orders.append(None)
+            continue
+        orders.append(
+            math.log(errors[i - 1] / errors[i]) / math.log(steps[i - 1] / steps[i])
+        )
+    return orders
+
+
+def _run_cell(study: StudyConfig, cells: int, tau: float | None) -> StudyRow:
+    cfg = study.space_config()
+    problem = manufactured_problem(study.problem, mu=study.mu, rho=study.rho)
+    mesh = build_uniform_triangulation(cells)
+    if tau is None:
+        solution = solve_steady(mesh, cfg, problem)
+    else:
+        grid = TimeGrid.from_tau(study.t_final, tau)
+        solution = solve_evolutionary(mesh, cfg, problem, grid)
+    report = evaluate_errors(mesh, cfg, solution, problem)
+    return StudyRow(
+        cells=cells,
+        tau=tau,
+        err_energy=report.energy,
+        err_l2u=report.l2_velocity_proj,
+        err_l2p=report.l2_pressure_true,
+        err_l2u_true=report.l2_velocity_true,
+        err_l2p_proj=report.l2_pressure_proj,
+        incompressibility=incompressibility_residual(solution),
+    )
+
+
+def run_convergence_study(study: StudyConfig) -> ConvergenceReport:
+    """Solve every study cell, compute orders and emit the reports.
+
+    Cells may run on a small thread pool (``workers``); rows are merged in
+    mesh order so the output is independent of the worker count.
+    """
+    start = time.perf_counter()
+    cells_list = study.cells()
+    if study.workers > 1:
+        with ThreadPoolExecutor(max_workers=study.workers) as pool:
+            rows = list(pool.map(lambda ct: _run_cell(study, *ct), cells_list))
+    else:
+        rows = [_run_cell(study, c, t) for c, t in cells_list]
+
+    if len({c for c, _ in cells_list}) == 1 and len(cells_list) > 1:
+        steps = [r.tau for r in rows]  # time-refinement study at fixed h
+    else:
+        steps = [1.0 / r.cells for r in rows]
+    orders = {
+        "energy": compute_order([r.err_energy for r in rows], steps),
+        "l2u": compute_order([r.err_l2u for r in rows], steps),
+        "l2p": compute_order([r.err_l2p for r in rows], steps),
+    }
+    report = ConvergenceReport(
+        config=study,
+        rows=rows,
+        orders=orders,
+        wall_time=time.perf_counter() - start,
+        commit=_commit_id(),
+    )
+    if study.out_dir is not None:
+        write_report(report, Path(study.out_dir), study.formats)
+    return report
+
+
+def write_report(report: ConvergenceReport, out_dir: Path, formats) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if "csv" in formats:
+        (out_dir / "study.csv").write_text(report.csv_text())
+    if "md" in formats:
+        (out_dir / "study.md").write_text(report.markdown_text())
+
+
+def _commit_id() -> str:
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, timeout=5, check=False,
+        )
+        return out.stdout.strip() or "unknown"
+    except OSError:
+        return "unknown"

@@ -1,0 +1,391 @@
+"""Error norms against manufactured solutions and scheme diagnostics.
+
+The diagnostics turn the stability ingredients of the scheme into numbers:
+the energy-norm kernel on the zero-boundary subspace, the discrete inf-sup
+constant, the coercivity margin of the convective bilinear form, and the
+two defining identities of the weak gradient.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from .assembly import (
+    DofMap,
+    PressureField,
+    WeakVelocity,
+    _Accumulator,
+    assemble_bilinear,
+    build_dofmap,
+)
+from .basis import dim_p, eval_tri_gradients, eval_tri_values, tri_exponents
+from .config import SpaceConfig
+from .localops import ElementKernels, project_pressure, project_velocity
+from .mesh import Mesh
+
+DENSE_EIG_LIMIT = 5000
+
+
+@dataclass
+class ErrorReport:
+    """Discretization errors of one solve."""
+
+    energy: float
+    l2_velocity_proj: float
+    l2_velocity_true: float
+    l2_pressure_proj: float
+    l2_pressure_true: float
+    h: float
+    tau: float | None = None
+
+
+def energy_seminorm(
+    kernels: ElementKernels, dofmap: DofMap, vel_vector: np.ndarray,
+    chunk_size: int = 2048,
+) -> float:
+    """Energy seminorm: weak-gradient L2 norm plus the velocity stabilizer."""
+    eloc = vel_vector[dofmap.elem_vel]
+    total = 0.0
+    nT = kernels.mesh.n_elements
+    for start in range(0, nT, chunk_size):
+        sl = slice(start, min(start + chunk_size, nT))
+        W = kernels.weak_gradient_values(sl)
+        vals = np.einsum("tpcqi,ti->tpcq", W, eloc[sl])
+        total += float(np.einsum("tp,tpcq,tpcq->", kernels.qw[sl], vals, vals))
+    S1 = kernels.stabilizer_local()
+    total += float(np.einsum("ti,tij,tj->", eloc, S1, eloc))
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def error_energy(
+    mesh: Mesh,
+    config: SpaceConfig,
+    u_h: WeakVelocity,
+    u_exact,
+    time: float = 0.0,
+    *,
+    kernels: ElementKernels | None = None,
+    dofmap: DofMap | None = None,
+) -> float:
+    """Energy norm of Q_h(u_exact) - u_h."""
+    ker = kernels if kernels is not None else ElementKernels(mesh, config)
+    dm = dofmap if dofmap is not None else build_dofmap(mesh, config)
+    interior, traces = project_velocity(ker, u_exact, time)
+    diff = WeakVelocity(interior - u_h.interior, traces - u_h.traces)
+    return energy_seminorm(ker, dm, diff.to_vector(dm))
+
+
+def error_l2(
+    mesh: Mesh,
+    config: SpaceConfig,
+    field_h,
+    field_exact,
+    kind: str,
+    mode: str = "vs_projection",
+    time: float = 0.0,
+    *,
+    kernels: ElementKernels | None = None,
+) -> float:
+    """L2 norm of the selected difference over all elements.
+
+    ``kind`` is ``velocity`` (interior part of a ``WeakVelocity``) or
+    ``pressure``; ``mode`` selects the difference against the local L2
+    projection of the exact field or against the exact field itself.
+    """
+    if kind not in ("velocity", "pressure"):
+        raise ValueError(f"unknown kind {kind!r}")
+    if mode not in ("vs_projection", "vs_exact"):
+        raise ValueError(f"unknown mode {mode!r}")
+    ker = kernels if kernels is not None else ElementKernels(mesh, config)
+    x, y = ker.qp[..., 0], ker.qp[..., 1]
+
+    if kind == "velocity":
+        approx = np.einsum("tci,tpi->tpc", field_h.interior, ker.Vk)
+        if mode == "vs_projection":
+            interior, _ = project_velocity(ker, field_exact, time)
+            exact = np.einsum("tci,tpi->tpc", interior, ker.Vk)
+        else:
+            exact = np.asarray(field_exact(x, y, time), dtype=float)
+        diff2 = np.sum((approx - exact) ** 2, axis=-1)
+    else:
+        approx = np.einsum("ti,tpi->tp", field_h.coeffs, ker.Vn)
+        if mode == "vs_projection":
+            coeffs = project_pressure(ker, field_exact, time)
+            exact = np.einsum("ti,tpi->tp", coeffs, ker.Vn)
+        else:
+            exact = np.asarray(field_exact(x, y, time), dtype=float)
+        diff2 = (approx - exact) ** 2
+    return float(np.sqrt(np.einsum("tp,tp->", ker.qw, diff2)))
+
+
+def evaluate_errors(mesh, config, solution, problem, *, kernels=None) -> ErrorReport:
+    """All error norms of a solved state at its own time stamp."""
+    ker = kernels if kernels is not None else solution.system.kernels
+    dm = solution.system.dofmap
+    t = solution.time
+    return ErrorReport(
+        energy=error_energy(
+            mesh, config, solution.velocity, problem.u, t, kernels=ker, dofmap=dm
+        ),
+        l2_velocity_proj=error_l2(
+            mesh, config, solution.velocity, problem.u, "velocity",
+            "vs_projection", t, kernels=ker,
+        ),
+        l2_velocity_true=error_l2(
+            mesh, config, solution.velocity, problem.u, "velocity",
+            "vs_exact", t, kernels=ker,
+        ),
+        l2_pressure_proj=error_l2(
+            mesh, config, solution.pressure, problem.p, "pressure",
+            "vs_projection", t, kernels=ker,
+        ),
+        l2_pressure_true=error_l2(
+            mesh, config, solution.pressure, problem.p, "pressure",
+            "vs_exact", t, kernels=ker,
+        ),
+        h=float(mesh.h_edge.min()),
+    )
+
+
+# -- weak-operator identities -------------------------------------------------
+
+
+@dataclass
+class IdentityReport:
+    """Residuals of the two weak-gradient identities over random trials."""
+
+    max_residual_identity1: float
+    max_residual_identity2: float
+    trials: int
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return (
+            self.max_residual_identity1 <= self.tol
+            and self.max_residual_identity2 <= self.tol
+        )
+
+
+def check_weak_identities(
+    mesh: Mesh,
+    config: SpaceConfig,
+    trials: int = 100,
+    seed: int = 0,
+    tol: float = 1e-11,
+    *,
+    kernels: ElementKernels | None = None,
+) -> IdentityReport:
+    """Element-wise check of the two defining weak-gradient identities.
+
+    Identity 1 tests arbitrary discrete functions against random tensor
+    polynomials of degree <= min(j, l); identity 2 tests the weak gradient
+    of the projected interpolant of random vector polynomials of degree
+    k + 1 (quadrature-exact, so residuals are pure roundoff).
+    """
+    ker = kernels if kernels is not None else ElementKernels(mesh, config)
+    dm = build_dofmap(mesh, config)
+    rng = np.random.default_rng(seed)
+    s = config.s
+    ds = dim_p(s)
+    nT = mesh.n_elements
+    h = mesh.h_elem[:, None]
+
+    Vs = eval_tri_values(s, ker.local)
+    Gs = eval_tri_gradients(s, ker.local, h)
+    Vs_e = eval_tri_values(s, ker.local_e)
+    W = ker.weak_gradient_values(slice(None))
+    V0 = ker.interior_values(slice(None))
+    wq_edge = ker.edge_w[None, None, :] * ker.elen[:, :, None]
+    exps = tri_exponents(config.k + 1)
+    Gk1 = _poly_gradients(ker.qp, exps)
+
+    max1 = 0.0
+    max2 = 0.0
+    for _ in range(trials):
+        phi = rng.uniform(-1.0, 1.0, size=(nT, 2, 2, ds))
+        phi_vol = np.einsum("tcqa,tpa->tpcq", phi, Vs)
+        div_phi = np.einsum("tcqa,tpqa->tpc", phi, Gs)
+
+        # identity 1: arbitrary per-element DOF values
+        v = rng.uniform(-1.0, 1.0, size=(nT, ker.nloc))
+        wg = np.einsum("tpcqi,ti->tpcq", W, v)
+        lhs = np.einsum("tp,tpcq,tpcq->t", ker.qw, wg, phi_vol)
+        v0 = np.einsum("tpci,ti->tpc", V0, v)
+        rhs = -np.einsum("tp,tpc,tpc->t", ker.qw, v0, div_phi)
+        vb = _trace_values(ker, v)                         # (nT, 3, nq, 2)
+        phi_edge = np.einsum("tcqa,tEpa->tEpcq", phi, Vs_e)
+        phin = np.einsum("tEpcq,tEq->tEpc", phi_edge, ker.normals)
+        rhs += np.einsum("tEp,tEpc,tEpc->t", wq_edge, vb, phin)
+        max1 = max(max1, float(np.abs(lhs - rhs).max()))
+
+        # identity 2: projected interpolant of a random vector polynomial
+        coeff = rng.uniform(-1.0, 1.0, size=(2, exps.shape[0]))
+
+        def w_poly(x, y, t=None, coeff=coeff):
+            basis = x[..., None] ** exps[:, 0] * y[..., None] ** exps[:, 1]
+            return np.einsum("...a,ca->...c", basis, coeff)
+
+        interior, traces = project_velocity(ker, w_poly)
+        eloc = WeakVelocity(interior, traces).to_vector(dm)[dm.elem_vel]
+        wgq = np.einsum("tpcqi,ti->tpcq", W, eloc)
+        lhs2 = np.einsum("tp,tpcq,tpcq->t", ker.qw, wgq, phi_vol)
+
+        grad_w = np.einsum("ca,tpqa->tpcq", coeff, Gk1)
+        rhs2 = np.einsum("tp,tpcq,tpcq->t", ker.qw, grad_w, phi_vol)
+        wvals = w_poly(ker.qp[..., 0], ker.qp[..., 1])
+        q0w = np.einsum("tci,tpi->tpc", interior, ker.Vk)
+        rhs2 += np.einsum("tp,tpc,tpc->t", ker.qw, wvals - q0w, div_phi)
+        max2 = max(max2, float(np.abs(lhs2 - rhs2).max()))
+
+    return IdentityReport(
+        max_residual_identity1=max1,
+        max_residual_identity2=max2,
+        trials=trials,
+        tol=tol,
+    )
+
+
+def _poly_gradients(pts: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    x = pts[..., 0, None]
+    y = pts[..., 1, None]
+    ax, ay = exps[:, 0], exps[:, 1]
+    gx = ax * x ** np.maximum(ax - 1, 0) * y**ay
+    gy = ay * x**ax * y ** np.maximum(ay - 1, 0)
+    return np.stack([gx, gy], axis=-2)  # (..., 2, nbasis)
+
+
+def _trace_values(ker: ElementKernels, vloc: np.ndarray) -> np.ndarray:
+    """Trace-part values of local DOF vectors at edge points, (nT, 3, nq, 2)."""
+    dk, dj = ker.dk, ker.dj
+    nT = vloc.shape[0]
+    out = np.empty((nT, 3, ker.edge_s.size, 2))
+    for le in range(3):
+        for c in range(2):
+            start = 2 * dk + le * 2 * dj + c * dj
+            coeff = vloc[:, start : start + dj]
+            out[:, le, :, c] = coeff @ ker.Qj.T
+    return out
+
+
+# -- stability diagnostics ----------------------------------------------------
+
+
+def _energy_matrix(mesh, config, kernels, dofmap) -> sp.csr_matrix:
+    """Weak-gradient stiffness (unit viscosity) plus the velocity stabilizer."""
+    unit = config.with_params(mu=1.0)
+    K = assemble_bilinear("viscous", mesh, unit, kernels=kernels, dofmap=dofmap)
+    S1 = assemble_bilinear("s1", mesh, config, kernels=kernels, dofmap=dofmap)
+    return (K + S1).tocsr()
+
+
+def _min_eig_symmetric(A: sp.spmatrix) -> float:
+    n = A.shape[0]
+    if n <= DENSE_EIG_LIMIT:
+        return float(scipy.linalg.eigvalsh(A.toarray())[0])
+    try:
+        vals = spla.eigsh(A, k=1, which="SA", maxiter=5000, tol=1e-9,
+                          return_eigenvectors=False)
+        return float(vals[0])
+    except spla.ArpackNoConvergence:
+        vals = spla.eigsh(A, k=1, sigma=0.0, which="LM",
+                          return_eigenvectors=False)
+        return float(vals[0])
+
+
+def kernel_min_eigenvalue(
+    mesh: Mesh, config: SpaceConfig, *, kernels: ElementKernels | None = None
+) -> float:
+    """Smallest eigenvalue of the energy-norm matrix on the zero-trace subspace.
+
+    Strictly positive exactly when the energy seminorm is a norm there.
+    """
+    ker = kernels if kernels is not None else ElementKernels(mesh, config)
+    dm = build_dofmap(mesh, config)
+    K = _energy_matrix(mesh, config, ker, dm)
+    free = dm.free_dofs
+    return _min_eig_symmetric(K[free][:, free])
+
+
+def estimate_infsup(
+    mesh: Mesh, config: SpaceConfig, *, kernels: ElementKernels | None = None
+) -> float:
+    """Discrete inf-sup constant of the divergence coupling.
+
+    Smallest nonzero generalized eigenvalue of B (K + S1)^{-1} B^T against
+    the pressure mass matrix, square-rooted, with the constant-pressure
+    direction removed.
+    """
+    ker = kernels if kernels is not None else ElementKernels(mesh, config)
+    dm = build_dofmap(mesh, config)
+    free = dm.free_dofs
+    K = _energy_matrix(mesh, config, ker, dm)[free][:, free].tocsc()
+    B = assemble_bilinear("divergence", mesh, config, kernels=ker, dofmap=dm)
+    B_f = B[:, free].tocsc()
+
+    lu = spla.splu(K)
+    npres = dm.n_pressure
+    S = np.empty((npres, npres))
+    step = max(1, min(256, npres))
+    Bt = B_f.T.tocsc()
+    for start in range(0, npres, step):
+        cols = slice(start, min(start + step, npres))
+        X = lu.solve(Bt[:, cols].toarray())
+        S[:, cols] = B_f @ X
+
+    Mp = _pressure_mass(ker, dm).toarray()
+    const = np.zeros(npres)
+    const[dm.elem_pres[:, 0]] = 1.0  # the constant function in the local basis
+    row = (Mp @ const)[None, :]
+    Z = scipy.linalg.null_space(row)
+    Sz = Z.T @ S @ Z
+    Mz = Z.T @ Mp @ Z
+    vals = scipy.linalg.eigh(Sz, Mz, eigvals_only=True)
+    return float(np.sqrt(max(vals[0], 0.0)))
+
+
+def _pressure_mass(ker: ElementKernels, dm: DofMap) -> sp.csr_matrix:
+    acc = _Accumulator((dm.n_pressure, dm.n_pressure))
+    acc.add(ker.Mn, dm.elem_pres, dm.elem_pres)
+    return acc.to_csr()
+
+
+def estimate_coercivity(
+    mesh: Mesh, config: SpaceConfig, beta, *, kernels: ElementKernels | None = None
+) -> float:
+    """Coercivity margin of the full velocity bilinear form.
+
+    Smallest eigenvalue of the symmetric part of the Dirichlet-reduced
+    velocity block, scaled by its largest diagonal entry.  A positive value
+    backs unique solvability of the scheme with this convection field.
+    """
+    ker = kernels if kernels is not None else ElementKernels(mesh, config)
+    dm = build_dofmap(mesh, config)
+    A = assemble_bilinear("viscous", mesh, config, kernels=ker, dofmap=dm)
+    A = A + assemble_bilinear("convection", mesh, config, beta, kernels=ker, dofmap=dm)
+    A = A + assemble_bilinear("s1", mesh, config, kernels=ker, dofmap=dm)
+    free = dm.free_dofs
+    A = A[free][:, free]
+    sym = ((A + A.T) * 0.5).tocsr()
+    scale = float(sym.diagonal().max())
+    return _min_eig_symmetric(sym) / scale
+
+
+def incompressibility_residual(solution) -> float:
+    """Max-norm residual of the discrete divergence equation after a solve.
+
+    Includes the Lagrange-multiplier column, so a consistent solve leaves
+    pure roundoff.
+    """
+    system = solution.system
+    r = (
+        system.B @ solution.velocity_vector
+        + system.S2 @ solution.pressure_vector
+        + solution.multiplier * system.mean_vector
+    )
+    return float(np.abs(r).max())
