@@ -47,9 +47,6 @@ class DofMap:
     def n_pressure(self) -> int:
         return self.n_elements * self.dn
 
-    def trace_dof(self, edge: int, comp: int, i: int) -> int:
-        return 2 * self.n_elements * self.dk + edge * 2 * self.dj + comp * self.dj + i
-
 
 def build_dofmap(mesh: Mesh, config: SpaceConfig) -> DofMap:
     from .basis import dim_p
@@ -108,9 +105,6 @@ class WeakVelocity:
         interior = vec[:ni].reshape(dofmap.n_elements, 2, dofmap.dk).copy()
         traces = vec[ni:].reshape(dofmap.n_edges, 2, dofmap.dj).copy()
         return cls(interior=interior, traces=traces)
-
-    def copy(self) -> "WeakVelocity":
-        return WeakVelocity(self.interior.copy(), self.traces.copy())
 
 
 @dataclass
@@ -291,10 +285,6 @@ class SaddleSystem:
     mean_vector: np.ndarray | None = None
     _reduced: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def free_dofs(self) -> np.ndarray:
-        return self.dofmap.free_dofs
-
     def reduced_blocks(self):
         """Slices of A and B split into free and boundary velocity columns."""
         if not self._reduced:
@@ -309,27 +299,33 @@ class SaddleSystem:
         return self._reduced
 
     def operator(self):
-        """Constrained, Dirichlet-reduced matrix and right-hand side."""
+        """Constrained, Dirichlet-reduced matrix and right-hand side.
+
+        The matrix is built on the first call and cached beside the reduced
+        blocks; later calls only form the right-hand side from the current
+        ``rhs_vel`` and ``dirichlet_values``.
+        """
         if self.dirichlet_values is None:
             raise ValueError("apply_dirichlet must run before forming the operator")
         if self.mean_vector is None:
             raise ValueError("constrain_system must run before forming the operator")
         red = self.reduced_blocks()
+        if "K" not in red:
+            c = sp.csr_matrix(self.mean_vector[:, None])
+            red["K"] = sp.bmat(
+                [
+                    [red["A_ff"], -red["B_f"].T, None],
+                    [red["B_f"], self.S2, c],
+                    [None, c.T, None],
+                ],
+                format="csc",
+            )
         free = self.dofmap.free_dofs
         g = self.dirichlet_values
         r_vel = self.rhs_vel[free] - red["A_fb"] @ g
         r_pres = self.rhs_pres - red["B_b"] @ g
-        c = sp.csr_matrix(self.mean_vector[:, None])
-        K = sp.bmat(
-            [
-                [red["A_ff"], -red["B_f"].T, None],
-                [red["B_f"], self.S2, c],
-                [None, c.T, None],
-            ],
-            format="csc",
-        )
         rhs = np.concatenate([r_vel, r_pres, [0.0]])
-        return K, rhs
+        return red["K"], rhs
 
     def expand(self, x: np.ndarray):
         """Split a solution vector into full velocity, pressure, multiplier."""

@@ -14,8 +14,6 @@ that act identically on both components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import (
@@ -149,11 +147,6 @@ class ElementKernels:
                 rhs[:, q, :, :dk] -= nq_[:, q, None, None] * GE
         self.delta = _solve_mass(self.Ml[:, None], rhs, "weak-gradient")
 
-        # P_l representation (projection when k-1 > l) of the interior gradient
-        Al = np.einsum("tp,tpi,tpqj->tqij", self.qw, self.Vl, self.Gk)
-        self.grad_rep = _solve_mass(self.Ml[:, None], Al, "weak-gradient")
-        self.exact_gradient = self.config.k - 1 <= self.config.l
-
         # weak divergence map on the full local layout (dm x nloc)
         rhs_div = np.zeros((nT, 2, dm, ncomp))
         Am = np.einsum("tp,tpci,tpj->tcij", self.qw, self.Gm, self.Vk)
@@ -218,52 +211,6 @@ class ElementKernels:
             S[:, self.comp_cols[c][:, None], self.comp_cols[c][None, :]] = S_comp
         return S
 
-    def weak_gradient_operator(self, t: int):
-        """Coefficient matrix of the weak gradient on element ``t``.
-
-        Rows are ordered (component i, derivative q, P_l basis); when
-        k-1 > l the interior-gradient rows hold its L2 projection onto the
-        tensor space.
-        """
-        mat = np.zeros((2, 2, self.dl, self.nloc))
-        for c in range(2):
-            mat[c, :, :, self.comp_cols[c]] = (
-                self.delta[t] + np.pad(
-                    self.grad_rep[t],
-                    ((0, 0), (0, 0), (0, self.ncomp - self.dk)),
-                )
-            ).transpose(2, 0, 1)
-        return mat.reshape(4 * self.dl, self.nloc)
-
-
-@dataclass
-class LocalOperator:
-    """Map from an element's local velocity DOFs to target-space coefficients."""
-
-    matrix: np.ndarray
-    target: str
-    exact: bool = True
-
-
-def local_weak_gradient(
-    mesh: Mesh, config: SpaceConfig, element: int, kernels: ElementKernels | None = None
-) -> LocalOperator:
-    """Weak gradient of element ``element`` as a DOFs -> [P_l]^{2x2} map."""
-    ker = kernels if kernels is not None else ElementKernels(mesh, config)
-    return LocalOperator(
-        matrix=ker.weak_gradient_operator(element),
-        target=f"tensor_p{config.l}",
-        exact=ker.exact_gradient,
-    )
-
-
-def local_weak_divergence(
-    mesh: Mesh, config: SpaceConfig, element: int, kernels: ElementKernels | None = None
-) -> LocalOperator:
-    """Weak divergence of element ``element`` as a DOFs -> P_m map."""
-    ker = kernels if kernels is not None else ElementKernels(mesh, config)
-    return LocalOperator(matrix=ker.div[element].copy(), target=f"scalar_p{config.m}")
-
 
 # -- local L2 projections ---------------------------------------------------
 
@@ -271,53 +218,6 @@ def local_weak_divergence(
 def _eval_field(f, x, y, time=None):
     vals = f(x, y) if time is None else f(x, y, time)
     return np.asarray(vals, dtype=float)
-
-
-def project_interior(
-    mesh: Mesh,
-    element: int,
-    f,
-    degree: int,
-    quad_order: int | None = None,
-    time: float | None = None,
-) -> np.ndarray:
-    """L2-project a field onto P_degree of one element.
-
-    ``f(x, y)`` (or ``f(x, y, t)``) may return scalars or vectors in the
-    trailing axis; coefficients come back with the matching shape
-    (..., dim).
-    """
-    order = quad_order if quad_order is not None else 2 * degree + 6
-    rule = triangle_quadrature(order)
-    verts = mesh.element_vertices(element)
-    pts = rule.points @ verts
-    w = rule.weights * 2.0 * mesh.areas[element]
-    local = (pts - mesh.centroids[element]) / mesh.h_elem[element]
-    V = eval_tri_values(degree, local)
-    vals = _eval_field(f, pts[:, 0], pts[:, 1], time)
-    mass = np.einsum("p,pi,pj->ij", w, V, V)
-    rhs = np.einsum("p,p...,pi->...i", w, vals, V)
-    return _solve_mass(mass, rhs[..., None], "projection")[..., 0]
-
-
-def project_edge(
-    mesh: Mesh,
-    edge: int,
-    f,
-    degree: int,
-    quad_order: int | None = None,
-    time: float | None = None,
-) -> np.ndarray:
-    """L2-project a field onto P_degree of one edge (trailing axis = basis)."""
-    order = quad_order if quad_order is not None else 2 * degree + 6
-    rule = edge_quadrature(order)
-    va, vb = mesh.vertices[mesh.edges[edge]]
-    pts = va + rule.points[:, None] * (vb - va)
-    Q = eval_edge_values(degree, rule.points)
-    vals = _eval_field(f, pts[:, 0], pts[:, 1], time)
-    mass = np.einsum("q,qa,qb->ab", rule.weights, Q, Q)
-    rhs = np.einsum("q,q...,qa->...a", rule.weights, vals, Q)
-    return _solve_mass(mass, rhs[..., None], "edge projection")[..., 0]
 
 
 def project_velocity(

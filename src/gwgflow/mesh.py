@@ -85,9 +85,6 @@ class Mesh:
         signs = self.element_edge_sign[t]
         return self.edge_normals[self.element_edges[t]] * signs[:, None]
 
-    def is_boundary_edge(self, e: int) -> bool:
-        return self.edge_elements[e, 1] == BOUNDARY
-
 
 def build_uniform_triangulation(cells_per_side: int) -> Mesh:
     """Triangulate the unit square with the lower-left-to-upper-right split.

@@ -52,8 +52,7 @@ def _steady_ex1(mu: float, rho: float) -> Problem:
         return (2 * x - 1.0) * (2 * y - 1.0) + 0.0 * x
 
     def f(x, y, t=0.0):
-        b1 = -x + np.sin(x) * np.sin(y)
-        b2 = np.cos(x) * np.cos(y)
+        b1, b2 = np.moveaxis(_beta_standard(x, y), -1, 0)
         f1 = -mu * 2 * y + rho * (b1 * 2 * x * y + b2 * x**2) + 2 * (2 * y - 1.0)
         f2 = mu * 2 * x + rho * (-b1 * y**2 - b2 * 2 * x * y) + 2 * (2 * x - 1.0)
         return np.stack([f1, f2], axis=-1)
@@ -80,8 +79,7 @@ def _evolutionary_ex2(mu: float, rho: float) -> Problem:
         return np.sin(t) * (2 * x - 1.0) * (2 * y - 1.0) + 0.0 * x
 
     def f(x, y, t):
-        b1 = -x + np.sin(x) * np.sin(y)
-        b2 = np.cos(x) * np.cos(y)
+        b1, b2 = np.moveaxis(_beta_standard(x, y), -1, 0)
         et = np.exp(-t)
         f1 = (
             -rho * et * x**2 * y

@@ -19,7 +19,7 @@ from .assembly import (
     constrain_system,
 )
 from .config import SpaceConfig
-from .localops import ElementKernels, project_pressure, project_velocity
+from .localops import ElementKernels, project_velocity
 from .mesh import Mesh
 
 RESIDUAL_TOL = 1e-10
@@ -82,18 +82,20 @@ class DiscreteSolution:
 def linear_solve(system: SaddleSystem, factor=None) -> np.ndarray:
     """Direct sparse solve of the constrained, reduced system.
 
-    Checks the relative residual against ``RESIDUAL_TOL`` and applies one
-    step of iterative refinement before giving up.
+    Every solve, steady or time step, goes through here.  The relative
+    residual is checked against ``RESIDUAL_TOL``; one step of iterative
+    refinement is applied if needed, and ``LinearSolveError`` is raised
+    when the residual still fails the check, including when it is NaN.
     """
     K, rhs = system.operator()
     lu = factor if factor is not None else _factorize(K)
     x = lu.solve(rhs)
     scale = max(np.linalg.norm(rhs), 1e-300)
     res = np.linalg.norm(K @ x - rhs) / scale
-    if res > RESIDUAL_TOL:
+    if not res <= RESIDUAL_TOL:
         x = x + lu.solve(rhs - K @ x)
         res = np.linalg.norm(K @ x - rhs) / scale
-    if res > RESIDUAL_TOL:
+    if not res <= RESIDUAL_TOL:
         raise LinearSolveError(
             f"linear solve failed: relative residual {res:.3e} > {RESIDUAL_TOL:.1e}"
         )
@@ -113,25 +115,15 @@ def solve_steady(
     problem,
     *,
     kernels: ElementKernels | None = None,
-    system: SaddleSystem | None = None,
 ) -> DiscreteSolution:
     """Solve the steady scheme for a manufactured problem bundle."""
     config.validate_solver_compatibility()
-    if system is None:
-        system = build_saddle_system(
-            mesh, config, problem.beta, problem.f, time=0.0, kernels=kernels
-        )
+    system = build_saddle_system(
+        mesh, config, problem.beta, problem.f, time=0.0, kernels=kernels
+    )
     apply_dirichlet(system, problem.g, time=0.0)
     constrain_system(system)
-    x = linear_solve(system)
-    vel, pres, lam = system.expand(x)
-    return DiscreteSolution(
-        velocity=WeakVelocity.from_vector(system.dofmap, vel),
-        pressure=PressureField.from_vector(system.dofmap, pres),
-        time=0.0,
-        multiplier=lam,
-        system=system,
-    )
+    return _solution(system, linear_solve(system), 0.0)
 
 
 def solve_evolutionary(
@@ -142,15 +134,16 @@ def solve_evolutionary(
     *,
     kernels: ElementKernels | None = None,
     keep_trajectory: bool = False,
-    refactor_each_step: bool = False,
 ):
     """March the fully-discrete scheme with backward Euler.
 
     The initial state is the weak projection of the initial velocity; each
-    step solves the mass-augmented system at the new time level with the
-    matrix factored once and reused (the coefficients do not depend on
-    time).  Returns the solution at the final time, or the whole
-    trajectory when ``keep_trajectory`` is set.
+    step solves the mass-augmented system at the new time level through
+    ``linear_solve``, with the matrix factored once and reused (the
+    coefficients do not depend on time).  Every step is residual-checked,
+    so a failed step raises ``LinearSolveError`` instead of marching on.
+    Returns the solution at the final time, or the whole trajectory when
+    ``keep_trajectory`` is set.
     """
     config.validate_solver_compatibility()
     ker = kernels if kernels is not None else ElementKernels(mesh, config)
@@ -167,50 +160,32 @@ def solve_evolutionary(
     interior, traces = project_velocity(ker, problem.g2)
     u_prev = WeakVelocity(interior, traces).to_vector(system.dofmap)
 
-    red = system.reduced_blocks()
     K, _ = system.operator()
     lu = _factorize(K)
-    free = system.dofmap.free_dofs
     trajectory = []
     solution = None
 
     for step in range(1, grid.n_steps + 1):
         t = step * grid.tau
-        gvals = _boundary_values(system, problem.g, t)
-        system.dirichlet_values = gvals
         load = assemble_load(
             mesh, config, problem.f, t, kernels=ker, dofmap=system.dofmap
         )
-        rhs_vel = load + mass @ (u_prev / grid.tau)
-        r = np.concatenate(
-            [
-                rhs_vel[free] - red["A_fb"] @ gvals,
-                -(red["B_b"] @ gvals),
-                [0.0],
-            ]
-        )
-        if refactor_each_step:
-            lu = _factorize(K)
-        x = lu.solve(r)
-        res = np.linalg.norm(K @ x - r) / max(np.linalg.norm(r), 1e-300)
-        if res > RESIDUAL_TOL:
-            x = x + lu.solve(r - K @ x)
-        vel, pres, lam = system.expand(x)
-        u_prev = vel
-        solution = DiscreteSolution(
-            velocity=WeakVelocity.from_vector(system.dofmap, vel),
-            pressure=PressureField.from_vector(system.dofmap, pres),
-            time=t,
-            multiplier=lam,
-            system=system,
-        )
+        system.rhs_vel = load + mass @ (u_prev / grid.tau)
+        apply_dirichlet(system, problem.g, t)
+        solution = _solution(system, linear_solve(system, lu), t)
+        u_prev = solution.velocity_vector
         if keep_trajectory:
             trajectory.append(solution)
 
     return trajectory if keep_trajectory else solution
 
 
-def _boundary_values(system: SaddleSystem, g, time: float) -> np.ndarray:
-    from .localops import project_boundary_traces
-
-    return project_boundary_traces(system.kernels, g, time).reshape(-1)
+def _solution(system: SaddleSystem, x: np.ndarray, time: float) -> DiscreteSolution:
+    vel, pres, lam = system.expand(x)
+    return DiscreteSolution(
+        velocity=WeakVelocity.from_vector(system.dofmap, vel),
+        pressure=PressureField.from_vector(system.dofmap, pres),
+        time=time,
+        multiplier=lam,
+        system=system,
+    )

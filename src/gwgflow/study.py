@@ -67,7 +67,7 @@ class StudyConfig:
         Steady problems ignore the tau rule.  A ``list:`` rule with a single
         mesh runs that mesh once per tau (a time-refinement study).
         """
-        if _is_steady(self.problem):
+        if manufactured_problem(self.problem).steady:
             return [(n, None) for n in self.mesh_sizes]
         rule = self.tau_rule
         if rule == "h2":
@@ -130,7 +130,7 @@ class ConvergenceReport:
             f"gamma={cfg.gamma:g}, alpha={cfg.alpha:g}, zeta={cfg.zeta:g}, "
             f"sigma={cfg.sigma}, mu={cfg.mu:g}, rho={cfg.rho:g}",
         ]
-        if not _is_steady(cfg.problem):
+        if not manufactured_problem(cfg.problem).steady:
             lines.append(f"Time stepping: tau rule `{cfg.tau_rule}`, T = {cfg.t_final:g}")
         lines += [
             "",
@@ -151,10 +151,6 @@ class ConvergenceReport:
             "",
         ]
         return "\n".join(lines)
-
-
-def _is_steady(problem: str) -> bool:
-    return problem in ("steady_oseen_ex1", "stokes_patch")
 
 
 def _fmt_order(value: float | None) -> str:

@@ -19,7 +19,6 @@ from .assembly import (
     DofMap,
     PressureField,
     WeakVelocity,
-    _Accumulator,
     assemble_bilinear,
     build_dofmap,
 )
@@ -203,7 +202,7 @@ def check_weak_identities(
     V0 = ker.interior_values(slice(None))
     wq_edge = ker.edge_w[None, None, :] * ker.elen[:, :, None]
     exps = tri_exponents(config.k + 1)
-    Gk1 = _poly_gradients(ker.qp, exps)
+    Gk1 = eval_tri_gradients(config.k + 1, ker.qp, 1.0)
 
     max1 = 0.0
     max2 = 0.0
@@ -249,15 +248,6 @@ def check_weak_identities(
         trials=trials,
         tol=tol,
     )
-
-
-def _poly_gradients(pts: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    x = pts[..., 0, None]
-    y = pts[..., 1, None]
-    ax, ay = exps[:, 0], exps[:, 1]
-    gx = ax * x ** np.maximum(ax - 1, 0) * y**ay
-    gy = ay * x**ax * y ** np.maximum(ay - 1, 0)
-    return np.stack([gx, gy], axis=-2)  # (..., 2, nbasis)
 
 
 def _trace_values(ker: ElementKernels, vloc: np.ndarray) -> np.ndarray:
@@ -338,7 +328,8 @@ def estimate_infsup(
         X = lu.solve(Bt[:, cols].toarray())
         S[:, cols] = B_f @ X
 
-    Mp = _pressure_mass(ker, dm).toarray()
+    # pressure DOFs are per-element contiguous, so the mass matrix is block-diagonal
+    Mp = sp.block_diag(ker.Mn, format="csr").toarray()
     const = np.zeros(npres)
     const[dm.elem_pres[:, 0]] = 1.0  # the constant function in the local basis
     row = (Mp @ const)[None, :]
@@ -347,12 +338,6 @@ def estimate_infsup(
     Mz = Z.T @ Mp @ Z
     vals = scipy.linalg.eigh(Sz, Mz, eigvals_only=True)
     return float(np.sqrt(max(vals[0], 0.0)))
-
-
-def _pressure_mass(ker: ElementKernels, dm: DofMap) -> sp.csr_matrix:
-    acc = _Accumulator((dm.n_pressure, dm.n_pressure))
-    acc.add(ker.Mn, dm.elem_pres, dm.elem_pres)
-    return acc.to_csr()
 
 
 def estimate_coercivity(

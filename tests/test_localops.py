@@ -2,58 +2,46 @@ import numpy as np
 import pytest
 
 from gwgflow.assembly import WeakVelocity, build_dofmap
+from gwgflow.basis import eval_edge_values
 from gwgflow.config import SpaceConfig
 from gwgflow.localops import (
     ElementKernels,
-    local_weak_divergence,
-    local_weak_gradient,
-    project_edge,
-    project_interior,
+    project_boundary_traces,
+    project_pressure,
     project_velocity,
 )
 from gwgflow.mesh import build_uniform_triangulation
 
 
-def test_project_interior_reproduces_constant(mesh4):
-    coeff = project_interior(mesh4, 2, lambda x, y: 3.5 + 0.0 * x, degree=2)
-    vals = coeff[0]
-    assert vals == pytest.approx(3.5)
-    assert np.allclose(coeff[1:], 0.0, atol=1e-13)
+def test_project_interior_reproduces_constant(mesh4, config_high):
+    interior, _ = project_velocity(
+        ElementKernels(mesh4, config_high),
+        lambda x, y: np.stack([3.5 + 0.0 * x, -1.0 + 0.0 * y], axis=-1),
+    )
+    coeff = interior[2]  # P2 coefficients of both components on element 2
+    assert coeff[:, 0] == pytest.approx([3.5, -1.0])
+    assert np.allclose(coeff[:, 1:], 0.0, atol=1e-13)
 
 
-def test_project_interior_mean_value():
+def test_project_interior_mean_value(config_low):
     # P0 projection of f = x equals the centroid value
     mesh = build_uniform_triangulation(1)
-    coeff = project_interior(mesh, 0, lambda x, y: x, degree=0)
-    assert coeff[0] == pytest.approx(mesh.centroids[0, 0], abs=1e-14)
+    coeff = project_pressure(ElementKernels(mesh, config_low), lambda x, y: x)
+    assert np.allclose(coeff[:, 0], mesh.centroids[:, 0], atol=1e-14, rtol=0)
 
 
-def test_project_interior_convergence_rate():
+def test_project_interior_convergence_rate(config_high):
     # projecting sin(x) onto P2: L2 residual decays with observed slope 3
     errs = []
     for n in (4, 8, 16):
         mesh = build_uniform_triangulation(n)
-        err2 = 0.0
-        cfg = SpaceConfig(2, 1, 1, 1, 1)
-        ker = ElementKernels(mesh, cfg)
-        from gwgflow.localops import project_pressure
-
-        # reuse the pressure-projection path at degree n = 2 is not available;
-        # do it manually per element on a subset
-        for t in range(0, mesh.n_elements, 7):
-            c = project_interior(mesh, t, lambda x, y: np.sin(x), degree=2)
-            verts = mesh.element_vertices(t)
-            from gwgflow.quadrature import triangle_quadrature
-
-            r = triangle_quadrature(10)
-            pts = r.points @ verts
-            w = r.weights * 2 * mesh.areas[t]
-            local = (pts - mesh.centroids[t]) / mesh.h_elem[t]
-            from gwgflow.basis import eval_tri_values
-
-            vals = eval_tri_values(2, local) @ c
-            err2 += (w * (vals - np.sin(pts[:, 0])) ** 2).sum()
-        errs.append(np.sqrt(err2))
+        ker = ElementKernels(mesh, config_high, quad_order=10)
+        interior, _ = project_velocity(
+            ker, lambda x, y: np.stack([np.sin(x), 0.0 * y], axis=-1)
+        )
+        vals = np.einsum("ti,tpi->tp", interior[:, 0], ker.Vk)
+        diff = vals - np.sin(ker.qp[..., 0])
+        errs.append(np.sqrt(np.einsum("tp,tp->", ker.qw, diff**2)))
     slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert slopes[-1] == pytest.approx(3.0, abs=0.1)
 
@@ -75,23 +63,23 @@ def test_projection_idempotent(mesh4, config_high):
     assert np.abs(tr_again - traces).max() < 1e-13
 
 
-def test_project_edge_reproduces_polynomials(mesh4):
-    e = int(mesh4.boundary_edges[0])
-    c0 = project_edge(mesh4, e, lambda x, y: 2.0 + 0 * x, degree=2)
+def test_project_edge_reproduces_polynomials(mesh4, config_high):
+    # with j = 1, a constant and a field linear along the edge are reproduced
+    ker = ElementKernels(mesh4, config_high)
+    traces = project_boundary_traces(
+        ker, lambda x, y: np.stack([2.0 + 0 * x, x + 2 * y], axis=-1)
+    )
+    c0, cl = traces[0]
     assert c0[0] == pytest.approx(2.0, abs=1e-14)
     assert np.allclose(c0[1:], 0.0, atol=1e-14)
-    # linear along the edge with j = 1 is reproduced exactly
-    va, vb = mesh4.vertices[mesh4.edges[e]]
-    cl = project_edge(mesh4, e, lambda x, y: x + 2 * y, degree=1)
-    from gwgflow.basis import eval_edge_values
-
+    va, vb = mesh4.vertices[mesh4.edges[mesh4.boundary_edges[0]]]
     s = np.array([0.0, 0.37, 1.0])
     pts = va + s[:, None] * (vb - va)
     vals = eval_edge_values(1, s) @ cl
     assert np.allclose(vals, pts[:, 0] + 2 * pts[:, 1], atol=1e-13)
 
 
-def test_project_edge_mean_on_diagonal():
+def test_project_edge_mean_on_diagonal(config_low):
     # j = 0 coefficient of f = x^2 on a diagonal edge is the edge mean a^2/3
     mesh = build_uniform_triangulation(2)
     diag = None
@@ -100,8 +88,11 @@ def test_project_edge_mean_on_diagonal():
         if np.allclose(va, [0, 0]) and np.allclose(vb, [0.5, 0.5]):
             diag = e
     assert diag is not None
-    c = project_edge(mesh, diag, lambda x, y: x**2, degree=0)
-    assert c[0] == pytest.approx(0.25 / 3, abs=1e-14)
+    _, traces = project_velocity(
+        ElementKernels(mesh, config_low),
+        lambda x, y: np.stack([x**2, 0.0 * y], axis=-1),
+    )
+    assert traces[diag, 0, 0] == pytest.approx(0.25 / 3, abs=1e-14)
 
 
 def test_weak_gradient_without_mismatch_is_plain_gradient(mesh4, element_tuple):
@@ -149,8 +140,10 @@ def test_delta_single_edge_hand_value():
     t, le = 9, 1
     v = np.zeros(ker.nloc)
     v[2 * ker.dk + le * 2 * ker.dj] = 1.0
-    op = local_weak_gradient(mesh, cfg, t, kernels=ker)
-    coeffs = (op.matrix @ v).reshape(2, 2)
+    # rows: velocity component; columns: derivative direction (dl = 1)
+    coeffs = np.stack(
+        [ker.delta[t, :, 0] @ v[ker.comp_cols[c]] for c in range(2)]
+    )
     expected = mesh.h_edge[mesh.element_edges[t, le]] / mesh.areas[t]
     normal = ker.normals[t, le]
     assert np.allclose(coeffs[0], expected * normal, atol=1e-12)
@@ -162,8 +155,7 @@ def test_weak_divergence_examples(mesh4, element_tuple):
     ker = ElementKernels(mesh4, cfg)
     dm = build_dofmap(mesh4, cfg)
     # v = 0 -> 0
-    op = local_weak_divergence(mesh4, cfg, 0, kernels=ker)
-    assert np.allclose(op.matrix @ np.zeros(ker.nloc), 0.0)
+    assert np.allclose(ker.div[0] @ np.zeros(ker.nloc), 0.0)
     # projected (x, y) has weak divergence 2; projected (y, x) divergence 0
     for field, expected in [
         (lambda x, y: np.stack([x + 0 * y, y + 0 * x], axis=-1), 2.0),
@@ -174,17 +166,6 @@ def test_weak_divergence_examples(mesh4, element_tuple):
         dloc = np.einsum("tdi,ti->td", ker.div, vec[dm.elem_vel])
         vals = np.einsum("td,tpd->tp", dloc, ker.Vm)
         assert np.abs(vals - expected).max() < 1e-12
-
-
-def test_weak_gradient_operator_exact_flag(mesh4):
-    cfg = SpaceConfig(2, 1, 1, 1, 1)
-    op = local_weak_gradient(mesh4, cfg, 0)
-    assert op.exact  # k - 1 = 1 <= l = 1
-    assert op.target == "tensor_p1"
-    cfg2 = SpaceConfig(2, 1, 0, 1, 1, allow_incompatible=True)
-    op2 = local_weak_gradient(mesh4, cfg2, 0)
-    assert not op2.exact
-    assert op2.matrix.shape == (4, 2 * 6 + 6 * 2)
 
 
 def test_kernels_shared_edge_sees_single_valued_traces(mesh4, config_high):

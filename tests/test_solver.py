@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from gwgflow.assembly import apply_dirichlet, build_saddle_system, constrain_system
 from gwgflow.config import SpaceConfig
 from gwgflow.mesh import build_uniform_triangulation
 from gwgflow.problems import manufactured_problem
 from gwgflow.solver import (
+    LinearSolveError,
     TimeGrid,
     linear_solve,
     solve_evolutionary,
@@ -88,8 +92,6 @@ def test_evolutionary_zero_data_stays_zero(mesh4, config_low):
     def zero_vec(x, y, t=0.0):
         return np.zeros(np.broadcast(x, y).shape + (2,))
 
-    from dataclasses import replace
-
     zero_prob = replace(
         prob, name="zero", u=zero_vec, g=zero_vec, g2=lambda x, y: zero_vec(x, y),
         f=zero_vec, steady=False,
@@ -115,24 +117,42 @@ def test_evolutionary_matches_reference_cell():
 
 
 def test_factor_reuse_equals_refactoring(mesh4, config_low):
+    # the march reuses one factorization; a fresh solve of the final-step
+    # system must give the same state
     prob = manufactured_problem("evolutionary_oseen_ex2")
     grid = TimeGrid.from_step_count(0.25, 4)
     reused = solve_evolutionary(mesh4, config_low, prob, grid)
-    refactored = solve_evolutionary(
-        mesh4, config_low, prob, grid, refactor_each_step=True
+    system = reused.system
+    vel, pres, _ = system.expand(spla.spsolve(*system.operator()))
+    assert np.abs(reused.velocity_vector - vel).max() < 1e-12
+    assert np.abs(reused.pressure_vector - pres).max() < 1e-12
+
+
+def test_steady_nan_forcing_raises(mesh4, config_low):
+    prob = manufactured_problem("steady_oseen_ex1")
+    nan_prob = replace(
+        prob, f=lambda x, y, t=0.0: np.full(np.shape(x) + (2,), np.nan)
     )
-    du = np.abs(reused.velocity_vector - refactored.velocity_vector).max()
-    dp = np.abs(reused.pressure_vector - refactored.pressure_vector).max()
-    assert du < 1e-12
-    assert dp < 1e-12
+    with pytest.raises(LinearSolveError):
+        solve_steady(mesh4, config_low, nan_prob)
+
+
+def test_evolutionary_late_nan_forcing_raises(mesh4, config_low):
+    # the forcing turns NaN halfway through the march: the step must fail
+    prob = manufactured_problem("evolutionary_oseen_ex2")
+
+    def f(x, y, t):
+        return prob.f(x, y, t) if t <= 0.5 else np.full(np.shape(x) + (2,), np.nan)
+
+    grid = TimeGrid.from_step_count(1.0, 8)
+    with pytest.raises(LinearSolveError):
+        solve_evolutionary(mesh4, config_low, replace(prob, f=f), grid)
 
 
 def test_time_march_approaches_steady_fixed_point(mesh4, config_low):
     # frozen-coefficient data: the march contracts toward the steady solve
     steady_prob = manufactured_problem("steady_oseen_ex1")
     steady = solve_steady(mesh4, config_low, steady_prob)
-
-    from dataclasses import replace
 
     frozen = replace(steady_prob, steady=False, g2=lambda x, y: 0.0 * steady_prob.u(x, y, 0.0))
     grid = TimeGrid.from_step_count(8.0, 64)
