@@ -1,12 +1,12 @@
 """Global assembly of the saddle-point system.
 
-Velocity DOFs are numbered element-interior blocks first, then per-edge
-trace blocks; pressure DOFs are per-element.  All matrices are assembled
-over the full (unreduced) DOF sets; the Dirichlet reduction and the
+Every routine takes the ``ElementKernels`` of one mesh/config pair, whose
+``dofmap`` fixes the global numbering.  All matrices are assembled over
+the full (unreduced) DOF sets; the Dirichlet reduction and the
 pressure-mean constraint are recorded on the ``SaddleSystem`` and applied
 when the linear operator is formed.  Assembly walks elements in index
-order in fixed-size chunks, so the result is independent of the chunk
-size and of any outer parallelism over chunks.
+order in chunks of ``DEFAULT_CHUNK``, so the result is independent of the
+chunk size and of any outer parallelism over chunks.
 """
 
 from __future__ import annotations
@@ -16,74 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .config import SpaceConfig
-from .localops import ElementKernels, project_boundary_traces
-from .mesh import Mesh
+from .localops import DofMap, ElementKernels, _eval_field, project_boundary_traces
 
 DEFAULT_CHUNK = 2048
 
 FORMS = ("viscous", "convection", "s1", "s2", "divergence", "mass")
-
-
-@dataclass(frozen=True)
-class DofMap:
-    """Global numbering of velocity and pressure unknowns."""
-
-    n_elements: int
-    n_edges: int
-    dk: int
-    dj: int
-    dn: int
-    elem_vel: np.ndarray      # (nT, nloc) velocity dof of each local slot
-    elem_pres: np.ndarray     # (nT, dn)
-    boundary_dofs: np.ndarray  # trace dofs on boundary edges (ordered)
-    free_dofs: np.ndarray
-
-    @property
-    def n_velocity(self) -> int:
-        return 2 * (self.n_elements * self.dk + self.n_edges * self.dj)
-
-    @property
-    def n_pressure(self) -> int:
-        return self.n_elements * self.dn
-
-
-def build_dofmap(mesh: Mesh, config: SpaceConfig) -> DofMap:
-    from .basis import dim_p
-
-    dk, dj, dn = dim_p(config.k), config.j + 1, dim_p(config.n)
-    nT, nE = mesh.n_elements, mesh.n_edges
-    edge_base = 2 * nT * dk
-
-    elems = np.arange(nT)
-    elem_vel = np.empty((nT, 2 * dk + 6 * dj), dtype=np.int64)
-    elem_vel[:, : 2 * dk] = elems[:, None] * 2 * dk + np.arange(2 * dk)
-    for le in range(3):
-        eids = mesh.element_edges[:, le]
-        block = edge_base + eids[:, None] * 2 * dj + np.arange(2 * dj)
-        elem_vel[:, 2 * dk + le * 2 * dj : 2 * dk + (le + 1) * 2 * dj] = block
-
-    elem_pres = elems[:, None] * dn + np.arange(dn)
-
-    bdofs = (
-        edge_base
-        + mesh.boundary_edges[:, None] * 2 * dj
-        + np.arange(2 * dj)
-    ).ravel()
-    nvel = 2 * (nT * dk + nE * dj)
-    mask = np.ones(nvel, dtype=bool)
-    mask[bdofs] = False
-    return DofMap(
-        n_elements=nT,
-        n_edges=nE,
-        dk=dk,
-        dj=dj,
-        dn=dn,
-        elem_vel=elem_vel,
-        elem_pres=elem_pres,
-        boundary_dofs=bdofs,
-        free_dofs=np.flatnonzero(mask),
-    )
 
 
 @dataclass
@@ -154,16 +91,7 @@ def _chunks(n: int, size: int):
         yield slice(start, min(start + size, n))
 
 
-def assemble_bilinear(
-    form: str,
-    mesh: Mesh,
-    config: SpaceConfig,
-    beta=None,
-    *,
-    kernels: ElementKernels | None = None,
-    dofmap: DofMap | None = None,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> sp.csr_matrix:
+def assemble_bilinear(form: str, kernels: ElementKernels, beta=None) -> sp.csr_matrix:
     """Assemble one bilinear-form block as a sparse matrix.
 
     ``viscous``, ``convection``, ``s1`` and ``mass`` couple velocity against
@@ -177,13 +105,12 @@ def assemble_bilinear(
     if form == "convection" and beta is None:
         raise ValueError("convection form requires a convection field beta")
 
-    ker = kernels if kernels is not None else ElementKernels(mesh, config)
-    dm = dofmap if dofmap is not None else build_dofmap(mesh, config)
+    ker, config, dm = kernels, kernels.config, kernels.dofmap
     nvel, npres = dm.n_velocity, dm.n_pressure
-    nT = mesh.n_elements
+    nT = dm.n_elements
 
     if form == "s2":
-        return _assemble_s2(mesh, config, ker, dm)
+        return _assemble_s2(ker)
 
     if form == "mass":
         acc = _Accumulator((nvel, nvel))
@@ -210,7 +137,7 @@ def assemble_bilinear(
 
     # viscous / convection need the pointwise weak-gradient tables, chunked
     acc = _Accumulator((nvel, nvel))
-    for sl in _chunks(nT, chunk_size):
+    for sl in _chunks(nT, DEFAULT_CHUNK):
         W = ker.weak_gradient_values(sl)                 # (nc, np, 2, 2, nloc)
         w = ker.qw[sl]
         if form == "viscous":
@@ -220,7 +147,7 @@ def assemble_bilinear(
             local = config.mu * np.matmul(Wr.transpose(0, 2, 1), Wt)
         else:
             x, y = ker.qp[sl, :, 0], ker.qp[sl, :, 1]
-            bvals = np.asarray(beta(x, y), dtype=float)  # (nc, np, 2)
+            bvals = _eval_field("convection field beta", beta, x, y)  # (nc, np, 2)
             V0 = ker.interior_values(sl)                 # (nc, np, 2, nloc)
             wbeta = np.einsum("tpcqi,tpq->tpci", W, bvals)
             local = config.rho * np.einsum("tp,tpcj,tpci->tij", w, wbeta, V0)
@@ -228,7 +155,8 @@ def assemble_bilinear(
     return acc.to_csr()
 
 
-def _assemble_s2(mesh, config, ker, dm) -> sp.csr_matrix:
+def _assemble_s2(ker: ElementKernels) -> sp.csr_matrix:
+    mesh, config, dm = ker.mesh, ker.config, ker.dofmap
     npres = dm.n_pressure
     if config.sigma == 0:
         return sp.csr_matrix((npres, npres))
@@ -248,33 +176,22 @@ def _assemble_s2(mesh, config, ker, dm) -> sp.csr_matrix:
     return acc.to_csr()
 
 
-def assemble_load(
-    mesh: Mesh,
-    config: SpaceConfig,
-    f,
-    time: float | None = None,
-    *,
-    kernels: ElementKernels | None = None,
-    dofmap: DofMap | None = None,
-) -> np.ndarray:
+def assemble_load(kernels: ElementKernels, f, time: float | None = None) -> np.ndarray:
     """Load vector (f, v0); only interior velocity entries are nonzero."""
-    ker = kernels if kernels is not None else ElementKernels(mesh, config)
-    dm = dofmap if dofmap is not None else build_dofmap(mesh, config)
-    x, y = ker.qp[..., 0], ker.qp[..., 1]
-    vals = np.asarray(f(x, y) if time is None else f(x, y, time), dtype=float)
-    rhs = np.einsum("tp,tpc,tpi->tci", ker.qw, vals, ker.Vk)
-    vec = np.zeros(dm.n_velocity)
+    vals = _eval_field("forcing f", f, kernels.qp[..., 0], kernels.qp[..., 1], time)
+    rhs = np.einsum("tp,tpc,tpi->tci", kernels.qw, vals, kernels.Vk)
+    vec = np.zeros(kernels.dofmap.n_velocity)
     vec[: rhs.size] = rhs.reshape(-1)
     return vec
 
 
 @dataclass
 class SaddleSystem:
-    """Assembled blocks plus boundary and mean-constraint bookkeeping."""
+    """Assembled blocks plus boundary and mean-constraint bookkeeping.
 
-    mesh: Mesh
-    config: SpaceConfig
-    dofmap: DofMap
+    The mesh, config and DOF numbering are read through ``kernels``.
+    """
+
     kernels: ElementKernels
     A: sp.csr_matrix
     B: sp.csr_matrix
@@ -288,7 +205,8 @@ class SaddleSystem:
     def reduced_blocks(self):
         """Slices of A and B split into free and boundary velocity columns."""
         if not self._reduced:
-            free, bnd = self.dofmap.free_dofs, self.dofmap.boundary_dofs
+            dm = self.kernels.dofmap
+            free, bnd = dm.free_dofs, dm.boundary_dofs
             A = self.A.tocsr()
             self._reduced = {
                 "A_ff": A[free][:, free].tocsc(),
@@ -320,7 +238,7 @@ class SaddleSystem:
                 ],
                 format="csc",
             )
-        free = self.dofmap.free_dofs
+        free = self.kernels.dofmap.free_dofs
         g = self.dirichlet_values
         r_vel = self.rhs_vel[free] - red["A_fb"] @ g
         r_pres = self.rhs_pres - red["B_b"] @ g
@@ -329,43 +247,33 @@ class SaddleSystem:
 
     def expand(self, x: np.ndarray):
         """Split a solution vector into full velocity, pressure, multiplier."""
-        nfree, npres = self.dofmap.free_dofs.size, self.dofmap.n_pressure
-        vel = np.zeros(self.dofmap.n_velocity)
-        vel[self.dofmap.free_dofs] = x[:nfree]
-        vel[self.dofmap.boundary_dofs] = self.dirichlet_values
+        dm = self.kernels.dofmap
+        nfree, npres = dm.free_dofs.size, dm.n_pressure
+        vel = np.zeros(dm.n_velocity)
+        vel[dm.free_dofs] = x[:nfree]
+        vel[dm.boundary_dofs] = self.dirichlet_values
         pres = x[nfree : nfree + npres]
         return vel, pres, float(x[-1])
 
 
-def build_saddle_system(
-    mesh: Mesh,
-    config: SpaceConfig,
-    beta,
-    f,
-    time: float | None = None,
-    *,
-    kernels: ElementKernels | None = None,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> SaddleSystem:
-    """Assemble the steady velocity block, divergence block and load."""
-    ker = kernels if kernels is not None else ElementKernels(mesh, config)
-    dm = build_dofmap(mesh, config)
-    common = dict(kernels=ker, dofmap=dm, chunk_size=chunk_size)
-    A = assemble_bilinear("viscous", mesh, config, **common)
-    A = A + assemble_bilinear("convection", mesh, config, beta, **common)
-    A = A + assemble_bilinear("s1", mesh, config, **common)
-    B = assemble_bilinear("divergence", mesh, config, **common)
-    S2 = assemble_bilinear("s2", mesh, config, **common)
-    rhs_vel = assemble_load(mesh, config, f, time, kernels=ker, dofmap=dm)
+def build_saddle_system(kernels: ElementKernels, beta) -> SaddleSystem:
+    """Assemble the time-independent blocks; ``rhs_vel`` starts at zero.
+
+    The caller sets ``rhs_vel`` (for instance from ``assemble_load``)
+    before forming the operator.
+    """
+    A = assemble_bilinear("viscous", kernels)
+    A = A + assemble_bilinear("convection", kernels, beta)
+    A = A + assemble_bilinear("s1", kernels)
+    B = assemble_bilinear("divergence", kernels)
+    S2 = assemble_bilinear("s2", kernels)
+    dm = kernels.dofmap
     return SaddleSystem(
-        mesh=mesh,
-        config=config,
-        dofmap=dm,
-        kernels=ker,
+        kernels=kernels,
         A=A.tocsr(),
         B=B,
         S2=S2,
-        rhs_vel=rhs_vel,
+        rhs_vel=np.zeros(dm.n_velocity),
         rhs_pres=np.zeros(dm.n_pressure),
     )
 

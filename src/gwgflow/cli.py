@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SpaceConfig
+from .localops import ElementKernels
 from .mesh import build_uniform_triangulation
 from .problems import PROBLEM_NAMES, manufactured_problem
 from .solver import TimeGrid, solve_evolutionary, solve_steady
@@ -72,7 +73,7 @@ def _cmd_solve(args) -> int:
     else:
         grid = TimeGrid.from_tau(args.tfinal, args.tau)
         solution = solve_evolutionary(mesh, cfg, problem, grid)
-    report = evaluate_errors(mesh, cfg, solution, problem)
+    report = evaluate_errors(solution, problem)
     print(f"problem      : {args.problem}")
     print(f"mesh         : {args.cells} x {args.cells} cells, "
           f"{mesh.n_elements} triangles, {mesh.n_edges} edges")
@@ -153,25 +154,26 @@ def _cmd_verify(args) -> int:
     problem = manufactured_problem(args.problem, mu=cfg.mu, rho=cfg.rho)
     failures = 0
 
-    identities = check_weak_identities(mesh, cfg, trials=args.trials, seed=args.seed)
+    kernels = ElementKernels(mesh, cfg)
+    identities = check_weak_identities(kernels, trials=args.trials, seed=args.seed)
     ok = identities.passed
     failures += 0 if ok else 1
     print(f"[{'PASS' if ok else 'FAIL'}] weak-operator identities: "
           f"max residuals {identities.max_residual_identity1:.2e} / "
           f"{identities.max_residual_identity2:.2e} (tol {identities.tol:.1e})")
 
-    lam = kernel_min_eigenvalue(mesh, cfg)
+    lam = kernel_min_eigenvalue(kernels)
     ok = lam > 0
     failures += 0 if ok else 1
     print(f"[{'PASS' if ok else 'FAIL'}] energy-norm kernel: "
           f"min eigenvalue {lam:.3e} on the zero-trace subspace")
 
-    beta_h = estimate_infsup(mesh, cfg)
+    beta_h = estimate_infsup(kernels)
     ok = beta_h > 0
     failures += 0 if ok else 1
     print(f"[{'PASS' if ok else 'FAIL'}] inf-sup constant: {beta_h:.4f}")
 
-    coer = estimate_coercivity(mesh, cfg, problem.beta)
+    coer = estimate_coercivity(kernels, problem.beta)
     ok = coer > 0
     failures += 0 if ok else 1
     print(f"[{'PASS' if ok else 'FAIL'}] coercivity margin (scaled): {coer:.3e}")

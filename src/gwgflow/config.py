@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,3 @@ class SpaceConfig:
                 f"n={self.n} > j={self.j} requires the pressure-jump "
                 "stabilizer (sigma=1)"
             )
-
-    def with_params(self, **kwargs) -> "SpaceConfig":
-        return replace(self, **kwargs)

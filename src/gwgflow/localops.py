@@ -1,18 +1,14 @@
 """Element-local operators: projections, weak gradient and weak divergence.
 
 Everything here is batched over elements.  ``ElementKernels`` precomputes,
-for a mesh/config pair, the basis tables, trace projections and the two
-weak-operator coefficient maps; the assembly layer only contracts and
-scatters them.
-
-Local velocity DOF layout on an element (size ``nloc = 2*dk + 6*dj``):
-interior component 0 (dk), interior component 1 (dk), then for each local
-edge the trace coefficients of component 0 (dj) and component 1 (dj).
-The per-component sublayout (size ``ncomp = dk + 3*dj``) is used for maps
-that act identically on both components.
+for a mesh/config pair, the basis tables, trace projections, the two
+weak-operator coefficient maps and the global DOF numbering; it is the one
+discretization handle that the assembly, solver and error layers take.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +30,76 @@ def _solve_mass(mass: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
         raise np.linalg.LinAlgError(
             f"singular local {what} mass matrix (degenerate element geometry)"
         ) from exc
+
+
+@dataclass(frozen=True)
+class DofMap:
+    """Global numbering of velocity and pressure unknowns.
+
+    Local velocity DOF layout on an element (size ``nloc = 2*dk + 6*dj``):
+    interior component 0 (dk), interior component 1 (dk), then for each
+    local edge the trace coefficients of component 0 (dj) and component 1
+    (dj).  The per-component sublayout (size ``ncomp = dk + 3*dj``, columns
+    ``ElementKernels.comp_cols``) is used for maps that act identically on
+    both components.
+
+    Globally, velocity DOFs are numbered element-interior blocks first, in
+    element order, then per-edge trace blocks in edge order; pressure DOFs
+    are per-element contiguous blocks of ``dn``.
+    """
+
+    n_elements: int
+    n_edges: int
+    dk: int
+    dj: int
+    dn: int
+    elem_vel: np.ndarray      # (nT, nloc) velocity dof of each local slot
+    elem_pres: np.ndarray     # (nT, dn)
+    boundary_dofs: np.ndarray  # trace dofs on boundary edges (ordered)
+    free_dofs: np.ndarray
+
+    @property
+    def n_velocity(self) -> int:
+        return 2 * (self.n_elements * self.dk + self.n_edges * self.dj)
+
+    @property
+    def n_pressure(self) -> int:
+        return self.n_elements * self.dn
+
+
+def _number_dofs(mesh: Mesh, dk: int, dj: int, dn: int) -> DofMap:
+    nT, nE = mesh.n_elements, mesh.n_edges
+    edge_base = 2 * nT * dk
+
+    elems = np.arange(nT)
+    elem_vel = np.empty((nT, 2 * dk + 6 * dj), dtype=np.int64)
+    elem_vel[:, : 2 * dk] = elems[:, None] * 2 * dk + np.arange(2 * dk)
+    for le in range(3):
+        eids = mesh.element_edges[:, le]
+        block = edge_base + eids[:, None] * 2 * dj + np.arange(2 * dj)
+        elem_vel[:, 2 * dk + le * 2 * dj : 2 * dk + (le + 1) * 2 * dj] = block
+
+    elem_pres = elems[:, None] * dn + np.arange(dn)
+
+    bdofs = (
+        edge_base
+        + mesh.boundary_edges[:, None] * 2 * dj
+        + np.arange(2 * dj)
+    ).ravel()
+    nvel = 2 * (nT * dk + nE * dj)
+    mask = np.ones(nvel, dtype=bool)
+    mask[bdofs] = False
+    return DofMap(
+        n_elements=nT,
+        n_edges=nE,
+        dk=dk,
+        dj=dj,
+        dn=dn,
+        elem_vel=elem_vel,
+        elem_pres=elem_pres,
+        boundary_dofs=bdofs,
+        free_dofs=np.flatnonzero(mask),
+    )
 
 
 class ElementKernels:
@@ -60,6 +126,7 @@ class ElementKernels:
                     start + np.arange(self.dj)
                 )
         self.comp_cols = cols
+        self.dofmap = _number_dofs(mesh, self.dk, self.dj, self.dn)
 
         self.tri_rule = triangle_quadrature(order)
         self.edge_rule = edge_quadrature(order)
@@ -215,9 +282,13 @@ class ElementKernels:
 # -- local L2 projections ---------------------------------------------------
 
 
-def _eval_field(f, x, y, time=None):
-    vals = f(x, y) if time is None else f(x, y, time)
-    return np.asarray(vals, dtype=float)
+def _eval_field(name: str, f, x, y, time=None) -> np.ndarray:
+    """Values of a user field at the given points; rejects non-finite ones."""
+    vals = np.asarray(f(x, y) if time is None else f(x, y, time), dtype=float)
+    if not np.isfinite(vals).all():
+        at = "" if time is None else f" at t = {time:.6g}"
+        raise ValueError(f"{name} has non-finite values{at}")
+    return vals
 
 
 def project_velocity(
@@ -228,12 +299,12 @@ def project_velocity(
     Returns interior coefficients (nT, 2, dk) and trace coefficients
     (nE, 2, dj); the field is evaluated as ``f(x, y[, t]) -> (..., 2)``.
     """
-    vals = _eval_field(f, kernels.qp[..., 0], kernels.qp[..., 1], time)
+    vals = _eval_field("velocity field", f, kernels.qp[..., 0], kernels.qp[..., 1], time)
     rhs = np.einsum("tp,tpc,tpi->tci", kernels.qw, vals, kernels.Vk)
     interior = _solve_mass(kernels.Mk[:, None], rhs[..., None], "projection")[..., 0]
 
     evals = _eval_field(
-        f, kernels.edge_pts[..., 0], kernels.edge_pts[..., 1], time
+        "velocity field", f, kernels.edge_pts[..., 0], kernels.edge_pts[..., 1], time
     )
     erhs = np.einsum("q,eqc,qa->eca", kernels.edge_w, evals, kernels.Qj)
     traces = _solve_mass(kernels.Mhat, erhs[..., None], "edge projection")[..., 0]
@@ -242,7 +313,7 @@ def project_velocity(
 
 def project_pressure(kernels: ElementKernels, f, time: float | None = None) -> np.ndarray:
     """Project a scalar field onto the broken pressure space, (nT, dn)."""
-    vals = _eval_field(f, kernels.qp[..., 0], kernels.qp[..., 1], time)
+    vals = _eval_field("pressure field", f, kernels.qp[..., 0], kernels.qp[..., 1], time)
     rhs = np.einsum("tp,tp,tpi->ti", kernels.qw, vals, kernels.Vn)
     return _solve_mass(kernels.Mn, rhs[..., None], "pressure projection")[..., 0]
 
@@ -253,6 +324,6 @@ def project_boundary_traces(
     """Q_b g on the boundary edges only, (n_boundary, 2, dj)."""
     be = kernels.mesh.boundary_edges
     pts = kernels.edge_pts[be]
-    vals = _eval_field(g, pts[..., 0], pts[..., 1], time)
+    vals = _eval_field("boundary data g", g, pts[..., 0], pts[..., 1], time)
     rhs = np.einsum("q,eqc,qa->eca", kernels.edge_w, vals, kernels.Qj)
     return _solve_mass(kernels.Mhat, rhs[..., None], "edge projection")[..., 0]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,7 +68,7 @@ class DiscreteSolution:
 
     @property
     def velocity_vector(self) -> np.ndarray:
-        return self.velocity.to_vector(self.system.dofmap)
+        return self.velocity.to_vector(self.system.kernels.dofmap)
 
     @property
     def pressure_vector(self) -> np.ndarray:
@@ -109,18 +109,12 @@ def _factorize(K: sp.csc_matrix):
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
 
 
-def solve_steady(
-    mesh: Mesh,
-    config: SpaceConfig,
-    problem,
-    *,
-    kernels: ElementKernels | None = None,
-) -> DiscreteSolution:
+def solve_steady(mesh: Mesh, config: SpaceConfig, problem) -> DiscreteSolution:
     """Solve the steady scheme for a manufactured problem bundle."""
     config.validate_solver_compatibility()
-    system = build_saddle_system(
-        mesh, config, problem.beta, problem.f, time=0.0, kernels=kernels
-    )
+    ker = ElementKernels(mesh, config)
+    system = build_saddle_system(ker, problem.beta)
+    system.rhs_vel = assemble_load(ker, problem.f, 0.0)
     apply_dirichlet(system, problem.g, time=0.0)
     constrain_system(system)
     return _solution(system, linear_solve(system), 0.0)
@@ -132,47 +126,42 @@ def solve_evolutionary(
     problem,
     grid: TimeGrid,
     *,
-    kernels: ElementKernels | None = None,
     keep_trajectory: bool = False,
 ):
     """March the fully-discrete scheme with backward Euler.
 
     The initial state is the weak projection of the initial velocity; each
-    step solves the mass-augmented system at the new time level through
-    ``linear_solve``, with the matrix factored once and reused (the
-    coefficients do not depend on time).  Every step is residual-checked,
-    so a failed step raises ``LinearSolveError`` instead of marching on.
-    Returns the solution at the final time, or the whole trajectory when
-    ``keep_trajectory`` is set.
+    step sets the load and boundary data of the new time level and solves
+    the mass-augmented system through ``linear_solve``.  The coefficients
+    do not depend on time, so the matrix is factored once, on the first
+    step, and the factor is reused.  Every step is residual-checked, so a
+    failed step raises ``LinearSolveError`` instead of marching on.  Each
+    state holds its own shallow copy of the system (sharing the matrices
+    and the factored operator) with that step's ``rhs_vel`` and
+    ``dirichlet_values``.  Returns the solution at the final time, or the
+    whole trajectory when ``keep_trajectory`` is set.
     """
     config.validate_solver_compatibility()
-    ker = kernels if kernels is not None else ElementKernels(mesh, config)
-    system = build_saddle_system(
-        mesh, config, problem.beta, problem.f, time=grid.tau, kernels=ker
-    )
-    mass = assemble_bilinear(
-        "mass", mesh, config, kernels=ker, dofmap=system.dofmap
-    )
+    ker = ElementKernels(mesh, config)
+    system = build_saddle_system(ker, problem.beta)
+    mass = assemble_bilinear("mass", ker)
     system.A = (system.A + mass / grid.tau).tocsr()
-    apply_dirichlet(system, problem.g, time=grid.tau)
     constrain_system(system)
 
     interior, traces = project_velocity(ker, problem.g2)
-    u_prev = WeakVelocity(interior, traces).to_vector(system.dofmap)
+    u_prev = WeakVelocity(interior, traces).to_vector(ker.dofmap)
 
-    K, _ = system.operator()
-    lu = _factorize(K)
+    lu = None
     trajectory = []
     solution = None
 
     for step in range(1, grid.n_steps + 1):
         t = step * grid.tau
-        load = assemble_load(
-            mesh, config, problem.f, t, kernels=ker, dofmap=system.dofmap
-        )
-        system.rhs_vel = load + mass @ (u_prev / grid.tau)
+        system.rhs_vel = assemble_load(ker, problem.f, t) + mass @ (u_prev / grid.tau)
         apply_dirichlet(system, problem.g, t)
-        solution = _solution(system, linear_solve(system, lu), t)
+        if lu is None:
+            lu = _factorize(system.operator()[0])
+        solution = _solution(replace(system), linear_solve(system, lu), t)
         u_prev = solution.velocity_vector
         if keep_trajectory:
             trajectory.append(solution)
@@ -183,8 +172,8 @@ def solve_evolutionary(
 def _solution(system: SaddleSystem, x: np.ndarray, time: float) -> DiscreteSolution:
     vel, pres, lam = system.expand(x)
     return DiscreteSolution(
-        velocity=WeakVelocity.from_vector(system.dofmap, vel),
-        pressure=PressureField.from_vector(system.dofmap, pres),
+        velocity=WeakVelocity.from_vector(system.kernels.dofmap, vel),
+        pressure=PressureField.from_vector(system.kernels.dofmap, pres),
         time=time,
         multiplier=lam,
         system=system,

@@ -200,7 +200,7 @@ def _run_cell(study: StudyConfig, cells: int, tau: float | None) -> StudyRow:
     else:
         grid = TimeGrid.from_tau(study.t_final, tau)
         solution = solve_evolutionary(mesh, cfg, problem, grid)
-    report = evaluate_errors(mesh, cfg, solution, problem)
+    report = evaluate_errors(solution, problem)
     return StudyRow(
         cells=cells,
         tau=tau,

@@ -15,17 +15,9 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (
-    DofMap,
-    PressureField,
-    WeakVelocity,
-    assemble_bilinear,
-    build_dofmap,
-)
+from .assembly import DEFAULT_CHUNK, WeakVelocity, assemble_bilinear
 from .basis import dim_p, eval_tri_gradients, eval_tri_values, tri_exponents
-from .config import SpaceConfig
-from .localops import ElementKernels, project_pressure, project_velocity
-from .mesh import Mesh
+from .localops import ElementKernels, _eval_field, project_pressure, project_velocity
 
 DENSE_EIG_LIMIT = 5000
 
@@ -39,20 +31,15 @@ class ErrorReport:
     l2_velocity_true: float
     l2_pressure_proj: float
     l2_pressure_true: float
-    h: float
-    tau: float | None = None
 
 
-def energy_seminorm(
-    kernels: ElementKernels, dofmap: DofMap, vel_vector: np.ndarray,
-    chunk_size: int = 2048,
-) -> float:
+def energy_seminorm(kernels: ElementKernels, vel_vector: np.ndarray) -> float:
     """Energy seminorm: weak-gradient L2 norm plus the velocity stabilizer."""
-    eloc = vel_vector[dofmap.elem_vel]
+    eloc = vel_vector[kernels.dofmap.elem_vel]
     total = 0.0
     nT = kernels.mesh.n_elements
-    for start in range(0, nT, chunk_size):
-        sl = slice(start, min(start + chunk_size, nT))
+    for start in range(0, nT, DEFAULT_CHUNK):
+        sl = slice(start, min(start + DEFAULT_CHUNK, nT))
         W = kernels.weak_gradient_values(sl)
         vals = np.einsum("tpcqi,ti->tpcq", W, eloc[sl])
         total += float(np.einsum("tp,tpcq,tpcq->", kernels.qw[sl], vals, vals))
@@ -62,33 +49,21 @@ def energy_seminorm(
 
 
 def error_energy(
-    mesh: Mesh,
-    config: SpaceConfig,
-    u_h: WeakVelocity,
-    u_exact,
-    time: float = 0.0,
-    *,
-    kernels: ElementKernels | None = None,
-    dofmap: DofMap | None = None,
+    kernels: ElementKernels, u_h: WeakVelocity, u_exact, time: float = 0.0
 ) -> float:
     """Energy norm of Q_h(u_exact) - u_h."""
-    ker = kernels if kernels is not None else ElementKernels(mesh, config)
-    dm = dofmap if dofmap is not None else build_dofmap(mesh, config)
-    interior, traces = project_velocity(ker, u_exact, time)
+    interior, traces = project_velocity(kernels, u_exact, time)
     diff = WeakVelocity(interior - u_h.interior, traces - u_h.traces)
-    return energy_seminorm(ker, dm, diff.to_vector(dm))
+    return energy_seminorm(kernels, diff.to_vector(kernels.dofmap))
 
 
 def error_l2(
-    mesh: Mesh,
-    config: SpaceConfig,
+    kernels: ElementKernels,
     field_h,
     field_exact,
     kind: str,
     mode: str = "vs_projection",
     time: float = 0.0,
-    *,
-    kernels: ElementKernels | None = None,
 ) -> float:
     """L2 norm of the selected difference over all elements.
 
@@ -100,7 +75,7 @@ def error_l2(
         raise ValueError(f"unknown kind {kind!r}")
     if mode not in ("vs_projection", "vs_exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    ker = kernels if kernels is not None else ElementKernels(mesh, config)
+    ker = kernels
     x, y = ker.qp[..., 0], ker.qp[..., 1]
 
     if kind == "velocity":
@@ -109,7 +84,7 @@ def error_l2(
             interior, _ = project_velocity(ker, field_exact, time)
             exact = np.einsum("tci,tpi->tpc", interior, ker.Vk)
         else:
-            exact = np.asarray(field_exact(x, y, time), dtype=float)
+            exact = _eval_field("exact velocity", field_exact, x, y, time)
         diff2 = np.sum((approx - exact) ** 2, axis=-1)
     else:
         approx = np.einsum("ti,tpi->tp", field_h.coeffs, ker.Vn)
@@ -117,37 +92,29 @@ def error_l2(
             coeffs = project_pressure(ker, field_exact, time)
             exact = np.einsum("ti,tpi->tp", coeffs, ker.Vn)
         else:
-            exact = np.asarray(field_exact(x, y, time), dtype=float)
+            exact = _eval_field("exact pressure", field_exact, x, y, time)
         diff2 = (approx - exact) ** 2
     return float(np.sqrt(np.einsum("tp,tp->", ker.qw, diff2)))
 
 
-def evaluate_errors(mesh, config, solution, problem, *, kernels=None) -> ErrorReport:
+def evaluate_errors(solution, problem) -> ErrorReport:
     """All error norms of a solved state at its own time stamp."""
-    ker = kernels if kernels is not None else solution.system.kernels
-    dm = solution.system.dofmap
+    ker = solution.system.kernels
     t = solution.time
     return ErrorReport(
-        energy=error_energy(
-            mesh, config, solution.velocity, problem.u, t, kernels=ker, dofmap=dm
-        ),
+        energy=error_energy(ker, solution.velocity, problem.u, t),
         l2_velocity_proj=error_l2(
-            mesh, config, solution.velocity, problem.u, "velocity",
-            "vs_projection", t, kernels=ker,
+            ker, solution.velocity, problem.u, "velocity", "vs_projection", t
         ),
         l2_velocity_true=error_l2(
-            mesh, config, solution.velocity, problem.u, "velocity",
-            "vs_exact", t, kernels=ker,
+            ker, solution.velocity, problem.u, "velocity", "vs_exact", t
         ),
         l2_pressure_proj=error_l2(
-            mesh, config, solution.pressure, problem.p, "pressure",
-            "vs_projection", t, kernels=ker,
+            ker, solution.pressure, problem.p, "pressure", "vs_projection", t
         ),
         l2_pressure_true=error_l2(
-            mesh, config, solution.pressure, problem.p, "pressure",
-            "vs_exact", t, kernels=ker,
+            ker, solution.pressure, problem.p, "pressure", "vs_exact", t
         ),
-        h=float(mesh.h_edge.min()),
     )
 
 
@@ -172,13 +139,10 @@ class IdentityReport:
 
 
 def check_weak_identities(
-    mesh: Mesh,
-    config: SpaceConfig,
+    kernels: ElementKernels,
     trials: int = 100,
     seed: int = 0,
     tol: float = 1e-11,
-    *,
-    kernels: ElementKernels | None = None,
 ) -> IdentityReport:
     """Element-wise check of the two defining weak-gradient identities.
 
@@ -187,8 +151,7 @@ def check_weak_identities(
     of the projected interpolant of random vector polynomials of degree
     k + 1 (quadrature-exact, so residuals are pure roundoff).
     """
-    ker = kernels if kernels is not None else ElementKernels(mesh, config)
-    dm = build_dofmap(mesh, config)
+    ker, mesh, config, dm = kernels, kernels.mesh, kernels.config, kernels.dofmap
     rng = np.random.default_rng(seed)
     s = config.s
     ds = dim_p(s)
@@ -266,11 +229,10 @@ def _trace_values(ker: ElementKernels, vloc: np.ndarray) -> np.ndarray:
 # -- stability diagnostics ----------------------------------------------------
 
 
-def _energy_matrix(mesh, config, kernels, dofmap) -> sp.csr_matrix:
+def _energy_matrix(kernels: ElementKernels) -> sp.csr_matrix:
     """Weak-gradient stiffness (unit viscosity) plus the velocity stabilizer."""
-    unit = config.with_params(mu=1.0)
-    K = assemble_bilinear("viscous", mesh, unit, kernels=kernels, dofmap=dofmap)
-    S1 = assemble_bilinear("s1", mesh, config, kernels=kernels, dofmap=dofmap)
+    K = assemble_bilinear("viscous", kernels) / kernels.config.mu
+    S1 = assemble_bilinear("s1", kernels)
     return (K + S1).tocsr()
 
 
@@ -288,34 +250,27 @@ def _min_eig_symmetric(A: sp.spmatrix) -> float:
         return float(vals[0])
 
 
-def kernel_min_eigenvalue(
-    mesh: Mesh, config: SpaceConfig, *, kernels: ElementKernels | None = None
-) -> float:
+def kernel_min_eigenvalue(kernels: ElementKernels) -> float:
     """Smallest eigenvalue of the energy-norm matrix on the zero-trace subspace.
 
     Strictly positive exactly when the energy seminorm is a norm there.
     """
-    ker = kernels if kernels is not None else ElementKernels(mesh, config)
-    dm = build_dofmap(mesh, config)
-    K = _energy_matrix(mesh, config, ker, dm)
-    free = dm.free_dofs
+    K = _energy_matrix(kernels)
+    free = kernels.dofmap.free_dofs
     return _min_eig_symmetric(K[free][:, free])
 
 
-def estimate_infsup(
-    mesh: Mesh, config: SpaceConfig, *, kernels: ElementKernels | None = None
-) -> float:
+def estimate_infsup(kernels: ElementKernels) -> float:
     """Discrete inf-sup constant of the divergence coupling.
 
     Smallest nonzero generalized eigenvalue of B (K + S1)^{-1} B^T against
     the pressure mass matrix, square-rooted, with the constant-pressure
     direction removed.
     """
-    ker = kernels if kernels is not None else ElementKernels(mesh, config)
-    dm = build_dofmap(mesh, config)
+    ker, dm = kernels, kernels.dofmap
     free = dm.free_dofs
-    K = _energy_matrix(mesh, config, ker, dm)[free][:, free].tocsc()
-    B = assemble_bilinear("divergence", mesh, config, kernels=ker, dofmap=dm)
+    K = _energy_matrix(ker)[free][:, free].tocsc()
+    B = assemble_bilinear("divergence", ker)
     B_f = B[:, free].tocsc()
 
     lu = spla.splu(K)
@@ -340,21 +295,17 @@ def estimate_infsup(
     return float(np.sqrt(max(vals[0], 0.0)))
 
 
-def estimate_coercivity(
-    mesh: Mesh, config: SpaceConfig, beta, *, kernels: ElementKernels | None = None
-) -> float:
+def estimate_coercivity(kernels: ElementKernels, beta) -> float:
     """Coercivity margin of the full velocity bilinear form.
 
     Smallest eigenvalue of the symmetric part of the Dirichlet-reduced
     velocity block, scaled by its largest diagonal entry.  A positive value
     backs unique solvability of the scheme with this convection field.
     """
-    ker = kernels if kernels is not None else ElementKernels(mesh, config)
-    dm = build_dofmap(mesh, config)
-    A = assemble_bilinear("viscous", mesh, config, kernels=ker, dofmap=dm)
-    A = A + assemble_bilinear("convection", mesh, config, beta, kernels=ker, dofmap=dm)
-    A = A + assemble_bilinear("s1", mesh, config, kernels=ker, dofmap=dm)
-    free = dm.free_dofs
+    A = assemble_bilinear("viscous", kernels)
+    A = A + assemble_bilinear("convection", kernels, beta)
+    A = A + assemble_bilinear("s1", kernels)
+    free = kernels.dofmap.free_dofs
     A = A[free][:, free]
     sym = ((A + A.T) * 0.5).tocsr()
     scale = float(sym.diagonal().max())

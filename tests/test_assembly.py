@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from gwgflow import assembly
 from gwgflow.assembly import (
     WeakVelocity,
     apply_dirichlet,
     assemble_bilinear,
     assemble_load,
-    build_dofmap,
     build_saddle_system,
     constrain_system,
 )
@@ -20,15 +20,25 @@ from gwgflow.problems import manufactured_problem
 def _setup(mesh, tup, **params):
     cfg = SpaceConfig(*tup, **params)
     ker = ElementKernels(mesh, cfg)
-    dm = build_dofmap(mesh, cfg)
-    return cfg, ker, dm
+    return cfg, ker, ker.dofmap
 
 
 def test_unknown_form_and_missing_beta(mesh4, config_low):
+    ker = ElementKernels(mesh4, config_low)
     with pytest.raises(ValueError):
-        assemble_bilinear("advection", mesh4, config_low)
+        assemble_bilinear("advection", ker)
     with pytest.raises(ValueError):
-        assemble_bilinear("convection", mesh4, config_low)
+        assemble_bilinear("convection", ker)
+
+
+def test_nonfinite_convection_field_raises(mesh4, config_low):
+    ker = ElementKernels(mesh4, config_low)
+
+    def beta(x, y):
+        return np.full(np.shape(x) + (2,), np.inf)
+
+    with pytest.raises(ValueError, match="beta"):
+        assemble_bilinear("convection", ker, beta)
 
 
 def test_dof_counts(mesh8, element_tuple):
@@ -44,7 +54,7 @@ def test_s1_vanishes_on_matching_traces(mesh4, element_tuple):
     # Build it from a globally affine field, whose edge projection is
     # single-valued from both sides.
     cfg, ker, dm = _setup(mesh4, element_tuple)
-    S1 = assemble_bilinear("s1", mesh4, cfg, kernels=ker, dofmap=dm)
+    S1 = assemble_bilinear("s1", ker)
     interior, traces = project_velocity(
         ker, lambda x, y: np.stack([1.0 + 2 * x - y, 0.5 * x + y], axis=-1)
     )
@@ -54,8 +64,8 @@ def test_s1_vanishes_on_matching_traces(mesh4, element_tuple):
 
 def test_s1_and_s2_symmetric_psd(mesh4, element_tuple):
     cfg, ker, dm = _setup(mesh4, element_tuple, sigma=1, alpha=1.0)
-    S1 = assemble_bilinear("s1", mesh4, cfg, kernels=ker, dofmap=dm)
-    S2 = assemble_bilinear("s2", mesh4, cfg, kernels=ker, dofmap=dm)
+    S1 = assemble_bilinear("s1", ker)
+    S2 = assemble_bilinear("s2", ker)
     for S in (S1, S2):
         assert abs(S - S.T).max() < 1e-13
         rng = np.random.default_rng(0)
@@ -65,13 +75,13 @@ def test_s1_and_s2_symmetric_psd(mesh4, element_tuple):
 
 
 def test_s2_empty_when_sigma_zero(mesh4, config_low):
-    S2 = assemble_bilinear("s2", mesh4, config_low)
+    S2 = assemble_bilinear("s2", ElementKernels(mesh4, config_low))
     assert S2.nnz == 0
 
 
 def test_s2_kills_continuous_pressures_only(mesh4):
     cfg, ker, dm = _setup(mesh4, (2, 1, 1, 1, 1), sigma=1)
-    S2 = assemble_bilinear("s2", mesh4, cfg, kernels=ker, dofmap=dm)
+    S2 = assemble_bilinear("s2", ker)
     smooth = project_pressure(ker, lambda x, y: 1.0 + 2 * x - 3 * y).reshape(-1)
     assert np.abs(S2 @ smooth).max() < 1e-12
     rng = np.random.default_rng(1)
@@ -81,7 +91,7 @@ def test_s2_kills_continuous_pressures_only(mesh4):
 
 def test_mass_block_spd_on_interior(mesh4, element_tuple):
     cfg, ker, dm = _setup(mesh4, element_tuple)
-    M = assemble_bilinear("mass", mesh4, cfg, kernels=ker, dofmap=dm)
+    M = assemble_bilinear("mass", ker)
     ni = mesh4.n_elements * 2 * ker.dk
     Mi = M[:ni][:, :ni].toarray()
     assert np.allclose(Mi, Mi.T, atol=1e-14)
@@ -94,7 +104,7 @@ def test_divergence_of_constant_pressure_vanishes_on_v0(mesh4, element_tuple):
     # B^T applied to the constant pressure, restricted to zero-trace
     # velocities, telescopes to zero
     cfg, ker, dm = _setup(mesh4, element_tuple)
-    B = assemble_bilinear("divergence", mesh4, cfg, kernels=ker, dofmap=dm)
+    B = assemble_bilinear("divergence", ker)
     const = np.zeros(dm.n_pressure)
     const[dm.elem_pres[:, 0]] = 1.0
     g = B.T @ const
@@ -104,25 +114,21 @@ def test_divergence_of_constant_pressure_vanishes_on_v0(mesh4, element_tuple):
 def test_energy_kernel_positive(mesh4, element_tuple):
     # viscous + s1 restricted to the zero-trace subspace has trivial kernel
     cfg, ker, dm = _setup(mesh4, element_tuple)
-    K = assemble_bilinear("viscous", mesh4, cfg.with_params(mu=1.0), kernels=ker, dofmap=dm)
-    S1 = assemble_bilinear("s1", mesh4, cfg, kernels=ker, dofmap=dm)
+    K = assemble_bilinear("viscous", ker)
+    S1 = assemble_bilinear("s1", ker)
     E = (K + S1)[dm.free_dofs][:, dm.free_dofs].toarray()
     lam = np.linalg.eigvalsh(E)[0]
     assert lam > 1e-10
 
 
-def test_assembled_matrices_chunk_invariant(mesh4, element_tuple):
+def test_assembled_matrices_chunk_invariant(mesh4, element_tuple, monkeypatch):
     cfg = SpaceConfig(*element_tuple)
     prob = manufactured_problem("steady_oseen_ex1")
     mats = []
     for chunk in (1, 7, 10_000):
+        monkeypatch.setattr(assembly, "DEFAULT_CHUNK", chunk)
         ker = ElementKernels(mesh4, cfg)
-        dm = build_dofmap(mesh4, cfg)
-        A = assemble_bilinear(
-            "convection", mesh4, cfg, prob.beta,
-            kernels=ker, dofmap=dm, chunk_size=chunk,
-        )
-        mats.append(A)
+        mats.append(assemble_bilinear("convection", ker, prob.beta))
     for other in mats[1:]:
         diff = (mats[0] - other).tocoo()
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
@@ -130,16 +136,18 @@ def test_assembled_matrices_chunk_invariant(mesh4, element_tuple):
 
 def test_load_zero_and_constant(mesh4, config_low):
     zero = assemble_load(
-        mesh4, config_low, lambda x, y, t: np.zeros(np.broadcast(x, y).shape + (2,)), 0.0
+        ElementKernels(mesh4, config_low),
+        lambda x, y, t: np.zeros(np.broadcast(x, y).shape + (2,)),
+        0.0,
     )
     assert np.all(zero == 0)
 
     # f = (1, 0), k = 0: each interior entry equals the element area
-    cfg = SpaceConfig(0, 0, 0, 0, 0)
+    ker = ElementKernels(mesh4, SpaceConfig(0, 0, 0, 0, 0))
     vec = assemble_load(
-        mesh4, cfg, lambda x, y: np.stack([np.ones_like(x), np.zeros_like(y)], axis=-1)
+        ker, lambda x, y: np.stack([np.ones_like(x), np.zeros_like(y)], axis=-1)
     )
-    dm = build_dofmap(mesh4, cfg)
+    dm = ker.dofmap
     first = vec[dm.elem_vel[:, 0]]
     assert np.allclose(first, mesh4.areas, atol=1e-14)
     assert np.allclose(vec[dm.elem_vel[:, 1]], 0.0, atol=1e-15)
@@ -148,16 +156,16 @@ def test_load_zero_and_constant(mesh4, config_low):
 def test_load_matches_refined_quadrature_oracle(mesh8, element_tuple):
     cfg = SpaceConfig(*element_tuple)
     prob = manufactured_problem("steady_oseen_ex1")
-    base = assemble_load(mesh8, cfg, prob.f, 0.0)
+    base = assemble_load(ElementKernels(mesh8, cfg), prob.f, 0.0)
     fine = ElementKernels(mesh8, cfg, quad_order=min(cfg.quad_order + 8, 20))
-    oracle = assemble_load(mesh8, cfg, prob.f, 0.0, kernels=fine)
+    oracle = assemble_load(fine, prob.f, 0.0)
     assert np.abs(base - oracle).max() < 1e-10
 
 
 def test_apply_dirichlet_values(mesh4, element_tuple):
     cfg = SpaceConfig(*element_tuple)
     prob = manufactured_problem("steady_oseen_ex1")
-    system = build_saddle_system(mesh4, cfg, prob.beta, prob.f, 0.0)
+    system = build_saddle_system(ElementKernels(mesh4, cfg), prob.beta)
 
     # homogeneous data eliminates to zero values
     apply_dirichlet(system, lambda x, y, t: np.zeros(np.broadcast(x, y).shape + (2,)), 0.0)
@@ -185,11 +193,11 @@ def test_constraint_row(mesh4, element_tuple):
     cfg = SpaceConfig(*element_tuple)
     ker = ElementKernels(mesh4, cfg)
     prob = manufactured_problem("steady_oseen_ex1")
-    system = build_saddle_system(mesh4, cfg, prob.beta, prob.f, 0.0, kernels=ker)
+    system = build_saddle_system(ker, prob.beta)
     constrain_system(system)
     c = system.mean_vector
-    const = np.zeros(system.dofmap.n_pressure)
-    const[system.dofmap.elem_pres[:, 0]] = 1.0
+    const = np.zeros(ker.dofmap.n_pressure)
+    const[ker.dofmap.elem_pres[:, 0]] = 1.0
     assert c @ const == pytest.approx(1.0, abs=1e-12)  # area of the domain
     coeffs = project_pressure(ker, lambda x, y: (2 * x - 1) * (2 * y - 1)).reshape(-1)
     assert abs(c @ coeffs) < 1e-12
@@ -198,8 +206,9 @@ def test_constraint_row(mesh4, element_tuple):
 def test_assembly_deterministic_rebuild(mesh4, element_tuple):
     cfg = SpaceConfig(*element_tuple)
     prob = manufactured_problem("steady_oseen_ex1")
-    first = build_saddle_system(mesh4, cfg, prob.beta, prob.f, 0.0)
-    second = build_saddle_system(mesh4, cfg, prob.beta, prob.f, 0.0)
+    first = build_saddle_system(ElementKernels(mesh4, cfg), prob.beta)
+    second = build_saddle_system(ElementKernels(mesh4, cfg), prob.beta)
     assert (first.A - second.A).nnz == 0
     assert (first.B - second.B).nnz == 0
-    assert np.array_equal(first.rhs_vel, second.rhs_vel)
+    first_load = assemble_load(first.kernels, prob.f, 0.0)
+    assert np.array_equal(first_load, assemble_load(second.kernels, prob.f, 0.0))

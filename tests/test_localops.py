@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gwgflow.assembly import WeakVelocity, build_dofmap
+from gwgflow.assembly import WeakVelocity
 from gwgflow.basis import eval_edge_values
 from gwgflow.config import SpaceConfig
 from gwgflow.localops import (
@@ -98,7 +98,7 @@ def test_project_edge_mean_on_diagonal(config_low):
 def test_weak_gradient_without_mismatch_is_plain_gradient(mesh4, element_tuple):
     cfg = SpaceConfig(*element_tuple)
     ker = ElementKernels(mesh4, cfg)
-    dm = build_dofmap(mesh4, cfg)
+    dm = ker.dofmap
     rng = np.random.default_rng(7)
     interior = rng.uniform(-1, 1, size=(mesh4.n_elements, 2, ker.dk))
     # choose traces equal to Q_b of the interior trace on every edge of the
@@ -122,7 +122,7 @@ def test_weak_gradient_of_projected_linear_field(mesh4, element_tuple):
     # w = (y, x): weak gradient of its projection is the constant [[0,1],[1,0]]
     cfg = SpaceConfig(*element_tuple)
     ker = ElementKernels(mesh4, cfg)
-    dm = build_dofmap(mesh4, cfg)
+    dm = ker.dofmap
     interior, traces = project_velocity(
         ker, lambda x, y: np.stack([y + 0 * x, x + 0 * y], axis=-1)
     )
@@ -153,7 +153,7 @@ def test_delta_single_edge_hand_value():
 def test_weak_divergence_examples(mesh4, element_tuple):
     cfg = SpaceConfig(*element_tuple)
     ker = ElementKernels(mesh4, cfg)
-    dm = build_dofmap(mesh4, cfg)
+    dm = ker.dofmap
     # v = 0 -> 0
     assert np.allclose(ker.div[0] @ np.zeros(ker.nloc), 0.0)
     # projected (x, y) has weak divergence 2; projected (y, x) divergence 0

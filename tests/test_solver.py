@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from gwgflow.assembly import apply_dirichlet, build_saddle_system, constrain_system
+from gwgflow.assembly import (
+    apply_dirichlet,
+    assemble_load,
+    build_saddle_system,
+    constrain_system,
+)
 from gwgflow.config import SpaceConfig
+from gwgflow.localops import ElementKernels
 from gwgflow.mesh import build_uniform_triangulation
 from gwgflow.problems import manufactured_problem
 from gwgflow.solver import (
@@ -29,12 +35,19 @@ def test_time_grid_validation():
         TimeGrid(tau=-0.1, n_steps=4, t_final=-0.4)
 
 
+def _steady_system(mesh, cfg, prob):
+    ker = ElementKernels(mesh, cfg)
+    system = build_saddle_system(ker, prob.beta)
+    system.rhs_vel = assemble_load(ker, prob.f, 0.0)
+    apply_dirichlet(system, prob.g, 0.0)
+    constrain_system(system)
+    return system
+
+
 def test_linear_solve_residual_check(mesh4, element_tuple):
     cfg = SpaceConfig(*element_tuple)
     prob = manufactured_problem("steady_oseen_ex1")
-    system = build_saddle_system(mesh4, cfg, prob.beta, prob.f, 0.0)
-    apply_dirichlet(system, prob.g, 0.0)
-    constrain_system(system)
+    system = _steady_system(mesh4, cfg, prob)
     x = linear_solve(system)
     K, rhs = system.operator()
     res = np.linalg.norm(K @ x - rhs) / np.linalg.norm(rhs)
@@ -43,7 +56,7 @@ def test_linear_solve_residual_check(mesh4, element_tuple):
 
 def test_solver_requires_reduction_steps(mesh4, config_low):
     prob = manufactured_problem("steady_oseen_ex1")
-    system = build_saddle_system(mesh4, config_low, prob.beta, prob.f, 0.0)
+    system = build_saddle_system(ElementKernels(mesh4, config_low), prob.beta)
     with pytest.raises(ValueError):
         system.operator()
     apply_dirichlet(system, prob.g, 0.0)
@@ -67,7 +80,7 @@ def test_patch_test_exactness(cells, element_tuple):
     cfg = SpaceConfig(*element_tuple)
     prob = manufactured_problem("stokes_patch")
     sol = solve_steady(mesh, cfg, prob)
-    rep = evaluate_errors(mesh, cfg, sol, prob)
+    rep = evaluate_errors(sol, prob)
     assert rep.energy < 1e-10
     assert rep.l2_velocity_proj < 1e-10
     assert rep.l2_pressure_proj < 1e-10
@@ -83,7 +96,7 @@ def test_steady_solution_invariants(mesh8, element_tuple):
     # boundary traces equal the projected boundary data
     vals = sol.system.dirichlet_values
     vec = sol.velocity_vector
-    assert np.array_equal(vec[sol.system.dofmap.boundary_dofs], vals)
+    assert np.array_equal(vec[sol.system.kernels.dofmap.boundary_dofs], vals)
 
 
 def test_evolutionary_zero_data_stays_zero(mesh4, config_low):
@@ -111,7 +124,7 @@ def test_evolutionary_matches_reference_cell():
     prob = manufactured_problem("evolutionary_oseen_ex2")
     grid = TimeGrid.from_step_count(1.0, 16)
     sol = solve_evolutionary(mesh, cfg, prob, grid)
-    rep = evaluate_errors(mesh, cfg, sol, prob)
+    rep = evaluate_errors(sol, prob)
     assert rep.energy == pytest.approx(2.6240e-02, rel=0.02)
     assert rep.l2_velocity_proj == pytest.approx(2.0985e-03, rel=0.02)
 
@@ -133,20 +146,45 @@ def test_steady_nan_forcing_raises(mesh4, config_low):
     nan_prob = replace(
         prob, f=lambda x, y, t=0.0: np.full(np.shape(x) + (2,), np.nan)
     )
-    with pytest.raises(LinearSolveError):
+    with pytest.raises(ValueError, match="forcing f"):
         solve_steady(mesh4, config_low, nan_prob)
 
 
 def test_evolutionary_late_nan_forcing_raises(mesh4, config_low):
     # the forcing turns NaN halfway through the march: the step must fail
+    # before it assembles the load
     prob = manufactured_problem("evolutionary_oseen_ex2")
 
     def f(x, y, t):
         return prob.f(x, y, t) if t <= 0.5 else np.full(np.shape(x) + (2,), np.nan)
 
     grid = TimeGrid.from_step_count(1.0, 8)
-    with pytest.raises(LinearSolveError):
+    with pytest.raises(ValueError, match="forcing f"):
         solve_evolutionary(mesh4, config_low, replace(prob, f=f), grid)
+
+
+def test_linear_solve_nan_rhs_raises(mesh4, config_low):
+    # a NaN right-hand side that bypasses the input checks still fails loud
+    prob = manufactured_problem("steady_oseen_ex1")
+    system = _steady_system(mesh4, config_low, prob)
+    system.rhs_vel = np.full_like(system.rhs_vel, np.nan)
+    with pytest.raises(LinearSolveError):
+        linear_solve(system)
+
+
+def test_trajectory_states_keep_their_own_step_data(mesh4, config_low):
+    # every state of a kept trajectory carries its own step's boundary data
+    # and right-hand side, so its system reproduces that state
+    prob = manufactured_problem("evolutionary_oseen_ex2")
+    grid = TimeGrid.from_step_count(1.0, 4)
+    traj = solve_evolutionary(mesh4, config_low, prob, grid, keep_trajectory=True)
+    for sol in traj:
+        system = sol.system
+        boundary = sol.velocity_vector[system.kernels.dofmap.boundary_dofs]
+        assert np.array_equal(boundary, system.dirichlet_values)
+        vel, pres, _ = system.expand(spla.spsolve(*system.operator()))
+        assert np.abs(sol.velocity_vector - vel).max() < 1e-12
+        assert np.abs(sol.pressure_vector - pres).max() < 1e-12
 
 
 def test_time_march_approaches_steady_fixed_point(mesh4, config_low):

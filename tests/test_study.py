@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,15 @@ from gwgflow.study import (
     compute_order,
     run_convergence_study,
 )
+
+REFERENCE = Path(__file__).resolve().parent.parent / "benchmarks" / "reference"
+
+#: the benchmark studies, whose coarse-mesh CSVs are committed as references
+GOLDEN_STUDIES = {
+    "steady_p1": ("steady_oseen_ex1", (1, 0, 1, 0, 0)),
+    "steady_p2": ("steady_oseen_ex1", (2, 1, 1, 1, 1)),
+    "evolutionary_p1": ("evolutionary_oseen_ex2", (1, 0, 1, 0, 0)),
+}
 
 
 def test_compute_order_basic():
@@ -132,3 +143,11 @@ def test_incompressibility_tracked_per_row():
     report = run_convergence_study(study)
     for row in report.rows:
         assert row.incompressibility < 1e-9
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN_STUDIES))
+def test_study_csv_matches_reference(workload):
+    problem, elements = GOLDEN_STUDIES[workload]
+    study = StudyConfig(problem, elements, (2, 4), formats=(), workers=1)
+    expected = (REFERENCE / f"{workload}-2-4.csv").read_bytes()
+    assert run_convergence_study(study).csv_text().encode() == expected

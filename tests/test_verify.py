@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gwgflow.assembly import WeakVelocity, PressureField, build_dofmap
+from gwgflow.assembly import WeakVelocity, PressureField
 from gwgflow.config import SpaceConfig
 from gwgflow.localops import ElementKernels, project_pressure, project_velocity
 from gwgflow.mesh import build_uniform_triangulation
@@ -28,7 +28,7 @@ def test_error_energy_zero_for_projection(mesh4, element_tuple):
     cfg = SpaceConfig(*element_tuple)
     prob = manufactured_problem("steady_oseen_ex1")
     u_h, ker = _exact_projection(mesh4, cfg, lambda x, y: prob.u(x, y, 0.0))
-    err = error_energy(mesh4, cfg, u_h, prob.u, 0.0, kernels=ker)
+    err = error_energy(ker, u_h, prob.u, 0.0)
     assert err < 1e-12
 
 
@@ -36,10 +36,10 @@ def test_error_l2_zero_for_projection(mesh4, element_tuple):
     cfg = SpaceConfig(*element_tuple)
     prob = manufactured_problem("steady_oseen_ex1")
     u_h, ker = _exact_projection(mesh4, cfg, lambda x, y: prob.u(x, y, 0.0))
-    err = error_l2(mesh4, cfg, u_h, prob.u, "velocity", "vs_projection", 0.0, kernels=ker)
+    err = error_l2(ker, u_h, prob.u, "velocity", "vs_projection", 0.0)
     assert err == 0.0 or err < 1e-14
     p_h = PressureField(project_pressure(ker, lambda x, y: prob.p(x, y, 0.0)))
-    errp = error_l2(mesh4, cfg, p_h, prob.p, "pressure", "vs_projection", 0.0, kernels=ker)
+    errp = error_l2(ker, p_h, prob.p, "pressure", "vs_projection", 0.0)
     assert errp < 1e-14
 
 
@@ -47,14 +47,17 @@ def test_error_l2_argument_validation(mesh4, config_low):
     prob = manufactured_problem("steady_oseen_ex1")
     u_h, ker = _exact_projection(mesh4, config_low, lambda x, y: prob.u(x, y, 0.0))
     with pytest.raises(ValueError):
-        error_l2(mesh4, config_low, u_h, prob.u, "vorticity", kernels=ker)
+        error_l2(ker, u_h, prob.u, "vorticity")
     with pytest.raises(ValueError):
-        error_l2(mesh4, config_low, u_h, prob.u, "velocity", "vs_interpolant", kernels=ker)
+        error_l2(ker, u_h, prob.u, "velocity", "vs_interpolant")
+    nan_u = lambda x, y, t: np.full(np.shape(x) + (2,), np.nan)
+    with pytest.raises(ValueError, match="exact velocity"):
+        error_l2(ker, u_h, nan_u, "velocity", "vs_exact")
 
 
 def test_weak_identities_pass(mesh4, element_tuple):
     cfg = SpaceConfig(*element_tuple)
-    report = check_weak_identities(mesh4, cfg, trials=100, seed=0)
+    report = check_weak_identities(ElementKernels(mesh4, cfg), trials=100, seed=0)
     assert report.passed
     assert report.max_residual_identity1 <= 1e-11
     assert report.max_residual_identity2 <= 1e-11
@@ -64,7 +67,7 @@ def test_weak_identities_constant_field_trivial(mesh4, config_low):
     # identity 2 with constant w: both sides vanish since grad w = 0 and
     # the projection reproduces constants
     ker = ElementKernels(mesh4, config_low)
-    dm = build_dofmap(mesh4, config_low)
+    dm = ker.dofmap
     interior, traces = project_velocity(
         ker, lambda x, y: np.stack([np.full_like(x, 2.0), np.full_like(y, -1.0)], axis=-1)
     )
@@ -79,7 +82,7 @@ def test_weak_identities_negative_control(mesh4, element_tuple):
     cfg = SpaceConfig(*element_tuple)
     ker = ElementKernels(mesh4, cfg)
     ker.delta = -ker.delta
-    report = check_weak_identities(mesh4, cfg, trials=5, seed=0, kernels=ker)
+    report = check_weak_identities(ker, trials=5, seed=0)
     assert not report.passed
     assert report.max_residual_identity1 > 1e-6
 
@@ -88,7 +91,7 @@ def test_kernel_min_eigenvalue_positive(element_tuple):
     for cells in (4, 8):
         mesh = build_uniform_triangulation(cells)
         cfg = SpaceConfig(*element_tuple)
-        lam = kernel_min_eigenvalue(mesh, cfg)
+        lam = kernel_min_eigenvalue(ElementKernels(mesh, cfg))
         assert lam > 1e-10
 
 
@@ -97,7 +100,7 @@ def test_infsup_positive_and_stable(element_tuple):
     vals = {}
     for cells in (4, 8, 16):
         mesh = build_uniform_triangulation(cells)
-        vals[cells] = estimate_infsup(mesh, cfg)
+        vals[cells] = estimate_infsup(ElementKernels(mesh, cfg))
         assert vals[cells] > 0
     # non-degeneracy under refinement
     change = abs(vals[16] - vals[8]) / vals[8]
@@ -108,10 +111,11 @@ def test_coercivity_margin(mesh8, element_tuple):
     cfg = SpaceConfig(*element_tuple)
     prob = manufactured_problem("steady_oseen_ex1")
     # pure Stokes block is positive
+    ker = ElementKernels(mesh8, cfg)
     zero_beta = lambda x, y: np.zeros(np.broadcast(x, y).shape + (2,))
-    assert estimate_coercivity(mesh8, cfg, zero_beta) > 0
+    assert estimate_coercivity(ker, zero_beta) > 0
     # the benchmark convection field keeps the margin positive
-    assert estimate_coercivity(mesh8, cfg, prob.beta) > 0
+    assert estimate_coercivity(ker, prob.beta) > 0
 
 
 def test_coercivity_stress_probe_reports_value(mesh4, config_low):
@@ -121,15 +125,14 @@ def test_coercivity_stress_probe_reports_value(mesh4, config_low):
     def big_beta(x, y):
         return 1e3 * prob.beta(x, y)
 
-    value = estimate_coercivity(mesh4, config_low, big_beta)
+    value = estimate_coercivity(ElementKernels(mesh4, config_low), big_beta)
     assert np.isfinite(value)
 
 
 def test_evaluate_errors_report_fields(mesh4, config_low):
     prob = manufactured_problem("steady_oseen_ex1")
     sol = solve_steady(mesh4, config_low, prob)
-    rep = evaluate_errors(mesh4, config_low, sol, prob)
-    assert rep.h == pytest.approx(0.25)
+    rep = evaluate_errors(sol, prob)
     for value in (
         rep.energy,
         rep.l2_velocity_proj,
