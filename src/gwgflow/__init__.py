@@ -1,7 +1,7 @@
 """Generalized weak Galerkin solver for steady and evolutionary Oseen flow."""
 
 from .config import SpaceConfig
-from .mesh import Mesh, build_uniform_triangulation, edge_orientation, mesh_metrics
+from .mesh import Mesh, build_uniform_triangulation
 from .problems import Problem, manufactured_problem
 from .solver import DiscreteSolution, TimeGrid, solve_evolutionary, solve_steady
 from .verify import ErrorReport, evaluate_errors
@@ -16,10 +16,8 @@ __all__ = [
     "SpaceConfig",
     "TimeGrid",
     "build_uniform_triangulation",
-    "edge_orientation",
     "evaluate_errors",
     "manufactured_problem",
-    "mesh_metrics",
     "solve_evolutionary",
     "solve_steady",
     "__version__",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -39,11 +40,14 @@ class SpaceConfig:
         for name in ("k", "j", "l", "m", "n"):
             if int(getattr(self, name)) < 0:
                 raise ValueError(f"degree {name} must be >= 0")
-        if self.zeta <= 0:
+        for name in ("gamma", "alpha", "zeta", "mu", "rho"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.zeta > 0:
             raise ValueError("zeta must be positive")
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ValueError("mu must be positive")
-        if self.rho <= 0:
+        if not self.rho > 0:
             raise ValueError("rho must be positive")
         if self.sigma not in (0, 1):
             raise ValueError("sigma must be 0 or 1")

@@ -20,7 +20,7 @@ from .basis import (
 )
 from .config import SpaceConfig
 from .mesh import Mesh
-from .quadrature import edge_quadrature, triangle_quadrature
+from .quadrature import edge_quadrature, map_to_physical, triangle_quadrature
 
 
 def _solve_mass(mass: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -140,7 +140,7 @@ class ElementKernels:
     def _build_volume_tables(self, k, l, m, n):
         mesh, rule = self.mesh, self.tri_rule
         verts = mesh.vertices[mesh.elements]           # (nT, 3, 2)
-        self.qp = np.einsum("pb,tbd->tpd", rule.points, verts)
+        self.qp = map_to_physical(rule, verts)
         self.qw = rule.weights[None, :] * (2.0 * mesh.areas[:, None])
 
         local = (self.qp - mesh.centroids[:, None, :]) / mesh.h_elem[:, None, None]
@@ -291,6 +291,17 @@ def _eval_field(name: str, f, x, y, time=None) -> np.ndarray:
     return vals
 
 
+def _project_edges(kernels: ElementKernels, name: str, f, pts, time) -> np.ndarray:
+    """Q_b of the vector field ``f`` on the edges whose points are ``pts``.
+
+    ``pts`` has shape (ne, nq, 2) at the edge rule's points; the result is
+    the trace coefficients (ne, 2, dj).
+    """
+    vals = _eval_field(name, f, pts[..., 0], pts[..., 1], time)
+    rhs = np.einsum("q,eqc,qa->eca", kernels.edge_w, vals, kernels.Qj)
+    return _solve_mass(kernels.Mhat, rhs[..., None], "edge projection")[..., 0]
+
+
 def project_velocity(
     kernels: ElementKernels, f, time: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -302,12 +313,7 @@ def project_velocity(
     vals = _eval_field("velocity field", f, kernels.qp[..., 0], kernels.qp[..., 1], time)
     rhs = np.einsum("tp,tpc,tpi->tci", kernels.qw, vals, kernels.Vk)
     interior = _solve_mass(kernels.Mk[:, None], rhs[..., None], "projection")[..., 0]
-
-    evals = _eval_field(
-        "velocity field", f, kernels.edge_pts[..., 0], kernels.edge_pts[..., 1], time
-    )
-    erhs = np.einsum("q,eqc,qa->eca", kernels.edge_w, evals, kernels.Qj)
-    traces = _solve_mass(kernels.Mhat, erhs[..., None], "edge projection")[..., 0]
+    traces = _project_edges(kernels, "velocity field", f, kernels.edge_pts, time)
     return interior, traces
 
 
@@ -322,8 +328,5 @@ def project_boundary_traces(
     kernels: ElementKernels, g, time: float | None = None
 ) -> np.ndarray:
     """Q_b g on the boundary edges only, (n_boundary, 2, dj)."""
-    be = kernels.mesh.boundary_edges
-    pts = kernels.edge_pts[be]
-    vals = _eval_field("boundary data g", g, pts[..., 0], pts[..., 1], time)
-    rhs = np.einsum("q,eqc,qa->eca", kernels.edge_w, vals, kernels.Qj)
-    return _solve_mass(kernels.Mhat, rhs[..., None], "edge projection")[..., 0]
+    pts = kernels.edge_pts[kernels.mesh.boundary_edges]
+    return _project_edges(kernels, "boundary data g", g, pts, time)

@@ -5,6 +5,12 @@ into ``n x n`` axis-aligned cells and every cell is cut along the diagonal
 from its lower-left to its upper-right corner.  All elements are stored
 counterclockwise; every edge carries one fixed unit normal that points out
 of its owner element (the incident element with the smaller index).
+
+Edges are numbered by first appearance: walking the elements in order and,
+within each element, the local edges ``(v0, v1), (v1, v2), (v2, v0)``, each
+edge gets the next free number the first time it is met.  The trace DOF
+order, and through it the assembled system and the study CSVs, depend on
+this rule.
 """
 
 from __future__ import annotations
@@ -76,15 +82,6 @@ class Mesh:
     def h_max(self) -> float:
         return float(self.h_elem.max())
 
-    def element_vertices(self, t: int) -> np.ndarray:
-        """Coordinates of element ``t`` as a (3, 2) array."""
-        return self.vertices[self.elements[t]]
-
-    def outward_normals(self, t: int) -> np.ndarray:
-        """Outward unit normals of element ``t``, one per local edge, (3, 2)."""
-        signs = self.element_edge_sign[t]
-        return self.edge_normals[self.element_edges[t]] * signs[:, None]
-
 
 def build_uniform_triangulation(cells_per_side: int) -> Mesh:
     """Triangulate the unit square with the lower-left-to-upper-right split.
@@ -100,17 +97,12 @@ def build_uniform_triangulation(cells_per_side: int) -> Mesh:
     xx, yy = np.meshgrid(coords_1d, coords_1d, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    elements = np.empty((2 * n * n, 3), dtype=np.int64)
-    for j in range(n):
-        for i in range(n):
-            c = j * n + i
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            elements[2 * c] = (v00, v10, v11)      # lower-right triangle
-            elements[2 * c + 1] = (v00, v11, v01)  # upper-left triangle
+    # cell c = j*n + i has lower-left vertex j*(n+1) + i = c + j and holds
+    # elements 2c (lower-right triangle) and 2c+1 (upper-left triangle)
+    c = np.arange(n * n, dtype=np.int64)
+    v00 = c + c // n
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    elements = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
 
     return _build_topology(vertices, elements)
 
@@ -125,43 +117,41 @@ def _build_topology(vertices: np.ndarray, elements: np.ndarray) -> Mesh:
     if np.any(signed_area <= 0):
         raise ValueError("all elements must be counterclockwise")
 
-    edge_index: dict[tuple[int, int], int] = {}
-    edges_list: list[tuple[int, int]] = []
-    edge_elements_list: list[list[int]] = []
-    edge_local_list: list[list[int]] = []
-    element_edges = np.empty((nt, 3), dtype=np.int64)
-    element_edge_sign = np.empty((nt, 3), dtype=np.int64)
-    edge_normals_list: list[np.ndarray] = []
+    # directed local edges, slot 3*t + le
+    directed = elements[:, _LOCAL_EDGE_VERTS].reshape(-1, 2)
+    lo, hi = directed.min(axis=1), directed.max(axis=1)
+    _, first, inverse, counts = np.unique(
+        lo * vertices.shape[0] + hi,
+        return_index=True, return_inverse=True, return_counts=True,
+    )
+    if np.any(counts > 2):
+        s = first[np.argmax(counts)]
+        raise ValueError(f"edge ({lo[s]}, {hi[s]}) shared by more than two elements")
 
-    for t in range(nt):
-        for le, (a, b) in enumerate(_LOCAL_EDGE_VERTS):
-            va, vb = int(elements[t, a]), int(elements[t, b])
-            key = (va, vb) if va < vb else (vb, va)
-            if key not in edge_index:
-                e = len(edges_list)
-                edge_index[key] = e
-                edges_list.append(key)
-                edge_elements_list.append([t, BOUNDARY])
-                edge_local_list.append([le, -1])
-                # outward normal of the owner: rotate the directed edge by -90deg
-                d = vertices[vb] - vertices[va]
-                nrm = np.array([d[1], -d[0]]) / np.hypot(d[0], d[1])
-                edge_normals_list.append(nrm)
-                element_edges[t, le] = e
-                element_edge_sign[t, le] = 1
-            else:
-                e = edge_index[key]
-                if edge_elements_list[e][1] != BOUNDARY:
-                    raise ValueError(f"edge {key} shared by more than two elements")
-                edge_elements_list[e][1] = t
-                edge_local_list[e][1] = le
-                element_edges[t, le] = e
-                element_edge_sign[t, le] = -1
+    # number edges by first appearance; the first slot is the owner's
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    slot_edge = rank[inverse]
+    owner_slot = first[order]
+    ne = owner_slot.size
 
-    edges = np.array(edges_list, dtype=np.int64)
-    edge_elements = np.array(edge_elements_list, dtype=np.int64)
-    edge_local_index = np.array(edge_local_list, dtype=np.int64)
-    edge_normals = np.array(edge_normals_list)
+    is_owner = np.zeros(3 * nt, dtype=bool)
+    is_owner[owner_slot] = True
+    nbr_slot = np.flatnonzero(~is_owner)
+    nbr_edge = slot_edge[nbr_slot]
+
+    edges = np.column_stack([lo[owner_slot], hi[owner_slot]])
+    edge_elements = np.full((ne, 2), BOUNDARY, dtype=np.int64)
+    edge_local_index = np.full((ne, 2), -1, dtype=np.int64)
+    edge_elements[:, 0], edge_local_index[:, 0] = np.divmod(owner_slot, 3)
+    edge_elements[nbr_edge, 1], edge_local_index[nbr_edge, 1] = np.divmod(nbr_slot, 3)
+    element_edges = slot_edge.reshape(nt, 3)
+    element_edge_sign = np.where(is_owner, 1, -1).reshape(nt, 3)
+
+    # outward normal of the owner: rotate the directed edge by -90deg
+    d = vertices[directed[owner_slot, 1]] - vertices[directed[owner_slot, 0]]
+    edge_normals = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(*d.T)[:, None]
 
     h_edge = np.linalg.norm(vertices[edges[:, 1]] - vertices[edges[:, 0]], axis=1)
     h_elem = h_edge[element_edges].max(axis=1)
@@ -182,37 +172,3 @@ def _build_topology(vertices: np.ndarray, elements: np.ndarray) -> Mesh:
         centroids=tri.mean(axis=1),
         boundary_edges=boundary_edges,
     )
-
-
-def mesh_metrics(mesh: Mesh) -> tuple[float, np.ndarray, np.ndarray]:
-    """Return (h_max, per-element diameters, per-edge lengths)."""
-    return mesh.h_max, mesh.h_elem, mesh.h_edge
-
-
-def edge_orientation(mesh: Mesh, edge_id: int) -> tuple[int, int, np.ndarray]:
-    """Owner element, neighbor (or ``BOUNDARY``) and the fixed unit normal.
-
-    The normal points from the owner into the neighbor.  Jumps across an
-    interior edge are defined as (owner value) - (neighbor value) with this
-    orientation.
-    """
-    if not 0 <= edge_id < mesh.n_edges:
-        raise IndexError(f"edge id {edge_id} out of range [0, {mesh.n_edges})")
-    owner, neighbor = mesh.edge_elements[edge_id]
-    return int(owner), int(neighbor), mesh.edge_normals[edge_id].copy()
-
-
-def dump_mesh(mesh: Mesh, stream) -> None:
-    """Write the plain-text mesh dump (one record per line).
-
-    Records: ``vertex x y``, ``tri i j k``, ``edge i j owner nbr`` where
-    ``nbr`` is -1 on the boundary.
-    """
-    for x, y in mesh.vertices:
-        stream.write(f"vertex {x:.17g} {y:.17g}\n")
-    for i, j, k in mesh.elements:
-        stream.write(f"tri {i} {j} {k}\n")
-    for e in range(mesh.n_edges):
-        i, j = mesh.edges[e]
-        owner, nbr = mesh.edge_elements[e]
-        stream.write(f"edge {i} {j} {owner} {nbr}\n")

@@ -261,6 +261,7 @@ def _commit_id() -> str:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
             capture_output=True, text=True, timeout=5, check=False,
+            cwd=Path(__file__).resolve().parent,
         )
         return out.stdout.strip() or "unknown"
     except OSError:

@@ -54,7 +54,7 @@ def test_affine_interpolant_of_x_has_unit_gradient():
     # interpolate f(x, y) = x exactly in the P1 basis and check its gradient
     mesh = build_uniform_triangulation(4)
     t = 7
-    verts = mesh.element_vertices(t)
+    verts = mesh.vertices[mesh.elements[t]]
     vals, _ = eval_basis(mesh, "triangle", t, 1, verts)
     coeff = np.linalg.solve(vals, verts[:, 0])
     pts = mesh.centroids[t] + np.array([[0.0, 0.0], [0.02, -0.01]])
@@ -82,6 +82,6 @@ def test_eval_basis_rejects_unknown_entity():
 def test_scaled_monomials_are_order_one_on_element():
     mesh = build_uniform_triangulation(8)
     t = 37
-    verts = mesh.element_vertices(t)
+    verts = mesh.vertices[mesh.elements[t]]
     vals, _ = eval_basis(mesh, "triangle", t, 3, verts)
     assert np.abs(vals).max() <= 1.0 + 1e-12

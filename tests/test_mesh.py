@@ -1,15 +1,7 @@
-import io
-
 import numpy as np
 import pytest
 
-from gwgflow.mesh import (
-    BOUNDARY,
-    build_uniform_triangulation,
-    dump_mesh,
-    edge_orientation,
-    mesh_metrics,
-)
+from gwgflow.mesh import BOUNDARY, _build_topology, build_uniform_triangulation
 
 
 def test_single_cell_counts():
@@ -54,11 +46,10 @@ def test_counterclockwise_and_total_area():
 
 def test_metrics_uniform():
     m = build_uniform_triangulation(8)
-    h_max, h_elem, h_edge = mesh_metrics(m)
-    assert h_max == pytest.approx(np.sqrt(2) / 8, abs=1e-15)
-    assert np.allclose(h_elem, np.sqrt(2) / 8)
+    assert m.h_max == pytest.approx(np.sqrt(2) / 8, abs=1e-15)
+    assert np.allclose(m.h_elem, np.sqrt(2) / 8)
     # axis-parallel edges have length 1/8, diagonals sqrt(2)/8
-    lengths = np.unique(np.round(h_edge, 14))
+    lengths = np.unique(np.round(m.h_edge, 14))
     assert np.allclose(lengths, [1 / 8, np.sqrt(2) / 8])
 
     m1 = build_uniform_triangulation(1)
@@ -69,7 +60,7 @@ def test_normals_unit_and_divergence_theorem():
     m = build_uniform_triangulation(3)
     assert np.allclose(np.linalg.norm(m.edge_normals, axis=1), 1.0, atol=1e-14)
     for t in range(m.n_elements):
-        n = m.outward_normals(t)
+        n = m.edge_normals[m.element_edges[t]] * m.element_edge_sign[t][:, None]
         le = m.h_edge[m.element_edges[t]]
         assert np.abs((n * le[:, None]).sum(axis=0)).max() < 1e-12
 
@@ -80,21 +71,14 @@ def test_edge_orientation_convention():
     for e in m.boundary_edges:
         va, vb = m.vertices[m.edges[e]]
         if va[1] == 0.0 and vb[1] == 0.0:
-            owner, nbr, normal = edge_orientation(m, int(e))
-            assert nbr == BOUNDARY
-            assert np.allclose(normal, [0.0, -1.0], atol=1e-15)
+            assert m.edge_elements[e, 1] == BOUNDARY
+            assert np.allclose(m.edge_normals[e], [0.0, -1.0], atol=1e-15)
     # interior edges: owner has the smaller element index
     for e in range(m.n_edges):
-        owner, nbr, normal = edge_orientation(m, e)
+        owner, nbr = m.edge_elements[e]
         if nbr != BOUNDARY:
             assert owner < nbr
-        assert abs(np.linalg.norm(normal) - 1.0) < 1e-14
-
-
-def test_edge_orientation_rejects_bad_id():
-    m = build_uniform_triangulation(2)
-    with pytest.raises(IndexError):
-        edge_orientation(m, m.n_edges)
+        assert abs(np.linalg.norm(m.edge_normals[e]) - 1.0) < 1e-14
 
 
 def test_corner_boundary_edges_follow_diagonal():
@@ -118,19 +102,47 @@ def test_corner_boundary_edges_follow_diagonal():
         assert owners <= set(tris)
 
 
-def test_dump_format_single_cell():
+def test_single_cell_diagonal_is_the_shared_edge():
     m = build_uniform_triangulation(1)
-    buf = io.StringIO()
-    dump_mesh(m, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "vertex 0 0"
-    assert sum(1 for ln in lines if ln.startswith("vertex")) == 4
-    assert sum(1 for ln in lines if ln.startswith("tri")) == 2
-    edge_lines = [ln for ln in lines if ln.startswith("edge")]
-    assert len(edge_lines) == 5
     # diagonal edge 0-3 is interior: owner 0, neighbor 1
-    assert "edge 0 3 0 1" in lines
-    assert any(ln.endswith("-1") for ln in edge_lines)
+    (e,) = np.flatnonzero((m.edges[:, 0] == 0) & (m.edges[:, 1] == 3))
+    assert m.edge_elements[e].tolist() == [0, 1]
+    assert len(m.boundary_edges) == 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_topology_numbering(n):
+    # the trace DOF order, and so the study CSVs, rest on this numbering
+    m = build_uniform_triangulation(n)
+    first_slot = np.full(m.n_edges, -1)
+    for t in range(m.n_elements):
+        for le in range(3):
+            e = m.element_edges[t, le]
+            va, vb = m.elements[t, le], m.elements[t, (le + 1) % 3]
+            assert m.edges[e].tolist() == sorted([va, vb])
+            side = 0 if m.element_edge_sign[t, le] == 1 else 1
+            assert (m.element_edge_sign[t, le] == 1) == (first_slot[e] < 0)
+            assert m.edge_elements[e, side] == t
+            assert m.edge_local_index[e, side] == le
+            if first_slot[e] < 0:
+                first_slot[e] = 3 * t + le
+    # edges are numbered by first appearance
+    assert np.all(np.diff(first_slot) > 0)
+    assert np.all(m.edge_local_index[m.boundary_edges, 1] == -1)
+
+
+def test_topology_rejects_clockwise_element():
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="counterclockwise"):
+        _build_topology(vertices, np.array([[0, 2, 1]]))
+
+
+def test_topology_rejects_edge_shared_by_three_elements():
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.5], [1.0, 1.0]])
+    # edge (0, 2) is a side of all three triangles
+    elements = np.array([[0, 1, 2], [0, 2, 3], [0, 4, 2]])
+    with pytest.raises(ValueError, match=r"edge \(0, 2\) shared by more than two"):
+        _build_topology(vertices, elements)
 
 
 def test_mesh_immutable():

@@ -73,6 +73,13 @@ def test_compatibility_validation():
         solve_steady(mesh, bad, prob)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["mu", "rho", "zeta", "gamma", "alpha"])
+def test_nonfinite_scheme_parameter_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SpaceConfig(1, 0, 1, 0, 0, **{name: value})
+
+
 @pytest.mark.parametrize("cells", [4, 8])
 def test_patch_test_exactness(cells, element_tuple):
     # u = (y, x), p = 0 lies in the discrete space: machine-precision errors

@@ -1,8 +1,11 @@
+import shutil
+import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gwgflow.study
 from gwgflow.study import (
     ConvergenceReport,
     StudyConfig,
@@ -67,7 +70,6 @@ def test_stokes_patch_study_suppresses_orders(tmp_path):
         assert row.err_l2p <= 1e-10
     assert all(o is None for o in report.orders["energy"])
     csv = (tmp_path / "study.csv").read_text()
-    assert ",,\n" not in csv or True  # orders emitted blank
     for line in csv.splitlines()[1:]:
         fields = line.split(",")
         assert fields[3] == "" and fields[5] == "" and fields[7] == ""
@@ -151,3 +153,24 @@ def test_study_csv_matches_reference(workload):
     study = StudyConfig(problem, elements, (2, 4), formats=(), workers=1)
     expected = (REFERENCE / f"{workload}-2-4.csv").read_bytes()
     assert run_convergence_study(study).csv_text().encode() == expected
+
+
+def test_commit_id_reads_the_package_checkout(tmp_path, monkeypatch):
+    package_dir = Path(gwgflow.study.__file__).resolve().parent
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    head = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"],
+        capture_output=True, text=True, cwd=package_dir, check=False,
+    )
+    if head.returncode != 0:
+        pytest.skip("the package is not in a git checkout")
+    # a study started from inside another repository reports this package's commit
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q",
+         "--allow-empty", "-m", "other"],
+        cwd=tmp_path, check=True,
+    )
+    monkeypatch.chdir(tmp_path)
+    assert gwgflow.study._commit_id() == head.stdout.strip()
