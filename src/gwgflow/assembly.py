@@ -16,46 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .localops import DofMap, ElementKernels, _eval_field, project_boundary_traces
+from .localops import ElementKernels, _eval_field, project_boundary_traces
 
 DEFAULT_CHUNK = 2048
 
 FORMS = ("viscous", "convection", "s1", "s2", "divergence", "mass")
-
-
-@dataclass
-class WeakVelocity:
-    """Weak velocity: per-element interior and per-edge trace coefficients."""
-
-    interior: np.ndarray  # (nT, 2, dk)
-    traces: np.ndarray    # (nE, 2, dj)
-
-    def to_vector(self, dofmap: DofMap) -> np.ndarray:
-        vec = np.empty(dofmap.n_velocity)
-        vec[: self.interior.size] = self.interior.reshape(-1)
-        vec[self.interior.size :] = self.traces.reshape(-1)
-        return vec
-
-    @classmethod
-    def from_vector(cls, dofmap: DofMap, vec: np.ndarray) -> "WeakVelocity":
-        ni = dofmap.n_elements * 2 * dofmap.dk
-        interior = vec[:ni].reshape(dofmap.n_elements, 2, dofmap.dk).copy()
-        traces = vec[ni:].reshape(dofmap.n_edges, 2, dofmap.dj).copy()
-        return cls(interior=interior, traces=traces)
-
-
-@dataclass
-class PressureField:
-    """Broken polynomial pressure, per-element coefficients (nT, dn)."""
-
-    coeffs: np.ndarray
-
-    def to_vector(self) -> np.ndarray:
-        return self.coeffs.reshape(-1)
-
-    @classmethod
-    def from_vector(cls, dofmap: DofMap, vec: np.ndarray) -> "PressureField":
-        return cls(vec.reshape(dofmap.n_elements, dofmap.dn).copy())
 
 
 class _Accumulator:
@@ -179,9 +144,9 @@ def _assemble_s2(ker: ElementKernels) -> sp.csr_matrix:
 def assemble_load(kernels: ElementKernels, f, time: float | None = None) -> np.ndarray:
     """Load vector (f, v0); only interior velocity entries are nonzero."""
     vals = _eval_field("forcing f", f, kernels.qp[..., 0], kernels.qp[..., 1], time)
-    rhs = np.einsum("tp,tpc,tpi->tci", kernels.qw, vals, kernels.Vk)
     vec = np.zeros(kernels.dofmap.n_velocity)
-    vec[: rhs.size] = rhs.reshape(-1)
+    interior, _ = kernels.dofmap.split_velocity(vec)
+    interior[...] = np.einsum("tp,tpc,tpi->tci", kernels.qw, vals, kernels.Vk)
     return vec
 
 
@@ -246,13 +211,16 @@ class SaddleSystem:
         return red["K"], rhs
 
     def expand(self, x: np.ndarray):
-        """Split a solution vector into full velocity, pressure, multiplier."""
+        """Split a solution vector into full velocity, pressure, multiplier.
+
+        Both vectors are new arrays, so a kept state does not hold ``x``.
+        """
         dm = self.kernels.dofmap
         nfree, npres = dm.free_dofs.size, dm.n_pressure
         vel = np.zeros(dm.n_velocity)
         vel[dm.free_dofs] = x[:nfree]
         vel[dm.boundary_dofs] = self.dirichlet_values
-        pres = x[nfree : nfree + npres]
+        pres = x[nfree : nfree + npres].copy()
         return vel, pres, float(x[-1])
 
 

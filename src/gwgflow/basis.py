@@ -57,27 +57,3 @@ def eval_tri_gradients(degree: int, pts: np.ndarray, h: np.ndarray | float) -> n
 def eval_edge_values(degree: int, s: np.ndarray) -> np.ndarray:
     """Shifted Legendre values at parameters ``s`` in [0, 1], shape (..., degree+1)."""
     return np.polynomial.legendre.legvander(2.0 * np.asarray(s) - 1.0, degree)
-
-
-def edge_mass_diagonal(degree: int) -> np.ndarray:
-    """Exact diagonal of the unit-interval mass matrix of the shifted basis."""
-    return 1.0 / (2.0 * np.arange(degree + 1) + 1.0)
-
-
-def eval_basis(mesh, entity: str, index: int, degree: int, points: np.ndarray):
-    """Evaluate the documented basis of a mesh entity at physical points.
-
-    For ``entity == "triangle"`` returns ``(values, gradients)`` with shapes
-    (npts, dim) and (npts, 2, dim), gradients in physical coordinates.  For
-    ``entity == "edge"`` the points are parameters in [0, 1] and only values
-    are returned.
-    """
-    if entity == "triangle":
-        pts = np.asarray(points, dtype=float)
-        local = (pts - mesh.centroids[index]) / mesh.h_elem[index]
-        values = eval_tri_values(degree, local)
-        grads = eval_tri_gradients(degree, local, mesh.h_elem[index])
-        return values, grads
-    if entity == "edge":
-        return eval_edge_values(degree, np.asarray(points, dtype=float))
-    raise ValueError(f"unknown entity {entity!r}")

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .config import SpaceConfig
 from .localops import ElementKernels
@@ -23,12 +22,6 @@ from .verify import (
     incompressibility_residual,
     kernel_min_eigenvalue,
 )
-
-_STUDY_KEYS = (
-    "problem", "elements", "mesh_sizes", "gamma", "alpha", "zeta", "sigma",
-    "mu", "rho", "tau_rule", "t_final", "out_dir", "formats", "workers",
-)
-
 
 def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(s) for s in text.split(","))
@@ -92,16 +85,17 @@ def _cmd_solve(args) -> int:
 
 def _dump_solution(path: Path, solution) -> None:
     """Plain-text dump: per-element interior and per-edge trace coefficients."""
+    dm = solution.system.kernels.dofmap
+    interior, traces = dm.split_velocity(solution.velocity_vector)
     with path.open("w") as fh:
-        vel = solution.velocity
         fh.write(f"# time {solution.time:.17g}\n")
-        for t, block in enumerate(vel.interior):
+        for t, block in enumerate(interior):
             flat = " ".join(f"{v:.17g}" for v in block.ravel())
             fh.write(f"interior {t} {flat}\n")
-        for e, block in enumerate(vel.traces):
+        for e, block in enumerate(traces):
             flat = " ".join(f"{v:.17g}" for v in block.ravel())
             fh.write(f"trace {e} {flat}\n")
-        for t, block in enumerate(solution.pressure.coeffs):
+        for t, block in enumerate(solution.pressure_vector[dm.elem_pres]):
             flat = " ".join(f"{v:.17g}" for v in block.ravel())
             fh.write(f"pressure {t} {flat}\n")
 
@@ -110,7 +104,7 @@ def _cmd_study(args) -> int:
     values = {}
     if args.config is not None:
         values.update(json.loads(Path(args.config).read_text()))
-        unknown = set(values) - set(_STUDY_KEYS)
+        unknown = set(values) - {f.name for f in dataclasses.fields(StudyConfig)}
         if unknown:
             raise SystemExit(f"unknown config keys: {sorted(unknown)}")
     if args.problem is not None:

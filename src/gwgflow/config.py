@@ -19,8 +19,7 @@ class SpaceConfig:
     convergence orders; gamma is kept free for experimentation.
 
     Solver-facing configs must satisfy k-1 <= n <= max(m, k+1), and n <= j
-    when sigma == 0; set ``allow_incompatible`` to bypass that check for
-    experimentation.
+    when sigma == 0.
     """
 
     k: int
@@ -34,7 +33,6 @@ class SpaceConfig:
     sigma: int = 0
     mu: float = 1.0
     rho: float = 1.0
-    allow_incompatible: bool = False
 
     def __post_init__(self):
         for name in ("k", "j", "l", "m", "n"):
@@ -68,8 +66,6 @@ class SpaceConfig:
 
     def validate_solver_compatibility(self) -> None:
         """Check the degree compatibility range required by the solver."""
-        if self.allow_incompatible:
-            return
         lo, hi = self.k - 1, max(self.m, self.k + 1)
         if not lo <= self.n <= hi:
             raise ValueError(

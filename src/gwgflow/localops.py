@@ -45,7 +45,10 @@ class DofMap:
 
     Globally, velocity DOFs are numbered element-interior blocks first, in
     element order, then per-edge trace blocks in edge order; pressure DOFs
-    are per-element contiguous blocks of ``dn``.
+    are per-element contiguous blocks of ``dn``.  A discrete solution is
+    held as these two flat vectors.  ``_number_dofs`` fixes the layout;
+    ``velocity_vector`` and ``split_velocity`` are the only other code that
+    knows where the interior block ends.
     """
 
     n_elements: int
@@ -65,6 +68,18 @@ class DofMap:
     @property
     def n_pressure(self) -> int:
         return self.n_elements * self.dn
+
+    def velocity_vector(self, interior: np.ndarray, traces: np.ndarray) -> np.ndarray:
+        """Global velocity vector from interior (nT, 2, dk) and trace (nE, 2, dj) blocks."""
+        return np.concatenate([interior.reshape(-1), traces.reshape(-1)])
+
+    def split_velocity(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of a global velocity vector: interior (nT, 2, dk), traces (nE, 2, dj)."""
+        ni = self.n_elements * 2 * self.dk
+        return (
+            vec[:ni].reshape(self.n_elements, 2, self.dk),
+            vec[ni:].reshape(self.n_edges, 2, self.dj),
+        )
 
 
 def _number_dofs(mesh: Mesh, dk: int, dj: int, dn: int) -> DofMap:

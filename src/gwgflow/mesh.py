@@ -78,10 +78,6 @@ class Mesh:
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
-    @property
-    def h_max(self) -> float:
-        return float(self.h_elem.max())
-
 
 def build_uniform_triangulation(cells_per_side: int) -> Mesh:
     """Triangulate the unit square with the lower-left-to-upper-right split.

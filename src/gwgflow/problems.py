@@ -33,7 +33,6 @@ class Problem:
     steady: bool
     mu: float = 1.0
     rho: float = 1.0
-    t_final: float = 1.0
 
 
 def _beta_standard(x, y):
@@ -106,7 +105,6 @@ def _evolutionary_ex2(mu: float, rho: float) -> Problem:
         steady=False,
         mu=mu,
         rho=rho,
-        t_final=1.0,
     )
 
 

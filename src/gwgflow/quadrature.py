@@ -70,11 +70,6 @@ def triangle_quadrature(order: int) -> QuadRule:
     return QuadRule(points=bary, weights=w, order=2 * npts_1d - 1)
 
 
-def triangle_points_xy(rule: QuadRule) -> np.ndarray:
-    """Reference (x, y) coordinates of a triangle rule, shape (npts, 2)."""
-    return rule.points[:, 1:]
-
-
 def map_to_physical(rule: QuadRule, verts: np.ndarray) -> np.ndarray:
     """Map barycentric points onto physical triangles.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -10,8 +11,6 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (
     SaddleSystem,
-    WeakVelocity,
-    PressureField,
     apply_dirichlet,
     assemble_bilinear,
     assemble_load,
@@ -47,32 +46,32 @@ class TimeGrid:
             raise ValueError(f"step count {self.n_steps} exceeds guard limit")
 
     @classmethod
-    def from_step_count(cls, t_final: float, n_steps: int) -> "TimeGrid":
-        return cls(tau=t_final / n_steps, n_steps=n_steps, t_final=t_final)
-
-    @classmethod
     def from_tau(cls, t_final: float, tau: float) -> "TimeGrid":
-        n = round(t_final / tau)
+        """The grid of ``round(t_final / tau)`` equal steps up to ``t_final``."""
+        if not (math.isfinite(tau) and tau > 0):
+            raise ValueError(f"tau must be finite and positive, got {tau}")
+        ratio = t_final / tau
+        if not (math.isfinite(ratio) and round(ratio) >= 1):
+            raise ValueError(
+                f"tau = {tau} gives no finite whole number of steps in t_final = {t_final}"
+            )
+        n = round(ratio)
         return cls(tau=t_final / n, n_steps=n, t_final=t_final)
 
 
 @dataclass
 class DiscreteSolution:
-    """Velocity/pressure pair at one time level plus the mean multiplier."""
+    """Velocity/pressure DOF vectors at one time level plus the mean multiplier.
 
-    velocity: WeakVelocity
-    pressure: PressureField
+    Both vectors are laid out by ``system.kernels.dofmap``; its
+    ``split_velocity`` gives the interior and trace blocks of the velocity.
+    """
+
+    velocity_vector: np.ndarray
+    pressure_vector: np.ndarray
     time: float
     multiplier: float
     system: SaddleSystem
-
-    @property
-    def velocity_vector(self) -> np.ndarray:
-        return self.velocity.to_vector(self.system.kernels.dofmap)
-
-    @property
-    def pressure_vector(self) -> np.ndarray:
-        return self.pressure.to_vector()
 
     @property
     def pressure_mean(self) -> float:
@@ -111,7 +110,7 @@ def _factorize(K: sp.csc_matrix):
 
 def solve_steady(mesh: Mesh, config: SpaceConfig, problem) -> DiscreteSolution:
     """Solve the steady scheme for a manufactured problem bundle."""
-    config.validate_solver_compatibility()
+    _check_inputs(config, problem)
     ker = ElementKernels(mesh, config)
     system = build_saddle_system(ker, problem.beta)
     system.rhs_vel = assemble_load(ker, problem.f, 0.0)
@@ -141,15 +140,14 @@ def solve_evolutionary(
     ``dirichlet_values``.  Returns the solution at the final time, or the
     whole trajectory when ``keep_trajectory`` is set.
     """
-    config.validate_solver_compatibility()
+    _check_inputs(config, problem)
     ker = ElementKernels(mesh, config)
     system = build_saddle_system(ker, problem.beta)
     mass = assemble_bilinear("mass", ker)
     system.A = (system.A + mass / grid.tau).tocsr()
     constrain_system(system)
 
-    interior, traces = project_velocity(ker, problem.g2)
-    u_prev = WeakVelocity(interior, traces).to_vector(ker.dofmap)
+    u_prev = ker.dofmap.velocity_vector(*project_velocity(ker, problem.g2))
 
     lu = None
     trajectory = []
@@ -169,12 +167,20 @@ def solve_evolutionary(
     return trajectory if keep_trajectory else solution
 
 
+def _check_inputs(config: SpaceConfig, problem) -> None:
+    """Reject an incompatible element tuple or a problem built for other mu/rho.
+
+    ``Problem.mu``/``rho`` fix the forcing, so a mismatch with the config
+    would silently solve a different problem.
+    """
+    config.validate_solver_compatibility()
+    if (problem.mu, problem.rho) != (config.mu, config.rho):
+        raise ValueError(
+            f"problem {problem.name!r} was built for mu={problem.mu}, rho={problem.rho}, "
+            f"but the config has mu={config.mu}, rho={config.rho}"
+        )
+
+
 def _solution(system: SaddleSystem, x: np.ndarray, time: float) -> DiscreteSolution:
     vel, pres, lam = system.expand(x)
-    return DiscreteSolution(
-        velocity=WeakVelocity.from_vector(system.kernels.dofmap, vel),
-        pressure=PressureField.from_vector(system.kernels.dofmap, pres),
-        time=time,
-        multiplier=lam,
-        system=system,
-    )
+    return DiscreteSolution(vel, pres, time, lam, system)

@@ -59,7 +59,9 @@ class StudyConfig:
         if any(b <= a for a, b in zip(self.mesh_sizes, self.mesh_sizes[1:])):
             raise ValueError("mesh_sizes must be strictly increasing (h decreasing)")
         self.space_config().validate_solver_compatibility()
-        _ = self.cells()  # validate the rule string eagerly
+        for _, tau in self.cells():  # validate the rule and every tau eagerly
+            if tau is not None:
+                TimeGrid.from_tau(self.t_final, tau)
 
     def cells(self) -> list[tuple[int, float | None]]:
         """The (cells_per_side, tau) pairs the study runs, in output order.

@@ -15,7 +15,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import DEFAULT_CHUNK, WeakVelocity, assemble_bilinear
+from .assembly import DEFAULT_CHUNK, assemble_bilinear
 from .basis import dim_p, eval_tri_gradients, eval_tri_values, tri_exponents
 from .localops import ElementKernels, _eval_field, project_pressure, project_velocity
 
@@ -48,73 +48,37 @@ def energy_seminorm(kernels: ElementKernels, vel_vector: np.ndarray) -> float:
     return float(np.sqrt(max(total, 0.0)))
 
 
-def error_energy(
-    kernels: ElementKernels, u_h: WeakVelocity, u_exact, time: float = 0.0
-) -> float:
-    """Energy norm of Q_h(u_exact) - u_h."""
-    interior, traces = project_velocity(kernels, u_exact, time)
-    diff = WeakVelocity(interior - u_h.interior, traces - u_h.traces)
-    return energy_seminorm(kernels, diff.to_vector(kernels.dofmap))
-
-
-def error_l2(
-    kernels: ElementKernels,
-    field_h,
-    field_exact,
-    kind: str,
-    mode: str = "vs_projection",
-    time: float = 0.0,
-) -> float:
-    """L2 norm of the selected difference over all elements.
-
-    ``kind`` is ``velocity`` (interior part of a ``WeakVelocity``) or
-    ``pressure``; ``mode`` selects the difference against the local L2
-    projection of the exact field or against the exact field itself.
-    """
-    if kind not in ("velocity", "pressure"):
-        raise ValueError(f"unknown kind {kind!r}")
-    if mode not in ("vs_projection", "vs_exact"):
-        raise ValueError(f"unknown mode {mode!r}")
-    ker = kernels
-    x, y = ker.qp[..., 0], ker.qp[..., 1]
-
-    if kind == "velocity":
-        approx = np.einsum("tci,tpi->tpc", field_h.interior, ker.Vk)
-        if mode == "vs_projection":
-            interior, _ = project_velocity(ker, field_exact, time)
-            exact = np.einsum("tci,tpi->tpc", interior, ker.Vk)
-        else:
-            exact = _eval_field("exact velocity", field_exact, x, y, time)
-        diff2 = np.sum((approx - exact) ** 2, axis=-1)
-    else:
-        approx = np.einsum("ti,tpi->tp", field_h.coeffs, ker.Vn)
-        if mode == "vs_projection":
-            coeffs = project_pressure(ker, field_exact, time)
-            exact = np.einsum("ti,tpi->tp", coeffs, ker.Vn)
-        else:
-            exact = _eval_field("exact pressure", field_exact, x, y, time)
-        diff2 = (approx - exact) ** 2
-    return float(np.sqrt(np.einsum("tp,tp->", ker.qw, diff2)))
-
-
 def evaluate_errors(solution, problem) -> ErrorReport:
-    """All error norms of a solved state at its own time stamp."""
-    ker = solution.system.kernels
-    t = solution.time
+    """All error norms of a solved state at its own time stamp.
+
+    The exact ``u`` and ``p`` are evaluated at the quadrature points and
+    projected once each.  The energy error is measured against Q_h u; the
+    L2 errors of the interior velocity and of the pressure against both
+    the local L2 projection and the exact field.
+    """
+    ker, t = solution.system.kernels, solution.time
+    dm = ker.dofmap
+    x, y = ker.qp[..., 0], ker.qp[..., 1]
+    u_exact = _eval_field("exact velocity", problem.u, x, y, t)
+    p_exact = _eval_field("exact pressure", problem.p, x, y, t)
+    u_interior, u_traces = project_velocity(ker, problem.u, t)
+    p_proj = project_pressure(ker, problem.p, t)
+
+    u_vec = solution.velocity_vector
+    u_h = np.einsum("tci,tpi->tpc", dm.split_velocity(u_vec)[0], ker.Vk)
+    p_h = np.einsum("ti,tpi->tp", solution.pressure_vector[dm.elem_pres], ker.Vn)
+    u_q = np.einsum("tci,tpi->tpc", u_interior, ker.Vk)
+    p_q = np.einsum("ti,tpi->tp", p_proj, ker.Vn)
+
+    def norm(diff2):
+        return float(np.sqrt(np.einsum("tp,tp->", ker.qw, diff2)))
+
     return ErrorReport(
-        energy=error_energy(ker, solution.velocity, problem.u, t),
-        l2_velocity_proj=error_l2(
-            ker, solution.velocity, problem.u, "velocity", "vs_projection", t
-        ),
-        l2_velocity_true=error_l2(
-            ker, solution.velocity, problem.u, "velocity", "vs_exact", t
-        ),
-        l2_pressure_proj=error_l2(
-            ker, solution.pressure, problem.p, "pressure", "vs_projection", t
-        ),
-        l2_pressure_true=error_l2(
-            ker, solution.pressure, problem.p, "pressure", "vs_exact", t
-        ),
+        energy=energy_seminorm(ker, dm.velocity_vector(u_interior, u_traces) - u_vec),
+        l2_velocity_proj=norm(np.sum((u_h - u_q) ** 2, axis=-1)),
+        l2_velocity_true=norm(np.sum((u_h - u_exact) ** 2, axis=-1)),
+        l2_pressure_proj=norm((p_h - p_q) ** 2),
+        l2_pressure_true=norm((p_h - p_exact) ** 2),
     )
 
 
@@ -194,7 +158,7 @@ def check_weak_identities(
             return np.einsum("...a,ca->...c", basis, coeff)
 
         interior, traces = project_velocity(ker, w_poly)
-        eloc = WeakVelocity(interior, traces).to_vector(dm)[dm.elem_vel]
+        eloc = dm.velocity_vector(interior, traces)[dm.elem_vel]
         wgq = np.einsum("tpcqi,ti->tpcq", W, eloc)
         lhs2 = np.einsum("tp,tpcq,tpcq->t", ker.qw, wgq, phi_vol)
 

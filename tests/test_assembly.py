@@ -4,7 +4,6 @@ import scipy.sparse.linalg as spla
 
 from gwgflow import assembly
 from gwgflow.assembly import (
-    WeakVelocity,
     apply_dirichlet,
     assemble_bilinear,
     assemble_load,
@@ -58,7 +57,7 @@ def test_s1_vanishes_on_matching_traces(mesh4, element_tuple):
     interior, traces = project_velocity(
         ker, lambda x, y: np.stack([1.0 + 2 * x - y, 0.5 * x + y], axis=-1)
     )
-    vec = WeakVelocity(interior, traces).to_vector(dm)
+    vec = dm.velocity_vector(interior, traces)
     assert np.abs(S1 @ vec).max() < 1e-12
 
 

@@ -1,16 +1,19 @@
 import numpy as np
-import pytest
 
 from gwgflow.basis import (
     dim_p,
-    edge_mass_diagonal,
-    eval_basis,
     eval_edge_values,
     eval_tri_gradients,
     eval_tri_values,
     tri_exponents,
 )
 from gwgflow.mesh import build_uniform_triangulation
+
+
+def _element_basis(mesh, t, degree, pts):
+    """Values and physical gradients of element ``t``'s basis at ``pts``."""
+    local = (pts - mesh.centroids[t]) / mesh.h_elem[t]
+    return eval_tri_values(degree, local), eval_tri_gradients(degree, local, mesh.h_elem[t])
 
 
 def test_dimensions():
@@ -28,7 +31,7 @@ def test_degree_zero_is_one():
 def test_degree_one_gradients_constant():
     mesh = build_uniform_triangulation(2)
     pts = mesh.centroids[3] + np.array([[0.0, 0.0], [0.01, 0.02], [-0.03, 0.01]])
-    vals, grads = eval_basis(mesh, "triangle", 3, 1, pts)
+    vals, grads = _element_basis(mesh, 3, 1, pts)
     assert vals.shape == (3, 3)
     # gradients of the three P1 basis functions are constant over the element
     assert np.allclose(grads - grads[0], 0.0, atol=1e-14)
@@ -41,11 +44,11 @@ def test_gradient_matches_finite_differences():
     pts = mesh.centroids[t] + rng.uniform(-0.05, 0.05, size=(5, 2))
     eps = 1e-6
     for degree in (1, 2, 3):
-        _, grads = eval_basis(mesh, "triangle", t, degree, pts)
-        vx1, _ = eval_basis(mesh, "triangle", t, degree, pts + [eps, 0.0])
-        vx0, _ = eval_basis(mesh, "triangle", t, degree, pts - [eps, 0.0])
-        vy1, _ = eval_basis(mesh, "triangle", t, degree, pts + [0.0, eps])
-        vy0, _ = eval_basis(mesh, "triangle", t, degree, pts - [0.0, eps])
+        _, grads = _element_basis(mesh, t, degree, pts)
+        vx1, _ = _element_basis(mesh, t, degree, pts + [eps, 0.0])
+        vx0, _ = _element_basis(mesh, t, degree, pts - [eps, 0.0])
+        vy1, _ = _element_basis(mesh, t, degree, pts + [0.0, eps])
+        vy0, _ = _element_basis(mesh, t, degree, pts - [0.0, eps])
         fd = np.stack([(vx1 - vx0) / (2 * eps), (vy1 - vy0) / (2 * eps)], axis=1)
         assert np.allclose(grads, fd, atol=1e-7)
 
@@ -55,10 +58,10 @@ def test_affine_interpolant_of_x_has_unit_gradient():
     mesh = build_uniform_triangulation(4)
     t = 7
     verts = mesh.vertices[mesh.elements[t]]
-    vals, _ = eval_basis(mesh, "triangle", t, 1, verts)
+    vals, _ = _element_basis(mesh, t, 1, verts)
     coeff = np.linalg.solve(vals, verts[:, 0])
     pts = mesh.centroids[t] + np.array([[0.0, 0.0], [0.02, -0.01]])
-    _, grads = eval_basis(mesh, "triangle", t, 1, pts)
+    _, grads = _element_basis(mesh, t, 1, pts)
     grad_f = np.einsum("pqi,i->pq", grads, coeff)
     assert np.allclose(grad_f, [1.0, 0.0], atol=1e-12)
 
@@ -70,18 +73,13 @@ def test_edge_basis_orthogonality():
     r = edge_quadrature(2 * degree + 1)
     Q = eval_edge_values(degree, r.points)
     mass = np.einsum("q,qa,qb->ab", r.weights, Q, Q)
-    assert np.allclose(mass, np.diag(edge_mass_diagonal(degree)), atol=1e-14)
-
-
-def test_eval_basis_rejects_unknown_entity():
-    mesh = build_uniform_triangulation(1)
-    with pytest.raises(ValueError):
-        eval_basis(mesh, "tetrahedron", 0, 1, np.zeros((1, 2)))
+    # shifted Legendre on [0, 1]: diagonal 1 / (2d + 1)
+    assert np.allclose(mass, np.diag(1 / (2 * np.arange(degree + 1) + 1)), atol=1e-14)
 
 
 def test_scaled_monomials_are_order_one_on_element():
     mesh = build_uniform_triangulation(8)
     t = 37
     verts = mesh.vertices[mesh.elements[t]]
-    vals, _ = eval_basis(mesh, "triangle", t, 3, verts)
+    vals, _ = _element_basis(mesh, t, 3, verts)
     assert np.abs(vals).max() <= 1.0 + 1e-12

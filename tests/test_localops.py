@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gwgflow.assembly import WeakVelocity
 from gwgflow.basis import eval_edge_values
 from gwgflow.config import SpaceConfig
 from gwgflow.localops import (
@@ -126,7 +125,7 @@ def test_weak_gradient_of_projected_linear_field(mesh4, element_tuple):
     interior, traces = project_velocity(
         ker, lambda x, y: np.stack([y + 0 * x, x + 0 * y], axis=-1)
     )
-    vec = WeakVelocity(interior, traces).to_vector(dm)
+    vec = dm.velocity_vector(interior, traces)
     W = ker.weak_gradient_values(slice(None))
     vals = np.einsum("tpcqi,ti->tpcq", W, vec[dm.elem_vel])
     assert np.abs(vals - np.array([[0.0, 1.0], [1.0, 0.0]])).max() < 1e-12
@@ -135,7 +134,7 @@ def test_weak_gradient_of_projected_linear_field(mesh4, element_tuple):
 def test_delta_single_edge_hand_value():
     # v0 = 0, v_b = (1, 0) on one edge, l = 0: delta = (|e|/|T|) n in row one
     mesh = build_uniform_triangulation(4)
-    cfg = SpaceConfig(1, 0, 0, 0, 0, allow_incompatible=True)
+    cfg = SpaceConfig(1, 0, 0, 0, 0)
     ker = ElementKernels(mesh, cfg)
     t, le = 9, 1
     v = np.zeros(ker.nloc)
@@ -162,7 +161,7 @@ def test_weak_divergence_examples(mesh4, element_tuple):
         (lambda x, y: np.stack([y + 0 * x, x + 0 * y], axis=-1), 0.0),
     ]:
         interior, traces = project_velocity(ker, field)
-        vec = WeakVelocity(interior, traces).to_vector(dm)
+        vec = dm.velocity_vector(interior, traces)
         dloc = np.einsum("tdi,ti->td", ker.div, vec[dm.elem_vel])
         vals = np.einsum("td,tpd->tp", dloc, ker.Vm)
         assert np.abs(vals - expected).max() < 1e-12

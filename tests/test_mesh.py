@@ -46,14 +46,14 @@ def test_counterclockwise_and_total_area():
 
 def test_metrics_uniform():
     m = build_uniform_triangulation(8)
-    assert m.h_max == pytest.approx(np.sqrt(2) / 8, abs=1e-15)
+    assert m.h_elem.max() == pytest.approx(np.sqrt(2) / 8, abs=1e-15)
     assert np.allclose(m.h_elem, np.sqrt(2) / 8)
     # axis-parallel edges have length 1/8, diagonals sqrt(2)/8
     lengths = np.unique(np.round(m.h_edge, 14))
     assert np.allclose(lengths, [1 / 8, np.sqrt(2) / 8])
 
     m1 = build_uniform_triangulation(1)
-    assert m1.h_max == pytest.approx(np.sqrt(2), abs=1e-15)
+    assert m1.h_elem.max() == pytest.approx(np.sqrt(2), abs=1e-15)
 
 
 def test_normals_unit_and_divergence_theorem():

@@ -7,7 +7,6 @@ from gwgflow.quadrature import (
     edge_quadrature,
     map_to_physical,
     triangle_quadrature,
-    triangle_points_xy,
 )
 
 _x, _y = sympy.symbols("x y")
@@ -21,7 +20,7 @@ def _exact_triangle_monomial(a: int, b: int) -> float:
 
 def test_triangle_constant_and_linear():
     r = triangle_quadrature(4)
-    xy = triangle_points_xy(r)
+    xy = r.points[:, 1:]
     assert r.weights.sum() == pytest.approx(0.5, abs=1e-15)
     assert (r.weights * xy[:, 0]).sum() == pytest.approx(1 / 6, abs=1e-15)
 
@@ -31,7 +30,7 @@ def test_triangle_x2y3_against_symbolic_oracle():
     exact = _exact_triangle_monomial(2, 3)
     assert exact == pytest.approx(1 / 420, rel=1e-14)
     r = triangle_quadrature(6)
-    xy = triangle_points_xy(r)
+    xy = r.points[:, 1:]
     val = (r.weights * xy[:, 0] ** 2 * xy[:, 1] ** 3).sum()
     assert val == pytest.approx(exact, rel=1e-13)
 
@@ -39,7 +38,7 @@ def test_triangle_x2y3_against_symbolic_oracle():
 @pytest.mark.parametrize("order", [1, 2, 3, 5, 8, 12, 20])
 def test_triangle_exactness_at_declared_order(order):
     r = triangle_quadrature(order)
-    xy = triangle_points_xy(r)
+    xy = r.points[:, 1:]
     for a in range(order + 1):
         for b in range(order + 1 - a):
             val = (r.weights * xy[:, 0] ** a * xy[:, 1] ** b).sum()

@@ -25,7 +25,7 @@ from gwgflow.verify import evaluate_errors, incompressibility_residual
 
 
 def test_time_grid_validation():
-    g = TimeGrid.from_step_count(1.0, 16)
+    g = TimeGrid.from_tau(1.0, 1.0 / 16)
     assert g.tau == pytest.approx(1 / 16)
     g2 = TimeGrid.from_tau(1.0, 0.25)
     assert g2.n_steps == 4
@@ -33,6 +33,26 @@ def test_time_grid_validation():
         TimeGrid(tau=0.3, n_steps=4, t_final=1.0)
     with pytest.raises(ValueError):
         TimeGrid(tau=-0.1, n_steps=4, t_final=-0.4)
+
+
+@pytest.mark.parametrize("tau", [0.0, float("inf"), float("nan"), 2.0, 5.0])
+def test_time_grid_rejects_bad_tau(tau):
+    # zero, non-finite, or no whole step in t_final = 1
+    with pytest.raises(ValueError, match="tau"):
+        TimeGrid.from_tau(1.0, tau)
+
+
+def test_problem_built_for_other_mu_rho_rejected(mesh4):
+    # the forcing of a problem fixes mu and rho; a config with other values
+    # would silently solve a different problem
+    steady = manufactured_problem("steady_oseen_ex1")
+    with pytest.raises(ValueError, match=r"mu=1\.0.*mu=0\.5"):
+        solve_steady(mesh4, SpaceConfig(1, 0, 1, 0, 0, mu=0.5), steady)
+    evolutionary = manufactured_problem("evolutionary_oseen_ex2", rho=2.0)
+    with pytest.raises(ValueError, match=r"rho=2\.0.*rho=1\.0"):
+        solve_evolutionary(
+            mesh4, SpaceConfig(1, 0, 1, 0, 0), evolutionary, TimeGrid.from_tau(1.0, 0.5)
+        )
 
 
 def _steady_system(mesh, cfg, prob):
@@ -116,7 +136,7 @@ def test_evolutionary_zero_data_stays_zero(mesh4, config_low):
         prob, name="zero", u=zero_vec, g=zero_vec, g2=lambda x, y: zero_vec(x, y),
         f=zero_vec, steady=False,
     )
-    grid = TimeGrid.from_step_count(0.5, 8)
+    grid = TimeGrid.from_tau(0.5, 0.5 / 8)
     traj = solve_evolutionary(mesh4, config_low, zero_prob, grid, keep_trajectory=True)
     assert len(traj) == 8
     for sol in traj:
@@ -129,7 +149,7 @@ def test_evolutionary_matches_reference_cell():
     mesh = build_uniform_triangulation(4)
     cfg = SpaceConfig(2, 1, 1, 1, 1)
     prob = manufactured_problem("evolutionary_oseen_ex2")
-    grid = TimeGrid.from_step_count(1.0, 16)
+    grid = TimeGrid.from_tau(1.0, 1.0 / 16)
     sol = solve_evolutionary(mesh, cfg, prob, grid)
     rep = evaluate_errors(sol, prob)
     assert rep.energy == pytest.approx(2.6240e-02, rel=0.02)
@@ -140,7 +160,7 @@ def test_factor_reuse_equals_refactoring(mesh4, config_low):
     # the march reuses one factorization; a fresh solve of the final-step
     # system must give the same state
     prob = manufactured_problem("evolutionary_oseen_ex2")
-    grid = TimeGrid.from_step_count(0.25, 4)
+    grid = TimeGrid.from_tau(0.25, 0.25 / 4)
     reused = solve_evolutionary(mesh4, config_low, prob, grid)
     system = reused.system
     vel, pres, _ = system.expand(spla.spsolve(*system.operator()))
@@ -165,7 +185,7 @@ def test_evolutionary_late_nan_forcing_raises(mesh4, config_low):
     def f(x, y, t):
         return prob.f(x, y, t) if t <= 0.5 else np.full(np.shape(x) + (2,), np.nan)
 
-    grid = TimeGrid.from_step_count(1.0, 8)
+    grid = TimeGrid.from_tau(1.0, 1.0 / 8)
     with pytest.raises(ValueError, match="forcing f"):
         solve_evolutionary(mesh4, config_low, replace(prob, f=f), grid)
 
@@ -183,7 +203,7 @@ def test_trajectory_states_keep_their_own_step_data(mesh4, config_low):
     # every state of a kept trajectory carries its own step's boundary data
     # and right-hand side, so its system reproduces that state
     prob = manufactured_problem("evolutionary_oseen_ex2")
-    grid = TimeGrid.from_step_count(1.0, 4)
+    grid = TimeGrid.from_tau(1.0, 1.0 / 4)
     traj = solve_evolutionary(mesh4, config_low, prob, grid, keep_trajectory=True)
     for sol in traj:
         system = sol.system
@@ -200,7 +220,7 @@ def test_time_march_approaches_steady_fixed_point(mesh4, config_low):
     steady = solve_steady(mesh4, config_low, steady_prob)
 
     frozen = replace(steady_prob, steady=False, g2=lambda x, y: 0.0 * steady_prob.u(x, y, 0.0))
-    grid = TimeGrid.from_step_count(8.0, 64)
+    grid = TimeGrid.from_tau(8.0, 8.0 / 64)
     traj = solve_evolutionary(mesh4, config_low, frozen, grid, keep_trajectory=True)
     ref = steady.velocity_vector
     dists = [np.linalg.norm(sol.velocity_vector - ref) for sol in traj]
@@ -213,7 +233,7 @@ def test_time_march_approaches_steady_fixed_point(mesh4, config_low):
 
 def test_incompressibility_along_march(mesh4, config_high):
     prob = manufactured_problem("evolutionary_oseen_ex2")
-    grid = TimeGrid.from_step_count(0.5, 4)
+    grid = TimeGrid.from_tau(0.5, 0.5 / 4)
     traj = solve_evolutionary(mesh4, config_high, prob, grid, keep_trajectory=True)
     for sol in traj:
         assert incompressibility_residual(sol) < 1e-9

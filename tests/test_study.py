@@ -56,6 +56,20 @@ def test_study_config_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "rule", ["fixed:0", "fixed:-1", "fixed:nan", "fixed:3", "list:0.5,0"]
+)
+def test_study_config_rejects_bad_tau(rule):
+    # a bad step must fail when the study is configured, not in its first cell
+    with pytest.raises(ValueError, match="tau"):
+        StudyConfig(
+            problem="evolutionary_oseen_ex2",
+            elements=(1, 0, 1, 0, 0),
+            mesh_sizes=(4,),
+            tau_rule=rule,
+        )
+
+
 def test_stokes_patch_study_suppresses_orders(tmp_path):
     study = StudyConfig(
         problem="stokes_patch",

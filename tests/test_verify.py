@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from gwgflow.assembly import WeakVelocity, PressureField
+from dataclasses import replace
+
 from gwgflow.config import SpaceConfig
 from gwgflow.localops import ElementKernels, project_pressure, project_velocity
 from gwgflow.mesh import build_uniform_triangulation
 from gwgflow.problems import manufactured_problem
-from gwgflow.solver import solve_steady
+from gwgflow.solver import DiscreteSolution, solve_steady
 from gwgflow.verify import (
     check_weak_identities,
-    error_energy,
-    error_l2,
     estimate_coercivity,
     estimate_infsup,
     evaluate_errors,
@@ -18,41 +17,40 @@ from gwgflow.verify import (
 )
 
 
-def _exact_projection(mesh, cfg, field):
-    ker = ElementKernels(mesh, cfg)
-    interior, traces = project_velocity(ker, field)
-    return WeakVelocity(interior, traces), ker
+def _projection_errors(mesh, cfg):
+    """Errors of the state that holds exactly the projections of ex1's u, p."""
+    prob = manufactured_problem("steady_oseen_ex1")
+    system = solve_steady(mesh, cfg, prob).system
+    ker = system.kernels
+    projected = DiscreteSolution(
+        velocity_vector=ker.dofmap.velocity_vector(*project_velocity(ker, prob.u, 0.0)),
+        pressure_vector=project_pressure(ker, prob.p, 0.0).reshape(-1),
+        time=0.0,
+        multiplier=0.0,
+        system=system,
+    )
+    return evaluate_errors(projected, prob)
 
 
 def test_error_energy_zero_for_projection(mesh4, element_tuple):
-    cfg = SpaceConfig(*element_tuple)
-    prob = manufactured_problem("steady_oseen_ex1")
-    u_h, ker = _exact_projection(mesh4, cfg, lambda x, y: prob.u(x, y, 0.0))
-    err = error_energy(ker, u_h, prob.u, 0.0)
-    assert err < 1e-12
+    assert _projection_errors(mesh4, SpaceConfig(*element_tuple)).energy < 1e-12
 
 
 def test_error_l2_zero_for_projection(mesh4, element_tuple):
-    cfg = SpaceConfig(*element_tuple)
-    prob = manufactured_problem("steady_oseen_ex1")
-    u_h, ker = _exact_projection(mesh4, cfg, lambda x, y: prob.u(x, y, 0.0))
-    err = error_l2(ker, u_h, prob.u, "velocity", "vs_projection", 0.0)
-    assert err == 0.0 or err < 1e-14
-    p_h = PressureField(project_pressure(ker, lambda x, y: prob.p(x, y, 0.0)))
-    errp = error_l2(ker, p_h, prob.p, "pressure", "vs_projection", 0.0)
-    assert errp < 1e-14
+    report = _projection_errors(mesh4, SpaceConfig(*element_tuple))
+    assert report.l2_velocity_proj < 1e-14
+    assert report.l2_pressure_proj < 1e-14
 
 
-def test_error_l2_argument_validation(mesh4, config_low):
+def test_evaluate_errors_rejects_nonfinite_exact_fields(mesh4, config_low):
     prob = manufactured_problem("steady_oseen_ex1")
-    u_h, ker = _exact_projection(mesh4, config_low, lambda x, y: prob.u(x, y, 0.0))
-    with pytest.raises(ValueError):
-        error_l2(ker, u_h, prob.u, "vorticity")
-    with pytest.raises(ValueError):
-        error_l2(ker, u_h, prob.u, "velocity", "vs_interpolant")
+    sol = solve_steady(mesh4, config_low, prob)
     nan_u = lambda x, y, t: np.full(np.shape(x) + (2,), np.nan)
+    nan_p = lambda x, y, t: np.full(np.shape(x), np.nan)
     with pytest.raises(ValueError, match="exact velocity"):
-        error_l2(ker, u_h, nan_u, "velocity", "vs_exact")
+        evaluate_errors(sol, replace(prob, u=nan_u))
+    with pytest.raises(ValueError, match="exact pressure"):
+        evaluate_errors(sol, replace(prob, p=nan_p))
 
 
 def test_weak_identities_pass(mesh4, element_tuple):
@@ -71,7 +69,7 @@ def test_weak_identities_constant_field_trivial(mesh4, config_low):
     interior, traces = project_velocity(
         ker, lambda x, y: np.stack([np.full_like(x, 2.0), np.full_like(y, -1.0)], axis=-1)
     )
-    vec = WeakVelocity(interior, traces).to_vector(dm)
+    vec = dm.velocity_vector(interior, traces)
     W = ker.weak_gradient_values(slice(None))
     vals = np.einsum("tpcqi,ti->tpcq", W, vec[dm.elem_vel])
     assert np.abs(vals).max() < 1e-13
