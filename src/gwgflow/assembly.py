@@ -2,11 +2,11 @@
 
 Every routine takes the ``ElementKernels`` of one mesh/config pair, whose
 ``dofmap`` fixes the global numbering.  All matrices are assembled over
-the full (unreduced) DOF sets; the Dirichlet reduction and the
-pressure-mean constraint are recorded on the ``SaddleSystem`` and applied
-when the linear operator is formed.  Assembly walks elements in index
-order in chunks of ``DEFAULT_CHUNK``, so the result is independent of the
-chunk size and of any outer parallelism over chunks.
+the full (unreduced) DOF sets; the Dirichlet reduction is recorded on the
+``SaddleSystem`` and applied when the linear operator is formed, with one
+pressure DOF pinned; ``expand`` shifts the pressure to zero mean.
+Assembly walks elements in index order in chunks of ``DEFAULT_CHUNK``, so
+the result is independent of the chunk size and of any outer parallelism.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import scipy.sparse as sp
 from .localops import ElementKernels, _eval_field, project_boundary_traces
 
 DEFAULT_CHUNK = 2048
+
+COMPAT_TOL = 1e-10  # relative bound on the net boundary flux of g
 
 FORMS = ("viscous", "convection", "s1", "s2", "divergence", "mass")
 
@@ -152,7 +154,7 @@ def assemble_load(kernels: ElementKernels, f, time: float | None = None) -> np.n
 
 @dataclass
 class SaddleSystem:
-    """Assembled blocks plus boundary and mean-constraint bookkeeping.
+    """Assembled blocks plus boundary and zero-mean bookkeeping.
 
     The mesh, config and DOF numbering are read through ``kernels``.
     """
@@ -162,7 +164,6 @@ class SaddleSystem:
     B: sp.csr_matrix
     S2: sp.csr_matrix
     rhs_vel: np.ndarray
-    rhs_pres: np.ndarray
     dirichlet_values: np.ndarray | None = None
     mean_vector: np.ndarray | None = None
     _reduced: dict = field(default_factory=dict, repr=False)
@@ -182,46 +183,50 @@ class SaddleSystem:
         return self._reduced
 
     def operator(self):
-        """Constrained, Dirichlet-reduced matrix and right-hand side.
+        """Dirichlet-reduced ``[[A_ff, -B_f^T], [B_f, S2]]`` and right-hand side.
 
-        The matrix is built on the first call and cached beside the reduced
-        blocks; later calls only form the right-hand side from the current
-        ``rhs_vel`` and ``dirichlet_values``.
+        The row and column of pressure DOF ``elem_pres[0, 0]`` are deleted:
+        constants are the only pressure null space.  The dropped equation,
+        the sum of the constant-mode rows, says that g has no net outward
+        flux; a ``ValueError`` is raised when that fails by more than
+        ``COMPAT_TOL``.  The matrix is cached on the first call; later calls
+        only form the right-hand side from ``rhs_vel`` and the boundary data.
         """
         if self.dirichlet_values is None:
             raise ValueError("apply_dirichlet must run before forming the operator")
         if self.mean_vector is None:
             raise ValueError("constrain_system must run before forming the operator")
         red = self.reduced_blocks()
+        dm = self.kernels.dofmap
+        keep = np.delete(np.arange(dm.n_pressure), dm.elem_pres[0, 0])
         if "K" not in red:
-            c = sp.csr_matrix(self.mean_vector[:, None])
+            B_k = red["B_f"][keep]
             red["K"] = sp.bmat(
-                [
-                    [red["A_ff"], -red["B_f"].T, None],
-                    [red["B_f"], self.S2, c],
-                    [None, c.T, None],
-                ],
-                format="csc",
+                [[red["A_ff"], -B_k.T], [B_k, self.S2[keep][:, keep]]], format="csc"
             )
-        free = self.kernels.dofmap.free_dofs
         g = self.dirichlet_values
-        r_vel = self.rhs_vel[free] - red["A_fb"] @ g
-        r_pres = self.rhs_pres - red["B_b"] @ g
-        rhs = np.concatenate([r_vel, r_pres, [0.0]])
-        return red["K"], rhs
+        r_vel = self.rhs_vel[dm.free_dofs] - red["A_fb"] @ g
+        b_g = red["B_b"] @ g
+        flux = b_g[dm.elem_pres[:, 0]]
+        if abs(flux.sum()) > COMPAT_TOL * np.abs(flux).sum():
+            raise ValueError(f"boundary data g has net outward flux {flux.sum():.3e}, not 0")
+        return red["K"], np.concatenate([r_vel, -b_g[keep]])
 
     def expand(self, x: np.ndarray):
-        """Split a solution vector into full velocity, pressure, multiplier.
+        """Full velocity and pressure vectors of a solution of ``operator()``.
 
-        Both vectors are new arrays, so a kept state does not hold ``x``.
+        The pinned pressure DOF is put back as 0, then every element's
+        constant mode is shifted by one value so that ``mean_vector @ pres``
+        is 0.  Both vectors are new arrays, so a kept state does not hold x.
         """
         dm = self.kernels.dofmap
-        nfree, npres = dm.free_dofs.size, dm.n_pressure
+        nfree, const = dm.free_dofs.size, dm.elem_pres[:, 0]
         vel = np.zeros(dm.n_velocity)
         vel[dm.free_dofs] = x[:nfree]
         vel[dm.boundary_dofs] = self.dirichlet_values
-        pres = x[nfree : nfree + npres].copy()
-        return vel, pres, float(x[-1])
+        pres = np.insert(x[nfree:], const[0], 0.0)
+        pres[const] -= (self.mean_vector @ pres) / self.mean_vector[const].sum()
+        return vel, pres
 
 
 def build_saddle_system(kernels: ElementKernels, beta) -> SaddleSystem:
@@ -235,14 +240,12 @@ def build_saddle_system(kernels: ElementKernels, beta) -> SaddleSystem:
     A = A + assemble_bilinear("s1", kernels)
     B = assemble_bilinear("divergence", kernels)
     S2 = assemble_bilinear("s2", kernels)
-    dm = kernels.dofmap
     return SaddleSystem(
         kernels=kernels,
         A=A.tocsr(),
         B=B,
         S2=S2,
-        rhs_vel=np.zeros(dm.n_velocity),
-        rhs_pres=np.zeros(dm.n_pressure),
+        rhs_vel=np.zeros(kernels.dofmap.n_velocity),
     )
 
 
@@ -259,7 +262,7 @@ def apply_dirichlet(system: SaddleSystem, g, time: float | None = None) -> Saddl
 
 
 def constrain_system(system: SaddleSystem) -> SaddleSystem:
-    """Append the zero-mean pressure constraint as a Lagrange multiplier."""
+    """Record ``mean_vector``, with ``mean_vector @ p`` the integral of p."""
     ker = system.kernels
     mean = np.einsum("tp,tpi->ti", ker.qw, ker.Vn).reshape(-1)
     system.mean_vector = mean

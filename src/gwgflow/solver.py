@@ -61,7 +61,7 @@ class TimeGrid:
 
 @dataclass
 class DiscreteSolution:
-    """Velocity/pressure DOF vectors at one time level plus the mean multiplier.
+    """Velocity and zero-mean pressure DOF vectors at one time level.
 
     Both vectors are laid out by ``system.kernels.dofmap``; its
     ``split_velocity`` gives the interior and trace blocks of the velocity.
@@ -70,7 +70,6 @@ class DiscreteSolution:
     velocity_vector: np.ndarray
     pressure_vector: np.ndarray
     time: float
-    multiplier: float
     system: SaddleSystem
 
     @property
@@ -79,7 +78,7 @@ class DiscreteSolution:
 
 
 def linear_solve(system: SaddleSystem, factor=None) -> np.ndarray:
-    """Direct sparse solve of the constrained, reduced system.
+    """Direct sparse solve of the reduced, pressure-pinned ``system.operator()``.
 
     Every solve, steady or time step, goes through here.  The relative
     residual is checked against ``RESIDUAL_TOL``; one step of iterative
@@ -182,5 +181,4 @@ def _check_inputs(config: SpaceConfig, problem) -> None:
 
 
 def _solution(system: SaddleSystem, x: np.ndarray, time: float) -> DiscreteSolution:
-    vel, pres, lam = system.expand(x)
-    return DiscreteSolution(vel, pres, time, lam, system)
+    return DiscreteSolution(*system.expand(x), time, system)

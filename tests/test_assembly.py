@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from gwgflow import assembly
 from gwgflow.assembly import (
@@ -12,7 +11,6 @@ from gwgflow.assembly import (
 )
 from gwgflow.config import SpaceConfig
 from gwgflow.localops import ElementKernels, project_pressure, project_velocity
-from gwgflow.mesh import build_uniform_triangulation
 from gwgflow.problems import manufactured_problem
 
 
@@ -200,6 +198,22 @@ def test_constraint_row(mesh4, element_tuple):
     assert c @ const == pytest.approx(1.0, abs=1e-12)  # area of the domain
     coeffs = project_pressure(ker, lambda x, y: (2 * x - 1) * (2 * y - 1)).reshape(-1)
     assert abs(c @ coeffs) < 1e-12
+
+
+def test_operator_has_no_dense_row(mesh8, element_tuple):
+    # one pinned pressure DOF and no bordering row: every row and column of
+    # the operator couples at most two elements' local DOFs
+    ker = ElementKernels(mesh8, SpaceConfig(*element_tuple))
+    dm = ker.dofmap
+    prob = manufactured_problem("steady_oseen_ex1")
+    system = build_saddle_system(ker, prob.beta)
+    apply_dirichlet(system, prob.g, 0.0)
+    constrain_system(system)
+    K = system.operator()[0]
+    n = dm.free_dofs.size + dm.n_pressure - 1
+    assert K.shape == (n, n)
+    assert np.diff(K.tocsr().indptr).max() <= 2 * ker.nloc
+    assert np.diff(K.tocsc().indptr).max() <= 2 * ker.nloc
 
 
 def test_assembly_deterministic_rebuild(mesh4, element_tuple):

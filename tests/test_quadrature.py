@@ -3,7 +3,6 @@ import pytest
 import sympy
 
 from gwgflow.quadrature import (
-    MAX_ORDER,
     edge_quadrature,
     map_to_physical,
     triangle_quadrature,

@@ -7,7 +7,6 @@ import pytest
 
 import gwgflow.study
 from gwgflow.study import (
-    ConvergenceReport,
     StudyConfig,
     compute_order,
     run_convergence_study,

@@ -26,7 +26,6 @@ def _projection_errors(mesh, cfg):
         velocity_vector=ker.dofmap.velocity_vector(*project_velocity(ker, prob.u, 0.0)),
         pressure_vector=project_pressure(ker, prob.p, 0.0).reshape(-1),
         time=0.0,
-        multiplier=0.0,
         system=system,
     )
     return evaluate_errors(projected, prob)
