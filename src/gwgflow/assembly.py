@@ -4,7 +4,10 @@ Every routine takes the ``ElementKernels`` of one mesh/config pair, whose
 ``dofmap`` fixes the global numbering.  All matrices are assembled over
 the full (unreduced) DOF sets; the Dirichlet reduction is recorded on the
 ``SaddleSystem`` and applied when the linear operator is formed, with one
-pressure DOF pinned; ``expand`` shifts the pressure to zero mean.
+pressure DOF pinned; ``expand`` shifts the pressure to zero mean.  The
+element-interior velocity DOFs lead the reduced unknowns, and their block
+of the operator is block diagonal, so the solver condenses them out
+element by element and factors only the trace-pressure Schur complement.
 Assembly walks elements in index order in chunks of ``DEFAULT_CHUNK``, so
 the result is independent of the chunk size and of any outer parallelism.
 """
@@ -148,7 +151,7 @@ def assemble_load(kernels: ElementKernels, f, time: float | None = None) -> np.n
     vals = _eval_field("forcing f", f, kernels.qp[..., 0], kernels.qp[..., 1], time)
     vec = np.zeros(kernels.dofmap.n_velocity)
     interior, _ = kernels.dofmap.split_velocity(vec)
-    interior[...] = np.einsum("tp,tpc,tpi->tci", kernels.qw, vals, kernels.Vk)
+    interior[...] = kernels.interior_moments(vals)
     return vec
 
 

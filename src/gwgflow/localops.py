@@ -47,8 +47,10 @@ class DofMap:
     element order, then per-edge trace blocks in edge order; pressure DOFs
     are per-element contiguous blocks of ``dn``.  A discrete solution is
     held as these two flat vectors.  ``_number_dofs`` fixes the layout;
-    ``velocity_vector`` and ``split_velocity`` are the only other code that
-    knows where the interior block ends.
+    ``n_interior`` is where the interior block ends, and ``velocity_vector``,
+    ``split_velocity`` and the solver's static condensation rely on it.
+    Every interior DOF is free, so the interior block also leads the
+    Dirichlet-reduced unknowns.
     """
 
     n_elements: int
@@ -69,13 +71,18 @@ class DofMap:
     def n_pressure(self) -> int:
         return self.n_elements * self.dn
 
+    @property
+    def n_interior(self) -> int:
+        """Interior velocity DOFs: ``2*dk`` per element, leading the velocity vector."""
+        return self.n_elements * 2 * self.dk
+
     def velocity_vector(self, interior: np.ndarray, traces: np.ndarray) -> np.ndarray:
         """Global velocity vector from interior (nT, 2, dk) and trace (nE, 2, dj) blocks."""
         return np.concatenate([interior.reshape(-1), traces.reshape(-1)])
 
     def split_velocity(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Views of a global velocity vector: interior (nT, 2, dk), traces (nE, 2, dj)."""
-        ni = self.n_elements * 2 * self.dk
+        ni = self.n_interior
         return (
             vec[:ni].reshape(self.n_elements, 2, self.dk),
             vec[ni:].reshape(self.n_edges, 2, self.dj),
@@ -169,6 +176,7 @@ class ElementKernels:
         self.Gm = eval_tri_gradients(m, local, h)
 
         w = self.qw
+        self.wVk = w[..., None] * self.Vk                # (nT, np, dk)
         self.Mk = np.einsum("tp,tpi,tpj->tij", w, self.Vk, self.Vk)
         self.Ml = np.einsum("tp,tpi,tpj->tij", w, self.Vl, self.Vl)
         self.Mm = np.einsum("tp,tpi,tpj->tij", w, self.Vm, self.Vm)
@@ -263,6 +271,10 @@ class ElementKernels:
             W[:, :, c, :, self.comp_cols[c]] += dvals.transpose(3, 0, 1, 2)
         return W
 
+    def interior_moments(self, vals: np.ndarray) -> np.ndarray:
+        """Moments (v, phi_i)_T of vector values (nT, np, 2) at ``qp``, (nT, 2, dk)."""
+        return np.matmul(vals.transpose(0, 2, 1), self.wVk)
+
     def interior_values(self, sl: slice) -> np.ndarray:
         """Values of the interior part of every local shape, (nchunk, npts, 2, nloc)."""
         Vk = self.Vk[sl]
@@ -326,8 +338,7 @@ def project_velocity(
     (nE, 2, dj); the field is evaluated as ``f(x, y[, t]) -> (..., 2)``.
     """
     vals = _eval_field("velocity field", f, kernels.qp[..., 0], kernels.qp[..., 1], time)
-    rhs = np.einsum("tp,tpc,tpi->tci", kernels.qw, vals, kernels.Vk)
-    interior = _solve_mass(kernels.Mk[:, None], rhs[..., None], "projection")[..., 0]
+    interior = _project_interior(kernels, vals)
     traces = _project_edges(kernels, "velocity field", f, kernels.edge_pts, time)
     return interior, traces
 
@@ -335,6 +346,17 @@ def project_velocity(
 def project_pressure(kernels: ElementKernels, f, time: float | None = None) -> np.ndarray:
     """Project a scalar field onto the broken pressure space, (nT, dn)."""
     vals = _eval_field("pressure field", f, kernels.qp[..., 0], kernels.qp[..., 1], time)
+    return _project_pressure_values(kernels, vals)
+
+
+def _project_interior(kernels: ElementKernels, vals: np.ndarray) -> np.ndarray:
+    """Interior coefficients (nT, 2, dk) of Q_0 from values (nT, np, 2) at ``qp``."""
+    rhs = kernels.interior_moments(vals)
+    return _solve_mass(kernels.Mk[:, None], rhs[..., None], "projection")[..., 0]
+
+
+def _project_pressure_values(kernels: ElementKernels, vals: np.ndarray) -> np.ndarray:
+    """Broken pressure coefficients (nT, dn) from values (nT, np) at ``qp``."""
     rhs = np.einsum("tp,tp,tpi->ti", kernels.qw, vals, kernels.Vn)
     return _solve_mass(kernels.Mn, rhs[..., None], "pressure projection")[..., 0]
 

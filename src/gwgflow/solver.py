@@ -80,13 +80,15 @@ class DiscreteSolution:
 def linear_solve(system: SaddleSystem, factor=None) -> np.ndarray:
     """Direct sparse solve of the reduced, pressure-pinned ``system.operator()``.
 
-    Every solve, steady or time step, goes through here.  The relative
-    residual is checked against ``RESIDUAL_TOL``; one step of iterative
-    refinement is applied if needed, and ``LinearSolveError`` is raised
-    when the residual still fails the check, including when it is NaN.
+    Every solve, steady or time step, goes through here, with the
+    condensed factor of ``_factorize`` (built here unless ``factor`` is
+    given).  The relative residual is checked on the full pinned ``K``
+    against ``RESIDUAL_TOL``; one step of iterative refinement is applied
+    if needed, and ``LinearSolveError`` is raised when the residual still
+    fails the check, including when it is NaN.
     """
     K, rhs = system.operator()
-    lu = factor if factor is not None else _factorize(K)
+    lu = factor if factor is not None else _factorize(system)
     x = lu.solve(rhs)
     scale = max(np.linalg.norm(rhs), 1e-300)
     res = np.linalg.norm(K @ x - rhs) / scale
@@ -100,11 +102,73 @@ def linear_solve(system: SaddleSystem, factor=None) -> np.ndarray:
     return x
 
 
-def _factorize(K: sp.csc_matrix):
+@dataclass(frozen=True)
+class _CondensedFactor:
+    """Factor of the pinned ``K`` with the element interiors condensed out.
+
+    ``K = [[D, K_Ic], [K_cI, K_cc]]``, where the interior block ``D`` is
+    block diagonal, one ``2*dk`` square block per element.  ``D`` is
+    inverted element by element and only the Schur complement
+    ``S = K_cc - K_cI D^-1 K_Ic`` on the traces and pressures is factored
+    by SuperLU.  ``solve`` takes and returns vectors of ``K``'s size.
+    """
+
+    Dinv: sp.csr_matrix
+    K_Ic: sp.csr_matrix
+    K_cI: sp.csr_matrix
+    lu: spla.SuperLU
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        nI = self.Dinv.shape[0]
+        r_I = r[:nI]
+        x_c = self.lu.solve(r[nI:] - self.K_cI @ (self.Dinv @ r_I))
+        x_I = self.Dinv @ (r_I - self.K_Ic @ x_c)
+        return np.concatenate([x_I, x_c])
+
+
+def _factorize(system: SaddleSystem) -> _CondensedFactor:
+    """Condensed factor of ``system.operator()``'s matrix (see ``_CondensedFactor``).
+
+    The first ``dofmap.n_interior`` unknowns of ``K`` are the element
+    interiors, contiguous per element.  A singular element block or a
+    singular Schur complement raises ``LinearSolveError``.
+    """
+    K = system.operator()[0]
+    dm = system.kernels.dofmap
+    nI, nT = dm.n_interior, dm.n_elements
+    b = nI // nT
+    D = K[:nI, :nI].tocoo()
+    blocks = np.zeros((nT, b, b))
+    blocks[D.row // b, D.row % b, D.col % b] = D.data
+    inv = _invert_blocks(blocks)
+    # row r of D^-1 holds the b columns of its element's block
+    cols = (np.arange(nI) // b * b)[:, None] + np.arange(b)
+    Dinv = sp.csr_matrix(
+        (inv.reshape(-1), cols.ravel(), np.arange(nI + 1) * b), shape=(nI, nI)
+    )
+    K_Ic = K[:nI, nI:].tocsr()
+    K_cI = K[nI:, :nI].tocsr()
+    S = (K[nI:, nI:] - (K_cI @ Dinv) @ K_Ic).tocsc()
     try:
-        return spla.splu(K)
+        lu = spla.splu(S)
     except RuntimeError as exc:  # singular factorization, SuperLU reports pivot
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
+    return _CondensedFactor(Dinv, K_Ic, K_cI, lu)
+
+
+def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Batched inverse of the (nT, b, b) interior blocks, naming a singular one."""
+    try:
+        return np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:
+        for t, block in enumerate(blocks):
+            try:
+                np.linalg.inv(block)
+            except np.linalg.LinAlgError:
+                raise LinearSolveError(
+                    f"interior block of element {t} is singular"
+                ) from None
+        raise
 
 
 def solve_steady(mesh: Mesh, config: SpaceConfig, problem) -> DiscreteSolution:
@@ -131,9 +195,11 @@ def solve_evolutionary(
     The initial state is the weak projection of the initial velocity; each
     step sets the load and boundary data of the new time level and solves
     the mass-augmented system through ``linear_solve``.  The coefficients
-    do not depend on time, so the matrix is factored once, on the first
-    step, and the factor is reused.  Every step is residual-checked, so a
-    failed step raises ``LinearSolveError`` instead of marching on.  Each
+    do not depend on time, so the condensed factor of ``_factorize`` (the
+    element-interior inverses and the LU of the trace-pressure Schur
+    complement) is built once, on the first step, and reused.  Every step
+    is residual-checked on the full pinned operator, so a failed step
+    raises ``LinearSolveError`` instead of marching on.  Each
     state holds its own shallow copy of the system (sharing the matrices
     and the factored operator) with that step's ``rhs_vel`` and
     ``dirichlet_values``.  Returns the solution at the final time, or the
@@ -157,7 +223,7 @@ def solve_evolutionary(
         system.rhs_vel = assemble_load(ker, problem.f, t) + mass @ (u_prev / grid.tau)
         apply_dirichlet(system, problem.g, t)
         if lu is None:
-            lu = _factorize(system.operator()[0])
+            lu = _factorize(system)
         solution = _solution(replace(system), linear_solve(system, lu), t)
         u_prev = solution.velocity_vector
         if keep_trajectory:

@@ -17,7 +17,14 @@ import scipy.sparse.linalg as spla
 
 from .assembly import DEFAULT_CHUNK, assemble_bilinear
 from .basis import dim_p, eval_tri_gradients, eval_tri_values, tri_exponents
-from .localops import ElementKernels, _eval_field, project_pressure, project_velocity
+from .localops import (
+    ElementKernels,
+    _eval_field,
+    _project_edges,
+    _project_interior,
+    _project_pressure_values,
+    project_velocity,
+)
 
 DENSE_EIG_LIMIT = 5000
 
@@ -51,8 +58,9 @@ def energy_seminorm(kernels: ElementKernels, vel_vector: np.ndarray) -> float:
 def evaluate_errors(solution, problem) -> ErrorReport:
     """All error norms of a solved state at its own time stamp.
 
-    The exact ``u`` and ``p`` are evaluated at the quadrature points and
-    projected once each.  The energy error is measured against Q_h u; the
+    The exact ``u`` and ``p`` are evaluated once at the volume quadrature
+    points; those values serve both the vs-exact norms and the local
+    projections.  The energy error is measured against Q_h u; the
     L2 errors of the interior velocity and of the pressure against both
     the local L2 projection and the exact field.
     """
@@ -61,8 +69,9 @@ def evaluate_errors(solution, problem) -> ErrorReport:
     x, y = ker.qp[..., 0], ker.qp[..., 1]
     u_exact = _eval_field("exact velocity", problem.u, x, y, t)
     p_exact = _eval_field("exact pressure", problem.p, x, y, t)
-    u_interior, u_traces = project_velocity(ker, problem.u, t)
-    p_proj = project_pressure(ker, problem.p, t)
+    u_interior = _project_interior(ker, u_exact)
+    u_traces = _project_edges(ker, "exact velocity", problem.u, ker.edge_pts, t)
+    p_proj = _project_pressure_values(ker, p_exact)
 
     u_vec = solution.velocity_vector
     u_h = np.einsum("tci,tpi->tpc", dm.split_velocity(u_vec)[0], ker.Vk)

@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gwgflow.assembly import (
     apply_dirichlet,
+    assemble_bilinear,
     assemble_load,
     build_saddle_system,
     constrain_system,
@@ -17,6 +19,7 @@ from gwgflow.problems import manufactured_problem
 from gwgflow.solver import (
     LinearSolveError,
     TimeGrid,
+    _factorize,
     linear_solve,
     solve_evolutionary,
     solve_steady,
@@ -62,6 +65,69 @@ def _steady_system(mesh, cfg, prob):
     apply_dirichlet(system, prob.g, 0.0)
     constrain_system(system)
     return system
+
+
+def _backward_euler_system(mesh, cfg, prob, tau=0.1):
+    # the mass-augmented system of one step of solve_evolutionary
+    ker = ElementKernels(mesh, cfg)
+    system = build_saddle_system(ker, prob.beta)
+    system.A = (system.A + assemble_bilinear("mass", ker) / tau).tocsr()
+    system.rhs_vel = assemble_load(ker, prob.f, tau)
+    apply_dirichlet(system, prob.g, tau)
+    constrain_system(system)
+    return system
+
+
+def _systems(mesh, cfg):
+    return {
+        "steady": _steady_system(mesh, cfg, manufactured_problem("steady_oseen_ex1")),
+        "backward_euler": _backward_euler_system(
+            mesh, cfg, manufactured_problem("evolutionary_oseen_ex2")
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", ["steady", "backward_euler"])
+def test_condensed_solve_equals_full_solve(mesh8, element_tuple, kind):
+    system = _systems(mesh8, SpaceConfig(*element_tuple))[kind]
+    K, rhs = system.operator()
+    full = spla.spsolve(K, rhs)
+    condensed = _factorize(system).solve(rhs)
+    assert np.linalg.norm(condensed - full) <= 1e-9 * np.linalg.norm(full)
+    assert np.linalg.norm(linear_solve(system) - full) <= 1e-9 * np.linalg.norm(full)
+
+
+def test_factored_matrix_is_the_condensed_one(mesh4, element_tuple, monkeypatch):
+    # SuperLU sees only the traces and pressures: the element interiors
+    # are eliminated and one pressure DOF is pinned
+    factored = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda S: factored.append(S.shape) or splu(S))
+    cfg = SpaceConfig(*element_tuple)
+    solve_steady(mesh4, cfg, manufactured_problem("steady_oseen_ex1"))
+    dm = ElementKernels(mesh4, cfg).dofmap
+    n = dm.free_dofs.size - 2 * dm.dk * dm.n_elements + dm.n_pressure - 1
+    assert factored == [(n, n)]
+
+
+def test_factor_of_another_system_fails_the_residual_check(mesh4, element_tuple):
+    # the residual is checked on the full pinned K, not on the factored one
+    systems = _systems(mesh4, SpaceConfig(*element_tuple))
+    other = _factorize(systems["backward_euler"])
+    with pytest.raises(LinearSolveError, match="relative residual"):
+        linear_solve(systems["steady"], other)
+
+
+def test_singular_interior_block_raises(mesh4, element_tuple):
+    system = _steady_system(
+        mesh4, SpaceConfig(*element_tuple), manufactured_problem("steady_oseen_ex1")
+    )
+    dm = system.kernels.dofmap
+    keep = np.ones(dm.n_velocity)
+    keep[dm.elem_vel[5, : 2 * dm.dk]] = 0.0
+    system.A = (sp.diags(keep) @ system.A @ sp.diags(keep)).tocsr()
+    with pytest.raises(LinearSolveError, match="interior block of element 5 is singular"):
+        linear_solve(system)
 
 
 def test_linear_solve_residual_check(mesh4, element_tuple):

@@ -139,3 +139,27 @@ def test_evaluate_errors_report_fields(mesh4, config_low):
     ):
         assert value >= 0.0
     assert rep.l2_velocity_true >= rep.l2_velocity_proj - 1e-15
+
+
+def test_evaluate_errors_evaluates_each_exact_field_once(mesh4, config_low):
+    # the values at the volume points serve both the vs-exact norms and the
+    # projections; u is evaluated once more, at the edge points, for Q_b u
+    prob = manufactured_problem("steady_oseen_ex1")
+    sol = solve_steady(mesh4, config_low, prob)
+    shapes = {"u": [], "p": []}
+
+    def counted(name, f):
+        def field(x, y, t):
+            shapes[name].append(np.shape(x))
+            return f(x, y, t)
+
+        return field
+
+    rep = evaluate_errors(
+        sol, replace(prob, u=counted("u", prob.u), p=counted("p", prob.p))
+    )
+    volume = sol.system.kernels.qp.shape[:2]
+    assert shapes["u"].count(volume) == 1
+    assert len(shapes["u"]) == 2
+    assert shapes["p"] == [volume]
+    assert rep == evaluate_errors(sol, prob)
