@@ -45,6 +45,15 @@ def test_project_interior_convergence_rate(config_high):
     assert slopes[-1] == pytest.approx(3.0, abs=0.1)
 
 
+def test_interior_moments_match_einsum_reference(mesh4, element_tuple):
+    # the batched matmul sums the quadrature points in another order than
+    # the einsum it replaced: equal to a few ulps of the largest moment
+    ker = ElementKernels(mesh4, SpaceConfig(*element_tuple))
+    vals = np.stack([np.sin(ker.qp[..., 0]), np.cos(ker.qp[..., 1])], axis=-1)
+    ref = np.einsum("tp,tpc,tpi->tci", ker.qw, vals, ker.Vk)
+    assert np.abs(ker.interior_moments(vals) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_projection_idempotent(mesh4, config_high):
     # projecting the projection leaves the coefficients unchanged
     ker = ElementKernels(mesh4, config_high)

@@ -78,18 +78,15 @@ def _backward_euler_system(mesh, cfg, prob, tau=0.1):
     return system
 
 
-def _systems(mesh, cfg):
-    return {
-        "steady": _steady_system(mesh, cfg, manufactured_problem("steady_oseen_ex1")),
-        "backward_euler": _backward_euler_system(
-            mesh, cfg, manufactured_problem("evolutionary_oseen_ex2")
-        ),
-    }
+def _system(kind, mesh, cfg):
+    if kind == "steady":
+        return _steady_system(mesh, cfg, manufactured_problem("steady_oseen_ex1"))
+    return _backward_euler_system(mesh, cfg, manufactured_problem("evolutionary_oseen_ex2"))
 
 
 @pytest.mark.parametrize("kind", ["steady", "backward_euler"])
 def test_condensed_solve_equals_full_solve(mesh8, element_tuple, kind):
-    system = _systems(mesh8, SpaceConfig(*element_tuple))[kind]
+    system = _system(kind, mesh8, SpaceConfig(*element_tuple))
     K, rhs = system.operator()
     full = spla.spsolve(K, rhs)
     condensed = _factorize(system).solve(rhs)
@@ -112,10 +109,10 @@ def test_factored_matrix_is_the_condensed_one(mesh4, element_tuple, monkeypatch)
 
 def test_factor_of_another_system_fails_the_residual_check(mesh4, element_tuple):
     # the residual is checked on the full pinned K, not on the factored one
-    systems = _systems(mesh4, SpaceConfig(*element_tuple))
-    other = _factorize(systems["backward_euler"])
+    cfg = SpaceConfig(*element_tuple)
+    other = _factorize(_system("backward_euler", mesh4, cfg))
     with pytest.raises(LinearSolveError, match="relative residual"):
-        linear_solve(systems["steady"], other)
+        linear_solve(_system("steady", mesh4, cfg), other)
 
 
 def test_singular_interior_block_raises(mesh4, element_tuple):
