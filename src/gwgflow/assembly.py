@@ -8,8 +8,15 @@ pressure DOF pinned; ``expand`` shifts the pressure to zero mean.  The
 element-interior velocity DOFs lead the reduced unknowns, and their block
 of the operator is block diagonal, so the solver condenses them out
 element by element and factors only the trace-pressure Schur complement.
-Assembly walks elements in index order in chunks of ``DEFAULT_CHUNK``, so
-the result is independent of the chunk size and of any outer parallelism.
+
+The velocity block ``A = mu viscous + rho convection + s1`` is built in one
+pass.  All three forms act on each velocity component alone and in the same
+way, so per chunk of elements one component-local weak-gradient table gives
+one summed (ncomp, ncomp) matrix per element, scattered once for both
+components.  ``assemble_bilinear`` builds each of these forms alone through
+the same helpers.  Assembly walks elements in index order in chunks of
+``DEFAULT_CHUNK``, so the result is independent of the chunk size and of
+any outer parallelism.
 """
 
 from __future__ import annotations
@@ -38,10 +45,11 @@ class _Accumulator:
         self.cols = []
 
     def add(self, local: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-        nc, R, C = local.shape
-        self.data.append(local.ravel())
-        self.rows.append(np.broadcast_to(rows[:, :, None], (nc, R, C)).ravel())
-        self.cols.append(np.broadcast_to(cols[:, None, :], (nc, R, C)).ravel())
+        """Add ``local[..., r, c]`` at ``(rows[..., r], cols[..., c])``, broadcasting."""
+        shape = rows.shape + cols.shape[-1:]
+        self.data.append(np.broadcast_to(local, shape).ravel())
+        self.rows.append(np.broadcast_to(rows[..., :, None], shape).ravel())
+        self.cols.append(np.broadcast_to(cols[..., None, :], shape).ravel())
 
     def to_csr(self) -> sp.csr_matrix:
         if not self.data:
@@ -93,11 +101,6 @@ def assemble_bilinear(form: str, kernels: ElementKernels, beta=None) -> sp.csr_m
         acc.add(local, idx, idx)
         return acc.to_csr()
 
-    if form == "s1":
-        acc = _Accumulator((nvel, nvel))
-        acc.add(ker.stabilizer_local(), dm.elem_vel, dm.elem_vel)
-        return acc.to_csr()
-
     if form == "divergence":
         acc = _Accumulator((npres, nvel))
         M_nm = np.einsum("tp,tpi,tpj->tij", ker.qw, ker.Vn, ker.Vm)
@@ -105,24 +108,66 @@ def assemble_bilinear(form: str, kernels: ElementKernels, beta=None) -> sp.csr_m
         acc.add(local, dm.elem_pres, dm.elem_vel)
         return acc.to_csr()
 
-    # viscous / convection need the pointwise weak-gradient tables, chunked
-    acc = _Accumulator((nvel, nvel))
-    for sl in _chunks(nT, DEFAULT_CHUNK):
-        W = ker.weak_gradient_values(sl)                 # (nc, np, 2, 2, nloc)
-        w = ker.qw[sl]
-        if form == "viscous":
-            nc, npts = w.shape
-            Wr = W.reshape(nc, npts * 4, ker.nloc)
-            Wt = (W * w[:, :, None, None, None]).reshape(nc, npts * 4, ker.nloc)
-            local = config.mu * np.matmul(Wr.transpose(0, 2, 1), Wt)
-        else:
-            x, y = ker.qp[sl, :, 0], ker.qp[sl, :, 1]
-            bvals = _eval_field("convection field beta", beta, x, y)  # (nc, np, 2)
-            V0 = ker.interior_values(sl)                 # (nc, np, 2, nloc)
-            wbeta = np.einsum("tpcqi,tpq->tpci", W, bvals)
-            local = config.rho * np.einsum("tp,tpcj,tpci->tij", w, wbeta, V0)
-        acc.add(local, dm.elem_vel[sl], dm.elem_vel[sl])
-    return acc.to_csr()
+    return _assemble_velocity(ker, (form,), beta)
+
+
+def assemble_velocity_block(kernels: ElementKernels, beta) -> sp.csr_matrix:
+    """The velocity block ``mu viscous + rho convection + s1`` in one pass.
+
+    Per chunk of elements the weak-gradient table is formed once, the three
+    component-local matrices are summed, and the sum is scattered once.
+    """
+    return _assemble_velocity(kernels, ("viscous", "convection", "s1"), beta)
+
+
+def _assemble_velocity(ker: ElementKernels, forms, beta) -> sp.csr_matrix:
+    """Sum of the velocity forms ``forms`` (of viscous, convection, s1)."""
+    dm = ker.dofmap
+    acc = _Accumulator((dm.n_velocity, dm.n_velocity))
+    for sl in _chunks(dm.n_elements, DEFAULT_CHUNK):
+        idx = dm.elem_vel[sl][:, ker.comp_cols]          # (nc, 2, ncomp)
+        local = _velocity_local(ker, sl, forms, beta)    # (nc, ncomp, ncomp)
+        acc.add(local[:, None], idx, idx)
+    # exact zeros (here: traces of two edges that an element's geometry
+    # decouples) are dropped, as sparse sums of the single forms drop them,
+    # so the sparsity and with it the LU ordering do not depend on the path
+    mat = acc.to_csr()
+    mat.eliminate_zeros()
+    return mat
+
+
+def _velocity_local(ker: ElementKernels, sl: slice, forms, beta) -> np.ndarray:
+    """Component-local matrix of the sum of ``forms`` on the chunk ``sl``.
+
+    All three forms act on each velocity component alone and identically,
+    so one (nchunk, ncomp, ncomp) matrix serves both components.
+    """
+    cfg = ker.config
+    local = np.zeros((sl.stop - sl.start, ker.ncomp, ker.ncomp))
+    if "viscous" in forms or "convection" in forms:
+        W = ker.weak_gradient_values(sl)                 # (nc, 2, np, ncomp)
+        if "viscous" in forms:
+            local += cfg.mu * _viscous_local(W, ker.qw[sl])
+        if "convection" in forms:
+            local[:, : ker.dk] += cfg.rho * _convection_local(ker, sl, W, beta)
+    if "s1" in forms:
+        local += ker.stabilizer_local(sl)
+    return local
+
+
+def _viscous_local(W: np.ndarray, qw: np.ndarray) -> np.ndarray:
+    """(grad_w phi_j, grad_w phi_i) from the weak-gradient table, (nc, ncomp, ncomp)."""
+    nc, ncomp = W.shape[0], W.shape[-1]
+    wW = (W * qw[:, None, :, None]).reshape(nc, -1, ncomp)
+    return np.matmul(W.reshape(nc, -1, ncomp).transpose(0, 2, 1), wW)
+
+
+def _convection_local(ker: ElementKernels, sl: slice, W: np.ndarray, beta) -> np.ndarray:
+    """(beta . grad_w phi_j, phi_i) for the interior test functions, (nc, dk, ncomp)."""
+    x, y = ker.qp[sl, :, 0], ker.qp[sl, :, 1]
+    bvals = _eval_field("convection field beta", beta, x, y)    # (nc, np, 2)
+    bW = bvals[..., 0, None] * W[:, 0] + bvals[..., 1, None] * W[:, 1]
+    return np.matmul(ker.wVk[sl].transpose(0, 2, 1), bW)
 
 
 def _assemble_s2(ker: ElementKernels) -> sp.csr_matrix:
@@ -238,16 +283,11 @@ def build_saddle_system(kernels: ElementKernels, beta) -> SaddleSystem:
     The caller sets ``rhs_vel`` (for instance from ``assemble_load``)
     before forming the operator.
     """
-    A = assemble_bilinear("viscous", kernels)
-    A = A + assemble_bilinear("convection", kernels, beta)
-    A = A + assemble_bilinear("s1", kernels)
-    B = assemble_bilinear("divergence", kernels)
-    S2 = assemble_bilinear("s2", kernels)
     return SaddleSystem(
         kernels=kernels,
-        A=A.tocsr(),
-        B=B,
-        S2=S2,
+        A=assemble_velocity_block(kernels, beta),
+        B=assemble_bilinear("divergence", kernels),
+        S2=assemble_bilinear("s2", kernels),
         rhs_vel=np.zeros(kernels.dofmap.n_velocity),
     )
 

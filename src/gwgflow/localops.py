@@ -167,13 +167,12 @@ class ElementKernels:
 
         local = (self.qp - mesh.centroids[:, None, :]) / mesh.h_elem[:, None, None]
         self.local = local
-        self.Vk = eval_tri_values(k, local)
-        self.Vl = eval_tri_values(l, local)
-        self.Vm = eval_tri_values(m, local)
-        self.Vn = eval_tri_values(n, local)
-        h = mesh.h_elem[:, None]
-        self.Gk = eval_tri_gradients(k, local, h)      # (nT, np, 2, dk)
-        self.Gm = eval_tri_gradients(m, local, h)
+        # the monomials are ordered by total degree, so each degree's table is
+        # a column prefix of the table at the highest degree
+        V = eval_tri_values(max(k, l, m, n), local)
+        self.Vk, self.Vl, self.Vm, self.Vn = (V[..., : dim_p(d)] for d in (k, l, m, n))
+        G = eval_tri_gradients(max(k, m), local, mesh.h_elem[:, None])
+        self.Gk, self.Gm = G[..., : self.dk], G[..., : self.dm]   # (nT, np, 2, d)
 
         w = self.qw
         self.wVk = w[..., None] * self.Vk                # (nT, np, dk)
@@ -198,10 +197,10 @@ class ElementKernels:
         pts = self.edge_pts[eids]                                    # (nT, 3, nq, 2)
         local = (pts - mesh.centroids[:, None, None, :]) / mesh.h_elem[:, None, None, None]
         self.local_e = local
-        self.Vk_e = eval_tri_values(k, local)
-        self.Vl_e = eval_tri_values(l, local)
-        self.Vm_e = eval_tri_values(m, local)
-        self.Vn_e = eval_tri_values(n, local)
+        V = eval_tri_values(max(k, l, m, n), local)
+        self.Vk_e, self.Vl_e, self.Vm_e, self.Vn_e = (
+            V[..., : dim_p(d)] for d in (k, l, m, n)
+        )
 
         self.normals = mesh.edge_normals[eids] * mesh.element_edge_sign[..., None]
         self.elen = mesh.h_edge[eids]                                # (nT, 3)
@@ -254,55 +253,43 @@ class ElementKernels:
     # -- evaluation ---------------------------------------------------------
 
     def weak_gradient_values(self, sl: slice) -> np.ndarray:
-        """Values of the weak gradient of every local shape function.
+        """Values of the weak gradient of every component-local shape function.
 
-        Shape (nchunk, npts, 2, 2, nloc): axes are (element, point,
-        component i, derivative q, local DOF).  The interior-gradient part
-        is evaluated exactly; the delta part through its P_l coefficients.
+        Shape (nchunk, 2, npts, ncomp): axes are (element, derivative q,
+        point, component-local DOF).  The weak gradient acts on each velocity
+        component alone and identically, so one table serves both: row c of
+        the weak gradient of a local vector v is ``W @ v[comp_cols[c]]``.
+        The interior-gradient part is evaluated exactly; the delta part
+        through its P_l coefficients.
         """
-        Vl = self.Vl[sl]
-        Gk = self.Gk[sl]
-        nchunk, npts = Vl.shape[0], Vl.shape[1]
-        W = np.zeros((nchunk, npts, 2, 2, self.nloc))
-        dvals = np.einsum("tpi,tqic->tpqc", Vl, self.delta[sl])
-        for c in range(2):
-            W[:, :, c, :, c * self.dk : (c + 1) * self.dk] = Gk
-            # advanced indices (c, comp_cols) land in the leading axis
-            W[:, :, c, :, self.comp_cols[c]] += dvals.transpose(3, 0, 1, 2)
+        W = np.matmul(self.Vl[sl, None], self.delta[sl])
+        W[..., : self.dk] += self.Gk[sl].transpose(0, 2, 1, 3)
         return W
 
     def interior_moments(self, vals: np.ndarray) -> np.ndarray:
         """Moments (v, phi_i)_T of vector values (nT, np, 2) at ``qp``, (nT, 2, dk)."""
         return np.matmul(vals.transpose(0, 2, 1), self.wVk)
 
-    def interior_values(self, sl: slice) -> np.ndarray:
-        """Values of the interior part of every local shape, (nchunk, npts, 2, nloc)."""
-        Vk = self.Vk[sl]
-        nchunk, npts = Vk.shape[0], Vk.shape[1]
-        V = np.zeros((nchunk, npts, 2, self.nloc))
-        for c in range(2):
-            V[:, :, c, c * self.dk : (c + 1) * self.dk] = Vk
-        return V
+    def stabilizer_local(self, sl: slice) -> np.ndarray:
+        """Component-local s1 matrices, (nchunk, ncomp, ncomp), with zeta * h_T**gamma.
 
-    def stabilizer_local(self) -> np.ndarray:
-        """Local s1 matrices, (nT, nloc, nloc), including zeta * h_T**gamma."""
+        s1 acts on each velocity component alone and identically, so the
+        matrix of component c sits at rows and columns ``comp_cols[c]``.
+        """
         cfg = self.config
         dk, dj = self.dk, self.dj
-        nT = self.mesh.n_elements
-        S_comp = np.zeros((nT, self.ncomp, self.ncomp))
+        h = self.mesh.h_elem[sl]
+        S = np.zeros((h.size, self.ncomp, self.ncomp))
         for le in range(3):
-            Me = self.elen[:, le, None, None] * self.Mhat
-            E = self.E[:, le]
+            Me = self.elen[sl, le, None, None] * self.Mhat
+            E = self.E[sl, le]
             MeE = np.einsum("tab,tbi->tai", Me, E)
-            sl = slice(dk + le * dj, dk + (le + 1) * dj)
-            S_comp[:, sl, sl] += Me
-            S_comp[:, sl, :dk] -= MeE
-            S_comp[:, :dk, sl] -= MeE.transpose(0, 2, 1)
-            S_comp[:, :dk, :dk] += np.einsum("tai,taj->tij", E, MeE)
-        S_comp *= (cfg.zeta * self.mesh.h_elem**cfg.gamma)[:, None, None]
-        S = np.zeros((nT, self.nloc, self.nloc))
-        for c in range(2):
-            S[:, self.comp_cols[c][:, None], self.comp_cols[c][None, :]] = S_comp
+            cols = slice(dk + le * dj, dk + (le + 1) * dj)
+            S[:, cols, cols] += Me
+            S[:, cols, :dk] -= MeE
+            S[:, :dk, cols] -= MeE.transpose(0, 2, 1)
+            S[:, :dk, :dk] += np.einsum("tai,taj->tij", E, MeE)
+        S *= (cfg.zeta * h**cfg.gamma)[:, None, None]
         return S
 
 

@@ -110,18 +110,19 @@ class _CondensedFactor:
     block diagonal, one ``2*dk`` square block per element.  ``D`` is
     inverted element by element and only the Schur complement
     ``S = K_cc - K_cI D^-1 K_Ic`` on the traces and pressures is factored
-    by SuperLU.  ``solve`` takes and returns vectors of ``K``'s size.
+    by SuperLU.  ``K_cI D^-1``, formed for ``S`` anyway, is kept in place of
+    ``K_cI``.  ``solve`` takes and returns vectors of ``K``'s size.
     """
 
     Dinv: sp.csr_matrix
     K_Ic: sp.csr_matrix
-    K_cI: sp.csr_matrix
+    K_cI_Dinv: sp.csr_matrix
     lu: spla.SuperLU
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         nI = self.Dinv.shape[0]
         r_I = r[:nI]
-        x_c = self.lu.solve(r[nI:] - self.K_cI @ (self.Dinv @ r_I))
+        x_c = self.lu.solve(r[nI:] - self.K_cI_Dinv @ r_I)
         x_I = self.Dinv @ (r_I - self.K_Ic @ x_c)
         return np.concatenate([x_I, x_c])
 
@@ -147,13 +148,13 @@ def _factorize(system: SaddleSystem) -> _CondensedFactor:
         (inv.reshape(-1), cols.ravel(), np.arange(nI + 1) * b), shape=(nI, nI)
     )
     K_Ic = K[:nI, nI:].tocsr()
-    K_cI = K[nI:, :nI].tocsr()
-    S = (K[nI:, nI:] - (K_cI @ Dinv) @ K_Ic).tocsc()
+    K_cI_Dinv = K[nI:, :nI].tocsr() @ Dinv
+    S = (K[nI:, nI:] - K_cI_Dinv @ K_Ic).tocsc()
     try:
         lu = spla.splu(S)
     except RuntimeError as exc:  # singular factorization, SuperLU reports pivot
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
-    return _CondensedFactor(Dinv, K_Ic, K_cI, lu)
+    return _CondensedFactor(Dinv, K_Ic, K_cI_Dinv, lu)
 
 
 def _invert_blocks(blocks: np.ndarray) -> np.ndarray:

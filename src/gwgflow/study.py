@@ -10,6 +10,7 @@ report.
 
 from __future__ import annotations
 
+import functools
 import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -258,7 +259,9 @@ def write_report(report: ConvergenceReport, out_dir: Path, formats) -> None:
         (out_dir / "study.md").write_text(report.markdown_text())
 
 
+@functools.cache
 def _commit_id() -> str:
+    """Short commit of the package's own checkout, read once per process."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],

@@ -15,7 +15,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import DEFAULT_CHUNK, assemble_bilinear
+from .assembly import assemble_bilinear, assemble_velocity_block
 from .basis import dim_p, eval_tri_gradients, eval_tri_values, tri_exponents
 from .localops import (
     ElementKernels,
@@ -41,17 +41,24 @@ class ErrorReport:
 
 
 def energy_seminorm(kernels: ElementKernels, vel_vector: np.ndarray) -> float:
-    """Energy seminorm: weak-gradient L2 norm plus the velocity stabilizer."""
-    eloc = vel_vector[kernels.dofmap.elem_vel]
-    total = 0.0
-    nT = kernels.mesh.n_elements
-    for start in range(0, nT, DEFAULT_CHUNK):
-        sl = slice(start, min(start + DEFAULT_CHUNK, nT))
-        W = kernels.weak_gradient_values(sl)
-        vals = np.einsum("tpcqi,ti->tpcq", W, eloc[sl])
-        total += float(np.einsum("tp,tpcq,tpcq->", kernels.qw[sl], vals, vals))
-    S1 = kernels.stabilizer_local()
-    total += float(np.einsum("ti,tij,tj->", eloc, S1, eloc))
+    """Energy seminorm: weak-gradient L2 norm plus the velocity stabilizer.
+
+    The coefficients are contracted first: at the volume points the weak
+    gradient of the component c of ``vel_vector`` is ``Gk @ e_int`` plus
+    ``Vl @ (delta @ e_comp)``, with ``e_comp`` its component-local DOFs
+    and ``e_int`` their interior part, so no per-shape table is built.
+    """
+    ker = kernels
+    nT, npts = ker.qw.shape
+    e = vel_vector[ker.dofmap.elem_vel[:, ker.comp_cols]]       # (nT, 2, ncomp)
+    # weak gradient at the volume points, (element, point, q*2 + c)
+    coeff = np.einsum("tqia,tca->tiqc", ker.delta, e).reshape(nT, ker.dl, 4)
+    e_int = e[..., : ker.dk].transpose(0, 2, 1)                 # (nT, dk, 2)
+    grad = np.matmul(ker.Gk.reshape(nT, 2 * npts, ker.dk), e_int).reshape(nT, npts, 4)
+    grad += np.matmul(ker.Vl, coeff)
+    total = float(np.einsum("tp,tpk,tpk->", ker.qw, grad, grad))
+    S1 = ker.stabilizer_local(slice(None))
+    total += float(np.einsum("tca,tab,tcb->", e, S1, e))
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -74,10 +81,10 @@ def evaluate_errors(solution, problem) -> ErrorReport:
     p_proj = _project_pressure_values(ker, p_exact)
 
     u_vec = solution.velocity_vector
-    u_h = np.einsum("tci,tpi->tpc", dm.split_velocity(u_vec)[0], ker.Vk)
-    p_h = np.einsum("ti,tpi->tp", solution.pressure_vector[dm.elem_pres], ker.Vn)
-    u_q = np.einsum("tci,tpi->tpc", u_interior, ker.Vk)
-    p_q = np.einsum("ti,tpi->tp", p_proj, ker.Vn)
+    u_h = np.matmul(ker.Vk, dm.split_velocity(u_vec)[0].transpose(0, 2, 1))
+    p_h = np.matmul(ker.Vn, solution.pressure_vector[dm.elem_pres, None])[..., 0]
+    u_q = np.matmul(ker.Vk, u_interior.transpose(0, 2, 1))
+    p_q = np.matmul(ker.Vn, p_proj[..., None])[..., 0]
 
     def norm(diff2):
         return float(np.sqrt(np.einsum("tp,tp->", ker.qw, diff2)))
@@ -134,8 +141,7 @@ def check_weak_identities(
     Vs = eval_tri_values(s, ker.local)
     Gs = eval_tri_gradients(s, ker.local, h)
     Vs_e = eval_tri_values(s, ker.local_e)
-    W = ker.weak_gradient_values(slice(None))
-    V0 = ker.interior_values(slice(None))
+    W = ker.weak_gradient_values(slice(None))           # (nT, 2, np, ncomp)
     wq_edge = ker.edge_w[None, None, :] * ker.elen[:, :, None]
     exps = tri_exponents(config.k + 1)
     Gk1 = eval_tri_gradients(config.k + 1, ker.qp, 1.0)
@@ -149,9 +155,10 @@ def check_weak_identities(
 
         # identity 1: arbitrary per-element DOF values
         v = rng.uniform(-1.0, 1.0, size=(nT, ker.nloc))
-        wg = np.einsum("tpcqi,ti->tpcq", W, v)
+        vc = v[:, ker.comp_cols]                           # (nT, 2, ncomp)
+        wg = np.einsum("tqpa,tca->tpcq", W, vc)
         lhs = np.einsum("tp,tpcq,tpcq->t", ker.qw, wg, phi_vol)
-        v0 = np.einsum("tpci,ti->tpc", V0, v)
+        v0 = np.einsum("tpi,tci->tpc", ker.Vk, vc[..., : ker.dk])
         rhs = -np.einsum("tp,tpc,tpc->t", ker.qw, v0, div_phi)
         vb = _trace_values(ker, v)                         # (nT, 3, nq, 2)
         phi_edge = np.einsum("tcqa,tEpa->tEpcq", phi, Vs_e)
@@ -167,8 +174,8 @@ def check_weak_identities(
             return np.einsum("...a,ca->...c", basis, coeff)
 
         interior, traces = project_velocity(ker, w_poly)
-        eloc = dm.velocity_vector(interior, traces)[dm.elem_vel]
-        wgq = np.einsum("tpcqi,ti->tpcq", W, eloc)
+        eloc = dm.velocity_vector(interior, traces)[dm.elem_vel[:, ker.comp_cols]]
+        wgq = np.einsum("tqpa,tca->tpcq", W, eloc)
         lhs2 = np.einsum("tp,tpcq,tpcq->t", ker.qw, wgq, phi_vol)
 
         grad_w = np.einsum("ca,tpqa->tpcq", coeff, Gk1)
@@ -275,11 +282,8 @@ def estimate_coercivity(kernels: ElementKernels, beta) -> float:
     velocity block, scaled by its largest diagonal entry.  A positive value
     backs unique solvability of the scheme with this convection field.
     """
-    A = assemble_bilinear("viscous", kernels)
-    A = A + assemble_bilinear("convection", kernels, beta)
-    A = A + assemble_bilinear("s1", kernels)
     free = kernels.dofmap.free_dofs
-    A = A[free][:, free]
+    A = assemble_velocity_block(kernels, beta)[free][:, free]
     sym = ((A + A.T) * 0.5).tocsr()
     scale = float(sym.diagonal().max())
     return _min_eig_symmetric(sym) / scale

@@ -225,3 +225,61 @@ def test_assembly_deterministic_rebuild(mesh4, element_tuple):
     assert (first.B - second.B).nnz == 0
     first_load = assemble_load(first.kernels, prob.f, 0.0)
     assert np.array_equal(first_load, assemble_load(second.kernels, prob.f, 0.0))
+
+
+def _full_layout(ker, W):
+    """The component-local weak-gradient table on the full local layout.
+
+    Shape (nT, np, 2, 2, nloc): (element, point, component, derivative, DOF).
+    """
+    nT, _, npts, _ = W.shape
+    full = np.zeros((nT, npts, 2, 2, ker.nloc))
+    for c in range(2):
+        full[:, :, c, :, ker.comp_cols[c]] = W.transpose(3, 0, 2, 1)
+    return full
+
+
+@pytest.mark.parametrize("chunk", [7, 2048])
+def test_velocity_block_equals_sum_of_forms(mesh4, element_tuple, monkeypatch, chunk):
+    monkeypatch.setattr(assembly, "DEFAULT_CHUNK", chunk)
+    cfg, ker, dm = _setup(mesh4, element_tuple, mu=0.7, rho=1.3)
+    beta = manufactured_problem("steady_oseen_ex1").beta
+    block = assembly.assemble_velocity_block(ker, beta)
+    forms = (
+        assemble_bilinear("viscous", ker)
+        + assemble_bilinear("convection", ker, beta)
+        + assemble_bilinear("s1", ker)
+    )
+    scale = np.abs(forms).max()
+    assert np.abs(block - forms).max() <= 1e-13 * scale
+    # independent reference: the full-layout weak gradient and interior
+    # values contracted by einsum, as one (nloc, nloc) matrix per element
+    W = _full_layout(ker, ker.weak_gradient_values(slice(None)))
+    V0 = np.zeros((mesh4.n_elements, ker.qw.shape[1], 2, ker.nloc))
+    for c in range(2):
+        V0[:, :, c, c * ker.dk : (c + 1) * ker.dk] = ker.Vk
+    bvals = beta(ker.qp[..., 0], ker.qp[..., 1])
+    local = cfg.mu * np.einsum("tp,tpcqi,tpcqj->tij", ker.qw, W, W)
+    wbeta = np.einsum("tpcqi,tpq->tpci", W, bvals)
+    local += cfg.rho * np.einsum("tp,tpcj,tpci->tij", ker.qw, wbeta, V0)
+    S = ker.stabilizer_local(slice(None))
+    for c in range(2):
+        local[:, ker.comp_cols[c][:, None], ker.comp_cols[c]] += S
+    ref = assembly._Accumulator(block.shape)
+    ref.add(local, dm.elem_vel, dm.elem_vel)
+    assert np.abs(block - ref.to_csr()).max() <= 1e-13 * scale
+
+
+def test_build_saddle_system_forms_one_weak_gradient_table_per_chunk(
+    mesh4, element_tuple, monkeypatch
+):
+    monkeypatch.setattr(assembly, "DEFAULT_CHUNK", 7)
+    _, ker, _ = _setup(mesh4, element_tuple)
+    calls = []
+    table = ker.weak_gradient_values
+    monkeypatch.setattr(ker, "weak_gradient_values", lambda sl: calls.append(sl) or table(sl))
+    build_saddle_system(ker, manufactured_problem("steady_oseen_ex1").beta)
+    n_chunks = -(-mesh4.n_elements // 7)
+    assert [(sl.start, sl.stop) for sl in calls] == [
+        (s, min(s + 7, mesh4.n_elements)) for s in range(0, 7 * n_chunks, 7)
+    ]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gwgflow.basis import eval_edge_values
+from gwgflow.basis import eval_edge_values, eval_tri_gradients, eval_tri_values
 from gwgflow.config import SpaceConfig
 from gwgflow.localops import (
     ElementKernels,
@@ -121,7 +121,7 @@ def test_weak_gradient_without_mismatch_is_plain_gradient(mesh4, element_tuple):
     delta = np.einsum("qic,c->qi", ker.delta[t], vloc[ker.comp_cols[0]])
     assert np.abs(delta).max() < 1e-12
     W = ker.weak_gradient_values(slice(t, t + 1))[0]
-    vals = np.einsum("pcqi,i->pcq", W, vloc)
+    vals = np.einsum("qpa,ca->pcq", W, vloc[ker.comp_cols])
     plain = np.einsum("pqi,ci->pcq", ker.Gk[t], interior[t])
     assert np.allclose(vals, plain, atol=1e-12)
 
@@ -136,7 +136,7 @@ def test_weak_gradient_of_projected_linear_field(mesh4, element_tuple):
     )
     vec = dm.velocity_vector(interior, traces)
     W = ker.weak_gradient_values(slice(None))
-    vals = np.einsum("tpcqi,ti->tpcq", W, vec[dm.elem_vel])
+    vals = np.einsum("tqpa,tca->tpcq", W, vec[dm.elem_vel[:, ker.comp_cols]])
     assert np.abs(vals - np.array([[0.0, 1.0], [1.0, 0.0]])).max() < 1e-12
 
 
@@ -188,3 +188,16 @@ def test_kernels_shared_edge_sees_single_valued_traces(mesh4, config_high):
     pts1 = ker.local_e[t1, le1] * mesh4.h_elem[t1] + mesh4.centroids[t1]
     pts2 = ker.local_e[t2, le2] * mesh4.h_elem[t2] + mesh4.centroids[t2]
     assert np.allclose(pts1, pts2, atol=1e-14)
+
+
+@pytest.mark.parametrize("degrees", [(1, 0, 1, 0, 0), (2, 1, 1, 1, 1), (3, 1, 2, 0, 1)])
+def test_prefix_sliced_tables_equal_direct_evaluation(mesh4, degrees):
+    ker = ElementKernels(mesh4, SpaceConfig(*degrees))
+    k, _, l, m, n = degrees
+    h = mesh4.h_elem[:, None]
+    for d, V, V_e in ((k, ker.Vk, ker.Vk_e), (l, ker.Vl, ker.Vl_e),
+                      (m, ker.Vm, ker.Vm_e), (n, ker.Vn, ker.Vn_e)):
+        assert np.array_equal(V, eval_tri_values(d, ker.local))
+        assert np.array_equal(V_e, eval_tri_values(d, ker.local_e))
+    assert np.array_equal(ker.Gk, eval_tri_gradients(k, ker.local, h))
+    assert np.array_equal(ker.Gm, eval_tri_gradients(m, ker.local, h))

@@ -10,6 +10,7 @@ from gwgflow.problems import manufactured_problem
 from gwgflow.solver import DiscreteSolution, solve_steady
 from gwgflow.verify import (
     check_weak_identities,
+    energy_seminorm,
     estimate_coercivity,
     estimate_infsup,
     evaluate_errors,
@@ -70,7 +71,7 @@ def test_weak_identities_constant_field_trivial(mesh4, config_low):
     )
     vec = dm.velocity_vector(interior, traces)
     W = ker.weak_gradient_values(slice(None))
-    vals = np.einsum("tpcqi,ti->tpcq", W, vec[dm.elem_vel])
+    vals = np.einsum("tqpa,tca->tpcq", W, vec[dm.elem_vel[:, ker.comp_cols]])
     assert np.abs(vals).max() < 1e-13
 
 
@@ -163,3 +164,27 @@ def test_evaluate_errors_evaluates_each_exact_field_once(mesh4, config_low):
     assert len(shapes["u"]) == 2
     assert shapes["p"] == [volume]
     assert rep == evaluate_errors(sol, prob)
+
+
+def test_energy_seminorm_matches_weak_gradient_table(mesh4, element_tuple):
+    ker = ElementKernels(mesh4, SpaceConfig(*element_tuple))
+    vec = np.random.default_rng(3).uniform(-1, 1, ker.dofmap.n_velocity)
+    e = vec[ker.dofmap.elem_vel[:, ker.comp_cols]]                 # (nT, 2, ncomp)
+    grad = np.einsum("tqpa,tca->tpcq", ker.weak_gradient_values(slice(None)), e)
+    S1 = ker.stabilizer_local(slice(None))
+    ref = np.sqrt(
+        np.einsum("tp,tpcq,tpcq->", ker.qw, grad, grad)
+        + np.einsum("tca,tab,tcb->", e, S1, e)
+    )
+    assert energy_seminorm(ker, vec) == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_evaluate_errors_forms_no_weak_gradient_table(mesh4, element_tuple, monkeypatch):
+    prob = manufactured_problem("steady_oseen_ex1")
+    sol = solve_steady(mesh4, SpaceConfig(*element_tuple), prob)
+
+    def forbidden(sl):
+        raise AssertionError("evaluate_errors formed the weak-gradient table")
+
+    monkeypatch.setattr(sol.system.kernels, "weak_gradient_values", forbidden)
+    evaluate_errors(sol, prob)
