@@ -230,35 +230,46 @@ class SaddleSystem:
             }
         return self._reduced
 
-    def operator(self):
-        """Dirichlet-reduced ``[[A_ff, -B_f^T], [B_f, S2]]`` and right-hand side.
+    def matrix(self) -> sp.csc_matrix:
+        """The Dirichlet-reduced, pressure-pinned ``[[A_ff, -B_f^T], [B_f, S2]]``.
 
         The row and column of pressure DOF ``elem_pres[0, 0]`` are deleted:
-        constants are the only pressure null space.  The dropped equation,
-        the sum of the constant-mode rows, says that g has no net outward
-        flux; a ``ValueError`` is raised when that fails by more than
-        ``COMPAT_TOL``.  The matrix is cached on the first call; later calls
-        only form the right-hand side from ``rhs_vel`` and the boundary data.
+        constants are the only pressure null space.  Built on the first call
+        and cached, with the index of the kept pressure DOFs, on the blocks of
+        ``reduced_blocks``.
+        """
+        red = self.reduced_blocks()
+        if "K" not in red:
+            dm = self.kernels.dofmap
+            keep = np.delete(np.arange(dm.n_pressure), dm.elem_pres[0, 0])
+            B_k = red["B_f"][keep]
+            red["keep"] = keep
+            red["K"] = sp.bmat(
+                [[red["A_ff"], -B_k.T], [B_k, self.S2[keep][:, keep]]], format="csc"
+            )
+        return red["K"]
+
+    def operator(self):
+        """The cached ``matrix()`` and the right-hand side of the current data.
+
+        The right-hand side is formed on every call from ``rhs_vel`` and the
+        boundary data.  The equation dropped with the pinned pressure DOF, the
+        sum of the constant-mode rows, says that g has no net outward flux; a
+        ``ValueError`` is raised when that fails by more than ``COMPAT_TOL``.
         """
         if self.dirichlet_values is None:
             raise ValueError("apply_dirichlet must run before forming the operator")
         if self.mean_vector is None:
             raise ValueError("constrain_system must run before forming the operator")
-        red = self.reduced_blocks()
-        dm = self.kernels.dofmap
-        keep = np.delete(np.arange(dm.n_pressure), dm.elem_pres[0, 0])
-        if "K" not in red:
-            B_k = red["B_f"][keep]
-            red["K"] = sp.bmat(
-                [[red["A_ff"], -B_k.T], [B_k, self.S2[keep][:, keep]]], format="csc"
-            )
+        K = self.matrix()
+        red, dm = self._reduced, self.kernels.dofmap
         g = self.dirichlet_values
         r_vel = self.rhs_vel[dm.free_dofs] - red["A_fb"] @ g
         b_g = red["B_b"] @ g
         flux = b_g[dm.elem_pres[:, 0]]
         if abs(flux.sum()) > COMPAT_TOL * np.abs(flux).sum():
             raise ValueError(f"boundary data g has net outward flux {flux.sum():.3e}, not 0")
-        return red["K"], np.concatenate([r_vel, -b_g[keep]])
+        return K, np.concatenate([r_vel, -b_g[red["keep"]]])
 
     def expand(self, x: np.ndarray):
         """Full velocity and pressure vectors of a solution of ``operator()``.
@@ -272,7 +283,11 @@ class SaddleSystem:
         vel = np.zeros(dm.n_velocity)
         vel[dm.free_dofs] = x[:nfree]
         vel[dm.boundary_dofs] = self.dirichlet_values
-        pres = np.insert(x[nfree:], const[0], 0.0)
+        pin = nfree + const[0]
+        pres = np.empty(dm.n_pressure)
+        pres[: const[0]] = x[nfree:pin]
+        pres[const[0]] = 0.0
+        pres[const[0] + 1 :] = x[pin:]
         pres[const] -= (self.mean_vector @ pres) / self.mean_vector[const].sum()
         return vel, pres
 

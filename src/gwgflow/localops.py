@@ -192,6 +192,9 @@ class ElementKernels:
 
         self.Qj = eval_edge_values(config.j, s)                     # (nq, dj)
         self.Mhat = np.einsum("q,qa,qb->ab", ew, self.Qj, self.Qj)  # (dj, dj)
+        # (nq, dj) map from values at the edge points to Q_b coefficients,
+        # (ew * Qj) @ Mhat^-1; the edge-length factor cancels
+        self.edge_projector = _solve_mass(self.Mhat.T, (ew[:, None] * self.Qj).T, "edge").T
 
         eids = mesh.element_edges                                    # (nT, 3)
         pts = self.edge_pts[eids]                                    # (nT, 3, nq, 2)
@@ -312,8 +315,7 @@ def _project_edges(kernels: ElementKernels, name: str, f, pts, time) -> np.ndarr
     the trace coefficients (ne, 2, dj).
     """
     vals = _eval_field(name, f, pts[..., 0], pts[..., 1], time)
-    rhs = np.einsum("q,eqc,qa->eca", kernels.edge_w, vals, kernels.Qj)
-    return _solve_mass(kernels.Mhat, rhs[..., None], "edge projection")[..., 0]
+    return np.matmul(vals.transpose(0, 2, 1), kernels.edge_projector)
 
 
 def project_velocity(

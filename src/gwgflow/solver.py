@@ -128,13 +128,15 @@ class _CondensedFactor:
 
 
 def _factorize(system: SaddleSystem) -> _CondensedFactor:
-    """Condensed factor of ``system.operator()``'s matrix (see ``_CondensedFactor``).
+    """Condensed factor of ``system.matrix()`` (see ``_CondensedFactor``).
 
-    The first ``dofmap.n_interior`` unknowns of ``K`` are the element
+    The matrix is the one ``operator()`` returns; it does not depend on the
+    load or the boundary data, so no right-hand side is formed here.  The
+    first ``dofmap.n_interior`` unknowns of ``K`` are the element
     interiors, contiguous per element.  A singular element block or a
     singular Schur complement raises ``LinearSolveError``.
     """
-    K = system.operator()[0]
+    K = system.matrix()
     dm = system.kernels.dofmap
     nI, nT = dm.n_interior, dm.n_elements
     b = nI // nT
@@ -195,14 +197,21 @@ def solve_evolutionary(
 
     The initial state is the weak projection of the initial velocity; each
     step sets the load and boundary data of the new time level and solves
-    the mass-augmented system through ``linear_solve``.  The coefficients
-    do not depend on time, so the condensed factor of ``_factorize`` (the
+    the mass-augmented system through ``linear_solve``, whose residual check
+    on the full pinned operator makes a failed step raise
+    ``LinearSolveError`` instead of marching on.  The coefficients do not
+    depend on time, so the condensed factor of ``_factorize`` (the
     element-interior inverses and the LU of the trace-pressure Schur
-    complement) is built once, on the first step, and reused.  Every step
-    is residual-checked on the full pinned operator, so a failed step
-    raises ``LinearSolveError`` instead of marching on.  Each
-    state holds its own shallow copy of the system (sharing the matrices
-    and the factored operator) with that step's ``rhs_vel`` and
+    complement) is built once, before the first step, and reused.
+
+    The mass form lives on the element-interior velocity block only, and
+    the interiors lead the reduced unknowns, so between steps only the
+    interior part ``x[:n_interior]`` of the solution is carried; its mass
+    term ``mass_II @ (u_I / tau)`` is added to the load's interior rows.
+    States are expanded to full vectors only when they are returned: the
+    final one, or every one when ``keep_trajectory`` is set.  Each returned
+    state holds its own shallow copy of the system (sharing the matrices and
+    the factored operator) with that step's ``rhs_vel`` and
     ``dirichlet_values``.  Returns the solution at the final time, or the
     whole trajectory when ``keep_trajectory`` is set.
     """
@@ -212,25 +221,24 @@ def solve_evolutionary(
     mass = assemble_bilinear("mass", ker)
     system.A = (system.A + mass / grid.tau).tocsr()
     constrain_system(system)
+    lu = _factorize(system)
 
-    u_prev = ker.dofmap.velocity_vector(*project_velocity(ker, problem.g2))
+    nI = ker.dofmap.n_interior
+    mass_II = mass[:nI, :nI]
+    u_I = project_velocity(ker, problem.g2)[0].reshape(-1)
 
-    lu = None
     trajectory = []
-    solution = None
-
     for step in range(1, grid.n_steps + 1):
         t = step * grid.tau
-        system.rhs_vel = assemble_load(ker, problem.f, t) + mass @ (u_prev / grid.tau)
+        system.rhs_vel = assemble_load(ker, problem.f, t)
+        system.rhs_vel[:nI] += mass_II @ (u_I / grid.tau)
         apply_dirichlet(system, problem.g, t)
-        if lu is None:
-            lu = _factorize(system)
-        solution = _solution(replace(system), linear_solve(system, lu), t)
-        u_prev = solution.velocity_vector
+        x = linear_solve(system, lu)
+        u_I = x[:nI]
         if keep_trajectory:
-            trajectory.append(solution)
+            trajectory.append(_solution(replace(system), x, t))
 
-    return trajectory if keep_trajectory else solution
+    return trajectory if keep_trajectory else _solution(system, x, t)
 
 
 def _check_inputs(config: SpaceConfig, problem) -> None:

@@ -5,6 +5,7 @@ from gwgflow.basis import eval_edge_values, eval_tri_gradients, eval_tri_values
 from gwgflow.config import SpaceConfig
 from gwgflow.localops import (
     ElementKernels,
+    _solve_mass,
     project_boundary_traces,
     project_pressure,
     project_velocity,
@@ -85,6 +86,29 @@ def test_project_edge_reproduces_polynomials(mesh4, config_high):
     pts = va + s[:, None] * (vb - va)
     vals = eval_edge_values(1, s) @ cl
     assert np.allclose(vals, pts[:, 0] + 2 * pts[:, 1], atol=1e-13)
+
+
+def test_edge_projector_matches_mass_solve(mesh4, element_tuple):
+    # the precomputed (ew * Qj) @ Mhat^-1 against the edge moments followed
+    # by a solve with the reference edge mass, on every edge and on the
+    # boundary edges alone
+    ker = ElementKernels(mesh4, SpaceConfig(*element_tuple))
+
+    def field(x, y, t):
+        return np.stack([np.sin(3 * x + t) * y, np.exp(x - y) + t], axis=-1)
+
+    def reference(pts, t):
+        vals = field(pts[..., 0], pts[..., 1], t)
+        rhs = np.einsum("q,eqc,qa->eca", ker.edge_w, vals, ker.Qj)
+        return _solve_mass(ker.Mhat, rhs[..., None], "edge projection")[..., 0]
+
+    for t in (0.0, 0.7):
+        _, traces = project_velocity(ker, field, t)
+        ref = reference(ker.edge_pts, t)
+        assert np.abs(traces - ref).max() <= 1e-14 * np.abs(ref).max()
+        bnd = project_boundary_traces(ker, field, t)
+        ref = reference(ker.edge_pts[mesh4.boundary_edges], t)
+        assert np.abs(bnd - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_project_edge_mean_on_diagonal(config_low):

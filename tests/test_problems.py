@@ -1,5 +1,8 @@
 """Manufactured-problem validation against symbolic oracles."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import sympy
@@ -113,3 +116,83 @@ def test_patch_problem_fields():
     assert np.all(prob.f(pts, pts, 0.0) == 0.0)
     assert np.all(prob.beta(pts, pts) == 0.0)
     assert np.all(prob.p(pts, pts, 0.0) == 0.0)
+
+
+def _ex2_closed_form(x, y, t, mu, rho):
+    """The strong-form ex2 forcing written out term by term."""
+    b1 = -x + np.sin(x) * np.sin(y)
+    b2 = np.cos(x) * np.cos(y)
+    et = np.exp(-t)
+    f1 = (
+        -rho * et * x**2 * y
+        - mu * et * 2 * y
+        + rho * et * (b1 * 2 * x * y + b2 * x**2)
+        + 2 * np.sin(t) * (2 * y - 1.0)
+    )
+    f2 = (
+        rho * et * x * y**2
+        + mu * et * 2 * x
+        + rho * et * (-b1 * y**2 - b2 * 2 * x * y)
+        + 2 * np.sin(t) * (2 * x - 1.0)
+    )
+    return np.stack([f1, f2], axis=-1)
+
+
+@pytest.mark.parametrize("mu,rho", [(1.0, 1.0), (0.3, 1.9)])
+def test_ex2_forcing_matches_closed_form(mu, rho):
+    prob = manufactured_problem("evolutionary_oseen_ex2", mu=mu, rho=rho)
+    rng = np.random.default_rng(7)
+    x, y = rng.uniform(0, 1, size=(2, 40, 6))
+    for t in (0.0, 0.013, 0.4, 1.0, 2.5):
+        ref = _ex2_closed_form(x, y, t, mu, rho)
+        assert np.abs(prob.f(x, y, t) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_ex2_forcing_cache_follows_the_points():
+    # the time-independent factors are kept for the last point set only and
+    # matched by value, so a call on other points, or on the same array
+    # after it was overwritten, never sees stale factors
+    prob = manufactured_problem("evolutionary_oseen_ex2")
+    rng = np.random.default_rng(3)
+    a, b, c = rng.uniform(0, 1, size=(3, 2, 30))
+    for t in (0.1, 0.2):
+        for pts in (a, b, a):
+            ref = _ex2_closed_form(*pts, t, 1.0, 1.0)
+            assert np.abs(prob.f(*pts, t) - ref).max() <= 1e-14 * np.abs(ref).max()
+    first = prob.f(a[0], a[1], 0.3)
+    again = prob.f(a[0].copy(), a[1].copy(), 0.3)   # equal values, new arrays
+    assert np.array_equal(first, again)
+    x = c[0].copy()
+    prob.f(x, c[1], 0.3)
+    x[:] = b[0]
+    ref = _ex2_closed_form(b[0], c[1], 0.3, 1.0, 1.0)
+    assert np.abs(prob.f(x, c[1], 0.3) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_ex2_forcing_shared_by_threads_stays_correct():
+    # study cells on a thread pool share one problem, each cell with its own
+    # points; every call must return the forcing of its own points
+    prob = manufactured_problem("evolutionary_oseen_ex2")
+    rng = np.random.default_rng(11)
+    sets = rng.uniform(0, 1, size=(4, 2, 200))
+    refs = [_ex2_closed_form(x, y, 0.5, 1.0, 1.0) for x, y in sets]
+    wrong = []
+
+    def work(i):
+        x, y = sets[i]
+        for _ in range(300):
+            if np.abs(prob.f(x, y, 0.5) - refs[i]).max() > 1e-14 * np.abs(refs[i]).max():
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(sets))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []

@@ -5,7 +5,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from gwgflow import problems
 from gwgflow.assembly import (
+    SaddleSystem,
     apply_dirichlet,
     assemble_bilinear,
     assemble_load,
@@ -13,7 +15,7 @@ from gwgflow.assembly import (
     constrain_system,
 )
 from gwgflow.config import SpaceConfig
-from gwgflow.localops import ElementKernels
+from gwgflow.localops import ElementKernels, project_velocity
 from gwgflow.mesh import build_uniform_triangulation
 from gwgflow.problems import manufactured_problem
 from gwgflow.solver import (
@@ -238,6 +240,84 @@ def test_factor_reuse_equals_refactoring(mesh4, config_low):
     vel, pres = system.expand(spla.spsolve(*system.operator()))
     assert np.abs(reused.velocity_vector - vel).max() < 1e-12
     assert np.abs(reused.pressure_vector - pres).max() < 1e-12
+
+
+def _full_state_march(mesh, cfg, prob, grid):
+    # backward Euler carrying the whole expanded state between steps, with
+    # the mass term on every velocity row: the reference for the lean march
+    ker = ElementKernels(mesh, cfg)
+    mass = assemble_bilinear("mass", ker)
+    system = build_saddle_system(ker, prob.beta)
+    system.A = (system.A + mass / grid.tau).tocsr()
+    constrain_system(system)
+    u_prev = ker.dofmap.velocity_vector(*project_velocity(ker, prob.g2))
+    for step in range(1, grid.n_steps + 1):
+        t = step * grid.tau
+        system.rhs_vel = assemble_load(ker, prob.f, t) + mass @ (u_prev / grid.tau)
+        apply_dirichlet(system, prob.g, t)
+        u_prev, pres = system.expand(linear_solve(system))
+    return u_prev, pres
+
+
+def test_lean_march_equals_full_state_march(mesh4, element_tuple):
+    # the mass form has entries on interior rows and columns only, so
+    # carrying the interiors adds the same sums, in the same order
+    cfg = SpaceConfig(*element_tuple)
+    prob = manufactured_problem("evolutionary_oseen_ex2")
+    grid = TimeGrid.from_tau(0.5, 0.5 / 6)
+    sol = solve_evolutionary(mesh4, cfg, prob, grid)
+    vel, pres = _full_state_march(mesh4, cfg, prob, grid)
+    assert np.array_equal(sol.velocity_vector, vel)
+    assert np.array_equal(sol.pressure_vector, pres)
+
+
+def test_march_forms_beta_once_per_point_set(mesh4, mesh8, config_low, monkeypatch):
+    # the forcing's time-independent factors are formed on the first step of
+    # a march and reused; a march on another mesh forms them once more
+    prob = manufactured_problem("evolutionary_oseen_ex2")
+    calls = []
+    beta = problems._beta_standard
+    monkeypatch.setattr(problems, "_beta_standard", lambda x, y: calls.append(1) or beta(x, y))
+    grid = TimeGrid.from_tau(0.5, 0.5 / 8)
+    solve_evolutionary(mesh4, config_low, prob, grid)
+    assert len(calls) == 1
+    solve_evolutionary(mesh8, config_low, prob, grid)
+    assert len(calls) == 2
+
+
+def test_march_expands_only_returned_states(mesh4, element_tuple, monkeypatch):
+    # without a trajectory only the final state is expanded; it equals the
+    # last state of the kept trajectory bit for bit
+    cfg = SpaceConfig(*element_tuple)
+    prob = manufactured_problem("evolutionary_oseen_ex2")
+    grid = TimeGrid.from_tau(0.5, 0.5 / 5)
+    expands, operators = [], []
+    expand, operator = SaddleSystem.expand, SaddleSystem.operator
+    monkeypatch.setattr(SaddleSystem, "expand", lambda s, x: expands.append(1) or expand(s, x))
+    monkeypatch.setattr(SaddleSystem, "operator", lambda s: operators.append(1) or operator(s))
+    final = solve_evolutionary(mesh4, cfg, prob, grid)
+    assert len(expands) == 1
+    assert len(operators) == grid.n_steps   # one right-hand side a step
+    traj = solve_evolutionary(mesh4, cfg, prob, grid, keep_trajectory=True)
+    assert len(expands) == 1 + grid.n_steps
+    assert final.time == traj[-1].time
+    assert np.array_equal(final.velocity_vector, traj[-1].velocity_vector)
+    assert np.array_equal(final.pressure_vector, traj[-1].pressure_vector)
+
+
+def test_evolutionary_late_incompatible_boundary_data_raises(mesh4, config_low):
+    # the flux compatibility of g is checked on every step's boundary data,
+    # not only on the first step's
+    prob = manufactured_problem("stokes_patch")
+
+    def g(x, y, t):
+        return prob.g(x, y, t) + (t > 0.5) * np.stack([x, 0.0 * y], axis=-1)
+
+    bad = replace(prob, g=g)
+    grid = TimeGrid.from_tau(1.0, 1.0 / 4)
+    with pytest.raises(ValueError, match="net outward flux"):
+        solve_evolutionary(mesh4, config_low, bad, grid)
+    solve_evolutionary(mesh4, config_low, bad, TimeGrid.from_tau(0.5, 0.5 / 2))
 
 
 def test_steady_nan_forcing_raises(mesh4, config_low):
