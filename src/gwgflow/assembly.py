@@ -9,14 +9,13 @@ element-interior velocity DOFs lead the reduced unknowns, and their block
 of the operator is block diagonal, so the solver condenses them out
 element by element and factors only the trace-pressure Schur complement.
 
-The velocity block ``A = mu viscous + rho convection + s1`` is built in one
-pass.  All three forms act on each velocity component alone and in the same
-way, so per chunk of elements one component-local weak-gradient table gives
-one summed (ncomp, ncomp) matrix per element, scattered once for both
-components.  ``assemble_bilinear`` builds each of these forms alone through
-the same helpers.  Assembly walks elements in index order in chunks of
-``DEFAULT_CHUNK``, so the result is independent of the chunk size and of
-any outer parallelism.
+Each form is one whole-mesh array of element matrices and one scatter, in
+element index order.  The velocity forms act on each velocity component
+alone and in the same way, so their element matrices are component-local
+and placed on both components.  The velocity block
+``A = mu viscous + rho convection + s1`` sums the three element matrices
+of one weak-gradient table and scatters once; ``assemble_bilinear`` builds
+each form alone from the same helpers.
 """
 
 from __future__ import annotations
@@ -28,45 +27,45 @@ import scipy.sparse as sp
 
 from .localops import ElementKernels, _eval_field, project_boundary_traces
 
-DEFAULT_CHUNK = 2048
-
 COMPAT_TOL = 1e-10  # relative bound on the net boundary flux of g
 
 FORMS = ("viscous", "convection", "s1", "s2", "divergence", "mass")
 
 
-class _Accumulator:
-    """COO accumulator preserving element order across chunks."""
-
-    def __init__(self, shape):
-        self.shape = shape
-        self.data = []
-        self.rows = []
-        self.cols = []
-
-    def add(self, local: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-        """Add ``local[..., r, c]`` at ``(rows[..., r], cols[..., c])``, broadcasting."""
-        shape = rows.shape + cols.shape[-1:]
-        self.data.append(np.broadcast_to(local, shape).ravel())
-        self.rows.append(np.broadcast_to(rows[..., :, None], shape).ravel())
-        self.cols.append(np.broadcast_to(cols[..., None, :], shape).ravel())
-
-    def to_csr(self) -> sp.csr_matrix:
-        if not self.data:
-            return sp.csr_matrix(self.shape)
-        mat = sp.coo_matrix(
+def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sp.csr_matrix:
+    """Sum ``local[..., r, c]`` into ``(rows[..., r], cols[..., c])``, broadcasting."""
+    full = rows.shape + cols.shape[-1:]
+    mat = sp.coo_matrix(
+        (
+            np.broadcast_to(local, full).ravel(),
             (
-                np.concatenate(self.data),
-                (np.concatenate(self.rows), np.concatenate(self.cols)),
+                np.broadcast_to(rows[..., :, None], full).ravel(),
+                np.broadcast_to(cols[..., None, :], full).ravel(),
             ),
-            shape=self.shape,
-        )
-        return mat.tocsr()
+        ),
+        shape=shape,
+    )
+    return mat.tocsr()
 
 
-def _chunks(n: int, size: int):
-    for start in range(0, n, size):
-        yield slice(start, min(start + size, n))
+def _scatter_components(ker: ElementKernels, local: np.ndarray) -> sp.csr_matrix:
+    """Place the component-local element matrices ``local`` on both components.
+
+    ``local`` has shape (nT, nr, nc), its rows and columns the first nr and
+    nc slots of the component-local layout: ``dk`` for the interior DOFs,
+    ``ncomp`` for all of them.
+    """
+    vel = ker.dofmap.elem_vel
+    nr, nc = local.shape[1:]
+    rows = vel[:, ker.comp_cols[:, :nr]]                 # (nT, 2, nr)
+    cols = vel[:, ker.comp_cols[:, :nc]]                 # (nT, 2, nc)
+    n = ker.dofmap.n_velocity
+    mat = _scatter(local[:, None], rows, cols, (n, n))
+    # exact zeros (here: traces of two edges that an element's geometry
+    # decouples) are dropped, as sparse sums of the single forms drop them,
+    # so the sparsity and with it the LU ordering do not depend on the path
+    mat.eliminate_zeros()
+    return mat
 
 
 def assemble_bilinear(form: str, kernels: ElementKernels, beta=None) -> sp.csr_matrix:
@@ -84,90 +83,49 @@ def assemble_bilinear(form: str, kernels: ElementKernels, beta=None) -> sp.csr_m
         raise ValueError("convection form requires a convection field beta")
 
     ker, config, dm = kernels, kernels.config, kernels.dofmap
-    nvel, npres = dm.n_velocity, dm.n_pressure
-    nT = dm.n_elements
-
     if form == "s2":
         return _assemble_s2(ker)
-
-    if form == "mass":
-        acc = _Accumulator((nvel, nvel))
-        dk = ker.dk
-        local = np.zeros((nT, 2 * dk, 2 * dk))
-        for c in range(2):
-            local[:, c * dk : (c + 1) * dk, c * dk : (c + 1) * dk] = ker.Mk
-        local *= config.rho
-        idx = dm.elem_vel[:, : 2 * dk]
-        acc.add(local, idx, idx)
-        return acc.to_csr()
-
     if form == "divergence":
-        acc = _Accumulator((npres, nvel))
         M_nm = np.einsum("tp,tpi,tpj->tij", ker.qw, ker.Vn, ker.Vm)
         local = np.matmul(M_nm, ker.div)
-        acc.add(local, dm.elem_pres, dm.elem_vel)
-        return acc.to_csr()
-
-    return _assemble_velocity(ker, (form,), beta)
+        return _scatter(local, dm.elem_pres, dm.elem_vel, (dm.n_pressure, dm.n_velocity))
+    if form == "mass":
+        return _scatter_components(ker, config.rho * ker.Mk)
+    if form == "s1":
+        return _scatter_components(ker, ker.stabilizer_local())
+    W = ker.weak_gradient_values()
+    if form == "viscous":
+        return _scatter_components(ker, config.mu * _viscous_local(W, ker.qw))
+    return _scatter_components(ker, config.rho * _convection_local(ker, W, beta))
 
 
 def assemble_velocity_block(kernels: ElementKernels, beta) -> sp.csr_matrix:
-    """The velocity block ``mu viscous + rho convection + s1`` in one pass.
+    """The velocity block ``mu viscous + rho convection + s1`` in one scatter.
 
-    Per chunk of elements the weak-gradient table is formed once, the three
-    component-local matrices are summed, and the sum is scattered once.
+    The weak-gradient table is formed once and the three component-local
+    element matrices are summed before the scatter.
     """
-    return _assemble_velocity(kernels, ("viscous", "convection", "s1"), beta)
-
-
-def _assemble_velocity(ker: ElementKernels, forms, beta) -> sp.csr_matrix:
-    """Sum of the velocity forms ``forms`` (of viscous, convection, s1)."""
-    dm = ker.dofmap
-    acc = _Accumulator((dm.n_velocity, dm.n_velocity))
-    for sl in _chunks(dm.n_elements, DEFAULT_CHUNK):
-        idx = dm.elem_vel[sl][:, ker.comp_cols]          # (nc, 2, ncomp)
-        local = _velocity_local(ker, sl, forms, beta)    # (nc, ncomp, ncomp)
-        acc.add(local[:, None], idx, idx)
-    # exact zeros (here: traces of two edges that an element's geometry
-    # decouples) are dropped, as sparse sums of the single forms drop them,
-    # so the sparsity and with it the LU ordering do not depend on the path
-    mat = acc.to_csr()
-    mat.eliminate_zeros()
-    return mat
-
-
-def _velocity_local(ker: ElementKernels, sl: slice, forms, beta) -> np.ndarray:
-    """Component-local matrix of the sum of ``forms`` on the chunk ``sl``.
-
-    All three forms act on each velocity component alone and identically,
-    so one (nchunk, ncomp, ncomp) matrix serves both components.
-    """
-    cfg = ker.config
-    local = np.zeros((sl.stop - sl.start, ker.ncomp, ker.ncomp))
-    if "viscous" in forms or "convection" in forms:
-        W = ker.weak_gradient_values(sl)                 # (nc, 2, np, ncomp)
-        if "viscous" in forms:
-            local += cfg.mu * _viscous_local(W, ker.qw[sl])
-        if "convection" in forms:
-            local[:, : ker.dk] += cfg.rho * _convection_local(ker, sl, W, beta)
-    if "s1" in forms:
-        local += ker.stabilizer_local(sl)
-    return local
+    ker, cfg = kernels, kernels.config
+    W = ker.weak_gradient_values()
+    local = cfg.mu * _viscous_local(W, ker.qw)
+    local[:, : ker.dk] += cfg.rho * _convection_local(ker, W, beta)
+    local += ker.stabilizer_local()
+    return _scatter_components(ker, local)
 
 
 def _viscous_local(W: np.ndarray, qw: np.ndarray) -> np.ndarray:
-    """(grad_w phi_j, grad_w phi_i) from the weak-gradient table, (nc, ncomp, ncomp)."""
-    nc, ncomp = W.shape[0], W.shape[-1]
-    wW = (W * qw[:, None, :, None]).reshape(nc, -1, ncomp)
-    return np.matmul(W.reshape(nc, -1, ncomp).transpose(0, 2, 1), wW)
+    """(grad_w phi_j, grad_w phi_i) from the weak-gradient table, (nT, ncomp, ncomp)."""
+    nT, ncomp = W.shape[0], W.shape[-1]
+    wW = (W * qw[:, None, :, None]).reshape(nT, -1, ncomp)
+    return np.matmul(W.reshape(nT, -1, ncomp).transpose(0, 2, 1), wW)
 
 
-def _convection_local(ker: ElementKernels, sl: slice, W: np.ndarray, beta) -> np.ndarray:
-    """(beta . grad_w phi_j, phi_i) for the interior test functions, (nc, dk, ncomp)."""
-    x, y = ker.qp[sl, :, 0], ker.qp[sl, :, 1]
-    bvals = _eval_field("convection field beta", beta, x, y)    # (nc, np, 2)
+def _convection_local(ker: ElementKernels, W: np.ndarray, beta) -> np.ndarray:
+    """(beta . grad_w phi_j, phi_i) for the interior test functions, (nT, dk, ncomp)."""
+    x, y = ker.qp[..., 0], ker.qp[..., 1]
+    bvals = _eval_field("convection field beta", beta, x, y)    # (nT, np, 2)
     bW = bvals[..., 0, None] * W[:, 0] + bvals[..., 1, None] * W[:, 1]
-    return np.matmul(ker.wVk[sl].transpose(0, 2, 1), bW)
+    return np.matmul(ker.wVk.transpose(0, 2, 1), bW)
 
 
 def _assemble_s2(ker: ElementKernels) -> sp.csr_matrix:
@@ -186,9 +144,7 @@ def _assemble_s2(ker: ElementKernels) -> sp.csr_matrix:
     scale = config.sigma * he**config.alpha
     local = scale[:, None, None] * np.einsum("eq,eqa,eqb->eab", wq, jump, jump)
     cols = np.concatenate([dm.elem_pres[t1], dm.elem_pres[t2]], axis=1)
-    acc = _Accumulator((npres, npres))
-    acc.add(local, cols, cols)
-    return acc.to_csr()
+    return _scatter(local, cols, cols, (npres, npres))
 
 
 def assemble_load(kernels: ElementKernels, f, time: float | None = None) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -36,7 +37,12 @@ class SpaceConfig:
 
     def __post_init__(self):
         for name in ("k", "j", "l", "m", "n"):
-            if int(getattr(self, name)) < 0:
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"degree {name} must be an integer, got {value!r}") from None
+            if value < 0:
                 raise ValueError(f"degree {name} must be >= 0")
         for name in ("gamma", "alpha", "zeta", "mu", "rho"):
             if not math.isfinite(getattr(self, name)):

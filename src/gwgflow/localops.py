@@ -255,37 +255,37 @@ class ElementKernels:
 
     # -- evaluation ---------------------------------------------------------
 
-    def weak_gradient_values(self, sl: slice) -> np.ndarray:
+    def weak_gradient_values(self) -> np.ndarray:
         """Values of the weak gradient of every component-local shape function.
 
-        Shape (nchunk, 2, npts, ncomp): axes are (element, derivative q,
+        Shape (nT, 2, npts, ncomp): axes are (element, derivative q,
         point, component-local DOF).  The weak gradient acts on each velocity
         component alone and identically, so one table serves both: row c of
         the weak gradient of a local vector v is ``W @ v[comp_cols[c]]``.
         The interior-gradient part is evaluated exactly; the delta part
         through its P_l coefficients.
         """
-        W = np.matmul(self.Vl[sl, None], self.delta[sl])
-        W[..., : self.dk] += self.Gk[sl].transpose(0, 2, 1, 3)
+        W = np.matmul(self.Vl[:, None], self.delta)
+        W[..., : self.dk] += self.Gk.transpose(0, 2, 1, 3)
         return W
 
     def interior_moments(self, vals: np.ndarray) -> np.ndarray:
         """Moments (v, phi_i)_T of vector values (nT, np, 2) at ``qp``, (nT, 2, dk)."""
         return np.matmul(vals.transpose(0, 2, 1), self.wVk)
 
-    def stabilizer_local(self, sl: slice) -> np.ndarray:
-        """Component-local s1 matrices, (nchunk, ncomp, ncomp), with zeta * h_T**gamma.
+    def stabilizer_local(self) -> np.ndarray:
+        """Component-local s1 matrices, (nT, ncomp, ncomp), with zeta * h_T**gamma.
 
         s1 acts on each velocity component alone and identically, so the
         matrix of component c sits at rows and columns ``comp_cols[c]``.
         """
         cfg = self.config
         dk, dj = self.dk, self.dj
-        h = self.mesh.h_elem[sl]
+        h = self.mesh.h_elem
         S = np.zeros((h.size, self.ncomp, self.ncomp))
         for le in range(3):
-            Me = self.elen[sl, le, None, None] * self.Mhat
-            E = self.E[sl, le]
+            Me = self.elen[:, le, None, None] * self.Mhat
+            E = self.E[:, le]
             MeE = np.einsum("tab,tbi->tai", Me, E)
             cols = slice(dk + le * dj, dk + (le + 1) * dj)
             S[:, cols, cols] += Me

@@ -38,8 +38,12 @@ class TimeGrid:
     t_final: float
 
     def __post_init__(self):
-        if self.tau <= 0 or self.n_steps <= 0:
-            raise ValueError("tau and n_steps must be positive")
+        if not (self.tau > 0 and math.isfinite(self.tau)) or self.n_steps <= 0:
+            raise ValueError(
+                f"tau and n_steps must be finite and positive, got {self.tau}, {self.n_steps}"
+            )
+        if not math.isfinite(self.t_final):
+            raise ValueError(f"t_final must be finite, got {self.t_final}")
         if abs(self.n_steps * self.tau - self.t_final) > 1e-14 * max(1.0, self.t_final):
             raise ValueError("n_steps * tau must equal t_final")
         if self.n_steps > MAX_TIME_STEPS:

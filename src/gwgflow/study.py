@@ -59,6 +59,10 @@ class StudyConfig:
             raise ValueError("mesh_sizes must not be empty")
         if any(b <= a for a, b in zip(self.mesh_sizes, self.mesh_sizes[1:])):
             raise ValueError("mesh_sizes must be strictly increasing (h decreasing)")
+        if self.mesh_sizes[0] < 1:
+            raise ValueError(f"mesh_sizes must be >= 1, got {self.mesh_sizes[0]}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         self.space_config().validate_solver_compatibility()
         for _, tau in self.cells():  # validate the rule and every tau eagerly
             if tau is not None:

@@ -57,7 +57,7 @@ def energy_seminorm(kernels: ElementKernels, vel_vector: np.ndarray) -> float:
     grad = np.matmul(ker.Gk.reshape(nT, 2 * npts, ker.dk), e_int).reshape(nT, npts, 4)
     grad += np.matmul(ker.Vl, coeff)
     total = float(np.einsum("tp,tpk,tpk->", ker.qw, grad, grad))
-    S1 = ker.stabilizer_local(slice(None))
+    S1 = ker.stabilizer_local()
     total += float(np.einsum("tca,tab,tcb->", e, S1, e))
     return float(np.sqrt(max(total, 0.0)))
 
@@ -141,7 +141,7 @@ def check_weak_identities(
     Vs = eval_tri_values(s, ker.local)
     Gs = eval_tri_gradients(s, ker.local, h)
     Vs_e = eval_tri_values(s, ker.local_e)
-    W = ker.weak_gradient_values(slice(None))           # (nT, 2, np, ncomp)
+    W = ker.weak_gradient_values()           # (nT, 2, np, ncomp)
     wq_edge = ker.edge_w[None, None, :] * ker.elen[:, :, None]
     exps = tri_exponents(config.k + 1)
     Gk1 = eval_tri_gradients(config.k + 1, ker.qp, 1.0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gwgflow import assembly
 from gwgflow.assembly import (
@@ -95,6 +96,9 @@ def test_mass_block_spd_on_interior(mesh4, element_tuple):
     assert np.linalg.eigvalsh(Mi)[0] > 0
     # no coupling into trace unknowns
     assert M[ni:].nnz == 0 and M[:, ni:].nnz == 0
+    # rho Mk on each component of each element, exactly
+    ref = sp.block_diag([np.kron(np.eye(2), cfg.rho * Mk) for Mk in ker.Mk]).toarray()
+    assert np.array_equal(Mi, ref)
 
 
 def test_divergence_of_constant_pressure_vanishes_on_v0(mesh4, element_tuple):
@@ -116,19 +120,6 @@ def test_energy_kernel_positive(mesh4, element_tuple):
     E = (K + S1)[dm.free_dofs][:, dm.free_dofs].toarray()
     lam = np.linalg.eigvalsh(E)[0]
     assert lam > 1e-10
-
-
-def test_assembled_matrices_chunk_invariant(mesh4, element_tuple, monkeypatch):
-    cfg = SpaceConfig(*element_tuple)
-    prob = manufactured_problem("steady_oseen_ex1")
-    mats = []
-    for chunk in (1, 7, 10_000):
-        monkeypatch.setattr(assembly, "DEFAULT_CHUNK", chunk)
-        ker = ElementKernels(mesh4, cfg)
-        mats.append(assemble_bilinear("convection", ker, prob.beta))
-    for other in mats[1:]:
-        diff = (mats[0] - other).tocoo()
-        assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
 def test_load_zero_and_constant(mesh4, config_low):
@@ -239,9 +230,7 @@ def _full_layout(ker, W):
     return full
 
 
-@pytest.mark.parametrize("chunk", [7, 2048])
-def test_velocity_block_equals_sum_of_forms(mesh4, element_tuple, monkeypatch, chunk):
-    monkeypatch.setattr(assembly, "DEFAULT_CHUNK", chunk)
+def test_velocity_block_equals_sum_of_forms(mesh4, element_tuple):
     cfg, ker, dm = _setup(mesh4, element_tuple, mu=0.7, rho=1.3)
     beta = manufactured_problem("steady_oseen_ex1").beta
     block = assembly.assemble_velocity_block(ker, beta)
@@ -254,7 +243,7 @@ def test_velocity_block_equals_sum_of_forms(mesh4, element_tuple, monkeypatch, c
     assert np.abs(block - forms).max() <= 1e-13 * scale
     # independent reference: the full-layout weak gradient and interior
     # values contracted by einsum, as one (nloc, nloc) matrix per element
-    W = _full_layout(ker, ker.weak_gradient_values(slice(None)))
+    W = _full_layout(ker, ker.weak_gradient_values())
     V0 = np.zeros((mesh4.n_elements, ker.qw.shape[1], 2, ker.nloc))
     for c in range(2):
         V0[:, :, c, c * ker.dk : (c + 1) * ker.dk] = ker.Vk
@@ -262,24 +251,21 @@ def test_velocity_block_equals_sum_of_forms(mesh4, element_tuple, monkeypatch, c
     local = cfg.mu * np.einsum("tp,tpcqi,tpcqj->tij", ker.qw, W, W)
     wbeta = np.einsum("tpcqi,tpq->tpci", W, bvals)
     local += cfg.rho * np.einsum("tp,tpcj,tpci->tij", ker.qw, wbeta, V0)
-    S = ker.stabilizer_local(slice(None))
+    S = ker.stabilizer_local()
     for c in range(2):
         local[:, ker.comp_cols[c][:, None], ker.comp_cols[c]] += S
-    ref = assembly._Accumulator(block.shape)
-    ref.add(local, dm.elem_vel, dm.elem_vel)
-    assert np.abs(block - ref.to_csr()).max() <= 1e-13 * scale
+    rows = np.broadcast_to(dm.elem_vel[:, :, None], local.shape).ravel()
+    cols = np.broadcast_to(dm.elem_vel[:, None, :], local.shape).ravel()
+    ref = sp.coo_matrix((local.ravel(), (rows, cols)), shape=block.shape)
+    assert np.abs(block - ref.tocsr()).max() <= 1e-13 * scale
 
 
-def test_build_saddle_system_forms_one_weak_gradient_table_per_chunk(
+def test_build_saddle_system_forms_the_weak_gradient_table_once(
     mesh4, element_tuple, monkeypatch
 ):
-    monkeypatch.setattr(assembly, "DEFAULT_CHUNK", 7)
     _, ker, _ = _setup(mesh4, element_tuple)
     calls = []
     table = ker.weak_gradient_values
-    monkeypatch.setattr(ker, "weak_gradient_values", lambda sl: calls.append(sl) or table(sl))
+    monkeypatch.setattr(ker, "weak_gradient_values", lambda: calls.append(1) or table())
     build_saddle_system(ker, manufactured_problem("steady_oseen_ex1").beta)
-    n_chunks = -(-mesh4.n_elements // 7)
-    assert [(sl.start, sl.stop) for sl in calls] == [
-        (s, min(s + 7, mesh4.n_elements)) for s in range(0, 7 * n_chunks, 7)
-    ]
+    assert len(calls) == 1

@@ -144,7 +144,7 @@ def test_weak_gradient_without_mismatch_is_plain_gradient(mesh4, element_tuple):
         vloc[start : start + 2 * ker.dj] = qb.reshape(-1)
     delta = np.einsum("qic,c->qi", ker.delta[t], vloc[ker.comp_cols[0]])
     assert np.abs(delta).max() < 1e-12
-    W = ker.weak_gradient_values(slice(t, t + 1))[0]
+    W = ker.weak_gradient_values()[t]
     vals = np.einsum("qpa,ca->pcq", W, vloc[ker.comp_cols])
     plain = np.einsum("pqi,ci->pcq", ker.Gk[t], interior[t])
     assert np.allclose(vals, plain, atol=1e-12)
@@ -159,7 +159,7 @@ def test_weak_gradient_of_projected_linear_field(mesh4, element_tuple):
         ker, lambda x, y: np.stack([y + 0 * x, x + 0 * y], axis=-1)
     )
     vec = dm.velocity_vector(interior, traces)
-    W = ker.weak_gradient_values(slice(None))
+    W = ker.weak_gradient_values()
     vals = np.einsum("tqpa,tca->tpcq", W, vec[dm.elem_vel[:, ker.comp_cols]])
     assert np.abs(vals - np.array([[0.0, 1.0], [1.0, 0.0]])).max() < 1e-12
 

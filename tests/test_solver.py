@@ -40,6 +40,16 @@ def test_time_grid_validation():
         TimeGrid(tau=-0.1, n_steps=4, t_final=-0.4)
 
 
+@pytest.mark.parametrize(
+    "tau, t_final",
+    [(float("nan"), float("nan")), (float("inf"), float("inf")), (0.25, float("nan")),
+     (0.25, float("inf"))],
+)
+def test_time_grid_built_directly_rejects_nonfinite_values(tau, t_final):
+    with pytest.raises(ValueError, match="must be finite"):
+        TimeGrid(tau=tau, n_steps=1, t_final=t_final)
+
+
 @pytest.mark.parametrize("tau", [0.0, float("inf"), float("nan"), 2.0, 5.0])
 def test_time_grid_rejects_bad_tau(tau):
     # zero, non-finite, or no whole step in t_final = 1
@@ -172,6 +182,14 @@ def test_compatibility_validation():
 def test_nonfinite_scheme_parameter_rejected(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         SpaceConfig(1, 0, 1, 0, 0, **{name: value})
+
+
+@pytest.mark.parametrize("degree", [1.5, 1.0, "1", None])
+def test_non_integer_degree_rejected(degree):
+    with pytest.raises(ValueError, match="degree k must be an integer"):
+        SpaceConfig(degree, 0, 1, 0, 0)
+    # numpy integers are integers
+    assert SpaceConfig(np.int64(1), 0, 1, 0, 0).quad_order == 6
 
 
 @pytest.mark.parametrize("cells", [4, 8])

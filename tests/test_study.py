@@ -56,6 +56,17 @@ def test_study_config_validation():
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [("mesh_sizes", (0, 2)), ("mesh_sizes", (-2, 4)), ("workers", 0), ("workers", -3)],
+    ids=["mesh_sizes=0,2", "mesh_sizes=-2,4", "workers=0", "workers=-3"],
+)
+def test_study_config_rejects_bad_sizes_and_workers(field, value):
+    study = {"problem": "steady_oseen_ex1", "elements": (1, 0, 1, 0, 0), "mesh_sizes": (2, 4)}
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        StudyConfig(**{**study, field: value})
+
+
+@pytest.mark.parametrize(
     "rule", ["fixed:0", "fixed:-1", "fixed:nan", "fixed:3", "list:0.5,0"]
 )
 def test_study_config_rejects_bad_tau(rule):

@@ -70,7 +70,7 @@ def test_weak_identities_constant_field_trivial(mesh4, config_low):
         ker, lambda x, y: np.stack([np.full_like(x, 2.0), np.full_like(y, -1.0)], axis=-1)
     )
     vec = dm.velocity_vector(interior, traces)
-    W = ker.weak_gradient_values(slice(None))
+    W = ker.weak_gradient_values()
     vals = np.einsum("tqpa,tca->tpcq", W, vec[dm.elem_vel[:, ker.comp_cols]])
     assert np.abs(vals).max() < 1e-13
 
@@ -170,8 +170,8 @@ def test_energy_seminorm_matches_weak_gradient_table(mesh4, element_tuple):
     ker = ElementKernels(mesh4, SpaceConfig(*element_tuple))
     vec = np.random.default_rng(3).uniform(-1, 1, ker.dofmap.n_velocity)
     e = vec[ker.dofmap.elem_vel[:, ker.comp_cols]]                 # (nT, 2, ncomp)
-    grad = np.einsum("tqpa,tca->tpcq", ker.weak_gradient_values(slice(None)), e)
-    S1 = ker.stabilizer_local(slice(None))
+    grad = np.einsum("tqpa,tca->tpcq", ker.weak_gradient_values(), e)
+    S1 = ker.stabilizer_local()
     ref = np.sqrt(
         np.einsum("tp,tpcq,tpcq->", ker.qw, grad, grad)
         + np.einsum("tca,tab,tcb->", e, S1, e)
@@ -183,7 +183,7 @@ def test_evaluate_errors_forms_no_weak_gradient_table(mesh4, element_tuple, monk
     prob = manufactured_problem("steady_oseen_ex1")
     sol = solve_steady(mesh4, SpaceConfig(*element_tuple), prob)
 
-    def forbidden(sl):
+    def forbidden():
         raise AssertionError("evaluate_errors formed the weak-gradient table")
 
     monkeypatch.setattr(sol.system.kernels, "weak_gradient_values", forbidden)
