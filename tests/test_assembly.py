@@ -230,7 +230,8 @@ def _full_layout(ker, W):
     return full
 
 
-def test_velocity_block_equals_sum_of_forms(mesh4, element_tuple):
+@pytest.mark.parametrize("chunk", [7, 2048])
+def test_velocity_block_equals_sum_of_forms(mesh4, element_tuple, chunk):
     cfg, ker, dm = _setup(mesh4, element_tuple, mu=0.7, rho=1.3)
     beta = manufactured_problem("steady_oseen_ex1").beta
     block = assembly.assemble_velocity_block(ker, beta)
@@ -254,10 +255,16 @@ def test_velocity_block_equals_sum_of_forms(mesh4, element_tuple):
     S = ker.stabilizer_local()
     for c in range(2):
         local[:, ker.comp_cols[c][:, None], ker.comp_cols[c]] += S
-    rows = np.broadcast_to(dm.elem_vel[:, :, None], local.shape).ravel()
-    cols = np.broadcast_to(dm.elem_vel[:, None, :], local.shape).ravel()
-    ref = sp.coo_matrix((local.ravel(), (rows, cols)), shape=block.shape)
-    assert np.abs(block - ref.tocsr()).max() <= 1e-13 * scale
+    # the reference is scattered in groups of `chunk` elements and summed, so
+    # the one-pass block must not depend on how the elements are grouped
+    ref = sp.csr_matrix(block.shape)
+    for start in range(0, mesh4.n_elements, chunk):
+        loc = local[start : start + chunk]
+        dofs = dm.elem_vel[start : start + chunk]
+        rows = np.broadcast_to(dofs[:, :, None], loc.shape).ravel()
+        cols = np.broadcast_to(dofs[:, None, :], loc.shape).ravel()
+        ref = ref + sp.coo_matrix((loc.ravel(), (rows, cols)), shape=block.shape)
+    assert np.abs(block - ref).max() <= 1e-13 * scale
 
 
 def test_build_saddle_system_forms_the_weak_gradient_table_once(
