@@ -7,6 +7,14 @@ import operator
 from dataclasses import dataclass
 
 
+def require_integer(what: str, value) -> int:
+    """``value`` as an int, or a ``ValueError`` naming ``what`` if it is not integral."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SpaceConfig:
     """Element tuple (k, j, l, m, n) plus scheme parameters.
@@ -37,11 +45,7 @@ class SpaceConfig:
 
     def __post_init__(self):
         for name in ("k", "j", "l", "m", "n"):
-            value = getattr(self, name)
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise ValueError(f"degree {name} must be an integer, got {value!r}") from None
+            value = require_integer(f"degree {name}", getattr(self, name))
             if value < 0:
                 raise ValueError(f"degree {name} must be >= 0")
         for name in ("gamma", "alpha", "zeta", "mu", "rho"):

@@ -4,6 +4,10 @@ Everything here is batched over elements.  ``ElementKernels`` precomputes,
 for a mesh/config pair, the basis tables, trace projections, the two
 weak-operator coefficient maps and the global DOF numbering; it is the one
 discretization handle that the assembly, solver and error layers take.
+Tables that do not depend on an element's position are built once per
+shape class: elements whose centroid-relative vertices over ``h_elem``,
+whose ``h_elem`` and whose local-edge directions agree share them
+(``_shape_classes``).  A uniform triangulation has two classes.
 """
 
 from __future__ import annotations
@@ -124,8 +128,32 @@ def _number_dofs(mesh: Mesh, dk: int, dj: int, dn: int) -> DofMap:
     )
 
 
+def _shape_classes(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Shape class of every element, (nT,), and a representative element per class.
+
+    Key: the centroid-relative vertices over ``h_elem`` and ``log(h_elem)``,
+    rounded to 12 decimals, and whether each local edge runs along its
+    stored ``mesh.edges`` direction (which fixes the trace basis on it).
+    """
+    h = mesh.h_elem
+    rel = (mesh.vertices[mesh.elements] - mesh.centroids[:, None, :]) / h[:, None, None]
+    along = mesh.edges[mesh.element_edges, 0] == mesh.elements
+    key = np.column_stack([np.round(rel.reshape(-1, 6), 12), np.round(np.log(h), 12), along])
+    _, reps, shape_class = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    return shape_class.reshape(-1), reps
+
+
+_CLASS_TABLES = """qw local Vk Vl Vm Vn Gk Gm wVk Mk Ml Mm Mn local_e Vk_e Vl_e Vm_e Vn_e
+normals elen E Gl_e Gm_e delta div""".split()
+
+
 class ElementKernels:
-    """Precomputed per-element discretization data for one mesh/config pair."""
+    """Precomputed discretization data for one mesh/config pair.
+
+    ``_CLASS_TABLES`` and the s1 blocks are built on ``reps``, one element
+    per shape class, and read as ``table[shape_class]``; only ``qp``,
+    ``edge_pts`` and ``dofmap`` are built per element.
+    """
 
     def __init__(self, mesh: Mesh, config: SpaceConfig, quad_order: int | None = None):
         self.mesh = mesh
@@ -150,28 +178,30 @@ class ElementKernels:
         self.comp_cols = cols
         self.dofmap = _number_dofs(mesh, self.dk, self.dj, self.dn)
 
+        self.shape_class, self.reps = _shape_classes(mesh)
         self.tri_rule = triangle_quadrature(order)
         self.edge_rule = edge_quadrature(order)
 
         self._build_volume_tables(k, l, m, n)
         self._build_edge_tables(k, l, m, n)
         self._build_weak_operators()
+        self._build_stabilizer()
+        for name in _CLASS_TABLES:
+            setattr(self, name, getattr(self, name)[self.shape_class])
 
     # -- construction -------------------------------------------------------
 
     def _build_volume_tables(self, k, l, m, n):
-        mesh, rule = self.mesh, self.tri_rule
-        verts = mesh.vertices[mesh.elements]           # (nT, 3, 2)
-        self.qp = map_to_physical(rule, verts)
-        self.qw = rule.weights[None, :] * (2.0 * mesh.areas[:, None])
+        mesh, rule, r = self.mesh, self.tri_rule, self.reps
+        self.qp = map_to_physical(rule, mesh.vertices[mesh.elements])   # (nT, np, 2)
+        self.qw = rule.weights[None, :] * (2.0 * mesh.areas[r, None])
 
-        local = (self.qp - mesh.centroids[:, None, :]) / mesh.h_elem[:, None, None]
-        self.local = local
+        self.local = local = (self.qp[r] - mesh.centroids[r, None, :]) / mesh.h_elem[r, None, None]
         # the monomials are ordered by total degree, so each degree's table is
         # a column prefix of the table at the highest degree
         V = eval_tri_values(max(k, l, m, n), local)
         self.Vk, self.Vl, self.Vm, self.Vn = (V[..., : dim_p(d)] for d in (k, l, m, n))
-        G = eval_tri_gradients(max(k, m), local, mesh.h_elem[:, None])
+        G = eval_tri_gradients(max(k, m), local, mesh.h_elem[r, None])
         self.Gk, self.Gm = G[..., : self.dk], G[..., : self.dm]   # (nT, np, 2, d)
 
         w = self.qw
@@ -182,7 +212,7 @@ class ElementKernels:
         self.Mn = np.einsum("tp,tpi,tpj->tij", w, self.Vn, self.Vn)
 
     def _build_edge_tables(self, k, l, m, n):
-        mesh, config = self.mesh, self.config
+        mesh, config, r = self.mesh, self.config, self.reps
         s, ew = self.edge_rule.points, self.edge_rule.weights
         self.edge_s, self.edge_w = s, ew
 
@@ -196,16 +226,16 @@ class ElementKernels:
         # (ew * Qj) @ Mhat^-1; the edge-length factor cancels
         self.edge_projector = _solve_mass(self.Mhat.T, (ew[:, None] * self.Qj).T, "edge").T
 
-        eids = mesh.element_edges                                    # (nT, 3)
-        pts = self.edge_pts[eids]                                    # (nT, 3, nq, 2)
-        local = (pts - mesh.centroids[:, None, None, :]) / mesh.h_elem[:, None, None, None]
+        eids = mesh.element_edges[r]                                 # (nC, 3)
+        pts = self.edge_pts[eids]                                    # (nC, 3, nq, 2)
+        local = (pts - mesh.centroids[r, None, None, :]) / mesh.h_elem[r, None, None, None]
         self.local_e = local
         V = eval_tri_values(max(k, l, m, n), local)
         self.Vk_e, self.Vl_e, self.Vm_e, self.Vn_e = (
             V[..., : dim_p(d)] for d in (k, l, m, n)
         )
 
-        self.normals = mesh.edge_normals[eids] * mesh.element_edge_sign[..., None]
+        self.normals = mesh.edge_normals[eids] * mesh.element_edge_sign[r, :, None]
         self.elen = mesh.h_edge[eids]                                # (nT, 3)
 
         # trace projection Q_b of interior basis, per element edge (dj x dk);
@@ -223,7 +253,7 @@ class ElementKernels:
 
     def _build_weak_operators(self):
         dk, dj, dl, dm = self.dk, self.dj, self.dl, self.dm
-        nT = self.mesh.n_elements
+        nT = self.reps.size
         ncomp = self.ncomp
 
         # delta_w right-hand side, identical for both velocity components:
@@ -253,6 +283,23 @@ class ElementKernels:
         for c in range(2):
             self.div[:, :, self.comp_cols[c]] = div_comp[:, c]
 
+    def _build_stabilizer(self):
+        cfg = self.config
+        dk, dj = self.dk, self.dj
+        h = self.mesh.h_elem[self.reps]
+        S = np.zeros((h.size, self.ncomp, self.ncomp))
+        for le in range(3):
+            Me = self.elen[:, le, None, None] * self.Mhat
+            E = self.E[:, le]
+            MeE = np.einsum("tab,tbi->tai", Me, E)
+            cols = slice(dk + le * dj, dk + (le + 1) * dj)
+            S[:, cols, cols] += Me
+            S[:, cols, :dk] -= MeE
+            S[:, :dk, cols] -= MeE.transpose(0, 2, 1)
+            S[:, :dk, :dk] += np.einsum("tai,taj->tij", E, MeE)
+        S *= (cfg.zeta * h**cfg.gamma)[:, None, None]
+        self._s1 = S
+
     # -- evaluation ---------------------------------------------------------
 
     def weak_gradient_values(self) -> np.ndarray:
@@ -279,21 +326,7 @@ class ElementKernels:
         s1 acts on each velocity component alone and identically, so the
         matrix of component c sits at rows and columns ``comp_cols[c]``.
         """
-        cfg = self.config
-        dk, dj = self.dk, self.dj
-        h = self.mesh.h_elem
-        S = np.zeros((h.size, self.ncomp, self.ncomp))
-        for le in range(3):
-            Me = self.elen[:, le, None, None] * self.Mhat
-            E = self.E[:, le]
-            MeE = np.einsum("tab,tbi->tai", Me, E)
-            cols = slice(dk + le * dj, dk + (le + 1) * dj)
-            S[:, cols, cols] += Me
-            S[:, cols, :dk] -= MeE
-            S[:, :dk, cols] -= MeE.transpose(0, 2, 1)
-            S[:, :dk, :dk] += np.einsum("tai,taj->tij", E, MeE)
-        S *= (cfg.zeta * h**cfg.gamma)[:, None, None]
-        return S
+        return self._s1[self.shape_class]
 
 
 # -- local L2 projections ---------------------------------------------------

@@ -17,7 +17,7 @@ from .assembly import (
     build_saddle_system,
     constrain_system,
 )
-from .config import SpaceConfig
+from .config import SpaceConfig, require_integer
 from .localops import ElementKernels, project_velocity
 from .mesh import Mesh
 
@@ -38,6 +38,7 @@ class TimeGrid:
     t_final: float
 
     def __post_init__(self):
+        require_integer("n_steps", self.n_steps)
         if not (self.tau > 0 and math.isfinite(self.tau)) or self.n_steps <= 0:
             raise ValueError(
                 f"tau and n_steps must be finite and positive, got {self.tau}, {self.n_steps}"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .config import SpaceConfig
+from .config import SpaceConfig, require_integer
 from .mesh import build_uniform_triangulation
 from .problems import manufactured_problem
 from .solver import TimeGrid, solve_evolutionary, solve_steady
@@ -57,6 +57,8 @@ class StudyConfig:
     def __post_init__(self):
         if len(self.mesh_sizes) < 1:
             raise ValueError("mesh_sizes must not be empty")
+        for n in self.mesh_sizes:
+            require_integer("mesh_sizes", n)
         if any(b <= a for a, b in zip(self.mesh_sizes, self.mesh_sizes[1:])):
             raise ValueError("mesh_sizes must be strictly increasing (h decreasing)")
         if self.mesh_sizes[0] < 1:

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
+import gwgflow.localops
 from gwgflow.basis import eval_edge_values, eval_tri_gradients, eval_tri_values
 from gwgflow.config import SpaceConfig
 from gwgflow.localops import (
+    _CLASS_TABLES,
     ElementKernels,
     _solve_mass,
     project_boundary_traces,
     project_pressure,
     project_velocity,
 )
-from gwgflow.mesh import build_uniform_triangulation
+from gwgflow.mesh import _build_topology, build_uniform_triangulation
 
 
 def test_project_interior_reproduces_constant(mesh4, config_high):
@@ -225,3 +227,116 @@ def test_prefix_sliced_tables_equal_direct_evaluation(mesh4, degrees):
         assert np.array_equal(V_e, eval_tri_values(d, ker.local_e))
     assert np.array_equal(ker.Gk, eval_tri_gradients(k, ker.local, h))
     assert np.array_equal(ker.Gm, eval_tri_gradients(m, ker.local, h))
+
+
+# -- shape classes ------------------------------------------------------------
+
+
+def _jittered_mesh(n: int, seed: int = 0):
+    """The uniform n x n mesh with every interior vertex moved by up to h/5."""
+    mesh = build_uniform_triangulation(n)
+    verts = mesh.vertices.copy()
+    inner = np.all((verts > 0.0) & (verts < 1.0), axis=1)
+    rng = np.random.default_rng(seed)
+    verts[inner] += rng.uniform(-0.2, 0.2, size=(inner.sum(), 2)) / n
+    return _build_topology(verts, mesh.elements)
+
+
+def _renumbered_mesh(n: int, seed: int = 0):
+    """The uniform n x n mesh with its vertices numbered in random order.
+
+    The stored edge directions, (min, max) vertex number, then differ
+    between congruent elements, and with them the trace basis on an edge.
+    """
+    mesh = build_uniform_triangulation(n)
+    perm = np.random.default_rng(seed).permutation(mesh.n_vertices)
+    verts = np.empty_like(mesh.vertices)
+    verts[perm] = mesh.vertices
+    return _build_topology(verts, perm[mesh.elements])
+
+
+def _two_sizes_mesh(n: int):
+    """The uniform n x n mesh beside a copy of it at half the size."""
+    mesh = build_uniform_triangulation(n)
+    verts = np.concatenate([mesh.vertices, 0.5 * mesh.vertices + [2.0, 0.0]])
+    return _build_topology(verts, np.concatenate([mesh.elements, mesh.elements + mesh.n_vertices]))
+
+
+def _single_element_mesh(mesh, t: int):
+    """Element ``t`` alone, its local edges stored in the same directions.
+
+    The vertices are renumbered by the rank of their global numbers, so each
+    local edge runs along its stored (min, max) direction exactly when it
+    does in ``mesh``.
+    """
+    glob = mesh.elements[t]
+    rank = np.argsort(np.argsort(glob))
+    verts = np.empty((3, 2))
+    verts[rank] = mesh.vertices[glob]
+    return _build_topology(verts, rank[None, :])
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_uniform_mesh_has_two_shape_classes(n, element_tuple):
+    ker = ElementKernels(build_uniform_triangulation(n), SpaceConfig(*element_tuple))
+    assert ker.reps.size == 2
+    # the lower and the upper triangle of each cell, by element parity
+    assert np.array_equal(ker.shape_class, np.arange(2 * n * n) % 2)
+
+
+def test_similar_elements_of_two_sizes_are_four_classes(element_tuple):
+    # the scaled copy has the same centroid-relative vertices over h_elem
+    ker = ElementKernels(_two_sizes_mesh(2), SpaceConfig(*element_tuple))
+    group = np.arange(16) % 2 + 2 * (np.arange(16) >= 8)   # parity and size
+    assert ker.reps.size == 4
+    assert np.array_equal(ker.shape_class, ker.shape_class[[0, 1, 8, 9]][group])
+
+
+def test_jittered_mesh_has_one_shape_class_per_element(element_tuple):
+    mesh = _jittered_mesh(4)
+    ker = ElementKernels(mesh, SpaceConfig(*element_tuple))
+    assert np.array_equal(np.sort(ker.shape_class), np.arange(mesh.n_elements))
+
+
+def test_edge_directions_split_congruent_elements(element_tuple):
+    mesh = _renumbered_mesh(4)
+    ker = ElementKernels(mesh, SpaceConfig(*element_tuple))
+    # congruent by parity, as on the uniform mesh, but split by edge direction
+    along = mesh.edges[mesh.element_edges, 0] == mesh.elements
+    keys = np.column_stack([np.arange(mesh.n_elements) % 2, along])
+    assert 2 < ker.reps.size == np.unique(keys, axis=0).shape[0]
+
+
+@pytest.mark.parametrize("which", ["uniform", "jittered", "renumbered", "two_sizes"])
+def test_gathered_tables_equal_per_element_evaluation(which, element_tuple):
+    mesh = {"uniform": build_uniform_triangulation, "jittered": _jittered_mesh,
+            "renumbered": _renumbered_mesh, "two_sizes": _two_sizes_mesh}[which](4)
+    config = SpaceConfig(*element_tuple)
+    ker = ElementKernels(mesh, config)
+    S = ker.stabilizer_local()
+    for t in range(mesh.n_elements):
+        ref = ElementKernels(_single_element_mesh(mesh, t), config)
+        pairs = [(getattr(ker, name)[t], getattr(ref, name)[0]) for name in _CLASS_TABLES]
+        pairs += [(S[t], ref.stabilizer_local()[0]), (ker.qp[t], ref.qp[0])]
+        for got, want in pairs:
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_basis_tables_are_evaluated_once_per_shape_class(element_tuple, monkeypatch):
+    # a per-element build would evaluate the bases at nT x npts points
+    counts = {"values": 0, "gradients": 0}
+
+    def counted(kind, fn):
+        def wrapper(degree, pts, *args):
+            counts[kind] += pts[..., 0].size
+            return fn(degree, pts, *args)
+        return wrapper
+
+    monkeypatch.setattr(gwgflow.localops, "eval_tri_values", counted("values", eval_tri_values))
+    monkeypatch.setattr(
+        gwgflow.localops, "eval_tri_gradients", counted("gradients", eval_tri_gradients)
+    )
+    ker = ElementKernels(build_uniform_triangulation(16), SpaceConfig(*element_tuple))
+    n_classes, npts, nq = ker.reps.size, ker.tri_rule.weights.size, ker.edge_rule.weights.size
+    assert n_classes == 2
+    assert counts == {"values": n_classes * (npts + 3 * nq), "gradients": n_classes * npts}

@@ -16,7 +16,7 @@ from gwgflow.assembly import (
 )
 from gwgflow.config import SpaceConfig
 from gwgflow.localops import ElementKernels, project_velocity
-from gwgflow.mesh import build_uniform_triangulation
+from gwgflow.mesh import _build_topology, build_uniform_triangulation
 from gwgflow.problems import manufactured_problem
 from gwgflow.solver import (
     LinearSolveError,
@@ -27,6 +27,7 @@ from gwgflow.solver import (
     solve_steady,
 )
 from gwgflow.verify import evaluate_errors, incompressibility_residual
+from reports import assert_reports_close, exact_norms
 
 
 def test_time_grid_validation():
@@ -48,6 +49,14 @@ def test_time_grid_validation():
 def test_time_grid_built_directly_rejects_nonfinite_values(tau, t_final):
     with pytest.raises(ValueError, match="must be finite"):
         TimeGrid(tau=tau, n_steps=1, t_final=t_final)
+
+
+@pytest.mark.parametrize("n_steps", [4.0, 4.5, "4", None])
+def test_time_grid_rejects_non_integral_step_count(n_steps):
+    # a float step count used to pass and fail later in the march's range()
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        TimeGrid(tau=0.25, n_steps=n_steps, t_final=1.0)
+    assert TimeGrid(tau=0.25, n_steps=np.int64(4), t_final=1.0).n_steps == 4
 
 
 @pytest.mark.parametrize("tau", [0.0, float("inf"), float("nan"), 2.0, 5.0])
@@ -190,6 +199,22 @@ def test_non_integer_degree_rejected(degree):
         SpaceConfig(degree, 0, 1, 0, 0)
     # numpy integers are integers
     assert SpaceConfig(np.int64(1), 0, 1, 0, 0).quad_order == 6
+
+
+@pytest.mark.parametrize("cells", [8, 16])
+def test_cycled_vertex_lists_give_the_same_solution(cells, element_tuple):
+    # listing every element's vertices as (v1, v2, v0) changes the shape-class
+    # keys, the edge numbering and the DOF order, but not the discrete solution
+    mesh = build_uniform_triangulation(cells)
+    cycled = _build_topology(mesh.vertices, mesh.elements[:, [1, 2, 0]])
+    assert not np.array_equal(cycled.edges, mesh.edges)
+    config, problem = SpaceConfig(*element_tuple), manufactured_problem("steady_oseen_ex1")
+    sol, sol_c = solve_steady(mesh, config, problem), solve_steady(cycled, config, problem)
+    ker, ker_c = sol.system.kernels, sol_c.system.kernels
+    assert not np.allclose(ker.local[:2], ker_c.local[:2])
+    assert_reports_close(
+        evaluate_errors(sol_c, problem), evaluate_errors(sol, problem), exact_norms(ker, problem)
+    )
 
 
 @pytest.mark.parametrize("cells", [4, 8])

@@ -13,12 +13,21 @@ from gwgflow.study import (
 )
 
 REFERENCE = Path(__file__).resolve().parent.parent / "benchmarks" / "reference"
+#: study CSVs on the paper's mesh lists, written before the shape-class kernels
+GOLDEN = Path(__file__).resolve().parent / "data"
 
 #: the benchmark studies, whose coarse-mesh CSVs are committed as references
 GOLDEN_STUDIES = {
     "steady_p1": ("steady_oseen_ex1", (1, 0, 1, 0, 0)),
     "steady_p2": ("steady_oseen_ex1", (2, 1, 1, 1, 1)),
     "evolutionary_p1": ("evolutionary_oseen_ex2", (1, 0, 1, 0, 0)),
+}
+
+#: the meshes of each golden study on the paper's mesh lists (tau = h^2)
+PAPER_MESHES = {
+    "steady_p1": (8, 16, 32, 64),
+    "steady_p2": (4, 8, 16, 32),
+    "evolutionary_p1": (4, 8, 16, 32),
 }
 
 
@@ -64,6 +73,12 @@ def test_study_config_rejects_bad_sizes_and_workers(field, value):
     study = {"problem": "steady_oseen_ex1", "elements": (1, 0, 1, 0, 0), "mesh_sizes": (2, 4)}
     with pytest.raises(ValueError, match=f"{field} must be >= 1"):
         StudyConfig(**{**study, field: value})
+
+
+@pytest.mark.parametrize("sizes", [(2.5, 4), (2, 4.0), ("2", 4)])
+def test_study_config_rejects_non_integral_mesh_sizes(sizes):
+    with pytest.raises(ValueError, match="mesh_sizes must be an integer"):
+        StudyConfig(problem="steady_oseen_ex1", elements=(1, 0, 1, 0, 0), mesh_sizes=sizes)
 
 
 @pytest.mark.parametrize(
@@ -176,6 +191,15 @@ def test_study_csv_matches_reference(workload):
     problem, elements = GOLDEN_STUDIES[workload]
     study = StudyConfig(problem, elements, (2, 4), formats=(), workers=1)
     expected = (REFERENCE / f"{workload}-2-4.csv").read_bytes()
+    assert run_convergence_study(study).csv_text().encode() == expected
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN_STUDIES))
+def test_study_csv_matches_paper_mesh_golden(workload):
+    problem, elements = GOLDEN_STUDIES[workload]
+    sizes = PAPER_MESHES[workload]
+    study = StudyConfig(problem, elements, sizes, formats=(), workers=1)
+    expected = (GOLDEN / f"{workload}-{'-'.join(map(str, sizes))}.csv").read_bytes()
     assert run_convergence_study(study).csv_text().encode() == expected
 
 
