@@ -5,9 +5,7 @@ for a mesh/config pair, the basis tables, trace projections, the two
 weak-operator coefficient maps and the global DOF numbering; it is the one
 discretization handle that the assembly, solver and error layers take.
 Tables that do not depend on an element's position are built once per
-shape class: elements whose centroid-relative vertices over ``h_elem``,
-whose ``h_elem`` and whose local-edge directions agree share them
-(``_shape_classes``).  A uniform triangulation has two classes.
+shape class (``_shape_classes``); a uniform triangulation has two classes.
 """
 
 from __future__ import annotations
@@ -143,8 +141,13 @@ def _shape_classes(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return shape_class.reshape(-1), reps
 
 
-_CLASS_TABLES = """qw local Vk Vl Vm Vn Gk Gm wVk Mk Ml Mm Mn local_e Vk_e Vl_e Vm_e Vn_e
-normals elen E Gl_e Gm_e delta div""".split()
+_CLASS_TABLES = """qw local _V _G wVk Mk Ml Mm Mn local_e _V_e normals elen E Gl_e Gm_e
+delta div""".split()
+
+
+def _prefix(table: str, dim: str) -> property:
+    """One degree's columns of ``table``, whose monomials are ordered by total degree."""
+    return property(lambda self: getattr(self, table)[..., : getattr(self, dim)])
 
 
 class ElementKernels:
@@ -154,6 +157,10 @@ class ElementKernels:
     per shape class, and read as ``table[shape_class]``; only ``qp``,
     ``edge_pts`` and ``dofmap`` are built per element.
     """
+
+    Vk, Vl, Vm, Vn = (_prefix("_V", d) for d in ("dk", "dl", "dm", "dn"))
+    Vk_e, Vl_e, Vm_e, Vn_e = (_prefix("_V_e", d) for d in ("dk", "dl", "dm", "dn"))
+    Gk, Gm = _prefix("_G", "dk"), _prefix("_G", "dm")     # (nT, np, 2, d)
 
     def __init__(self, mesh: Mesh, config: SpaceConfig, quad_order: int | None = None):
         self.mesh = mesh
@@ -197,12 +204,8 @@ class ElementKernels:
         self.qw = rule.weights[None, :] * (2.0 * mesh.areas[r, None])
 
         self.local = local = (self.qp[r] - mesh.centroids[r, None, :]) / mesh.h_elem[r, None, None]
-        # the monomials are ordered by total degree, so each degree's table is
-        # a column prefix of the table at the highest degree
-        V = eval_tri_values(max(k, l, m, n), local)
-        self.Vk, self.Vl, self.Vm, self.Vn = (V[..., : dim_p(d)] for d in (k, l, m, n))
-        G = eval_tri_gradients(max(k, m), local, mesh.h_elem[r, None])
-        self.Gk, self.Gm = G[..., : self.dk], G[..., : self.dm]   # (nT, np, 2, d)
+        self._V = eval_tri_values(max(k, l, m, n), local)
+        self._G = eval_tri_gradients(max(k, m), local, mesh.h_elem[r, None])
 
         w = self.qw
         self.wVk = w[..., None] * self.Vk                # (nT, np, dk)
@@ -230,10 +233,7 @@ class ElementKernels:
         pts = self.edge_pts[eids]                                    # (nC, 3, nq, 2)
         local = (pts - mesh.centroids[r, None, None, :]) / mesh.h_elem[r, None, None, None]
         self.local_e = local
-        V = eval_tri_values(max(k, l, m, n), local)
-        self.Vk_e, self.Vl_e, self.Vm_e, self.Vn_e = (
-            V[..., : dim_p(d)] for d in (k, l, m, n)
-        )
+        self._V_e = eval_tri_values(max(k, l, m, n), local)
 
         self.normals = mesh.edge_normals[eids] * mesh.element_edge_sign[r, :, None]
         self.elen = mesh.h_edge[eids]                                # (nT, 3)
