@@ -253,16 +253,16 @@ class ElementKernels:
 
     def _build_weak_operators(self):
         dk, dj, dl, dm = self.dk, self.dj, self.dl, self.dm
-        nT = self.reps.size
+        nC = self.reps.size
         ncomp = self.ncomp
 
         # delta_w right-hand side, identical for both velocity components:
         # rows = tensor column q and target basis, columns = component-local DOFs
-        rhs = np.zeros((nT, 2, dl, ncomp))
+        rhs = np.zeros((nC, 2, dl, ncomp))
         for le in range(3):
-            nq_ = self.normals[:, le]                    # (nT, 2)
-            G = self.Gl_e[:, le]                         # (nT, dj, dl)
-            GE = np.einsum("tai,tak->tik", G, self.E[:, le])  # (nT, dl, dk)
+            nq_ = self.normals[:, le]                    # (nC, 2)
+            G = self.Gl_e[:, le]                         # (nC, dj, dl)
+            GE = np.einsum("tai,tak->tik", G, self.E[:, le])  # (nC, dl, dk)
             sl = slice(dk + le * dj, dk + (le + 1) * dj)
             for q in range(2):
                 rhs[:, q, :, sl] += nq_[:, q, None, None] * G.transpose(0, 2, 1)
@@ -270,7 +270,7 @@ class ElementKernels:
         self.delta = _solve_mass(self.Ml[:, None], rhs, "weak-gradient")
 
         # weak divergence map on the full local layout (dm x nloc)
-        rhs_div = np.zeros((nT, 2, dm, ncomp))
+        rhs_div = np.zeros((nC, 2, dm, ncomp))
         Am = np.einsum("tp,tpci,tpj->tcij", self.qw, self.Gm, self.Vk)
         rhs_div[:, :, :, :dk] = -Am
         for le in range(3):
@@ -279,7 +279,7 @@ class ElementKernels:
             )
             rhs_div[:, :, :, dk + le * dj : dk + (le + 1) * dj] += block
         div_comp = _solve_mass(self.Mm[:, None], rhs_div, "weak-divergence")
-        self.div = np.zeros((nT, dm, self.nloc))
+        self.div = np.zeros((nC, dm, self.nloc))
         for c in range(2):
             self.div[:, :, self.comp_cols[c]] = div_comp[:, c]
 
