@@ -31,7 +31,8 @@ def exact_norms(kernels: ElementKernels, problem, time: float | None = None) -> 
     p = _eval_field("exact pressure", problem.p, x, y, time)
     l2u = float(np.sqrt(np.einsum("tp,tpc,tpc->", ker.qw, u, u)))
     l2p = float(np.sqrt(np.einsum("tp,tp,tp->", ker.qw, p, p)))
-    energy = energy_seminorm(ker, ker.dofmap.velocity_vector(*project_velocity(ker, problem.u, time)))
+    q_u = ker.dofmap.velocity_vector(*project_velocity(ker, problem.u, time))
+    energy = energy_seminorm(ker, q_u)
     return {
         "energy": energy,
         "l2_velocity_proj": l2u,
