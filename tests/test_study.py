@@ -203,6 +203,27 @@ def test_study_csv_matches_paper_mesh_golden(workload):
     assert run_convergence_study(study).csv_text().encode() == expected
 
 
+#: P2 studies whose condensed set differs from the steady sigma = 0 one:
+#: sigma = 1 keeps every pressure mode, and the backward-Euler march adds
+#: the mass to the condensed blocks; written before the pressure modes
+#: were condensed
+CONDENSATION_GOLDEN = {
+    "steady_p2_sigma1": StudyConfig(
+        "steady_oseen_ex1", (2, 1, 1, 1, 1), (4, 8, 16), sigma=1, formats=(), workers=1
+    ),
+    "evolutionary_p2": StudyConfig(
+        "evolutionary_oseen_ex2", (2, 1, 1, 1, 1), (4, 8, 16), formats=(), workers=1
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONDENSATION_GOLDEN))
+def test_study_csv_matches_condensation_golden(name):
+    study = CONDENSATION_GOLDEN[name]
+    expected = (GOLDEN / f"{name}-{'-'.join(map(str, study.mesh_sizes))}.csv").read_bytes()
+    assert run_convergence_study(study).csv_text().encode() == expected
+
+
 def test_commit_id_reads_the_package_checkout(tmp_path, monkeypatch):
     package_dir = Path(gwgflow.study.__file__).resolve().parent
     if shutil.which("git") is None:
