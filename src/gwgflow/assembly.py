@@ -4,18 +4,20 @@ Every routine takes the ``ElementKernels`` of one mesh/config pair, whose
 ``dofmap`` fixes the global numbering.  All matrices are assembled over
 the full (unreduced) DOF sets; the Dirichlet reduction is recorded on the
 ``SaddleSystem`` and applied when the linear operator is formed, with one
-pressure DOF pinned; ``expand`` shifts the pressure to zero mean.  The
-element-interior velocity DOFs lead the reduced unknowns, and their block
-of the operator is block diagonal, so the solver condenses them out
-element by element and factors only the trace-pressure Schur complement.
+pressure DOF pinned; ``expand`` shifts the pressure to zero mean.
 
-Each form is one whole-mesh array of element matrices and one scatter, in
-element index order.  The velocity forms act on each velocity component
-alone and in the same way, so their element matrices are component-local
-and placed on both components.  The velocity block
-``A = mu viscous + rho convection + s1`` sums the three element matrices
-of one weak-gradient table and scatters once; ``assemble_bilinear`` builds
-each form alone from the same helpers.
+Element matrices are the source.  The velocity forms act on each velocity
+component alone and in the same way, so their element matrices are
+component-local and placed on both components.  ``SaddleSystem`` holds
+them as ``A_local`` (``mu viscous + s1``, with ``rho/tau mass`` for a
+backward-Euler step, per shape class, plus ``rho convection`` per element)
+and the divergence element matrix of each shape class as ``B_local``;
+``A`` and ``B`` are their scatters, in element index order.
+
+The condensed set of an element is its interior velocity and, when sigma
+is 0, its ``dn - 1`` non-constant pressure modes, which then couple only
+to the element's own unknowns (with sigma = 1 the jumps ``S2`` couple
+neighbouring pressures).  The solver eliminates it element by element.
 """
 
 from __future__ import annotations
@@ -86,8 +88,7 @@ def assemble_bilinear(form: str, kernels: ElementKernels, beta=None) -> sp.csr_m
     if form == "s2":
         return _assemble_s2(ker)
     if form == "divergence":
-        M_nm = np.einsum("tp,tpi,tpj->tij", ker.qw, ker.Vn, ker.Vm)
-        local = np.matmul(M_nm, ker.div)
+        local = _divergence_local(ker)[ker.shape_class]
         return _scatter(local, dm.elem_pres, dm.elem_vel, (dm.n_pressure, dm.n_velocity))
     if form == "mass":
         return _scatter_components(ker, config.rho * ker.Mk)
@@ -95,29 +96,43 @@ def assemble_bilinear(form: str, kernels: ElementKernels, beta=None) -> sp.csr_m
         return _scatter_components(ker, ker.stabilizer_local())
     W = ker.weak_gradient_values()
     if form == "viscous":
-        return _scatter_components(ker, config.mu * _viscous_local(W, ker.qw))
+        return _scatter_components(ker, (config.mu * _viscous_local(ker, W))[ker.shape_class])
     return _scatter_components(ker, config.rho * _convection_local(ker, W, beta))
 
 
 def assemble_velocity_block(kernels: ElementKernels, beta) -> sp.csr_matrix:
-    """The velocity block ``mu viscous + rho convection + s1`` in one scatter.
+    """The velocity block ``mu viscous + rho convection + s1`` in one scatter."""
+    return _scatter_components(kernels, _velocity_local(kernels, beta))
 
-    The weak-gradient table is formed once and the three component-local
-    element matrices are summed before the scatter.
+
+def _velocity_local(ker: ElementKernels, beta, tau: float | None = None) -> np.ndarray:
+    """Component-local ``[rho/tau mass +] mu viscous + s1 + rho convection``.
+
+    All but the convection are formed per shape class; (nT, ncomp, ncomp).
     """
-    ker, cfg = kernels, kernels.config
+    cfg, dk = ker.config, ker.dk
     W = ker.weak_gradient_values()
-    local = cfg.mu * _viscous_local(W, ker.qw)
-    local[:, : ker.dk] += cfg.rho * _convection_local(ker, W, beta)
-    local += ker.stabilizer_local()
-    return _scatter_components(ker, local)
+    local = cfg.mu * _viscous_local(ker, W) + ker._s1
+    if tau is not None:
+        local[:, :dk, :dk] += cfg.rho * ker.Mk[ker.reps] / tau
+    local = local[ker.shape_class]
+    local[:, :dk] += cfg.rho * _convection_local(ker, W, beta)
+    return local
 
 
-def _viscous_local(W: np.ndarray, qw: np.ndarray) -> np.ndarray:
-    """(grad_w phi_j, grad_w phi_i) from the weak-gradient table, (nT, ncomp, ncomp)."""
-    nT, ncomp = W.shape[0], W.shape[-1]
-    wW = (W * qw[:, None, :, None]).reshape(nT, -1, ncomp)
-    return np.matmul(W.reshape(nT, -1, ncomp).transpose(0, 2, 1), wW)
+def _viscous_local(ker: ElementKernels, W: np.ndarray) -> np.ndarray:
+    """(grad_w phi_j, grad_w phi_i) per shape class, (nC, ncomp, ncomp)."""
+    W, qw = W[ker.reps], ker.qw[ker.reps]
+    nC, ncomp = W.shape[0], W.shape[-1]
+    wW = (W * qw[:, None, :, None]).reshape(nC, -1, ncomp)
+    return np.matmul(W.reshape(nC, -1, ncomp).transpose(0, 2, 1), wW)
+
+
+def _divergence_local(ker: ElementKernels) -> np.ndarray:
+    """(div_w phi_j, q_i) per shape class, (nC, dn, nloc)."""
+    r = ker.reps
+    M_nm = np.einsum("tp,tpi,tpj->tij", ker.qw[r], ker.Vn[r], ker.Vm[r])
+    return np.matmul(M_nm, ker.div[r])
 
 
 def _convection_local(ker: ElementKernels, W: np.ndarray, beta) -> np.ndarray:
@@ -158,15 +173,18 @@ def assemble_load(kernels: ElementKernels, f, time: float | None = None) -> np.n
 
 @dataclass
 class SaddleSystem:
-    """Assembled blocks plus boundary and zero-mean bookkeeping.
+    """Element matrices, their scatters, and boundary and zero-mean bookkeeping.
 
-    The mesh, config and DOF numbering are read through ``kernels``.
+    ``A_local`` is (nT, ncomp, ncomp) and ``B_local`` (nC, dn, nloc); the
+    mesh, config and DOF numbering are read through ``kernels``.
     """
 
     kernels: ElementKernels
     A: sp.csr_matrix
     B: sp.csr_matrix
     S2: sp.csr_matrix
+    A_local: np.ndarray
+    B_local: np.ndarray
     rhs_vel: np.ndarray
     dirichlet_values: np.ndarray | None = None
     mean_vector: np.ndarray | None = None
@@ -176,23 +194,22 @@ class SaddleSystem:
         """Slices of A and B split into free and boundary velocity columns."""
         if not self._reduced:
             dm = self.kernels.dofmap
-            free, bnd = dm.free_dofs, dm.boundary_dofs
-            A = self.A.tocsr()
+            free, bnd, A = dm.free_dofs, dm.boundary_dofs, self.A
             self._reduced = {
-                "A_ff": A[free][:, free].tocsc(),
+                "A_ff": A[free][:, free],
                 "A_fb": A[free][:, bnd].tocsr(),
                 "B_f": self.B[:, free].tocsr(),
                 "B_b": self.B[:, bnd].tocsr(),
             }
         return self._reduced
 
-    def matrix(self) -> sp.csc_matrix:
+    def matrix(self) -> sp.csr_matrix:
         """The Dirichlet-reduced, pressure-pinned ``[[A_ff, -B_f^T], [B_f, S2]]``.
 
         The row and column of pressure DOF ``elem_pres[0, 0]`` are deleted:
         constants are the only pressure null space.  Built on the first call
-        and cached, with the index of the kept pressure DOFs, on the blocks of
-        ``reduced_blocks``.
+        and cached in CSR, with the index of the kept pressure DOFs, on the
+        blocks of ``reduced_blocks``.
         """
         red = self.reduced_blocks()
         if "K" not in red:
@@ -201,7 +218,7 @@ class SaddleSystem:
             B_k = red["B_f"][keep]
             red["keep"] = keep
             red["K"] = sp.bmat(
-                [[red["A_ff"], -B_k.T], [B_k, self.S2[keep][:, keep]]], format="csc"
+                [[red["A_ff"], -B_k.T], [B_k, self.S2[keep][:, keep]]], format="csr"
             )
         return red["K"]
 
@@ -248,17 +265,21 @@ class SaddleSystem:
         return vel, pres
 
 
-def build_saddle_system(kernels: ElementKernels, beta) -> SaddleSystem:
-    """Assemble the time-independent blocks; ``rhs_vel`` starts at zero.
+def build_saddle_system(kernels: ElementKernels, beta, tau: float | None = None) -> SaddleSystem:
+    """Form the element matrices and scatter them; ``rhs_vel`` starts at zero.
 
-    The caller sets ``rhs_vel`` (for instance from ``assemble_load``)
-    before forming the operator.
+    With ``tau``, ``rho/tau`` times the mass enters the velocity element sum
+    (a backward-Euler step).  The caller sets ``rhs_vel`` (for instance from
+    ``assemble_load``) before forming the operator.
     """
+    A_local = _velocity_local(kernels, beta, tau)
     return SaddleSystem(
         kernels=kernels,
-        A=assemble_velocity_block(kernels, beta),
+        A=_scatter_components(kernels, A_local),
         B=assemble_bilinear("divergence", kernels),
         S2=assemble_bilinear("s2", kernels),
+        A_local=A_local,
+        B_local=_divergence_local(kernels),
         rhs_vel=np.zeros(kernels.dofmap.n_velocity),
     )
 

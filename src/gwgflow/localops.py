@@ -309,12 +309,13 @@ class ElementKernels:
         point, component-local DOF).  The weak gradient acts on each velocity
         component alone and identically, so one table serves both: row c of
         the weak gradient of a local vector v is ``W @ v[comp_cols[c]]``.
-        The interior-gradient part is evaluated exactly; the delta part
-        through its P_l coefficients.
+        The interior-gradient part is evaluated exactly, the delta part through
+        its P_l coefficients, both on ``reps``: ``W[reps]`` are the class tables.
         """
-        W = np.matmul(self.Vl[:, None], self.delta)
-        W[..., : self.dk] += self.Gk.transpose(0, 2, 1, 3)
-        return W
+        r = self.reps
+        W = np.matmul(self.Vl[r, None], self.delta[r])
+        W[..., : self.dk] += self.Gk[r].transpose(0, 2, 1, 3)
+        return W[self.shape_class]
 
     def interior_moments(self, vals: np.ndarray) -> np.ndarray:
         """Moments (v, phi_i)_T of vector values (nT, np, 2) at ``qp``, (nT, 2, dk)."""

@@ -109,63 +109,105 @@ def linear_solve(system: SaddleSystem, factor=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _CondensedFactor:
-    """Factor of the pinned ``K`` with the element interiors condensed out.
+    """Factor of the pinned ``K`` with every element-local unknown condensed out.
 
-    ``K = [[D, K_Ic], [K_cI, K_cc]]``, where the interior block ``D`` is
-    block diagonal, one ``2*dk`` square block per element.  ``D`` is
-    inverted element by element and only the Schur complement
-    ``S = K_cc - K_cI D^-1 K_Ic`` on the traces and pressures is factored
-    by SuperLU.  ``K_cI D^-1``, formed for ``S`` anyway, is kept in place of
-    ``K_cI``.  ``solve`` takes and returns vectors of ``K``'s size.
+    ``cond`` holds the ``K`` indices of the condensed unknowns (see the
+    ``assembly`` module docstring), element by element, and ``kept`` the
+    others.  Up to that permutation ``K = [[D, K_ck], [K_kc, K_kk]]``, ``D``
+    block diagonal.  SuperLU factors only ``S = K_kk - K_kc D^-1 K_ck``;
+    ``K_kc D^-1``, formed for ``S``, is kept in place of ``K_kc``.  ``solve``
+    takes and returns vectors of ``K``'s size.
     """
 
+    cond: np.ndarray
+    kept: np.ndarray
     Dinv: sp.csr_matrix
-    K_Ic: sp.csr_matrix
-    K_cI_Dinv: sp.csr_matrix
+    K_ck: sp.csr_matrix
+    K_kc_Dinv: sp.csr_matrix
     lu: spla.SuperLU
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        nI = self.Dinv.shape[0]
-        r_I = r[:nI]
-        x_c = self.lu.solve(r[nI:] - self.K_cI_Dinv @ r_I)
-        x_I = self.Dinv @ (r_I - self.K_Ic @ x_c)
-        return np.concatenate([x_I, x_c])
+        x = np.empty_like(r)
+        r_c = r[self.cond]
+        x[self.kept] = x_k = self.lu.solve(r[self.kept] - self.K_kc_Dinv @ r_c)
+        x[self.cond] = self.Dinv @ (r_c - self.K_ck @ x_k)
+        return x
 
 
 def _factorize(system: SaddleSystem) -> _CondensedFactor:
     """Condensed factor of ``system.matrix()`` (see ``_CondensedFactor``).
 
-    The matrix is the one ``operator()`` returns; it does not depend on the
-    load or the boundary data, so no right-hand side is formed here.  The
-    first ``dofmap.n_interior`` unknowns of ``K`` are the element
-    interiors, contiguous per element.  A singular element block or a
-    singular Schur complement raises ``LinearSolveError``.
+    Built from ``A_local`` and ``B_local``, not from ``K``: the condensed
+    blocks are inverted in one batched call, and the local Schur complements
+    on the traces and kept pressure modes are scattered once, with ``S2``;
+    boundary traces and the pinned pressure are dropped.  A singular element
+    block or a singular Schur complement raises ``LinearSolveError``.
     """
-    K = system.matrix()
-    dm = system.kernels.dofmap
-    nI, nT = dm.n_interior, dm.n_elements
-    b = nI // nT
-    D = K[:nI, :nI].tocoo()
-    blocks = np.zeros((nT, b, b))
-    blocks[D.row // b, D.row % b, D.col % b] = D.data
-    inv = _invert_blocks(blocks)
-    # row r of D^-1 holds the b columns of its element's block
-    cols = (np.arange(nI) // b * b)[:, None] + np.arange(b)
-    Dinv = sp.csr_matrix(
-        (inv.reshape(-1), cols.ravel(), np.arange(nI + 1) * b), shape=(nI, nI)
-    )
-    K_Ic = K[:nI, nI:].tocsr()
-    K_cI_Dinv = K[nI:, :nI].tocsr() @ Dinv
-    S = (K[nI:, nI:] - K_cI_Dinv @ K_Ic).tocsc()
+    ker = system.kernels
+    dm, nloc, dn, nT = ker.dofmap, ker.nloc, ker.dn, ker.dofmap.n_elements
+    nv, nfree = dm.n_velocity, dm.free_dofs.size
+    # element unknowns (velocity slots, pressure modes), the c condensed first
+    cond = np.r_[: 2 * dm.dk, nloc + (1 if ker.config.sigma == 0 else dn) : nloc + dn]
+    order = np.concatenate([cond, np.setdiff1d(np.arange(nloc + dn), cond)])
+    c, at = cond.size, np.argsort(order)
+    # K index of every unknown and S index of every K index; -1 is dropped
+    keep = np.delete(np.arange(dm.n_pressure), dm.elem_pres[0, 0])
+    K_of = np.full(nv + dm.n_pressure, -1)
+    K_of[np.concatenate([dm.free_dofs, nv + keep])] = np.arange(nfree + keep.size)
+    glob = K_of[np.hstack([dm.elem_vel, nv + dm.elem_pres])[:, order]]
+    is_kept = np.ones(nfree + keep.size + 1, dtype=bool)
+    is_kept[glob[:, :c]] = is_kept[-1] = False
+    kept = np.flatnonzero(is_kept)
+    S_of = np.full(is_kept.size, -1, dtype=np.int32)
+    S_of[kept] = np.arange(kept.size)
+    kS = S_of[glob[:, c:]]
+    off = kS < 0     # boundary traces and the pinned pressure: zeroed, dropped
+
+    E = np.zeros((nT, nloc + dn, nloc + dn))
+    for comp in ker.comp_cols:
+        E[:, at[comp, None], at[comp]] = system.A_local
+    B, vel, pres = system.B_local[ker.shape_class], at[:nloc], at[nloc:]
+    E[:, pres[:, None], vel] = B
+    E[:, vel[:, None], pres] = -B.transpose(0, 2, 1)
+    E[:, c:][off] = E[:, :, c:].transpose(0, 2, 1)[off] = 0.0
+    Dinv, K_ck = _invert_blocks(E[:, :c, :c]), E[:, :c, c:]
+    K_kc_Dinv = E[:, c:, :c] @ Dinv
+    S_local = K_kc_Dinv @ K_ck
+    np.subtract(E[:, c:, c:], S_local, out=S_local)
+
+    # zeroed rows and columns add zeros at index 0, dropped after the sum
+    S2 = system.S2.tocoo()
+    i2, j2 = S_of[K_of[nv + S2.row]], S_of[K_of[nv + S2.col]]
+    kz, nk = np.maximum(kS, 0), kS.shape[1]
+    rows = np.concatenate([np.repeat(kz, nk, axis=1).ravel(), np.maximum(i2, 0)])
+    cols = np.concatenate([np.tile(kz, nk).ravel(), np.maximum(j2, 0)])
+    vals = np.concatenate([S_local.ravel(), S2.data * (i2 >= 0) * (j2 >= 0)])
+    S = sp.csc_matrix((vals, (rows, cols)), shape=(kept.size, kept.size))
+    S.eliminate_zeros()
     try:
         lu = spla.splu(S)
     except RuntimeError as exc:  # singular factorization, SuperLU reports pivot
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
-    return _CondensedFactor(Dinv, K_Ic, K_cI_Dinv, lu)
+
+    # condensed unknown t*c + i of the solve's matrices is element t's i-th
+    q = np.repeat(np.arange(nT * c, dtype=np.int32).reshape(nT, c), c, axis=0)
+    kz = np.repeat(kz, c, axis=0)
+    K_kc_Dinv = _csr(kz, K_kc_Dinv.transpose(0, 2, 1), kept.size).T.tocsr()
+    return _CondensedFactor(
+        glob[:, :c].ravel(), kept, _csr(q, Dinv, nT * c), _csr(kz, K_ck, kept.size), K_kc_Dinv, lu
+    )
+
+
+def _csr(cols: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_matrix:
+    """CSR matrix with ``vals[i, j]`` at ``(i, cols[i, j])``, exact zeros left out."""
+    indptr = np.arange(0, cols.size + 1, cols.shape[1], dtype=np.int32)
+    mat = sp.csr_matrix((vals.flatten(), cols.flatten(), indptr), shape=(cols.shape[0], n))
+    mat.eliminate_zeros()
+    return mat
 
 
 def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Batched inverse of the (nT, b, b) interior blocks, naming a singular one."""
+    """Batched inverse of the (nT, b, b) condensed blocks, naming a singular one."""
     try:
         return np.linalg.inv(blocks)
     except np.linalg.LinAlgError:
@@ -173,9 +215,7 @@ def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
             try:
                 np.linalg.inv(block)
             except np.linalg.LinAlgError:
-                raise LinearSolveError(
-                    f"interior block of element {t} is singular"
-                ) from None
+                raise LinearSolveError(f"interior block of element {t} is singular") from None
         raise
 
 
@@ -201,13 +241,12 @@ def solve_evolutionary(
     """March the fully-discrete scheme with backward Euler.
 
     The initial state is the weak projection of the initial velocity; each
-    step sets the load and boundary data of the new time level and solves
-    the mass-augmented system through ``linear_solve``, whose residual check
-    on the full pinned operator makes a failed step raise
-    ``LinearSolveError`` instead of marching on.  The coefficients do not
-    depend on time, so the condensed factor of ``_factorize`` (the
-    element-interior inverses and the LU of the trace-pressure Schur
-    complement) is built once, before the first step, and reused.
+    step sets the load and boundary data of the new time level and solves,
+    through ``linear_solve``, the system ``build_saddle_system`` built with
+    ``tau`` (mass in the element sum), whose residual check on the full
+    pinned operator makes a failed step raise ``LinearSolveError``.  The
+    coefficients do not depend on time, so the condensed factor of
+    ``_factorize`` is built once, before the first step, and reused.
 
     The mass form lives on the element-interior velocity block only, and
     the interiors lead the reduced unknowns, so between steps only the
@@ -222,14 +261,12 @@ def solve_evolutionary(
     """
     _check_inputs(config, problem)
     ker = ElementKernels(mesh, config)
-    system = build_saddle_system(ker, problem.beta)
-    mass = assemble_bilinear("mass", ker)
-    system.A = (system.A + mass / grid.tau).tocsr()
+    system = build_saddle_system(ker, problem.beta, grid.tau)
     constrain_system(system)
     lu = _factorize(system)
 
     nI = ker.dofmap.n_interior
-    mass_II = mass[:nI, :nI]
+    mass_II = assemble_bilinear("mass", ker)[:nI, :nI]
     u_I = project_velocity(ker, problem.g2)[0].reshape(-1)
 
     trajectory = []

@@ -216,17 +216,31 @@ def test_kernels_shared_edge_sees_single_valued_traces(mesh4, config_high):
     assert np.allclose(pts1, pts2, atol=1e-14)
 
 
+@pytest.mark.parametrize("cells", [4, 5, 6, 7])
 @pytest.mark.parametrize("degrees", [(1, 0, 1, 0, 0), (2, 1, 1, 1, 1), (3, 1, 2, 0, 1)])
-def test_prefix_sliced_tables_equal_direct_evaluation(mesh4, degrees):
-    ker = ElementKernels(mesh4, SpaceConfig(*degrees))
+def test_prefix_sliced_tables_equal_direct_evaluation(cells, degrees):
+    # the kernels evaluate every class on its representative, with its h_elem
+    mesh = build_uniform_triangulation(cells)
+    ker = ElementKernels(mesh, SpaceConfig(*degrees))
     k, _, l, m, n = degrees
-    h = mesh4.h_elem[:, None]
+    h = mesh.h_elem[ker.reps][ker.shape_class, None]
     for d, V, V_e in ((k, ker.Vk, ker.Vk_e), (l, ker.Vl, ker.Vl_e),
                       (m, ker.Vm, ker.Vm_e), (n, ker.Vn, ker.Vn_e)):
         assert np.array_equal(V, eval_tri_values(d, ker.local))
         assert np.array_equal(V_e, eval_tri_values(d, ker.local_e))
     assert np.array_equal(ker.Gk, eval_tri_gradients(k, ker.local, h))
     assert np.array_equal(ker.Gm, eval_tri_gradients(m, ker.local, h))
+
+
+@pytest.mark.parametrize("cells", [4, 5, 6, 7])
+def test_congruent_elements_share_h_elem_to_roundoff(cells):
+    # off powers of two, congruent elements' h_elem differ in the last bit
+    # (norms of differences of linspace coordinates); the kernels use the
+    # representative's, which must stay within roundoff of every member's
+    mesh = build_uniform_triangulation(cells)
+    ker = ElementKernels(mesh, SpaceConfig(1, 0, 1, 0, 0))
+    rep_h = mesh.h_elem[ker.reps][ker.shape_class]
+    assert np.all(np.abs(mesh.h_elem - rep_h) <= 1e-15 * rep_h)
 
 
 # -- shape classes ------------------------------------------------------------

@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gwgflow import problems
@@ -28,6 +27,7 @@ from gwgflow.solver import (
 )
 from gwgflow.verify import evaluate_errors, incompressibility_residual
 from reports import assert_reports_close, exact_norms
+from test_localops import _jittered_mesh
 
 
 def test_time_grid_validation():
@@ -91,8 +91,7 @@ def _steady_system(mesh, cfg, prob):
 def _backward_euler_system(mesh, cfg, prob, tau=0.1):
     # the mass-augmented system of one step of solve_evolutionary
     ker = ElementKernels(mesh, cfg)
-    system = build_saddle_system(ker, prob.beta)
-    system.A = (system.A + assemble_bilinear("mass", ker) / tau).tocsr()
+    system = build_saddle_system(ker, prob.beta, tau)
     system.rhs_vel = assemble_load(ker, prob.f, tau)
     apply_dirichlet(system, prob.g, tau)
     constrain_system(system)
@@ -105,9 +104,7 @@ def _system(kind, mesh, cfg):
     return _backward_euler_system(mesh, cfg, manufactured_problem("evolutionary_oseen_ex2"))
 
 
-@pytest.mark.parametrize("kind", ["steady", "backward_euler"])
-def test_condensed_solve_equals_full_solve(mesh8, element_tuple, kind):
-    system = _system(kind, mesh8, SpaceConfig(*element_tuple))
+def _assert_condensed_solve_equals_full_solve(system):
     K, rhs = system.operator()
     full = spla.spsolve(K, rhs)
     condensed = _factorize(system).solve(rhs)
@@ -115,16 +112,57 @@ def test_condensed_solve_equals_full_solve(mesh8, element_tuple, kind):
     assert np.linalg.norm(linear_solve(system) - full) <= 1e-9 * np.linalg.norm(full)
 
 
-def test_factored_matrix_is_the_condensed_one(mesh4, element_tuple, monkeypatch):
-    # SuperLU sees only the traces and pressures: the element interiors
-    # are eliminated and one pressure DOF is pinned
+@pytest.mark.parametrize("kind", ["steady", "backward_euler"])
+def test_condensed_solve_equals_full_solve(mesh8, element_tuple, kind):
+    _assert_condensed_solve_equals_full_solve(_system(kind, mesh8, SpaceConfig(*element_tuple)))
+
+
+@pytest.mark.parametrize("kind", ["steady", "backward_euler"])
+@pytest.mark.parametrize("case", ["jittered", "sigma1"])
+def test_condensed_solve_equals_full_solve_off_uniform_sigma0(element_tuple, kind, case):
+    # a jittered mesh has one shape class per element; sigma = 1 keeps every
+    # pressure mode and adds the pressure jumps S2 to the factored block
+    mesh = _jittered_mesh(6) if case == "jittered" else build_uniform_triangulation(6)
+    cfg = SpaceConfig(*element_tuple, sigma=int(case == "sigma1"))
+    _assert_condensed_solve_equals_full_solve(_system(kind, mesh, cfg))
+
+
+def test_factorize_builds_from_element_matrices(mesh4, element_tuple, monkeypatch):
+    # the factor never forms or slices the pinned K
+    system = _system("steady", mesh4, SpaceConfig(*element_tuple))
+    K, rhs = system.operator()
+
+    def forbidden(self):
+        raise AssertionError("_factorize formed the pinned K")
+
+    monkeypatch.setattr(SaddleSystem, "matrix", forbidden)
+    x = _factorize(system).solve(rhs)
+    assert np.linalg.norm(K @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_backward_euler_element_sum_equals_added_mass(mesh4, element_tuple):
+    # rho/tau mass enters the element sum of the velocity block
+    ker = ElementKernels(mesh4, SpaceConfig(*element_tuple))
+    beta = manufactured_problem("evolutionary_oseen_ex2").beta
+    stepped = build_saddle_system(ker, beta, 0.1).A
+    added = build_saddle_system(ker, beta).A + assemble_bilinear("mass", ker) / 0.1
+    assert abs(stepped - added).max() <= 1e-14 * abs(added).max()
+
+
+@pytest.mark.parametrize("sigma", [0, 1])
+def test_factored_matrix_is_the_condensed_one(mesh4, element_tuple, sigma, monkeypatch):
+    # SuperLU sees only the traces and the kept pressure modes: the element
+    # interiors are eliminated, with sigma = 0 so is every element's
+    # non-constant pressure modes, and one pressure DOF is pinned
     factored = []
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda S: factored.append(S.shape) or splu(S))
-    cfg = SpaceConfig(*element_tuple)
+    cfg = SpaceConfig(*element_tuple, sigma=sigma)
     solve_steady(mesh4, cfg, manufactured_problem("steady_oseen_ex1"))
     dm = ElementKernels(mesh4, cfg).dofmap
     n = dm.free_dofs.size - 2 * dm.dk * dm.n_elements + dm.n_pressure - 1
+    if sigma == 0:
+        n -= dm.n_elements * (dm.dn - 1)
     assert factored == [(n, n)]
 
 
@@ -140,10 +178,10 @@ def test_singular_interior_block_raises(mesh4, element_tuple):
     system = _steady_system(
         mesh4, SpaceConfig(*element_tuple), manufactured_problem("steady_oseen_ex1")
     )
-    dm = system.kernels.dofmap
-    keep = np.ones(dm.n_velocity)
-    keep[dm.elem_vel[5, : 2 * dm.dk]] = 0.0
-    system.A = (sp.diags(keep) @ system.A @ sp.diags(keep)).tocsr()
+    # the interior rows and columns of element 5's velocity element matrix
+    dk = system.kernels.dk
+    system.A_local[5, :dk] = 0.0
+    system.A_local[5, :, :dk] = 0.0
     with pytest.raises(LinearSolveError, match="interior block of element 5 is singular"):
         linear_solve(system)
 
@@ -290,8 +328,7 @@ def _full_state_march(mesh, cfg, prob, grid):
     # the mass term on every velocity row: the reference for the lean march
     ker = ElementKernels(mesh, cfg)
     mass = assemble_bilinear("mass", ker)
-    system = build_saddle_system(ker, prob.beta)
-    system.A = (system.A + mass / grid.tau).tocsr()
+    system = build_saddle_system(ker, prob.beta, grid.tau)
     constrain_system(system)
     u_prev = ker.dofmap.velocity_vector(*project_velocity(ker, prob.g2))
     for step in range(1, grid.n_steps + 1):
