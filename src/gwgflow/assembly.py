@@ -122,10 +122,9 @@ def _velocity_local(ker: ElementKernels, beta, tau: float | None = None) -> np.n
 
 def _viscous_local(ker: ElementKernels, W: np.ndarray) -> np.ndarray:
     """(grad_w phi_j, grad_w phi_i) per shape class, (nC, ncomp, ncomp)."""
-    W, qw = W[ker.reps], ker.qw[ker.reps]
-    nC, ncomp = W.shape[0], W.shape[-1]
-    wW = (W * qw[:, None, :, None]).reshape(nC, -1, ncomp)
-    return np.matmul(W.reshape(nC, -1, ncomp).transpose(0, 2, 1), wW)
+    W, qw, ncomp = W[ker.reps], ker.qw[ker.reps], W.shape[-1]
+    wW = (W * qw[:, None, :, None]).reshape(len(W), -1, ncomp)
+    return np.matmul(W.reshape(len(W), -1, ncomp).transpose(0, 2, 1), wW)
 
 
 def _divergence_local(ker: ElementKernels) -> np.ndarray:

@@ -175,27 +175,29 @@ def _factorize(system: SaddleSystem) -> _CondensedFactor:
     S_local = K_kc_Dinv @ K_ck
     np.subtract(E[:, c:, c:], S_local, out=S_local)
 
+    # the solve's matrices, condensed unknown t*c + i being element t's i-th;
+    # the element arrays are freed before S and its factor are allocated
+    q = np.repeat(np.arange(nT * c, dtype=np.int32).reshape(nT, c), c, axis=0)
+    kz, nk = np.maximum(kS, 0), kS.shape[1]
+    kzc = np.repeat(kz, c, axis=0)
+    solve = (glob[:, :c].ravel(), kept, _csr(q, Dinv, nT * c), _csr(kzc, K_ck, kept.size))
+    solve += (_csr(kzc, K_kc_Dinv.transpose(0, 2, 1), kept.size).T.tocsr(),)
+    del E, Dinv, K_ck, K_kc_Dinv, q, kzc
+
     # zeroed rows and columns add zeros at index 0, dropped after the sum
     S2 = system.S2.tocoo()
     i2, j2 = S_of[K_of[nv + S2.row]], S_of[K_of[nv + S2.col]]
-    kz, nk = np.maximum(kS, 0), kS.shape[1]
     rows = np.concatenate([np.repeat(kz, nk, axis=1).ravel(), np.maximum(i2, 0)])
     cols = np.concatenate([np.tile(kz, nk).ravel(), np.maximum(j2, 0)])
     vals = np.concatenate([S_local.ravel(), S2.data * (i2 >= 0) * (j2 >= 0)])
     S = sp.csc_matrix((vals, (rows, cols)), shape=(kept.size, kept.size))
+    del S_local, rows, cols, vals
     S.eliminate_zeros()
     try:
         lu = spla.splu(S)
     except RuntimeError as exc:  # singular factorization, SuperLU reports pivot
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
-
-    # condensed unknown t*c + i of the solve's matrices is element t's i-th
-    q = np.repeat(np.arange(nT * c, dtype=np.int32).reshape(nT, c), c, axis=0)
-    kz = np.repeat(kz, c, axis=0)
-    K_kc_Dinv = _csr(kz, K_kc_Dinv.transpose(0, 2, 1), kept.size).T.tocsr()
-    return _CondensedFactor(
-        glob[:, :c].ravel(), kept, _csr(q, Dinv, nT * c), _csr(kz, K_ck, kept.size), K_kc_Dinv, lu
-    )
+    return _CondensedFactor(*solve, lu)
 
 
 def _csr(cols: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_matrix:
