@@ -1,23 +1,21 @@
 """Global assembly of the saddle-point system.
 
 Every routine takes the ``ElementKernels`` of one mesh/config pair, whose
-``dofmap`` fixes the global numbering.  All matrices are assembled over
-the full (unreduced) DOF sets; the Dirichlet reduction is recorded on the
-``SaddleSystem`` and applied when the linear operator is formed, with one
-pressure DOF pinned; ``expand`` shifts the pressure to zero mean.
+``dofmap`` fixes the global numbering.  A solve works on one pinned
+numbering, ``SaddleSystem.K_of``: the free velocity DOFs, then every
+pressure DOF but ``elem_pres[0, 0]`` (constants are the only pressure null
+space), each in global order; ``expand`` shifts the pressure to zero mean.
 
-Element matrices are the source.  The velocity forms act on each velocity
-component alone and in the same way, so their element matrices are
-component-local and placed on both components.  ``SaddleSystem`` holds
-them as ``A_local`` (``mu viscous + s1``, with ``rho/tau mass`` for a
-backward-Euler step, per shape class, plus ``rho convection`` per element)
-and the divergence element matrix of each shape class as ``B_local``;
-``A`` and ``B`` are their scatters, in element index order.
-
-The condensed set of an element is its interior velocity and, when sigma
-is 0, its ``dn - 1`` non-constant pressure modes, which then couple only
-to the element's own unknowns (with sigma = 1 the jumps ``S2`` couple
-neighbouring pressures).  The solver eliminates it element by element.
+Element matrices are the source.  ``SaddleSystem.A_local`` is the
+component-local velocity matrix, placed on both components: ``mu viscous
++ s1`` (with ``rho/tau mass`` for a backward-Euler step) per shape class
+plus ``rho convection`` per element; ``B_local`` is the divergence matrix
+of each shape class.  ``element_layout`` places both on every element's
+unknowns; the pinned ``K`` and its boundary-lifting columns are one scatter
+of it, and the solver condenses it element by element: the interior
+velocity and, when sigma is 0, the ``dn - 1`` non-constant pressure modes,
+which then couple only to the element's own unknowns (with sigma = 1 the
+jumps ``S2`` couple neighbouring pressures).
 """
 
 from __future__ import annotations
@@ -35,19 +33,18 @@ FORMS = ("viscous", "convection", "s1", "s2", "divergence", "mass")
 
 
 def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sp.csr_matrix:
-    """Sum ``local[..., r, c]`` into ``(rows[..., r], cols[..., c])``, broadcasting."""
-    full = rows.shape + cols.shape[-1:]
-    mat = sp.coo_matrix(
-        (
-            np.broadcast_to(local, full).ravel(),
-            (
-                np.broadcast_to(rows[..., :, None], full).ravel(),
-                np.broadcast_to(cols[..., None, :], full).ravel(),
-            ),
-        ),
-        shape=shape,
-    )
-    return mat.tocsr()
+    """Sum ``local[..., r, c]`` into ``(rows[..., r], cols[..., c])``, broadcasting.
+
+    Entries with a negative row or column are left out, and so are exact
+    zeros, also those of a sum (for instance traces of two edges that an
+    element's geometry decouples), so the sparsity does not depend on how
+    a sum of forms is grouped.
+    """
+    r, c, v = np.broadcast_arrays(rows[..., :, None], cols[..., None, :], local)
+    take = (v != 0) & (r >= 0) & (c >= 0)
+    mat = sp.csr_matrix((v[take], (r[take], c[take])), shape=shape)
+    mat.eliminate_zeros()
+    return mat
 
 
 def _scatter_components(ker: ElementKernels, local: np.ndarray) -> sp.csr_matrix:
@@ -62,12 +59,7 @@ def _scatter_components(ker: ElementKernels, local: np.ndarray) -> sp.csr_matrix
     rows = vel[:, ker.comp_cols[:, :nr]]                 # (nT, 2, nr)
     cols = vel[:, ker.comp_cols[:, :nc]]                 # (nT, 2, nc)
     n = ker.dofmap.n_velocity
-    mat = _scatter(local[:, None], rows, cols, (n, n))
-    # exact zeros (here: traces of two edges that an element's geometry
-    # decouples) are dropped, as sparse sums of the single forms drop them,
-    # so the sparsity and with it the LU ordering do not depend on the path
-    mat.eliminate_zeros()
-    return mat
+    return _scatter(local[:, None], rows, cols, (n, n))
 
 
 def assemble_bilinear(form: str, kernels: ElementKernels, beta=None) -> sp.csr_matrix:
@@ -172,57 +164,72 @@ def assemble_load(kernels: ElementKernels, f, time: float | None = None) -> np.n
 
 @dataclass
 class SaddleSystem:
-    """Element matrices, their scatters, and boundary and zero-mean bookkeeping.
+    """Element matrices, the pinned numbering and the data of one solve.
 
-    ``A_local`` is (nT, ncomp, ncomp) and ``B_local`` (nC, dn, nloc); the
-    mesh, config and DOF numbering are read through ``kernels``.
+    ``A_local`` is (nT, ncomp, ncomp), ``B_local`` (nC, dn, nloc); ``K_of``
+    is the ``K`` index of every velocity DOF, then of every pressure DOF,
+    -1 for boundary traces and the pinned pressure.
     """
 
     kernels: ElementKernels
-    A: sp.csr_matrix
-    B: sp.csr_matrix
-    S2: sp.csr_matrix
     A_local: np.ndarray
     B_local: np.ndarray
+    S2: sp.csr_matrix
+    K_of: np.ndarray
     rhs_vel: np.ndarray
     dirichlet_values: np.ndarray | None = None
     mean_vector: np.ndarray | None = None
-    _reduced: dict = field(default_factory=dict, repr=False)
+    _blocks: tuple | None = field(default=None, repr=False)
 
-    def reduced_blocks(self):
-        """Slices of A and B split into free and boundary velocity columns."""
-        if not self._reduced:
-            dm = self.kernels.dofmap
-            free, bnd, A = dm.free_dofs, dm.boundary_dofs, self.A
-            self._reduced = {
-                "A_ff": A[free][:, free],
-                "A_fb": A[free][:, bnd].tocsr(),
-                "B_f": self.B[:, free].tocsr(),
-                "B_b": self.B[:, bnd].tocsr(),
-            }
-        return self._reduced
+    def element_layout(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Every element's ``[[A, -B^T], [B, 0]]``, (nT, nloc+dn, nloc+dn).
 
-    def matrix(self) -> sp.csr_matrix:
-        """The Dirichlet-reduced, pressure-pinned ``[[A_ff, -B_f^T], [B_f, S2]]``.
-
-        The row and column of pressure DOF ``elem_pres[0, 0]`` are deleted:
-        constants are the only pressure null space.  Built on the first call
-        and cached in CSR, with the index of the kept pressure DOFs, on the
-        blocks of ``reduced_blocks``.
+        With the global index of each unknown (pressures after velocities)
+        and the count ``c`` of condensed unknowns, which lead.  Free it after
+        use: it is several times the size of ``A_local``.
         """
-        red = self.reduced_blocks()
-        if "K" not in red:
-            dm = self.kernels.dofmap
-            keep = np.delete(np.arange(dm.n_pressure), dm.elem_pres[0, 0])
-            B_k = red["B_f"][keep]
-            red["keep"] = keep
-            red["K"] = sp.bmat(
-                [[red["A_ff"], -B_k.T], [B_k, self.S2[keep][:, keep]]], format="csr"
-            )
-        return red["K"]
+        ker = self.kernels
+        dm, nloc, dn = ker.dofmap, ker.nloc, ker.dn
+        # element unknowns (velocity slots, pressure modes), the c condensed first
+        cond = np.r_[: 2 * dm.dk, nloc + (1 if ker.config.sigma == 0 else dn) : nloc + dn]
+        order = np.concatenate([cond, np.setdiff1d(np.arange(nloc + dn), cond)])
+        at = np.argsort(order)
+        E = np.zeros((dm.n_elements, nloc + dn, nloc + dn))
+        for comp in ker.comp_cols:
+            E[:, at[comp, None], at[comp]] = self.A_local
+        B, vel, pres = self.B_local[ker.shape_class], at[:nloc], at[nloc:]
+        E[:, pres[:, None], vel] = B
+        E[:, vel[:, None], pres] = -B.transpose(0, 2, 1)
+        dofs = np.hstack([dm.elem_vel, dm.n_velocity + dm.elem_pres])[:, order].astype(np.int32)
+        return E, dofs, cond.size
+
+    def reduced_blocks(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """The pinned ``K`` and the boundary-lifting columns ``L``, CSR.
+
+        One scatter of ``element_layout`` (exact zeros dropped), built on the
+        first call and kept.  ``K`` adds ``S2`` on the kept pressures; ``L``
+        has every global row and the boundary traces as columns, so ``L @ g``
+        couples each equation to the boundary data.
+        """
+        if self._blocks is None:
+            dm, K_of = self.kernels.dofmap, self.K_of
+            bnd = np.full(K_of.size, -1, dtype=np.int32)  # column in the lift
+            bnd[dm.boundary_dofs] = np.arange(dm.boundary_dofs.size)
+            E, dofs, _ = self.element_layout()
+            k, b = K_of[dofs], bnd[dofs]
+            K = _scatter(E, k, k, (K_of.max() + 1,) * 2)
+            t = np.flatnonzero((b >= 0).any(axis=1))  # the elements on the boundary
+            lift = _scatter(E[t], dofs[t], b[t], (K_of.size, dm.boundary_dofs.size))
+            del E
+            if self.S2.nnz:  # on the kept pressures, where the layout has no entry
+                S2 = self.S2.tocoo()
+                i, j = (K_of[dm.n_velocity + ij][:, None] for ij in (S2.row, S2.col))
+                K = K + _scatter(S2.data[:, None, None], i, j, K.shape)
+            self._blocks = (K, lift)
+        return self._blocks
 
     def operator(self):
-        """The cached ``matrix()`` and the right-hand side of the current data.
+        """The pinned ``K`` and the right-hand side of the current data.
 
         The right-hand side is formed on every call from ``rhs_vel`` and the
         boundary data.  The equation dropped with the pinned pressure DOF, the
@@ -233,53 +240,50 @@ class SaddleSystem:
             raise ValueError("apply_dirichlet must run before forming the operator")
         if self.mean_vector is None:
             raise ValueError("constrain_system must run before forming the operator")
-        K = self.matrix()
-        red, dm = self._reduced, self.kernels.dofmap
-        g = self.dirichlet_values
-        r_vel = self.rhs_vel[dm.free_dofs] - red["A_fb"] @ g
-        b_g = red["B_b"] @ g
-        flux = b_g[dm.elem_pres[:, 0]]
+        K, lift = self.reduced_blocks()
+        dm = self.kernels.dofmap
+        rhs = -(lift @ self.dirichlet_values)
+        flux = -rhs[dm.n_velocity + dm.elem_pres[:, 0]]
         if abs(flux.sum()) > COMPAT_TOL * np.abs(flux).sum():
             raise ValueError(f"boundary data g has net outward flux {flux.sum():.3e}, not 0")
-        return K, np.concatenate([r_vel, -b_g[red["keep"]]])
+        rhs[: dm.n_velocity] += self.rhs_vel
+        return K, rhs[self.K_of >= 0]
 
     def expand(self, x: np.ndarray):
         """Full velocity and pressure vectors of a solution of ``operator()``.
 
-        The pinned pressure DOF is put back as 0, then every element's
-        constant mode is shifted by one value so that ``mean_vector @ pres``
-        is 0.  Both vectors are new arrays, so a kept state does not hold x.
+        The boundary traces take ``dirichlet_values`` and the pinned pressure
+        DOF 0, then every element's constant mode is shifted by one value so
+        that ``mean_vector @ pres`` is 0.  Both vectors are views of one new
+        array, so a kept state does not hold x.
         """
         dm = self.kernels.dofmap
-        nfree, const = dm.free_dofs.size, dm.elem_pres[:, 0]
-        vel = np.zeros(dm.n_velocity)
-        vel[dm.free_dofs] = x[:nfree]
+        full = np.zeros(self.K_of.size)
+        full[self.K_of >= 0] = x
+        vel, pres = full[: dm.n_velocity], full[dm.n_velocity :]
         vel[dm.boundary_dofs] = self.dirichlet_values
-        pin = nfree + const[0]
-        pres = np.empty(dm.n_pressure)
-        pres[: const[0]] = x[nfree:pin]
-        pres[const[0]] = 0.0
-        pres[const[0] + 1 :] = x[pin:]
+        const = dm.elem_pres[:, 0]
         pres[const] -= (self.mean_vector @ pres) / self.mean_vector[const].sum()
         return vel, pres
 
 
 def build_saddle_system(kernels: ElementKernels, beta, tau: float | None = None) -> SaddleSystem:
-    """Form the element matrices and scatter them; ``rhs_vel`` starts at zero.
+    """Form the element matrices and the pinned numbering; ``rhs_vel`` starts at zero.
 
     With ``tau``, ``rho/tau`` times the mass enters the velocity element sum
     (a backward-Euler step).  The caller sets ``rhs_vel`` (for instance from
     ``assemble_load``) before forming the operator.
     """
-    A_local = _velocity_local(kernels, beta, tau)
+    dm = kernels.dofmap
+    kept = np.ones(dm.n_velocity + dm.n_pressure, dtype=bool)
+    kept[dm.boundary_dofs] = kept[dm.n_velocity + dm.elem_pres[0, 0]] = False
     return SaddleSystem(
         kernels=kernels,
-        A=_scatter_components(kernels, A_local),
-        B=assemble_bilinear("divergence", kernels),
-        S2=assemble_bilinear("s2", kernels),
-        A_local=A_local,
+        A_local=_velocity_local(kernels, beta, tau),
         B_local=_divergence_local(kernels),
-        rhs_vel=np.zeros(kernels.dofmap.n_velocity),
+        S2=assemble_bilinear("s2", kernels),
+        K_of=np.where(kept, np.cumsum(kept) - 1, -1).astype(np.int32),
+        rhs_vel=np.zeros(dm.n_velocity),
     )
 
 

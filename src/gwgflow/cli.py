@@ -23,13 +23,25 @@ from .verify import (
     kernel_min_eigenvalue,
 )
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in text.split(","))
+def _parse_ints(text: str, count: int | None = None) -> tuple[int, ...]:
+    """``count`` comma-separated integers (any number without it)."""
+    try:
+        values = tuple(int(s) for s in text.split(","))
+    except ValueError:
+        values = ()
+    if not values or count not in (None, len(values)):
+        what = f"{count or 'a list of'} comma-separated integers"
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return values
+
+
+def _parse_degrees(text: str) -> tuple[int, ...]:
+    return _parse_ints(text, 5)
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--problem", default="steady_oseen_ex1", choices=PROBLEM_NAMES)
-    p.add_argument("--elements", default="1,0,1,0,0",
+    p.add_argument("--elements", default="1,0,1,0,0", type=_parse_degrees,
                    help="degrees k,j,l,m,n (comma separated)")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
@@ -40,13 +52,12 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _space_config(args) -> SpaceConfig:
-    k, j, l, m, n = _parse_ints(args.elements)
     kwargs = {}
     for name in ("gamma", "alpha", "zeta", "sigma", "mu", "rho"):
         value = getattr(args, name)
         if value is not None:
             kwargs[name] = value
-    return SpaceConfig(k, j, l, m, n, **kwargs)
+    return SpaceConfig(*args.elements, **kwargs)
 
 
 def _cmd_problems(args) -> int:
@@ -107,22 +118,11 @@ def _cmd_study(args) -> int:
         unknown = set(values) - {f.name for f in dataclasses.fields(StudyConfig)}
         if unknown:
             raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-    if args.problem is not None:
-        values["problem"] = args.problem
-    if args.elements is not None:
-        values["elements"] = _parse_ints(args.elements)
-    if args.mesh is not None:
-        values["mesh_sizes"] = _parse_ints(args.mesh)
-    for name in ("gamma", "alpha", "zeta", "sigma", "mu", "rho", "workers"):
+    for name in ("problem", "elements", "mesh_sizes", "gamma", "alpha", "zeta", "sigma", "mu",
+                 "rho", "tau_rule", "t_final", "out_dir", "workers"):
         value = getattr(args, name)
         if value is not None:
             values[name] = value
-    if args.tau_rule is not None:
-        values["tau_rule"] = args.tau_rule
-    if args.tfinal is not None:
-        values["t_final"] = args.tfinal
-    if args.out is not None:
-        values["out_dir"] = args.out
     if args.format is not None:
         values["formats"] = ("csv", "md") if args.format == "both" else (args.format,)
 
@@ -194,15 +194,16 @@ def main(argv=None) -> int:
     p_study = sub.add_parser("study", help="convergence study over meshes")
     p_study.add_argument("--config", default=None, help="JSON file with StudyConfig fields")
     p_study.add_argument("--problem", default=None, choices=PROBLEM_NAMES)
-    p_study.add_argument("--elements", default=None)
-    p_study.add_argument("--mesh", default=None, help="cells per side list, e.g. 8,16,32,64")
+    p_study.add_argument("--elements", default=None, type=_parse_degrees)
+    p_study.add_argument("--mesh", dest="mesh_sizes", default=None, type=_parse_ints,
+                         help="cells per side list, e.g. 8,16,32,64")
     for name in ("gamma", "alpha", "zeta", "mu", "rho"):
         p_study.add_argument(f"--{name}", type=float, default=None)
     p_study.add_argument("--sigma", type=int, default=None, choices=(0, 1))
     p_study.add_argument("--tau-rule", dest="tau_rule", default=None,
                          help="h2 | fixed:<v> | list:<v,...>")
-    p_study.add_argument("--tfinal", type=float, default=None)
-    p_study.add_argument("--out", default=None)
+    p_study.add_argument("--tfinal", dest="t_final", type=float, default=None)
+    p_study.add_argument("--out", dest="out_dir", default=None)
     p_study.add_argument("--format", default=None, choices=("csv", "md", "both"))
     p_study.add_argument("--workers", type=int, default=None)
     p_study.set_defaults(func=_cmd_study)

@@ -83,13 +83,13 @@ class DiscreteSolution:
 
 
 def linear_solve(system: SaddleSystem, factor=None) -> np.ndarray:
-    """Direct sparse solve of the reduced, pressure-pinned ``system.operator()``.
+    """Direct solve of ``system.operator()``, in the numbering ``system.K_of``.
 
     Every solve, steady or time step, goes through here, with the
     condensed factor of ``_factorize`` (built here unless ``factor`` is
-    given).  The relative residual is checked on the full pinned ``K``
-    against ``RESIDUAL_TOL``; one step of iterative refinement is applied
-    if needed, and ``LinearSolveError`` is raised when the residual still
+    given).  The relative residual is checked on ``K`` against
+    ``RESIDUAL_TOL``; one step of iterative refinement is applied if
+    needed, and ``LinearSolveError`` is raised when the residual still
     fails the check, including when it is NaN.
     """
     K, rhs = system.operator()
@@ -135,40 +135,27 @@ class _CondensedFactor:
 
 
 def _factorize(system: SaddleSystem) -> _CondensedFactor:
-    """Condensed factor of ``system.matrix()`` (see ``_CondensedFactor``).
+    """Condensed factor of the pinned ``K`` (see ``_CondensedFactor``).
 
-    Built from ``A_local`` and ``B_local``, not from ``K``: the condensed
-    blocks are inverted in one batched call, and the local Schur complements
-    on the traces and kept pressure modes are scattered once, with ``S2``;
-    boundary traces and the pinned pressure are dropped.  A singular element
-    block or a singular Schur complement raises ``LinearSolveError``.
+    Built from ``system.element_layout()`` through ``system.K_of``, not
+    from ``K``: the rows and columns with no ``K`` index are zeroed, the
+    condensed blocks are inverted in one batched call, and the local Schur
+    complements on the traces and kept pressure modes are scattered once,
+    with ``S2``.  A singular element block or a singular Schur complement
+    raises ``LinearSolveError``.
     """
-    ker = system.kernels
-    dm, nloc, dn, nT = ker.dofmap, ker.nloc, ker.dn, ker.dofmap.n_elements
-    nv, nfree = dm.n_velocity, dm.free_dofs.size
-    # element unknowns (velocity slots, pressure modes), the c condensed first
-    cond = np.r_[: 2 * dm.dk, nloc + (1 if ker.config.sigma == 0 else dn) : nloc + dn]
-    order = np.concatenate([cond, np.setdiff1d(np.arange(nloc + dn), cond)])
-    c, at = cond.size, np.argsort(order)
-    # K index of every unknown and S index of every K index; -1 is dropped
-    keep = np.delete(np.arange(dm.n_pressure), dm.elem_pres[0, 0])
-    K_of = np.full(nv + dm.n_pressure, -1)
-    K_of[np.concatenate([dm.free_dofs, nv + keep])] = np.arange(nfree + keep.size)
-    glob = K_of[np.hstack([dm.elem_vel, nv + dm.elem_pres])[:, order]]
-    is_kept = np.ones(nfree + keep.size + 1, dtype=bool)
-    is_kept[glob[:, :c]] = is_kept[-1] = False
+    nv, K_of = system.kernels.dofmap.n_velocity, system.K_of
+    E, dofs, c = system.element_layout()
+    # K index of every element unknown, and S index of every K index; -1 is dropped
+    k, nT = K_of[dofs], len(dofs)
+    is_kept = np.ones(K_of.max() + 2, dtype=bool)
+    is_kept[k[:, :c]] = is_kept[-1] = False
     kept = np.flatnonzero(is_kept)
     S_of = np.full(is_kept.size, -1, dtype=np.int32)
     S_of[kept] = np.arange(kept.size)
-    kS = S_of[glob[:, c:]]
+    kS = S_of[k[:, c:]]
     off = kS < 0     # boundary traces and the pinned pressure: zeroed, dropped
 
-    E = np.zeros((nT, nloc + dn, nloc + dn))
-    for comp in ker.comp_cols:
-        E[:, at[comp, None], at[comp]] = system.A_local
-    B, vel, pres = system.B_local[ker.shape_class], at[:nloc], at[nloc:]
-    E[:, pres[:, None], vel] = B
-    E[:, vel[:, None], pres] = -B.transpose(0, 2, 1)
     E[:, c:][off] = E[:, :, c:].transpose(0, 2, 1)[off] = 0.0
     Dinv, K_ck = _invert_blocks(E[:, :c, :c]), E[:, :c, c:]
     K_kc_Dinv = E[:, c:, :c] @ Dinv
@@ -180,7 +167,7 @@ def _factorize(system: SaddleSystem) -> _CondensedFactor:
     q = np.repeat(np.arange(nT * c, dtype=np.int32).reshape(nT, c), c, axis=0)
     kz, nk = np.maximum(kS, 0), kS.shape[1]
     kzc = np.repeat(kz, c, axis=0)
-    solve = (glob[:, :c].ravel(), kept, _csr(q, Dinv, nT * c), _csr(kzc, K_ck, kept.size))
+    solve = (k[:, :c].ravel(), kept, _csr(q, Dinv, nT * c), _csr(kzc, K_ck, kept.size))
     solve += (_csr(kzc, K_kc_Dinv.transpose(0, 2, 1), kept.size).T.tocsr(),)
     del E, Dinv, K_ck, K_kc_Dinv, q, kzc
 
@@ -245,13 +232,13 @@ def solve_evolutionary(
     The initial state is the weak projection of the initial velocity; each
     step sets the load and boundary data of the new time level and solves,
     through ``linear_solve``, the system ``build_saddle_system`` built with
-    ``tau`` (mass in the element sum), whose residual check on the full
-    pinned operator makes a failed step raise ``LinearSolveError``.  The
-    coefficients do not depend on time, so the condensed factor of
-    ``_factorize`` is built once, before the first step, and reused.
+    ``tau`` (mass in the element sum), whose residual check on the pinned
+    ``K`` makes a failed step raise ``LinearSolveError``.  The coefficients
+    do not depend on time, so ``K``, its boundary-lifting columns and the
+    condensed factor of ``_factorize`` are built once and reused.
 
     The mass form lives on the element-interior velocity block only, and
-    the interiors lead the reduced unknowns, so between steps only the
+    the interiors lead the ``K_of`` numbering, so between steps only the
     interior part ``x[:n_interior]`` of the solution is carried; its mass
     term ``mass_II @ (u_I / tau)`` is added to the load's interior rows.
     States are expanded to full vectors only when they are returned: the

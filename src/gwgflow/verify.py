@@ -17,6 +17,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import assemble_bilinear, assemble_velocity_block
 from .basis import dim_p, eval_tri_gradients, eval_tri_values, tri_exponents
+from .config import require_integer
 from .localops import (
     ElementKernels,
     _eval_field,
@@ -131,6 +132,8 @@ def check_weak_identities(
     of the projected interpolant of random vector polynomials of degree
     k + 1 (quadrature-exact, so residuals are pure roundoff).
     """
+    if require_integer("trials", trials) < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     ker, mesh, config, dm = kernels, kernels.mesh, kernels.config, kernels.dofmap
     rng = np.random.default_rng(seed)
     s = config.s
@@ -293,8 +296,11 @@ def incompressibility_residual(solution) -> float:
     """Max-norm residual of the discrete divergence equation ``B u + S2 p``.
 
     Every row is checked, with the one the pinned solve drops, so a
-    consistent solve leaves pure roundoff.
+    consistent solve leaves pure roundoff.  ``B u`` is formed element by
+    element from ``B_local``: each element's pressure DOFs are contiguous.
     """
-    system = solution.system
-    r = system.B @ solution.velocity_vector + system.S2 @ solution.pressure_vector
+    system, ker = solution.system, solution.system.kernels
+    u = solution.velocity_vector[ker.dofmap.elem_vel, None]
+    r = np.matmul(system.B_local[ker.shape_class], u).reshape(-1)
+    r += system.S2 @ solution.pressure_vector
     return float(np.abs(r).max())

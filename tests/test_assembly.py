@@ -12,7 +12,9 @@ from gwgflow.assembly import (
 )
 from gwgflow.config import SpaceConfig
 from gwgflow.localops import ElementKernels, project_pressure, project_velocity
+from gwgflow.mesh import build_uniform_triangulation
 from gwgflow.problems import manufactured_problem
+from test_localops import _jittered_mesh
 
 
 def _setup(mesh, tup, **params):
@@ -212,8 +214,9 @@ def test_assembly_deterministic_rebuild(mesh4, element_tuple):
     prob = manufactured_problem("steady_oseen_ex1")
     first = build_saddle_system(ElementKernels(mesh4, cfg), prob.beta)
     second = build_saddle_system(ElementKernels(mesh4, cfg), prob.beta)
-    assert (first.A - second.A).nnz == 0
-    assert (first.B - second.B).nnz == 0
+    assert np.array_equal(first.A_local, second.A_local)
+    assert np.array_equal(first.B_local, second.B_local)
+    assert (first.reduced_blocks()[0] != second.reduced_blocks()[0]).nnz == 0
     first_load = assemble_load(first.kernels, prob.f, 0.0)
     assert np.array_equal(first_load, assemble_load(second.kernels, prob.f, 0.0))
 
@@ -276,3 +279,41 @@ def test_build_saddle_system_forms_the_weak_gradient_table_once(
     monkeypatch.setattr(ker, "weak_gradient_values", lambda: calls.append(1) or table())
     build_saddle_system(ker, manufactured_problem("steady_oseen_ex1").beta)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["steady", "backward_euler"])
+@pytest.mark.parametrize("sigma", [0, 1])
+@pytest.mark.parametrize("mesh_kind", ["uniform4", "jittered6"])
+def test_pinned_K_equals_sliced_global_blocks(element_tuple, kind, sigma, mesh_kind):
+    # independent of the element layout: [[A_ff, -B_f^T], [B_f, S2]] sliced
+    # from the global scatters of the single forms, with the row and column
+    # of pressure DOF elem_pres[0, 0] deleted
+    mesh = build_uniform_triangulation(4) if mesh_kind == "uniform4" else _jittered_mesh(6)
+    _, ker, dm = _setup(mesh, element_tuple, sigma=sigma)
+    tau = 0.1 if kind == "backward_euler" else None
+    prob = manufactured_problem("steady_oseen_ex1" if tau is None else "evolutionary_oseen_ex2")
+    system = build_saddle_system(ker, prob.beta, tau)
+    system.rhs_vel = assemble_load(ker, prob.f, tau or 0.0)
+    apply_dirichlet(system, prob.g, tau or 0.0)
+    constrain_system(system)
+    K, rhs = system.operator()
+
+    free, bnd, g = dm.free_dofs, dm.boundary_dofs, system.dirichlet_values
+    keep = np.delete(np.arange(dm.n_pressure), dm.elem_pres[0, 0])
+    A = assembly.assemble_velocity_block(ker, prob.beta)
+    if tau is not None:
+        A = A + assemble_bilinear("mass", ker) / tau
+    B = assemble_bilinear("divergence", ker)[keep]
+    S2 = assemble_bilinear("s2", ker)[keep][:, keep]
+    B_f = B[:, free]
+    ref = sp.bmat([[A[free][:, free], -B_f.T], [B_f, S2]], format="csr")
+    scale = abs(ref).max()
+    assert abs(K - ref).max() <= 1e-14 * scale
+    ref.eliminate_zeros()
+    ref.sort_indices()
+    K.sort_indices()
+    assert np.array_equal(K.indptr, ref.indptr) and np.array_equal(K.indices, ref.indices)
+    assert np.all(K.data != 0)
+
+    expected = np.concatenate([system.rhs_vel[free] - A[free][:, bnd] @ g, -(B[:, bnd] @ g)])
+    assert np.abs(rhs - expected).max() <= 1e-14 * np.abs(expected).max()

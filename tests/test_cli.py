@@ -95,3 +95,21 @@ def test_evolutionary_solve_command(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "div residual" in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["solve", "--elements", "1,0,1,0"], "--elements"),
+        (["solve", "--elements", "a,b"], "--elements"),
+        (["verify", "--elements", "1,0,1,0,0,0"], "--elements"),
+        (["study", "--elements", "1,0"], "--elements"),
+        (["study", "--mesh", "a,b"], "--mesh"),
+        (["study", "--mesh", "8,,16"], "--mesh"),
+    ],
+)
+def test_bad_integer_list_is_a_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gwgflow import problems
@@ -135,18 +136,26 @@ def test_factorize_builds_from_element_matrices(mesh4, element_tuple, monkeypatc
     def forbidden(self):
         raise AssertionError("_factorize formed the pinned K")
 
-    monkeypatch.setattr(SaddleSystem, "matrix", forbidden)
+    monkeypatch.setattr(SaddleSystem, "reduced_blocks", forbidden)
     x = _factorize(system).solve(rhs)
     assert np.linalg.norm(K @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 def test_backward_euler_element_sum_equals_added_mass(mesh4, element_tuple):
-    # rho/tau mass enters the element sum of the velocity block
+    # rho/tau mass enters the element sum of the velocity block: the element
+    # matrices differ by rho/tau Mk on the interior slots, and the pinned K
+    # by the mass on its interior rows and columns, which lead K
     ker = ElementKernels(mesh4, SpaceConfig(*element_tuple))
     beta = manufactured_problem("evolutionary_oseen_ex2").beta
-    stepped = build_saddle_system(ker, beta, 0.1).A
-    added = build_saddle_system(ker, beta).A + assemble_bilinear("mass", ker) / 0.1
-    assert abs(stepped - added).max() <= 1e-14 * abs(added).max()
+    stepped, steady = build_saddle_system(ker, beta, 0.1), build_saddle_system(ker, beta)
+    dk, nI = ker.dk, ker.dofmap.n_interior
+    added = steady.A_local.copy()
+    added[:, :dk, :dk] += ker.config.rho * ker.Mk / 0.1
+    assert abs(stepped.A_local - added).max() <= 1e-14 * abs(added).max()
+    K_stepped, K_steady = stepped.reduced_blocks()[0], steady.reduced_blocks()[0]
+    rest = sp.csr_matrix((K_steady.shape[0] - nI,) * 2)
+    mass = sp.block_diag([assemble_bilinear("mass", ker)[:nI, :nI] / 0.1, rest])
+    assert abs(K_stepped - (K_steady + mass)).max() <= 1e-14 * abs(K_stepped).max()
 
 
 def test_factored_matrix_is_the_condensed_one(mesh4, element_tuple, monkeypatch):

@@ -61,6 +61,13 @@ def test_weak_identities_pass(mesh4, element_tuple):
     assert report.max_residual_identity2 <= 1e-11
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_weak_identities_reject_no_trials(mesh4, config_low, trials):
+    # no trial tests nothing, so it must not report a pass
+    with pytest.raises(ValueError, match="trials"):
+        check_weak_identities(ElementKernels(mesh4, config_low), trials=trials)
+
+
 def test_weak_identities_constant_field_trivial(mesh4, config_low):
     # identity 2 with constant w: both sides vanish since grad w = 0 and
     # the projection reproduces constants
