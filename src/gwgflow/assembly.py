@@ -2,20 +2,22 @@
 
 Every routine takes the ``ElementKernels`` of one mesh/config pair, whose
 ``dofmap`` fixes the global numbering.  A solve works on one pinned
-numbering, ``SaddleSystem.K_of``: the free velocity DOFs, then every
+numbering, ``SaddleSystem.K_dofs``, of the free velocity DOFs and every
 pressure DOF but ``elem_pres[0, 0]`` (constants are the only pressure null
-space), each in global order; ``expand`` shifts the pressure to zero mean.
+space); ``expand`` shifts the pressure to zero mean.  The ``nc`` unknowns
+condensed element by element lead it: the interior velocity, then, when
+sigma is 0, the ``dn - 1`` non-constant pressure modes of every element,
+which then couple only to the element's own unknowns (with sigma = 1 the
+jumps ``S2`` couple neighbouring pressures).  The free traces and the kept
+pressures follow.  Each group is in global order.
 
 Element matrices are the source.  ``SaddleSystem.A_local`` is the
 component-local velocity matrix, placed on both components: ``mu viscous
 + s1`` (with ``rho/tau mass`` for a backward-Euler step) per shape class
 plus ``rho convection`` per element; ``B_local`` is the divergence matrix
 of each shape class.  ``element_layout`` places both on every element's
-unknowns; the pinned ``K`` and its boundary-lifting columns are one scatter
-of it, and the solver condenses it element by element: the interior
-velocity and, when sigma is 0, the ``dn - 1`` non-constant pressure modes,
-which then couple only to the element's own unknowns (with sigma = 1 the
-jumps ``S2`` couple neighbouring pressures).
+unknowns, once per solve: ``reduced_blocks`` scatters it into the pinned
+``K`` and its boundary-lifting columns and condenses it for the solver.
 """
 
 from __future__ import annotations
@@ -162,20 +164,24 @@ def assemble_load(kernels: ElementKernels, f, time: float | None = None) -> np.n
     return vec
 
 
+class LinearSolveError(RuntimeError):
+    pass
+
+
 @dataclass
 class SaddleSystem:
     """Element matrices, the pinned numbering and the data of one solve.
 
-    ``A_local`` is (nT, ncomp, ncomp), ``B_local`` (nC, dn, nloc); ``K_of``
-    is the ``K`` index of every velocity DOF, then of every pressure DOF,
-    -1 for boundary traces and the pinned pressure.
+    ``A_local`` is (nT, ncomp, ncomp), ``B_local`` (nC, dn, nloc).  ``K_dofs``
+    is the pinned numbering: the global index (pressures after velocities)
+    of each unknown of ``K``, in ``K``'s order (see the module docstring).
     """
 
     kernels: ElementKernels
     A_local: np.ndarray
     B_local: np.ndarray
     S2: sp.csr_matrix
-    K_of: np.ndarray
+    K_dofs: np.ndarray
     rhs_vel: np.ndarray
     dirichlet_values: np.ndarray | None = None
     mean_vector: np.ndarray | None = None
@@ -203,29 +209,54 @@ class SaddleSystem:
         dofs = np.hstack([dm.elem_vel, dm.n_velocity + dm.elem_pres])[:, order].astype(np.int32)
         return E, dofs, cond.size
 
-    def reduced_blocks(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """The pinned ``K`` and the boundary-lifting columns ``L``, CSR.
+    def reduced_blocks(self) -> tuple:
+        """``(K, L, Dinv, K_ck, K_kc_Dinv, S)`` from one ``element_layout``, kept.
 
-        One scatter of ``element_layout`` (exact zeros dropped), built on the
-        first call and kept.  ``K`` adds ``S2`` on the kept pressures; ``L``
-        has every global row and the boundary traces as columns, so ``L @ g``
-        couples each equation to the boundary data.
+        ``K`` (CSR, with ``S2`` on the kept pressures) and the lift ``L``, with
+        ``L @ g`` the coupling of every global row to the boundary traces ``g``,
+        are scatters of the layout; the rest condense it element by element.
+        Split at ``nc``, the count of condensed unknowns, ``K = [[D, K_ck],
+        [K_kc, K_kk]]``, ``D`` block diagonal; SuperLU factors ``S = K_kk - K_kc
+        D^-1 K_ck`` (CSC), indexed by ``K`` index minus ``nc``.
         """
-        if self._blocks is None:
-            dm, K_of = self.kernels.dofmap, self.K_of
-            bnd = np.full(K_of.size, -1, dtype=np.int32)  # column in the lift
-            bnd[dm.boundary_dofs] = np.arange(dm.boundary_dofs.size)
-            E, dofs, _ = self.element_layout()
-            k, b = K_of[dofs], bnd[dofs]
-            K = _scatter(E, k, k, (K_of.max() + 1,) * 2)
-            t = np.flatnonzero((b >= 0).any(axis=1))  # the elements on the boundary
-            lift = _scatter(E[t], dofs[t], b[t], (K_of.size, dm.boundary_dofs.size))
-            del E
-            if self.S2.nnz:  # on the kept pressures, where the layout has no entry
-                S2 = self.S2.tocoo()
-                i, j = (K_of[dm.n_velocity + ij][:, None] for ij in (S2.row, S2.col))
-                K = K + _scatter(S2.data[:, None, None], i, j, K.shape)
-            self._blocks = (K, lift)
+        if self._blocks is not None:
+            return self._blocks
+        dm, n = self.kernels.dofmap, self.K_dofs.size
+        K_of = np.full(dm.n_velocity + dm.n_pressure, -1, dtype=np.int32)  # inverse of K_dofs
+        K_of[self.K_dofs] = np.arange(n)
+        bnd = np.full(K_of.size, -1, dtype=np.int32)  # column in the lift
+        bnd[dm.boundary_dofs] = np.arange(dm.boundary_dofs.size)
+        S2 = self.S2.tocoo()
+        i2, j2 = (K_of[dm.n_velocity + ij][:, None] for ij in (S2.row, S2.col))
+        E, dofs, c = self.element_layout()
+        k, b, nc = K_of[dofs], bnd[dofs], len(E) * c
+        K = _scatter(E, k, k, (n, n))
+        if S2.nnz:  # on the kept pressures, where the layout has no entry
+            K = K + _scatter(S2.data[:, None, None], i2, j2, K.shape)
+        t = np.flatnonzero((b >= 0).any(axis=1))  # the elements on the boundary
+        lift = _scatter(E[t], dofs[t], b[t], (K_of.size, dm.boundary_dofs.size))
+
+        # the c condensed unknowns of an element have K indices below nc, and
+        # the S index of the others is their K index minus nc, negative if none
+        kS, m = k[:, c:] - nc, n - nc
+        off = kS < 0     # boundary traces and the pinned pressure: zeroed, dropped
+        E[:, c:][off] = E[:, :, c:].transpose(0, 2, 1)[off] = 0.0
+        Dinv, K_ck = _invert_blocks(E[:, :c, :c]), E[:, :c, c:]
+        K_kc_Dinv = E[:, c:, :c] @ Dinv
+        S_local = E[:, c:, c:] - K_kc_Dinv @ K_ck
+        # the element rows put in K order; zeroed entries go to index 0, dropped
+        row, kz = np.argsort(k[:, :c], axis=None), np.maximum(kS, 0)
+        kzc, nk = np.repeat(kz, c, axis=0)[row], kz.shape[1]
+        condensed = (_csr(np.repeat(k[:, :c], c, axis=0)[row], Dinv.reshape(nc, c)[row], nc),
+                     _csr(kzc, K_ck.reshape(nc, nk)[row], m),
+                     _csr(kzc, K_kc_Dinv.transpose(0, 2, 1).reshape(nc, nk)[row], m).T.tocsr())
+        del E, Dinv, K_ck, K_kc_Dinv  # before S and its factor are allocated
+        rows, cols = np.repeat(kz, nk, axis=1).ravel(), np.tile(kz, nk).ravel()
+        S = sp.csc_matrix((S_local.ravel(), (rows, cols)), shape=(m, m))
+        if S2.nnz:
+            S = S + _scatter(S2.data[:, None, None], i2 - nc, j2 - nc, S.shape)
+        S.eliminate_zeros()
+        self._blocks = (K, lift, *condensed, S)
         return self._blocks
 
     def operator(self):
@@ -240,14 +271,14 @@ class SaddleSystem:
             raise ValueError("apply_dirichlet must run before forming the operator")
         if self.mean_vector is None:
             raise ValueError("constrain_system must run before forming the operator")
-        K, lift = self.reduced_blocks()
+        K, lift = self.reduced_blocks()[:2]
         dm = self.kernels.dofmap
         rhs = -(lift @ self.dirichlet_values)
         flux = -rhs[dm.n_velocity + dm.elem_pres[:, 0]]
         if abs(flux.sum()) > COMPAT_TOL * np.abs(flux).sum():
             raise ValueError(f"boundary data g has net outward flux {flux.sum():.3e}, not 0")
         rhs[: dm.n_velocity] += self.rhs_vel
-        return K, rhs[self.K_of >= 0]
+        return K, rhs[self.K_dofs]
 
     def expand(self, x: np.ndarray):
         """Full velocity and pressure vectors of a solution of ``operator()``.
@@ -258,13 +289,34 @@ class SaddleSystem:
         array, so a kept state does not hold x.
         """
         dm = self.kernels.dofmap
-        full = np.zeros(self.K_of.size)
-        full[self.K_of >= 0] = x
+        full = np.zeros(dm.n_velocity + dm.n_pressure)
+        full[self.K_dofs] = x
         vel, pres = full[: dm.n_velocity], full[dm.n_velocity :]
         vel[dm.boundary_dofs] = self.dirichlet_values
         const = dm.elem_pres[:, 0]
         pres[const] -= (self.mean_vector @ pres) / self.mean_vector[const].sum()
         return vel, pres
+
+
+def _csr(cols: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_matrix:
+    """CSR matrix with ``vals[i, j]`` at ``(i, cols[i, j])``, exact zeros left out."""
+    indptr = np.arange(0, cols.size + 1, cols.shape[1], dtype=np.int32)
+    mat = sp.csr_matrix((vals.flatten(), cols.flatten(), indptr), shape=(cols.shape[0], n))
+    mat.eliminate_zeros()
+    return mat
+
+
+def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Batched inverse of the (nT, b, b) condensed blocks, naming a singular one."""
+    try:
+        return np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:
+        for t, block in enumerate(blocks):
+            try:
+                np.linalg.inv(block)
+            except np.linalg.LinAlgError:
+                raise LinearSolveError(f"condensed block of element {t} is singular") from None
+        raise
 
 
 def build_saddle_system(kernels: ElementKernels, beta, tau: float | None = None) -> SaddleSystem:
@@ -274,15 +326,17 @@ def build_saddle_system(kernels: ElementKernels, beta, tau: float | None = None)
     (a backward-Euler step).  The caller sets ``rhs_vel`` (for instance from
     ``assemble_load``) before forming the operator.
     """
-    dm = kernels.dofmap
-    kept = np.ones(dm.n_velocity + dm.n_pressure, dtype=bool)
-    kept[dm.boundary_dofs] = kept[dm.n_velocity + dm.elem_pres[0, 0]] = False
+    dm, nv, nI = kernels.dofmap, kernels.dofmap.n_velocity, kernels.dofmap.n_interior
+    modes = dm.elem_pres[:, 1:] if kernels.config.sigma == 0 else dm.elem_pres[:, :0]
+    kept = np.ones(dm.n_pressure, dtype=bool)
+    kept[modes] = kept[dm.elem_pres[0, 0]] = False
     return SaddleSystem(
         kernels=kernels,
         A_local=_velocity_local(kernels, beta, tau),
         B_local=_divergence_local(kernels),
         S2=assemble_bilinear("s2", kernels),
-        K_of=np.where(kept, np.cumsum(kept) - 1, -1).astype(np.int32),
+        K_dofs=np.r_[dm.free_dofs[:nI], nv + np.sort(modes, axis=None), dm.free_dofs[nI:],
+                     nv + np.flatnonzero(kept)],
         rhs_vel=np.zeros(dm.n_velocity),
     )
 

@@ -39,6 +39,12 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
     return _parse_ints(text, 5)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--problem", default="steady_oseen_ex1", choices=PROBLEM_NAMES)
     p.add_argument("--elements", default="1,0,1,0,0", type=_parse_degrees,
@@ -134,7 +140,10 @@ def _cmd_study(args) -> int:
     if "formats" in values:
         values["formats"] = tuple(values["formats"])
 
-    study = StudyConfig(**values)
+    try:
+        study = StudyConfig(**values)
+    except ValueError as exc:
+        raise SystemExit(f"invalid study config: {exc}") from None
     report = run_convergence_study(study)
     sys.stdout.write(report.markdown_text())
     if study.out_dir is not None:
@@ -185,7 +194,7 @@ def main(argv=None) -> int:
 
     p_solve = sub.add_parser("solve", help="single solve with error report")
     _add_common(p_solve)
-    p_solve.add_argument("--cells", type=int, default=8, help="cells per side")
+    p_solve.add_argument("--cells", type=_positive_int, default=8, help="cells per side")
     p_solve.add_argument("--tau", type=float, default=1e-2)
     p_solve.add_argument("--tfinal", type=float, default=1.0)
     p_solve.add_argument("--dump", default=None, help="write solution dump file")
@@ -205,13 +214,13 @@ def main(argv=None) -> int:
     p_study.add_argument("--tfinal", dest="t_final", type=float, default=None)
     p_study.add_argument("--out", dest="out_dir", default=None)
     p_study.add_argument("--format", default=None, choices=("csv", "md", "both"))
-    p_study.add_argument("--workers", type=int, default=None)
+    p_study.add_argument("--workers", type=_positive_int, default=None)
     p_study.set_defaults(func=_cmd_study)
 
     p_verify = sub.add_parser("verify", help="run the stability diagnostics")
     _add_common(p_verify)
-    p_verify.add_argument("--cells", type=int, default=8)
-    p_verify.add_argument("--trials", type=int, default=100)
+    p_verify.add_argument("--cells", type=_positive_int, default=8)
+    p_verify.add_argument("--trials", type=_positive_int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify)
 

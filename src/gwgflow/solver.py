@@ -10,6 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
+    LinearSolveError,
     SaddleSystem,
     apply_dirichlet,
     assemble_bilinear,
@@ -23,10 +24,6 @@ from .mesh import Mesh
 
 RESIDUAL_TOL = 1e-10
 MAX_TIME_STEPS = 10**7
-
-
-class LinearSolveError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -83,14 +80,14 @@ class DiscreteSolution:
 
 
 def linear_solve(system: SaddleSystem, factor=None) -> np.ndarray:
-    """Direct solve of ``system.operator()``, in the numbering ``system.K_of``.
+    """Direct solve of ``system.operator()``, in the numbering ``system.K_dofs``.
 
     Every solve, steady or time step, goes through here, with the
     condensed factor of ``_factorize`` (built here unless ``factor`` is
-    given).  The relative residual is checked on ``K`` against
-    ``RESIDUAL_TOL``; one step of iterative refinement is applied if
-    needed, and ``LinearSolveError`` is raised when the residual still
-    fails the check, including when it is NaN.
+    given); it and ``K`` come from one element layout.  The relative
+    residual is checked on ``K`` against ``RESIDUAL_TOL``; one step of
+    iterative refinement is applied if needed, and ``LinearSolveError`` is
+    raised when the residual still fails the check, including when it is NaN.
     """
     K, rhs = system.operator()
     lu = factor if factor is not None else _factorize(system)
@@ -111,101 +108,37 @@ def linear_solve(system: SaddleSystem, factor=None) -> np.ndarray:
 class _CondensedFactor:
     """Factor of the pinned ``K`` with every element-local unknown condensed out.
 
-    ``cond`` holds the ``K`` indices of the condensed unknowns (see the
-    ``assembly`` module docstring), element by element, and ``kept`` the
-    others.  Up to that permutation ``K = [[D, K_ck], [K_kc, K_kk]]``, ``D``
-    block diagonal.  SuperLU factors only ``S = K_kk - K_kc D^-1 K_ck``;
+    The ``nc`` condensed unknowns lead ``K`` (see the ``assembly`` module
+    docstring), so ``K = [[D, K_ck], [K_kc, K_kk]]`` split at ``nc``, with
+    ``D`` block diagonal.  SuperLU factors only ``S = K_kk - K_kc D^-1 K_ck``;
     ``K_kc D^-1``, formed for ``S``, is kept in place of ``K_kc``.  ``solve``
     takes and returns vectors of ``K``'s size.
     """
 
-    cond: np.ndarray
-    kept: np.ndarray
+    nc: int
     Dinv: sp.csr_matrix
     K_ck: sp.csr_matrix
     K_kc_Dinv: sp.csr_matrix
     lu: spla.SuperLU
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        x = np.empty_like(r)
-        r_c = r[self.cond]
-        x[self.kept] = x_k = self.lu.solve(r[self.kept] - self.K_kc_Dinv @ r_c)
-        x[self.cond] = self.Dinv @ (r_c - self.K_ck @ x_k)
-        return x
+        r_c = r[: self.nc]
+        x_k = self.lu.solve(r[self.nc :] - self.K_kc_Dinv @ r_c)
+        return np.concatenate([self.Dinv @ (r_c - self.K_ck @ x_k), x_k])
 
 
 def _factorize(system: SaddleSystem) -> _CondensedFactor:
     """Condensed factor of the pinned ``K`` (see ``_CondensedFactor``).
 
-    Built from ``system.element_layout()`` through ``system.K_of``, not
-    from ``K``: the rows and columns with no ``K`` index are zeroed, the
-    condensed blocks are inverted in one batched call, and the local Schur
-    complements on the traces and kept pressure modes are scattered once,
-    with ``S2``.  A singular element block or a singular Schur complement
-    raises ``LinearSolveError``.
+    SuperLU factors the ``S`` of ``system.reduced_blocks()``; a singular
+    element block or a singular ``S`` raises ``LinearSolveError``.
     """
-    nv, K_of = system.kernels.dofmap.n_velocity, system.K_of
-    E, dofs, c = system.element_layout()
-    # K index of every element unknown, and S index of every K index; -1 is dropped
-    k, nT = K_of[dofs], len(dofs)
-    is_kept = np.ones(K_of.max() + 2, dtype=bool)
-    is_kept[k[:, :c]] = is_kept[-1] = False
-    kept = np.flatnonzero(is_kept)
-    S_of = np.full(is_kept.size, -1, dtype=np.int32)
-    S_of[kept] = np.arange(kept.size)
-    kS = S_of[k[:, c:]]
-    off = kS < 0     # boundary traces and the pinned pressure: zeroed, dropped
-
-    E[:, c:][off] = E[:, :, c:].transpose(0, 2, 1)[off] = 0.0
-    Dinv, K_ck = _invert_blocks(E[:, :c, :c]), E[:, :c, c:]
-    K_kc_Dinv = E[:, c:, :c] @ Dinv
-    S_local = K_kc_Dinv @ K_ck
-    np.subtract(E[:, c:, c:], S_local, out=S_local)
-
-    # the solve's matrices, condensed unknown t*c + i being element t's i-th;
-    # the element arrays are freed before S and its factor are allocated
-    q = np.repeat(np.arange(nT * c, dtype=np.int32).reshape(nT, c), c, axis=0)
-    kz, nk = np.maximum(kS, 0), kS.shape[1]
-    kzc = np.repeat(kz, c, axis=0)
-    solve = (k[:, :c].ravel(), kept, _csr(q, Dinv, nT * c), _csr(kzc, K_ck, kept.size))
-    solve += (_csr(kzc, K_kc_Dinv.transpose(0, 2, 1), kept.size).T.tocsr(),)
-    del E, Dinv, K_ck, K_kc_Dinv, q, kzc
-
-    # zeroed rows and columns add zeros at index 0, dropped after the sum
-    S2 = system.S2.tocoo()
-    i2, j2 = S_of[K_of[nv + S2.row]], S_of[K_of[nv + S2.col]]
-    rows = np.concatenate([np.repeat(kz, nk, axis=1).ravel(), np.maximum(i2, 0)])
-    cols = np.concatenate([np.tile(kz, nk).ravel(), np.maximum(j2, 0)])
-    vals = np.concatenate([S_local.ravel(), S2.data * (i2 >= 0) * (j2 >= 0)])
-    S = sp.csc_matrix((vals, (rows, cols)), shape=(kept.size, kept.size))
-    del S_local, rows, cols, vals
-    S.eliminate_zeros()
+    *_, Dinv, K_ck, K_kc_Dinv, S = system.reduced_blocks()
     try:
         lu = spla.splu(S)
     except RuntimeError as exc:  # singular factorization, SuperLU reports pivot
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
-    return _CondensedFactor(*solve, lu)
-
-
-def _csr(cols: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_matrix:
-    """CSR matrix with ``vals[i, j]`` at ``(i, cols[i, j])``, exact zeros left out."""
-    indptr = np.arange(0, cols.size + 1, cols.shape[1], dtype=np.int32)
-    mat = sp.csr_matrix((vals.flatten(), cols.flatten(), indptr), shape=(cols.shape[0], n))
-    mat.eliminate_zeros()
-    return mat
-
-
-def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Batched inverse of the (nT, b, b) condensed blocks, naming a singular one."""
-    try:
-        return np.linalg.inv(blocks)
-    except np.linalg.LinAlgError:
-        for t, block in enumerate(blocks):
-            try:
-                np.linalg.inv(block)
-            except np.linalg.LinAlgError:
-                raise LinearSolveError(f"interior block of element {t} is singular") from None
-        raise
+    return _CondensedFactor(Dinv.shape[0], Dinv, K_ck, K_kc_Dinv, lu)
 
 
 def solve_steady(mesh: Mesh, config: SpaceConfig, problem) -> DiscreteSolution:
@@ -235,10 +168,11 @@ def solve_evolutionary(
     ``tau`` (mass in the element sum), whose residual check on the pinned
     ``K`` makes a failed step raise ``LinearSolveError``.  The coefficients
     do not depend on time, so ``K``, its boundary-lifting columns and the
-    condensed factor of ``_factorize`` are built once and reused.
+    condensed factor of ``_factorize`` come from one element layout and are
+    reused by every step.
 
     The mass form lives on the element-interior velocity block only, and
-    the interiors lead the ``K_of`` numbering, so between steps only the
+    the interiors lead the ``K_dofs`` numbering, so between steps only the
     interior part ``x[:n_interior]`` of the solution is carried; its mass
     term ``mass_II @ (u_I / tau)`` is added to the load's interior rows.
     States are expanded to full vectors only when they are returned: the

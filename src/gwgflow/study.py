@@ -63,8 +63,10 @@ class StudyConfig:
             raise ValueError("mesh_sizes must be strictly increasing (h decreasing)")
         if self.mesh_sizes[0] < 1:
             raise ValueError(f"mesh_sizes must be >= 1, got {self.mesh_sizes[0]}")
-        if self.workers < 1:
+        if require_integer("workers", self.workers) < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if len(self.elements) != 5:
+            raise ValueError(f"elements must be the 5 degrees k, j, l, m, n, got {self.elements}")
         self.space_config().validate_solver_compatibility()
         for _, tau in self.cells():  # validate the rule and every tau eagerly
             if tau is not None:

@@ -287,7 +287,9 @@ def test_build_saddle_system_forms_the_weak_gradient_table_once(
 def test_pinned_K_equals_sliced_global_blocks(element_tuple, kind, sigma, mesh_kind):
     # independent of the element layout: [[A_ff, -B_f^T], [B_f, S2]] sliced
     # from the global scatters of the single forms, with the row and column
-    # of pressure DOF elem_pres[0, 0] deleted
+    # of pressure DOF elem_pres[0, 0] deleted, then put in the K order: the
+    # interior velocity, with sigma = 0 the non-constant pressure modes, then
+    # the free traces and the other kept pressures, each in global order
     mesh = build_uniform_triangulation(4) if mesh_kind == "uniform4" else _jittered_mesh(6)
     _, ker, dm = _setup(mesh, element_tuple, sigma=sigma)
     tau = 0.1 if kind == "backward_euler" else None
@@ -307,6 +309,12 @@ def test_pinned_K_equals_sliced_global_blocks(element_tuple, kind, sigma, mesh_k
     S2 = assemble_bilinear("s2", ker)[keep][:, keep]
     B_f = B[:, free]
     ref = sp.bmat([[A[free][:, free], -B_f.T], [B_f, S2]], format="csr")
+    nv, nI = dm.n_velocity, dm.n_interior
+    modes = np.sort(dm.elem_pres[:, 1:], axis=None) if sigma == 0 else np.array([], int)
+    order = np.concatenate([free[:nI], nv + modes, free[nI:], nv + np.setdiff1d(keep, modes)])
+    at = np.searchsorted(np.concatenate([free, nv + keep]), order)  # order in ref's numbering
+    assert np.array_equal(system.K_dofs, order)
+    ref = ref[at][:, at]
     scale = abs(ref).max()
     assert abs(K - ref).max() <= 1e-14 * scale
     ref.eliminate_zeros()
@@ -315,5 +323,5 @@ def test_pinned_K_equals_sliced_global_blocks(element_tuple, kind, sigma, mesh_k
     assert np.array_equal(K.indptr, ref.indptr) and np.array_equal(K.indices, ref.indices)
     assert np.all(K.data != 0)
 
-    expected = np.concatenate([system.rhs_vel[free] - A[free][:, bnd] @ g, -(B[:, bnd] @ g)])
+    expected = np.concatenate([system.rhs_vel[free] - A[free][:, bnd] @ g, -(B[:, bnd] @ g)])[at]
     assert np.abs(rhs - expected).max() <= 1e-14 * np.abs(expected).max()

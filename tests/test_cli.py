@@ -73,6 +73,18 @@ def test_study_config_rejects_unknown_keys(tmp_path):
         main(["study", "--config", str(path)])
 
 
+@pytest.mark.parametrize(
+    "values, field",
+    [({"elements": [1, 0, 1, 0]}, "elements"), ({"workers": 2.5}, "workers")],
+)
+def test_study_config_file_with_bad_value_is_a_message(tmp_path, values, field):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps({"problem": "stokes_patch", "mesh_sizes": [2], **values}))
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--config", str(path)])
+    assert exc.value.code.startswith(f"invalid study config: {field} must be")
+
+
 def test_verify_command_passes(capsys):
     rc = main(["verify", "--cells", "4", "--elements", "1,0,1,0,0", "--trials", "10"])
     out = capsys.readouterr().out
@@ -106,6 +118,10 @@ def test_evolutionary_solve_command(capsys):
         (["study", "--elements", "1,0"], "--elements"),
         (["study", "--mesh", "a,b"], "--mesh"),
         (["study", "--mesh", "8,,16"], "--mesh"),
+        (["verify", "--trials", "0"], "--trials"),
+        (["solve", "--cells", "0"], "--cells"),
+        (["verify", "--cells", "0"], "--cells"),
+        (["study", "--workers", "0"], "--workers"),
     ],
 )
 def test_bad_integer_list_is_a_usage_error(argv, flag, capsys):

@@ -129,16 +129,40 @@ def test_condensed_solve_equals_full_solve_off_uniform_sigma0(element_tuple, kin
 
 
 def test_factorize_builds_from_element_matrices(mesh4, element_tuple, monkeypatch):
-    # the factor never forms or slices the pinned K
+    # the factor condenses the element layout and never slices the pinned K;
+    # what SuperLU gets is the Schur complement of K split at nc, the count
+    # of condensed unknowns, which lead K
     system = _system("steady", mesh4, SpaceConfig(*element_tuple))
+
+    def forbidden(self, key):
+        raise AssertionError("a sparse matrix was sliced")
+
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+        monkeypatch.setattr(cls, "__getitem__", forbidden)
+    factor = _factorize(system)
+    monkeypatch.undo()
     K, rhs = system.operator()
-
-    def forbidden(self):
-        raise AssertionError("_factorize formed the pinned K")
-
-    monkeypatch.setattr(SaddleSystem, "reduced_blocks", forbidden)
-    x = _factorize(system).solve(rhs)
+    x = factor.solve(rhs)
     assert np.linalg.norm(K @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    nc, K = factor.nc, K.toarray()
+    S = K[nc:, nc:] - K[nc:, :nc] @ np.linalg.solve(K[:nc, :nc], K[:nc, nc:])
+    assert abs(system.reduced_blocks()[-1] - S).max() <= 1e-12 * abs(S).max()
+
+
+@pytest.mark.parametrize("sigma", [0, 1])
+@pytest.mark.parametrize("kind", ["steady", "evolutionary"])
+def test_one_element_layout_per_solve(mesh4, element_tuple, kind, sigma, monkeypatch):
+    # K, its boundary lift and the condensed factor share one layout
+    calls = []
+    layout = SaddleSystem.element_layout
+    monkeypatch.setattr(SaddleSystem, "element_layout", lambda s: calls.append(1) or layout(s))
+    cfg = SpaceConfig(*element_tuple, sigma=sigma)
+    if kind == "steady":
+        solve_steady(mesh4, cfg, manufactured_problem("steady_oseen_ex1"))
+    else:
+        grid = TimeGrid.from_tau(1.0, 0.25)
+        solve_evolutionary(mesh4, cfg, manufactured_problem("evolutionary_oseen_ex2"), grid)
+    assert len(calls) == 1
 
 
 def test_backward_euler_element_sum_equals_added_mass(mesh4, element_tuple):
@@ -191,7 +215,7 @@ def test_singular_interior_block_raises(mesh4, element_tuple):
     dk = system.kernels.dk
     system.A_local[5, :dk] = 0.0
     system.A_local[5, :, :dk] = 0.0
-    with pytest.raises(LinearSolveError, match="interior block of element 5 is singular"):
+    with pytest.raises(LinearSolveError, match="condensed block of element 5 is singular"):
         linear_solve(system)
 
 

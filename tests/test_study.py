@@ -75,6 +75,20 @@ def test_study_config_rejects_bad_sizes_and_workers(field, value):
         StudyConfig(**{**study, field: value})
 
 
+@pytest.mark.parametrize("elements", [(1, 0, 1, 0), (1, 0, 1, 0, 0, 0)])
+def test_study_config_rejects_an_element_tuple_not_of_five(elements):
+    with pytest.raises(ValueError, match="elements must be the 5 degrees"):
+        StudyConfig(problem="steady_oseen_ex1", elements=elements, mesh_sizes=(2, 4))
+
+
+@pytest.mark.parametrize("workers", [2.5, 2.0, "2"])
+def test_study_config_rejects_non_integral_workers(workers):
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        StudyConfig(
+            problem="steady_oseen_ex1", elements=(1, 0, 1, 0, 0), mesh_sizes=(2, 4), workers=workers
+        )
+
+
 @pytest.mark.parametrize("sizes", [(2.5, 4), (2, 4.0), ("2", 4)])
 def test_study_config_rejects_non_integral_mesh_sizes(sizes):
     with pytest.raises(ValueError, match="mesh_sizes must be an integer"):
