@@ -130,8 +130,7 @@ def _divergence_local(ker: ElementKernels) -> np.ndarray:
 
 def _convection_local(ker: ElementKernels, W: np.ndarray, beta) -> np.ndarray:
     """(beta . grad_w phi_j, phi_i) for the interior test functions, (nT, dk, ncomp)."""
-    x, y = ker.qp[..., 0], ker.qp[..., 1]
-    bvals = _eval_field("convection field beta", beta, x, y)    # (nT, np, 2)
+    bvals = _eval_field("convection field beta", beta, *ker.qxy)    # (nT, np, 2)
     bW = bvals[..., 0, None] * W[:, 0] + bvals[..., 1, None] * W[:, 1]
     return np.matmul(ker.wVk.transpose(0, 2, 1), bW)
 
@@ -157,7 +156,7 @@ def _assemble_s2(ker: ElementKernels) -> sp.csr_matrix:
 
 def assemble_load(kernels: ElementKernels, f, time: float | None = None) -> np.ndarray:
     """Load vector (f, v0); only interior velocity entries are nonzero."""
-    vals = _eval_field("forcing f", f, kernels.qp[..., 0], kernels.qp[..., 1], time)
+    vals = _eval_field("forcing f", f, *kernels.qxy, time)
     vec = np.zeros(kernels.dofmap.n_velocity)
     interior, _ = kernels.dofmap.split_velocity(vec)
     interior[...] = kernels.interior_moments(vals)
@@ -168,13 +167,24 @@ class LinearSolveError(RuntimeError):
     pass
 
 
+def _kept_modes(kernels: ElementKernels) -> int:
+    """How many leading pressure modes of an element are not condensed.
+
+    With sigma = 0 nothing couples an element's non-constant pressure modes
+    to another element, so only the constant mode stays; with sigma = 1 the
+    jumps ``S2`` couple every mode to the neighbours', and all ``dn`` stay.
+    """
+    return 1 if kernels.config.sigma == 0 else kernels.dn
+
+
 @dataclass
 class SaddleSystem:
     """Element matrices, the pinned numbering and the data of one solve.
 
     ``A_local`` is (nT, ncomp, ncomp), ``B_local`` (nC, dn, nloc).  ``K_dofs``
     is the pinned numbering: the global index (pressures after velocities)
-    of each unknown of ``K``, in ``K``'s order (see the module docstring).
+    of each unknown of ``K``, in ``K``'s order (see the module docstring),
+    whose first ``nc`` unknowns are the condensed ones.
     """
 
     kernels: ElementKernels
@@ -182,6 +192,7 @@ class SaddleSystem:
     B_local: np.ndarray
     S2: sp.csr_matrix
     K_dofs: np.ndarray
+    nc: int
     rhs_vel: np.ndarray
     dirichlet_values: np.ndarray | None = None
     mean_vector: np.ndarray | None = None
@@ -197,7 +208,7 @@ class SaddleSystem:
         ker = self.kernels
         dm, nloc, dn = ker.dofmap, ker.nloc, ker.dn
         # element unknowns (velocity slots, pressure modes), the c condensed first
-        cond = np.r_[: 2 * dm.dk, nloc + (1 if ker.config.sigma == 0 else dn) : nloc + dn]
+        cond = np.r_[: 2 * dm.dk, nloc + _kept_modes(ker) : nloc + dn]
         order = np.concatenate([cond, np.setdiff1d(np.arange(nloc + dn), cond)])
         at = np.argsort(order)
         E = np.zeros((dm.n_elements, nloc + dn, nloc + dn))
@@ -210,18 +221,21 @@ class SaddleSystem:
         return E, dofs, cond.size
 
     def reduced_blocks(self) -> tuple:
-        """``(K, L, Dinv, K_ck, K_kc_Dinv, S)`` from one ``element_layout``, kept.
+        """``(K, L, Dinv_stack, Dinv_K_ck, S)`` from one ``element_layout``, kept.
 
-        ``K`` (CSR, with ``S2`` on the kept pressures) and the lift ``L``, with
-        ``L @ g`` the coupling of every global row to the boundary traces ``g``,
-        are scatters of the layout; the rest condense it element by element.
-        Split at ``nc``, the count of condensed unknowns, ``K = [[D, K_ck],
-        [K_kc, K_kk]]``, ``D`` block diagonal; SuperLU factors ``S = K_kk - K_kc
-        D^-1 K_ck`` (CSC), indexed by ``K`` index minus ``nc``.
+        ``K`` (CSR, with ``S2`` on the kept pressures) and the lift ``L`` are
+        scatters of the layout.  ``L @ g`` couples the boundary traces ``g``
+        to every row of ``K``, in ``K`` order, and then to each element's
+        constant pressure mode, the flux rows ``operator`` checks.  The rest
+        condense the layout element by element.  Split at ``nc``, ``K =
+        [[D, K_ck], [K_kc, K_kk]]`` with ``D`` block diagonal; SuperLU factors
+        ``S = K_kk - K_kc D^-1 K_ck`` (CSC), indexed by ``K`` index minus
+        ``nc``.  The solver applies ``Dinv_stack = [K_kc D^-1; D^-1]`` before
+        it and ``Dinv_K_ck = D^-1 K_ck`` after it, both formed per element.
         """
         if self._blocks is not None:
             return self._blocks
-        dm, n = self.kernels.dofmap, self.K_dofs.size
+        dm, n, nc = self.kernels.dofmap, self.K_dofs.size, self.nc
         K_of = np.full(dm.n_velocity + dm.n_pressure, -1, dtype=np.int32)  # inverse of K_dofs
         K_of[self.K_dofs] = np.arange(n)
         bnd = np.full(K_of.size, -1, dtype=np.int32)  # column in the lift
@@ -229,12 +243,15 @@ class SaddleSystem:
         S2 = self.S2.tocoo()
         i2, j2 = (K_of[dm.n_velocity + ij][:, None] for ij in (S2.row, S2.col))
         E, dofs, c = self.element_layout()
-        k, b, nc = K_of[dofs], bnd[dofs], len(E) * c
+        k, b = K_of[dofs], bnd[dofs]
         K = _scatter(E, k, k, (n, n))
         if S2.nnz:  # on the kept pressures, where the layout has no entry
             K = K + _scatter(S2.data[:, None, None], i2, j2, K.shape)
         t = np.flatnonzero((b >= 0).any(axis=1))  # the elements on the boundary
-        lift = _scatter(E[t], dofs[t], b[t], (K_of.size, dm.boundary_dofs.size))
+        p0 = np.flatnonzero(dofs[0] == dm.n_velocity + dm.elem_pres[0, 0])  # constant mode
+        Et, rows = E[t], np.concatenate([k[t], n + t[:, None]], axis=1)   # flux row n + t
+        lift = _scatter(np.concatenate([Et, Et[:, p0]], axis=1), rows, b[t],
+                        (n + dm.n_elements, dm.boundary_dofs.size)).tocsc()
 
         # the c condensed unknowns of an element have K indices below nc, and
         # the S index of the others is their K index minus nc, negative if none
@@ -242,43 +259,51 @@ class SaddleSystem:
         off = kS < 0     # boundary traces and the pinned pressure: zeroed, dropped
         E[:, c:][off] = E[:, :, c:].transpose(0, 2, 1)[off] = 0.0
         Dinv, K_ck = _invert_blocks(E[:, :c, :c]), E[:, :c, c:]
-        K_kc_Dinv = E[:, c:, :c] @ Dinv
+        K_kc_Dinv, Dinv_K_ck = E[:, c:, :c] @ Dinv, Dinv @ K_ck
         S_local = E[:, c:, c:] - K_kc_Dinv @ K_ck
         # the element rows put in K order; zeroed entries go to index 0, dropped
         row, kz = np.argsort(k[:, :c], axis=None), np.maximum(kS, 0)
         kzc, nk = np.repeat(kz, c, axis=0)[row], kz.shape[1]
-        condensed = (_csr(np.repeat(k[:, :c], c, axis=0)[row], Dinv.reshape(nc, c)[row], nc),
-                     _csr(kzc, K_ck.reshape(nc, nk)[row], m),
-                     _csr(kzc, K_kc_Dinv.transpose(0, 2, 1).reshape(nc, nk)[row], m).T.tocsr())
-        del E, Dinv, K_ck, K_kc_Dinv  # before S and its factor are allocated
+        # column j of Dinv_stack holds the condensed unknown j's element column
+        # of K_kc D^-1, then of D^-1: a CSR of the columns, transposed to CSC
+        cols = np.concatenate([kzc, m + np.repeat(k[:, :c], c, axis=0)[row]], axis=1)
+        vals = np.concatenate([K_kc_Dinv.transpose(0, 2, 1), Dinv.transpose(0, 2, 1)], axis=2)
+        Dinv_stack = _csr(cols, vals.reshape(nc, nk + c)[row], m + nc).T
+        Dinv_K_ck = _csr(kzc, Dinv_K_ck.reshape(nc, nk)[row], m)
+        del E, Et, Dinv, K_ck, K_kc_Dinv, cols, vals  # before S and its factor are allocated
         rows, cols = np.repeat(kz, nk, axis=1).ravel(), np.tile(kz, nk).ravel()
         S = sp.csc_matrix((S_local.ravel(), (rows, cols)), shape=(m, m))
         if S2.nnz:
             S = S + _scatter(S2.data[:, None, None], i2 - nc, j2 - nc, S.shape)
         S.eliminate_zeros()
-        self._blocks = (K, lift, *condensed, S)
+        self._blocks = (K, lift, Dinv_stack, Dinv_K_ck, S)
         return self._blocks
 
     def operator(self):
         """The pinned ``K`` and the right-hand side of the current data.
 
         The right-hand side is formed on every call from ``rhs_vel`` and the
-        boundary data.  The equation dropped with the pinned pressure DOF, the
-        sum of the constant-mode rows, says that g has no net outward flux; a
-        ``ValueError`` is raised when that fails by more than ``COMPAT_TOL``.
+        boundary data, by one product with the lift.  The equation dropped
+        with the pinned pressure DOF, the sum of the constant-mode rows, says
+        that g has no net outward flux; a ``ValueError`` is raised when the
+        lift's flux rows fail that by more than ``COMPAT_TOL``.
         """
         if self.dirichlet_values is None:
             raise ValueError("apply_dirichlet must run before forming the operator")
         if self.mean_vector is None:
             raise ValueError("constrain_system must run before forming the operator")
         K, lift = self.reduced_blocks()[:2]
-        dm = self.kernels.dofmap
-        rhs = -(lift @ self.dirichlet_values)
-        flux = -rhs[dm.n_velocity + dm.elem_pres[:, 0]]
+        dm, n = self.kernels.dofmap, self.K_dofs.size
+        nI = dm.n_interior
+        lifted = lift @ self.dirichlet_values
+        flux = lifted[n:]
         if abs(flux.sum()) > COMPAT_TOL * np.abs(flux).sum():
             raise ValueError(f"boundary data g has net outward flux {flux.sum():.3e}, not 0")
-        rhs[: dm.n_velocity] += self.rhs_vel
-        return K, rhs[self.K_dofs]
+        rhs = -lifted[:n]
+        # the velocity unknowns of K: the interiors lead, the free traces follow nc
+        rhs[:nI] += self.rhs_vel[:nI]
+        rhs[self.nc : self.nc + dm.free_dofs.size - nI] += self.rhs_vel[dm.free_dofs[nI:]]
+        return K, rhs
 
     def expand(self, x: np.ndarray):
         """Full velocity and pressure vectors of a solution of ``operator()``.
@@ -299,9 +324,13 @@ class SaddleSystem:
 
 
 def _csr(cols: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_matrix:
-    """CSR matrix with ``vals[i, j]`` at ``(i, cols[i, j])``, exact zeros left out."""
+    """CSR matrix with ``vals[i, j]`` at ``(i, cols[i, j])``, exact zeros left out.
+
+    The matrix takes over a contiguous ``vals`` (dropping the zeros in place),
+    so callers pass a temporary; ``cols`` is copied.
+    """
     indptr = np.arange(0, cols.size + 1, cols.shape[1], dtype=np.int32)
-    mat = sp.csr_matrix((vals.flatten(), cols.flatten(), indptr), shape=(cols.shape[0], n))
+    mat = sp.csr_matrix((vals.ravel(), cols.flatten(), indptr), shape=(cols.shape[0], n))
     mat.eliminate_zeros()
     return mat
 
@@ -327,7 +356,7 @@ def build_saddle_system(kernels: ElementKernels, beta, tau: float | None = None)
     ``assemble_load``) before forming the operator.
     """
     dm, nv, nI = kernels.dofmap, kernels.dofmap.n_velocity, kernels.dofmap.n_interior
-    modes = dm.elem_pres[:, 1:] if kernels.config.sigma == 0 else dm.elem_pres[:, :0]
+    modes = dm.elem_pres[:, _kept_modes(kernels) :]
     kept = np.ones(dm.n_pressure, dtype=bool)
     kept[modes] = kept[dm.elem_pres[0, 0]] = False
     return SaddleSystem(
@@ -337,6 +366,7 @@ def build_saddle_system(kernels: ElementKernels, beta, tau: float | None = None)
         S2=assemble_bilinear("s2", kernels),
         K_dofs=np.r_[dm.free_dofs[:nI], nv + np.sort(modes, axis=None), dm.free_dofs[nI:],
                      nv + np.flatnonzero(kept)],
+        nc=nI + modes.size,
         rhs_vel=np.zeros(dm.n_velocity),
     )
 

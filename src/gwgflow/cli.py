@@ -58,12 +58,16 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _space_config(args) -> SpaceConfig:
+    """The ``SpaceConfig`` of the common options; a bad value exits with a message."""
     kwargs = {}
     for name in ("gamma", "alpha", "zeta", "sigma", "mu", "rho"):
         value = getattr(args, name)
         if value is not None:
             kwargs[name] = value
-    return SpaceConfig(*args.elements, **kwargs)
+    try:
+        return SpaceConfig(*args.elements, **kwargs)
+    except ValueError as exc:
+        raise SystemExit(f"invalid {args.command} parameters: {exc}") from None
 
 
 def _cmd_problems(args) -> int:
@@ -77,11 +81,15 @@ def _cmd_problems(args) -> int:
 def _cmd_solve(args) -> int:
     cfg = _space_config(args)
     problem = manufactured_problem(args.problem, mu=cfg.mu, rho=cfg.rho)
+    try:
+        cfg.validate_solver_compatibility()
+        grid = None if problem.steady else TimeGrid.from_tau(args.tfinal, args.tau)
+    except ValueError as exc:
+        raise SystemExit(f"invalid solve parameters: {exc}") from None
     mesh = build_uniform_triangulation(args.cells)
-    if problem.steady:
+    if grid is None:
         solution = solve_steady(mesh, cfg, problem)
     else:
-        grid = TimeGrid.from_tau(args.tfinal, args.tau)
         solution = solve_evolutionary(mesh, cfg, problem, grid)
     report = evaluate_errors(solution, problem)
     print(f"problem      : {args.problem}")
@@ -135,10 +143,12 @@ def _cmd_study(args) -> int:
     values.setdefault("problem", "steady_oseen_ex1")
     values.setdefault("elements", (1, 0, 1, 0, 0))
     values.setdefault("mesh_sizes", (8, 16, 32))
-    values["elements"] = tuple(values["elements"])
-    values["mesh_sizes"] = tuple(values["mesh_sizes"])
-    if "formats" in values:
-        values["formats"] = tuple(values["formats"])
+    for name in ("elements", "mesh_sizes", "formats"):
+        if name not in values:
+            continue
+        if not isinstance(values[name], (list, tuple)):
+            raise SystemExit(f"invalid study config: {name} must be a list, got {values[name]!r}")
+        values[name] = tuple(values[name])
 
     try:
         study = StudyConfig(**values)

@@ -145,6 +145,13 @@ _CLASS_TABLES = """qw local _V _G wVk Mk Ml Mm Mn local_e _V_e normals elen E Gl
 delta div""".split()
 
 
+def _read_only_xy(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(x, y)`` views of a read-only copy of the points (..., 2), owned by it."""
+    pts = np.require(pts, requirements="O")
+    pts.flags.writeable = False
+    return pts[..., 0], pts[..., 1]
+
+
 def _prefix(table: str, dim: str) -> property:
     """One degree's columns of ``table``, whose monomials are ordered by total degree."""
     return property(lambda self: getattr(self, table)[..., : getattr(self, dim)])
@@ -156,6 +163,13 @@ class ElementKernels:
     ``_CLASS_TABLES`` and the s1 blocks are built on ``reps``, one element
     per shape class, and read as ``table[shape_class]``; only ``qp``,
     ``edge_pts`` and ``dofmap`` are built per element.
+
+    The points at which fields are evaluated are read-only and owned here:
+    ``qxy``, the ``(x, y)`` views of ``qp``, ``edge_xy``, those of
+    ``edge_pts``, and ``boundary_xy``, those of the boundary edges' points.
+    Every evaluation passes these same objects, so a field can tell by
+    identity that it sees the points of its last call (the evolutionary
+    forcing's cache does, on every time step).
     """
 
     Vk, Vl, Vm, Vn = (_prefix("_V", d) for d in ("dk", "dl", "dm", "dn"))
@@ -200,7 +214,8 @@ class ElementKernels:
 
     def _build_volume_tables(self, k, l, m, n):
         mesh, rule, r = self.mesh, self.tri_rule, self.reps
-        self.qp = map_to_physical(rule, mesh.vertices[mesh.elements])   # (nT, np, 2)
+        self.qxy = _read_only_xy(map_to_physical(rule, mesh.vertices[mesh.elements]))
+        self.qp = self.qxy[0].base                                       # (nT, np, 2)
         self.qw = rule.weights[None, :] * (2.0 * mesh.areas[r, None])
 
         self.local = local = (self.qp[r] - mesh.centroids[r, None, :]) / mesh.h_elem[r, None, None]
@@ -221,7 +236,9 @@ class ElementKernels:
 
         va = mesh.vertices[mesh.edges[:, 0]]
         vb = mesh.vertices[mesh.edges[:, 1]]
-        self.edge_pts = va[:, None, :] + s[None, :, None] * (vb - va)[:, None, :]
+        self.edge_xy = _read_only_xy(va[:, None, :] + s[None, :, None] * (vb - va)[:, None, :])
+        self.edge_pts = self.edge_xy[0].base                         # (nE, nq, 2)
+        self.boundary_xy = _read_only_xy(self.edge_pts[mesh.boundary_edges])
 
         self.Qj = eval_edge_values(config.j, s)                     # (nq, dj)
         self.Mhat = np.einsum("q,qa,qb->ab", ew, self.Qj, self.Qj)  # (dj, dj)
@@ -342,13 +359,13 @@ def _eval_field(name: str, f, x, y, time=None) -> np.ndarray:
     return vals
 
 
-def _project_edges(kernels: ElementKernels, name: str, f, pts, time) -> np.ndarray:
-    """Q_b of the vector field ``f`` on the edges whose points are ``pts``.
+def _project_edges(kernels: ElementKernels, name: str, f, xy, time) -> np.ndarray:
+    """Q_b of the vector field ``f`` on the edges whose points are ``xy``.
 
-    ``pts`` has shape (ne, nq, 2) at the edge rule's points; the result is
-    the trace coefficients (ne, 2, dj).
+    ``xy`` is the pair of coordinate arrays (ne, nq) at the edge rule's
+    points; the result is the trace coefficients (ne, 2, dj).
     """
-    vals = _eval_field(name, f, pts[..., 0], pts[..., 1], time)
+    vals = _eval_field(name, f, *xy, time)
     return np.matmul(vals.transpose(0, 2, 1), kernels.edge_projector)
 
 
@@ -360,15 +377,15 @@ def project_velocity(
     Returns interior coefficients (nT, 2, dk) and trace coefficients
     (nE, 2, dj); the field is evaluated as ``f(x, y[, t]) -> (..., 2)``.
     """
-    vals = _eval_field("velocity field", f, kernels.qp[..., 0], kernels.qp[..., 1], time)
+    vals = _eval_field("velocity field", f, *kernels.qxy, time)
     interior = _project_interior(kernels, vals)
-    traces = _project_edges(kernels, "velocity field", f, kernels.edge_pts, time)
+    traces = _project_edges(kernels, "velocity field", f, kernels.edge_xy, time)
     return interior, traces
 
 
 def project_pressure(kernels: ElementKernels, f, time: float | None = None) -> np.ndarray:
     """Project a scalar field onto the broken pressure space, (nT, dn)."""
-    vals = _eval_field("pressure field", f, kernels.qp[..., 0], kernels.qp[..., 1], time)
+    vals = _eval_field("pressure field", f, *kernels.qxy, time)
     return _project_pressure_values(kernels, vals)
 
 
@@ -388,5 +405,4 @@ def project_boundary_traces(
     kernels: ElementKernels, g, time: float | None = None
 ) -> np.ndarray:
     """Q_b g on the boundary edges only, (n_boundary, 2, dj)."""
-    pts = kernels.edge_pts[kernels.mesh.boundary_edges]
-    return _project_edges(kernels, "boundary data g", g, pts, time)
+    return _project_edges(kernels, "boundary data g", g, kernels.boundary_xy, time)

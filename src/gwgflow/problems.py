@@ -13,9 +13,11 @@ The evolutionary forcing separates as ``exp(-t) F1(x, y) + sin(t) F2(x, y)``.
 Its problem keeps ``F1`` and ``F2`` for the last point set it was called
 on, so a time march, which evaluates f at the same quadrature points every
 step, forms the convection field's ``sin``/``cos`` once.  The cache holds one
-point set per problem instance and is checked by value (``np.array_equal``
-on stored copies of ``x`` and ``y``), so it can never return the factors of
-other points.
+point set per problem instance.  It hits by identity when the call passes
+the very ``x`` and ``y`` of the last call and neither these arrays nor
+the arrays they view can be written (``ElementKernels.qxy`` are such);
+any other arrays are matched by value (``np.array_equal`` on stored copies
+of ``x`` and ``y``), so it never returns the factors of other points.
 """
 
 from __future__ import annotations
@@ -41,6 +43,15 @@ class Problem:
     steady: bool
     mu: float = 1.0
     rho: float = 1.0
+
+
+def _read_only(a) -> bool:
+    """Whether ``a`` is an array that neither it nor the array it views lets write."""
+    base = getattr(a, "base", None)
+    return (
+        isinstance(a, np.ndarray) and not a.flags.writeable
+        and (base is None or isinstance(base, np.ndarray) and not base.flags.writeable)
+    )
 
 
 def _beta_standard(x, y):
@@ -85,19 +96,23 @@ def _evolutionary_ex2(mu: float, rho: float) -> Problem:
     def p(x, y, t):
         return np.sin(t) * (2 * x - 1.0) * (2 * y - 1.0) + 0.0 * x
 
-    cache = None  # (x, y, F1, F2) of the last point set
+    cache = None  # (read-only x, y or None, copies of x, y, F1, F2) of the last points
 
     def spatial_factors(x, y):
         """``(F1, F2)`` with ``f = exp(-t) F1 + sin(t) F2``, kept for the last points.
 
-        A hit is decided by value, since callers pass fresh views of the same
-        points; the entry is one tuple, read and replaced whole, so threads
+        A hit is decided by identity for read-only points and by value for
+        any others; the entry is one tuple, read and replaced whole, so threads
         sharing the problem never pair one point set with another's factors.
         """
         nonlocal cache
         entry = cache
-        if entry is not None and np.array_equal(entry[0], x) and np.array_equal(entry[1], y):
-            return entry[2], entry[3]
+        if entry is not None:
+            x_seen, y_seen, x_copy, y_copy, F1, F2 = entry
+            same = x is x_seen and y is y_seen and _read_only(x) and _read_only(y)
+            if same or np.array_equal(x_copy, x) and np.array_equal(y_copy, y):
+                return F1, F2
+        frozen = (x, y) if _read_only(x) and _read_only(y) else (None, None)
         x, y = np.array(x, dtype=float), np.array(y, dtype=float)
         b1, b2 = np.moveaxis(_beta_standard(x, y), -1, 0)
         F1 = np.stack(
@@ -108,12 +123,14 @@ def _evolutionary_ex2(mu: float, rho: float) -> Problem:
             axis=-1,
         )
         F2 = np.stack([2 * (2 * y - 1.0), 2 * (2 * x - 1.0)], axis=-1)
-        cache = (x, y, F1, F2)
+        cache = (*frozen, x, y, F1, F2)
         return F1, F2
 
     def f(x, y, t):
         F1, F2 = spatial_factors(x, y)
-        return np.exp(-t) * F1 + np.sin(t) * F2
+        vals = F1 * np.exp(-t)
+        vals += np.sin(t) * F2
+        return vals
 
     return Problem(
         name="evolutionary_oseen_ex2",

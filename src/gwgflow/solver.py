@@ -110,21 +110,24 @@ class _CondensedFactor:
 
     The ``nc`` condensed unknowns lead ``K`` (see the ``assembly`` module
     docstring), so ``K = [[D, K_ck], [K_kc, K_kk]]`` split at ``nc``, with
-    ``D`` block diagonal.  SuperLU factors only ``S = K_kk - K_kc D^-1 K_ck``;
-    ``K_kc D^-1``, formed for ``S``, is kept in place of ``K_kc``.  ``solve``
-    takes and returns vectors of ``K``'s size.
+    ``D`` block diagonal.  SuperLU factors only ``S = K_kk - K_kc D^-1 K_ck``.
+    The condensed blocks are kept as the two products a solve needs, both
+    formed per element: ``Dinv_stack = [K_kc D^-1; D^-1]``, applied to the
+    condensed part of the right-hand side before SuperLU, and ``Dinv_K_ck =
+    D^-1 K_ck``, applied to its solution after.  ``solve`` takes and returns
+    vectors of ``K``'s size.
     """
 
     nc: int
-    Dinv: sp.csr_matrix
-    K_ck: sp.csr_matrix
-    K_kc_Dinv: sp.csr_matrix
+    Dinv_stack: sp.csc_matrix
+    Dinv_K_ck: sp.csr_matrix
     lu: spla.SuperLU
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        r_c = r[: self.nc]
-        x_k = self.lu.solve(r[self.nc :] - self.K_kc_Dinv @ r_c)
-        return np.concatenate([self.Dinv @ (r_c - self.K_ck @ x_k), x_k])
+        y = self.Dinv_stack @ r[: self.nc]       # [K_kc D^-1 r_c; D^-1 r_c]
+        m = y.size - self.nc
+        x_k = self.lu.solve(r[self.nc :] - y[:m])
+        return np.concatenate([y[m:] - self.Dinv_K_ck @ x_k, x_k])
 
 
 def _factorize(system: SaddleSystem) -> _CondensedFactor:
@@ -133,12 +136,12 @@ def _factorize(system: SaddleSystem) -> _CondensedFactor:
     SuperLU factors the ``S`` of ``system.reduced_blocks()``; a singular
     element block or a singular ``S`` raises ``LinearSolveError``.
     """
-    *_, Dinv, K_ck, K_kc_Dinv, S = system.reduced_blocks()
+    *_, Dinv_stack, Dinv_K_ck, S = system.reduced_blocks()
     try:
         lu = spla.splu(S)
     except RuntimeError as exc:  # singular factorization, SuperLU reports pivot
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
-    return _CondensedFactor(Dinv.shape[0], Dinv, K_ck, K_kc_Dinv, lu)
+    return _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, lu)
 
 
 def solve_steady(mesh: Mesh, config: SpaceConfig, problem) -> DiscreteSolution:
@@ -167,9 +170,13 @@ def solve_evolutionary(
     through ``linear_solve``, the system ``build_saddle_system`` built with
     ``tau`` (mass in the element sum), whose residual check on the pinned
     ``K`` makes a failed step raise ``LinearSolveError``.  The coefficients
-    do not depend on time, so ``K``, its boundary-lifting columns and the
-    condensed factor of ``_factorize`` come from one element layout and are
-    reused by every step.
+    do not depend on time, so ``K``, its boundary lift and the condensed
+    factor of ``_factorize`` come from one element layout and are reused by
+    every step.  The per-mesh step data are built once too: ``f`` and ``g``
+    are evaluated at the kernels' read-only ``qxy`` and ``boundary_xy`` (the
+    forcing's cache hits them by identity), the right-hand side is one
+    product with the lift, whose flux rows give the compatibility check, and
+    the condensed solve is one sparse product on each side of SuperLU.
 
     The mass form lives on the element-interior velocity block only, and
     the interiors lead the ``K_dofs`` numbering, so between steps only the

@@ -74,11 +74,10 @@ def evaluate_errors(solution, problem) -> ErrorReport:
     """
     ker, t = solution.system.kernels, solution.time
     dm = ker.dofmap
-    x, y = ker.qp[..., 0], ker.qp[..., 1]
-    u_exact = _eval_field("exact velocity", problem.u, x, y, t)
-    p_exact = _eval_field("exact pressure", problem.p, x, y, t)
+    u_exact = _eval_field("exact velocity", problem.u, *ker.qxy, t)
+    p_exact = _eval_field("exact pressure", problem.p, *ker.qxy, t)
     u_interior = _project_interior(ker, u_exact)
-    u_traces = _project_edges(ker, "exact velocity", problem.u, ker.edge_pts, t)
+    u_traces = _project_edges(ker, "exact velocity", problem.u, ker.edge_xy, t)
     p_proj = _project_pressure_values(ker, p_exact)
 
     u_vec = solution.velocity_vector
@@ -183,7 +182,7 @@ def check_weak_identities(
 
         grad_w = np.einsum("ca,tpqa->tpcq", coeff, Gk1)
         rhs2 = np.einsum("tp,tpcq,tpcq->t", ker.qw, grad_w, phi_vol)
-        wvals = w_poly(ker.qp[..., 0], ker.qp[..., 1])
+        wvals = w_poly(*ker.qxy)
         q0w = np.einsum("tci,tpi->tpc", interior, ker.Vk)
         rhs2 += np.einsum("tp,tpc,tpc->t", ker.qw, wvals - q0w, div_phi)
         max2 = max(max2, float(np.abs(lhs2 - rhs2).max()))

@@ -85,6 +85,33 @@ def test_study_config_file_with_bad_value_is_a_message(tmp_path, values, field):
     assert exc.value.code.startswith(f"invalid study config: {field} must be")
 
 
+@pytest.mark.parametrize("values, field", [({"elements": 5}, "elements"), ({"mesh_sizes": 2}, "mesh_sizes")])
+def test_study_config_file_with_a_number_for_a_list_is_a_message(tmp_path, values, field):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps({"problem": "stokes_patch", "mesh_sizes": [2], **values}))
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--config", str(path)])
+    assert exc.value.code == f"invalid study config: {field} must be a list, got {values[field]}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--problem", "evolutionary_oseen_ex2", "--tau", "0"], "tau must be finite"),
+        (["solve", "--problem", "evolutionary_oseen_ex2", "--tfinal", "nan"], "no finite whole"),
+        (["solve", "--mu", "0"], "mu must be positive"),
+        (["solve", "--elements", "1,0,1,0,3"], "outside compatibility range"),
+        (["verify", "--mu", "0"], "mu must be positive"),
+        (["verify", "--zeta", "-1"], "zeta must be positive"),
+    ],
+)
+def test_bad_float_parameter_is_a_message(argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cells", "2"])
+    assert exc.value.code.startswith(f"invalid {argv[0]} parameters: ")
+    assert message in exc.value.code
+
+
 def test_verify_command_passes(capsys):
     rc = main(["verify", "--cells", "4", "--elements", "1,0,1,0,0", "--trials", "10"])
     out = capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import sympy
 from gwgflow.localops import ElementKernels
 from gwgflow.mesh import build_uniform_triangulation
 from gwgflow.problems import PROBLEM_NAMES, manufactured_problem
+from gwgflow.solver import TimeGrid, solve_evolutionary
 
 X, Y, T = sympy.symbols("x y t")
 
@@ -169,12 +171,63 @@ def test_ex2_forcing_cache_follows_the_points():
     assert np.abs(prob.f(x, c[1], 0.3) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-def test_ex2_forcing_shared_by_threads_stays_correct():
+def _read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+def test_ex2_forcing_cache_hits_read_only_points_by_identity(monkeypatch):
+    # points that neither they nor their base can be written are matched by
+    # identity; a read-only view of a writable array is matched by value, so
+    # writing through its base still misses
+    prob = manufactured_problem("evolutionary_oseen_ex2")
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(0, 1, size=(2, 2, 30))
+    compares = []
+    equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda *args: compares.append(1) or equal(*args))
+    x, y = _read_only(a[0]), _read_only(a[1])
+    prob.f(x, y, 0.1)
+    prob.f(x, y, 0.2)
+    assert compares == []
+
+    prob = manufactured_problem("evolutionary_oseen_ex2")
+    base = a[0].copy()
+    view = base[:]
+    view.flags.writeable = False
+    prob.f(view, y, 0.3)
+    base[:] = b[0]
+    ref = _ex2_closed_form(b[0], a[1], 0.3, 1.0, 1.0)
+    assert np.abs(prob.f(view, y, 0.3) - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert compares
+
+
+def test_march_compares_points_by_value_on_its_first_step_only(mesh4, mesh8, config_low,
+                                                                monkeypatch):
+    # a march passes the kernels' read-only quadrature pair on every step; only
+    # its first step, which finds another mesh's points cached, compares values
+    prob = manufactured_problem("evolutionary_oseen_ex2")
+    grid = TimeGrid.from_tau(0.5, 0.5 / 8)
+    solve_evolutionary(mesh4, config_low, prob, grid)
+    compares, after_call = [], []
+    equal, f = np.array_equal, prob.f
+    monkeypatch.setattr(np, "array_equal", lambda *args: compares.append(1) or equal(*args))
+
+    def counted_f(x, y, t):
+        vals = f(x, y, t)
+        after_call.append(len(compares))
+        return vals
+
+    solve_evolutionary(mesh8, config_low, replace(prob, f=counted_f), grid)
+    assert len(after_call) == grid.n_steps
+    assert after_call[0] > 0
+    assert after_call == after_call[:1] * grid.n_steps
+
+
+def _threads_see_their_own_forcing(prob, sets):
     # study cells on a thread pool share one problem, each cell with its own
     # points; every call must return the forcing of its own points
-    prob = manufactured_problem("evolutionary_oseen_ex2")
-    rng = np.random.default_rng(11)
-    sets = rng.uniform(0, 1, size=(4, 2, 200))
     refs = [_ex2_closed_form(x, y, 0.5, 1.0, 1.0) for x, y in sets]
     wrong = []
 
@@ -196,3 +249,15 @@ def test_ex2_forcing_shared_by_threads_stays_correct():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert wrong == []
+
+
+def test_ex2_forcing_shared_by_threads_stays_correct():
+    rng = np.random.default_rng(11)
+    sets = rng.uniform(0, 1, size=(4, 2, 200))
+    _threads_see_their_own_forcing(manufactured_problem("evolutionary_oseen_ex2"), sets)
+
+
+def test_ex2_forcing_shared_by_threads_stays_correct_on_read_only_points():
+    rng = np.random.default_rng(13)
+    sets = [(_read_only(x), _read_only(y)) for x, y in rng.uniform(0, 1, size=(4, 2, 200))]
+    _threads_see_their_own_forcing(manufactured_problem("evolutionary_oseen_ex2"), sets)
