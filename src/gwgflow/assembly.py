@@ -250,27 +250,30 @@ class SaddleSystem:
         t = np.flatnonzero((b >= 0).any(axis=1))  # the elements on the boundary
         p0 = np.flatnonzero(dofs[0] == dm.n_velocity + dm.elem_pres[0, 0])  # constant mode
         Et, rows = E[t], np.concatenate([k[t], n + t[:, None]], axis=1)   # flux row n + t
-        lift = _scatter(np.concatenate([Et, Et[:, p0]], axis=1), rows, b[t],
-                        (n + dm.n_elements, dm.boundary_dofs.size)).tocsc()
+        # scattered as its transpose, whose CSR is the lift's CSC
+        lift = _scatter(np.concatenate([Et, Et[:, p0]], axis=1).transpose(0, 2, 1), b[t], rows,
+                        (dm.boundary_dofs.size, n + dm.n_elements)).T
 
         # the c condensed unknowns of an element have K indices below nc, and
         # the S index of the others is their K index minus nc, negative if none
         kS, m = k[:, c:] - nc, n - nc
         off = kS < 0     # boundary traces and the pinned pressure: zeroed, dropped
         E[:, c:][off] = E[:, :, c:].transpose(0, 2, 1)[off] = 0.0
-        Dinv, K_ck = _invert_blocks(E[:, :c, :c]), E[:, :c, c:]
-        K_kc_Dinv, Dinv_K_ck = E[:, c:, :c] @ Dinv, Dinv @ K_ck
-        S_local = E[:, c:, c:] - K_kc_Dinv @ K_ck
+        Dinv, K_ck = _invert_condensed(E, c, self.kernels.dk), E[:, :c, c:]
+        Dinv_K_ck = Dinv @ K_ck
+        S_local = E[:, c:, c:] - E[:, c:, :c] @ Dinv_K_ck
         # the element rows put in K order; zeroed entries go to index 0, dropped
         row, kz = np.argsort(k[:, :c], axis=None), np.maximum(kS, 0)
         kzc, nk = np.repeat(kz, c, axis=0)[row], kz.shape[1]
         # column j of Dinv_stack holds the condensed unknown j's element column
         # of K_kc D^-1, then of D^-1: a CSR of the columns, transposed to CSC
         cols = np.concatenate([kzc, m + np.repeat(k[:, :c], c, axis=0)[row]], axis=1)
-        vals = np.concatenate([K_kc_Dinv.transpose(0, 2, 1), Dinv.transpose(0, 2, 1)], axis=2)
+        vals = np.empty((len(E), c, nk + c))
+        vals[..., nk:] = Dinv.transpose(0, 2, 1)
+        np.matmul(vals[..., nk:], E[:, c:, :c].transpose(0, 2, 1), out=vals[..., :nk])
         Dinv_stack = _csr(cols, vals.reshape(nc, nk + c)[row], m + nc).T
         Dinv_K_ck = _csr(kzc, Dinv_K_ck.reshape(nc, nk)[row], m)
-        del E, Et, Dinv, K_ck, K_kc_Dinv, cols, vals  # before S and its factor are allocated
+        del E, Et, Dinv, K_ck, cols, vals  # before S and its factor are allocated
         rows, cols = np.repeat(kz, nk, axis=1).ravel(), np.tile(kz, nk).ravel()
         S = sp.csc_matrix((S_local.ravel(), (rows, cols)), shape=(m, m))
         if S2.nnz:
@@ -333,6 +336,31 @@ def _csr(cols: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_matrix:
     mat = sp.csr_matrix((vals.ravel(), cols.flatten(), indptr), shape=(cols.shape[0], n))
     mat.eliminate_zeros()
     return mat
+
+
+def _invert_condensed(E: np.ndarray, c: int, dk: int) -> np.ndarray:
+    """Inverse of the leading (c, c) blocks of the layout ``E``, (nT, c, c).
+
+    The first ``2 dk`` unknowns are the interior velocity, whose block is
+    the component-local one on both components and nothing between them,
+    so one (dk, dk) inverse serves both; the condensed pressure modes after
+    them, if any, are eliminated through their Schur complement.
+    """
+    nv = 2 * dk
+    P_inv = np.zeros((len(E), nv, nv))
+    P_inv[:, :dk, :dk] = P_inv[:, dk:, dk:] = _invert_blocks(E[:, :dk, :dk])
+    if c == nv:
+        return P_inv
+    Q, R = E[:, :nv, nv:c], E[:, nv:c, :nv]
+    PQ, RP = P_inv @ Q, R @ P_inv
+    Z_inv = _invert_blocks(E[:, nv:c, nv:c] - R @ PQ)
+    PQZ = PQ @ Z_inv
+    D_inv = np.empty((len(E), c, c))
+    D_inv[:, :nv, :nv] = P_inv + PQZ @ RP
+    D_inv[:, :nv, nv:] = -PQZ
+    D_inv[:, nv:, :nv] = -Z_inv @ RP
+    D_inv[:, nv:, nv:] = Z_inv
+    return D_inv
 
 
 def _invert_blocks(blocks: np.ndarray) -> np.ndarray:

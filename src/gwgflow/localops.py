@@ -146,7 +146,11 @@ delta div""".split()
 
 
 def _read_only_xy(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(x, y)`` views of a read-only copy of the points (..., 2), owned by it."""
+    """``(x, y)`` views of the points (..., 2), which are frozen in place.
+
+    ``pts`` itself is made read-only (it is copied only when it does not own
+    its data), so callers pass a temporary they do not write again.
+    """
     pts = np.require(pts, requirements="O")
     pts.flags.writeable = False
     return pts[..., 0], pts[..., 1]

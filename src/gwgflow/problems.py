@@ -13,11 +13,10 @@ The evolutionary forcing separates as ``exp(-t) F1(x, y) + sin(t) F2(x, y)``.
 Its problem keeps ``F1`` and ``F2`` for the last point set it was called
 on, so a time march, which evaluates f at the same quadrature points every
 step, forms the convection field's ``sin``/``cos`` once.  The cache holds one
-point set per problem instance.  It hits by identity when the call passes
-the very ``x`` and ``y`` of the last call and neither these arrays nor
-the arrays they view can be written (``ElementKernels.qxy`` are such);
-any other arrays are matched by value (``np.array_equal`` on stored copies
-of ``x`` and ``y``), so it never returns the factors of other points.
+point set per problem instance.  It hits only when the call passes the very
+``x`` and ``y`` of the last call and neither these arrays nor the arrays
+they view can be written (``ElementKernels.qxy`` are such), so points that
+may have changed since are always recomputed.
 """
 
 from __future__ import annotations
@@ -96,24 +95,21 @@ def _evolutionary_ex2(mu: float, rho: float) -> Problem:
     def p(x, y, t):
         return np.sin(t) * (2 * x - 1.0) * (2 * y - 1.0) + 0.0 * x
 
-    cache = None  # (read-only x, y or None, copies of x, y, F1, F2) of the last points
+    cache = None  # (x, y, F1, F2) of the last points
 
     def spatial_factors(x, y):
         """``(F1, F2)`` with ``f = exp(-t) F1 + sin(t) F2``, kept for the last points.
 
-        A hit is decided by identity for read-only points and by value for
-        any others; the entry is one tuple, read and replaced whole, so threads
+        A hit needs the very ``x`` and ``y`` of the last call, read-only then
+        and now; the entry is one tuple, read and replaced whole, so threads
         sharing the problem never pair one point set with another's factors.
         """
         nonlocal cache
-        entry = cache
-        if entry is not None:
-            x_seen, y_seen, x_copy, y_copy, F1, F2 = entry
-            same = x is x_seen and y is y_seen and _read_only(x) and _read_only(y)
-            if same or np.array_equal(x_copy, x) and np.array_equal(y_copy, y):
-                return F1, F2
-        frozen = (x, y) if _read_only(x) and _read_only(y) else (None, None)
-        x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+        entry, frozen = cache, _read_only(x) and _read_only(y)
+        if frozen and entry is not None and x is entry[0] and y is entry[1]:
+            return entry[2], entry[3]
+        points = (x, y) if frozen else (None, None)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         b1, b2 = np.moveaxis(_beta_standard(x, y), -1, 0)
         F1 = np.stack(
             [
@@ -123,7 +119,7 @@ def _evolutionary_ex2(mu: float, rho: float) -> Problem:
             axis=-1,
         )
         F2 = np.stack([2 * (2 * y - 1.0), 2 * (2 * x - 1.0)], axis=-1)
-        cache = (*frozen, x, y, F1, F2)
+        cache = (*points, F1, F2)
         return F1, F2
 
     def f(x, y, t):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
+from gwgflow import problems
 from gwgflow.localops import ElementKernels
 from gwgflow.mesh import build_uniform_triangulation
 from gwgflow.problems import PROBLEM_NAMES, manufactured_problem
@@ -177,22 +178,33 @@ def _read_only(a):
     return a
 
 
+def _count_cache_work(monkeypatch):
+    """Lists that grow by one per forming of the ex2 factors and per value comparison.
+
+    The ex2 forcing evaluates the module's convection field only when it
+    forms its spatial factors; problems made before this call keep the
+    original as their ``beta``, so only those forming steps are counted.
+    """
+    builds, compares = [], []
+    beta, equal = problems._beta_standard, np.array_equal
+    monkeypatch.setattr(problems, "_beta_standard", lambda x, y: builds.append(1) or beta(x, y))
+    monkeypatch.setattr(np, "array_equal", lambda *args: compares.append(1) or equal(*args))
+    return builds, compares
+
+
 def test_ex2_forcing_cache_hits_read_only_points_by_identity(monkeypatch):
-    # points that neither they nor their base can be written are matched by
-    # identity; a read-only view of a writable array is matched by value, so
-    # writing through its base still misses
+    # the factors of read-only points are found again by identity; a read-only
+    # view of a writable array always misses, so writing through its base
+    # never returns stale factors, and no call compares point values
     prob = manufactured_problem("evolutionary_oseen_ex2")
+    builds, compares = _count_cache_work(monkeypatch)
     rng = np.random.default_rng(5)
     a, b = rng.uniform(0, 1, size=(2, 2, 30))
-    compares = []
-    equal = np.array_equal
-    monkeypatch.setattr(np, "array_equal", lambda *args: compares.append(1) or equal(*args))
     x, y = _read_only(a[0]), _read_only(a[1])
     prob.f(x, y, 0.1)
     prob.f(x, y, 0.2)
-    assert compares == []
+    assert len(builds) == 1
 
-    prob = manufactured_problem("evolutionary_oseen_ex2")
     base = a[0].copy()
     view = base[:]
     view.flags.writeable = False
@@ -200,29 +212,29 @@ def test_ex2_forcing_cache_hits_read_only_points_by_identity(monkeypatch):
     base[:] = b[0]
     ref = _ex2_closed_form(b[0], a[1], 0.3, 1.0, 1.0)
     assert np.abs(prob.f(view, y, 0.3) - ref).max() <= 1e-14 * np.abs(ref).max()
-    assert compares
+    assert len(builds) == 3
+    assert compares == []
 
 
-def test_march_compares_points_by_value_on_its_first_step_only(mesh4, mesh8, config_low,
+def test_march_forms_the_forcing_factors_on_its_first_step_only(mesh4, mesh8, config_low,
                                                                 monkeypatch):
-    # a march passes the kernels' read-only quadrature pair on every step; only
-    # its first step, which finds another mesh's points cached, compares values
+    # a march passes the kernels' read-only quadrature pair on every step, so
+    # only its first step, which finds another mesh's points cached, forms the
+    # factors, and no step compares point values
     prob = manufactured_problem("evolutionary_oseen_ex2")
     grid = TimeGrid.from_tau(0.5, 0.5 / 8)
     solve_evolutionary(mesh4, config_low, prob, grid)
-    compares, after_call = [], []
-    equal, f = np.array_equal, prob.f
-    monkeypatch.setattr(np, "array_equal", lambda *args: compares.append(1) or equal(*args))
+    builds, compares = _count_cache_work(monkeypatch)
+    after_call, f = [], prob.f
 
     def counted_f(x, y, t):
         vals = f(x, y, t)
-        after_call.append(len(compares))
+        after_call.append(len(builds))
         return vals
 
     solve_evolutionary(mesh8, config_low, replace(prob, f=counted_f), grid)
-    assert len(after_call) == grid.n_steps
-    assert after_call[0] > 0
-    assert after_call == after_call[:1] * grid.n_steps
+    assert after_call == [1] * grid.n_steps
+    assert compares == []
 
 
 def _threads_see_their_own_forcing(prob, sets):
