@@ -228,10 +228,14 @@ class SaddleSystem:
         to every row of ``K``, in ``K`` order, and then to each element's
         constant pressure mode, the flux rows ``operator`` checks.  The rest
         condense the layout element by element.  Split at ``nc``, ``K =
-        [[D, K_ck], [K_kc, K_kk]]`` with ``D`` block diagonal; SuperLU factors
-        ``S = K_kk - K_kc D^-1 K_ck`` (CSC), indexed by ``K`` index minus
-        ``nc``.  The solver applies ``Dinv_stack = [K_kc D^-1; D^-1]`` before
-        it and ``Dinv_K_ck = D^-1 K_ck`` after it, both formed per element.
+        [[D, K_ck], [K_kc, K_kk]]`` with ``D`` block diagonal; the solver
+        factors ``S = K_kk - K_kc D^-1 K_ck`` (CSC, no stored zeros), indexed
+        by ``K`` index minus ``nc``.  It takes static pivots after a row
+        matching when ``S`` has a zero diagonal entry or sigma is 1, and
+        SuperLU's threshold pivoting otherwise or when that factor fails its
+        check (``solver._factorize``).  The solver applies ``Dinv_stack =
+        [K_kc D^-1; D^-1]`` before it and ``Dinv_K_ck = D^-1 K_ck`` after it,
+        both formed per element.
         """
         if self._blocks is not None:
             return self._blocks

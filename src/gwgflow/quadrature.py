@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 MAX_ORDER = 20
 
@@ -46,6 +45,22 @@ def edge_quadrature(order: int) -> QuadRule:
     return QuadRule(points=(x + 1.0) / 2.0, weights=w / 2.0, order=2 * npts - 1)
 
 
+def _gauss_jacobi_1_0(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule on [-1, 1] for the weight (1 - x), by Golub-Welsch.
+
+    The nodes are the eigenvalues of the Jacobi matrix of the weight's
+    orthogonal polynomials (alpha = 1, beta = 0): diagonal
+    ``-1 / ((2k+1)(2k+3))`` and off-diagonal ``sqrt(k(k+1)) / (2k+1)``; the
+    weights are the weight's integral, 2, times the squared first
+    eigenvector components.  Nodes ascend.
+    """
+    k = np.arange(npts)
+    diag = -1.0 / ((2 * k + 1) * (2 * k + 3))
+    off = np.sqrt(k[1:] * (k[1:] + 1.0)) / (2 * k[1:] + 1)
+    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, 2.0 * vecs[0] ** 2
+
+
 @lru_cache(maxsize=None)
 def triangle_quadrature(order: int) -> QuadRule:
     """Conical-product rule on the triangle {(0,0),(1,0),(0,1)}.
@@ -59,7 +74,7 @@ def triangle_quadrature(order: int) -> QuadRule:
 
     xi, w_xi = np.polynomial.legendre.leggauss(npts_1d)
     xi, w_xi = (xi + 1.0) / 2.0, w_xi / 2.0
-    xj, w_xj = roots_jacobi(npts_1d, 1.0, 0.0)
+    xj, w_xj = _gauss_jacobi_1_0(npts_1d)
     eta, w_eta = (xj + 1.0) / 2.0, w_xj / 4.0
 
     x = np.outer(xi, 1.0 - eta).ravel()

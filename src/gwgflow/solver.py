@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .assembly import (
     LinearSolveError,
@@ -84,24 +85,35 @@ def linear_solve(system: SaddleSystem, factor=None) -> np.ndarray:
 
     Every solve, steady or time step, goes through here, with the
     condensed factor of ``_factorize`` (built here unless ``factor`` is
-    given); it and ``K`` come from one element layout.  The relative
-    residual is checked on ``K`` against ``RESIDUAL_TOL``; one step of
-    iterative refinement is applied if needed, and ``LinearSolveError`` is
+    given): a static-pivot LU of the row-matched Schur complement, or
+    SuperLU's own threshold-pivoted LU when that recipe does not apply or
+    fails its probe.  It and ``K`` come from one element layout.  The
+    relative residual is checked on ``K`` against ``RESIDUAL_TOL``; one step
+    of iterative refinement is applied if needed, and ``LinearSolveError`` is
     raised when the residual still fails the check, including when it is NaN.
     """
     K, rhs = system.operator()
     lu = factor if factor is not None else _factorize(system)
-    x = lu.solve(rhs)
-    scale = max(np.linalg.norm(rhs), 1e-300)
-    res = np.linalg.norm(K @ x - rhs) / scale
-    if not res <= RESIDUAL_TOL:
-        x = x + lu.solve(rhs - K @ x)
-        res = np.linalg.norm(K @ x - rhs) / scale
+    x, res = _refined_solve(K, lu.solve, rhs)
     if not res <= RESIDUAL_TOL:
         raise LinearSolveError(
             f"linear solve failed: relative residual {res:.3e} > {RESIDUAL_TOL:.1e}"
         )
     return x
+
+
+def _refined_solve(A, solve, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(x, res)``: ``solve(b)``, refined once if its residual fails ``RESIDUAL_TOL``.
+
+    ``res`` is the relative residual ``|A x - b| / |b|``, NaN when ``x`` is.
+    """
+    x = solve(b)
+    scale = max(np.linalg.norm(b), 1e-300)
+    res = np.linalg.norm(A @ x - b) / scale
+    if not res <= RESIDUAL_TOL:
+        x = x + solve(b - A @ x)
+        res = np.linalg.norm(A @ x - b) / scale
+    return x, res
 
 
 @dataclass(frozen=True)
@@ -116,32 +128,90 @@ class _CondensedFactor:
     condensed part of the right-hand side before SuperLU, and ``Dinv_K_ck =
     D^-1 K_ck``, applied to its solution after.  ``solve`` takes and returns
     vectors of ``K``'s size.
+
+    On the static-pivot path of ``_factorize`` (a zero diagonal in ``S``, as
+    for the P1 tuples with sigma = 0, or sigma = 1, with a passed probe)
+    ``lu`` factors ``S`` with its rows permuted by ``perm``: row ``perm[j]``
+    of ``S`` is row ``j`` of the factored matrix, so ``solve`` gathers the
+    kept right-hand side by ``perm``.  ``perm`` is None when SuperLU factored
+    ``S`` itself with threshold pivoting: the other tuples, and the fallback
+    after a failed probe.
     """
 
     nc: int
     Dinv_stack: sp.csc_matrix
     Dinv_K_ck: sp.csr_matrix
     lu: spla.SuperLU
+    perm: np.ndarray | None = None
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         y = self.Dinv_stack @ r[: self.nc]       # [K_kc D^-1 r_c; D^-1 r_c]
         m = y.size - self.nc
-        x_k = self.lu.solve(r[self.nc :] - y[:m])
+        b = r[self.nc :] - y[:m]
+        x_k = self.lu.solve(b if self.perm is None else b[self.perm])
         return np.concatenate([y[m:] - self.Dinv_K_ck @ x_k, x_k])
 
 
 def _factorize(system: SaddleSystem) -> _CondensedFactor:
     """Condensed factor of the pinned ``K`` (see ``_CondensedFactor``).
 
-    SuperLU factors the ``S`` of ``system.reduced_blocks()``; a singular
-    element block or a singular ``S`` raises ``LinearSolveError``.
+    The recipe for the ``S`` of ``system.reduced_blocks()`` is chosen from
+    ``S`` itself.  When ``S`` has a structurally zero diagonal entry (the
+    kept pressures of the P1 tuples with sigma = 0) or sigma is 1, it is
+    ``_static_pivot_lu``: match, order, factor, check.  Otherwise, or when
+    that factor fails its probe, SuperLU factors ``S`` with its defaults
+    (COLAMD and threshold pivoting); static pivoting is unstable on sigma = 0
+    tuples whose kept pressures have a nonzero diagonal, such as the P2
+    tuple.  A singular element block, a structurally singular ``S`` or a
+    singular factorization raises ``LinearSolveError``.
     """
     *_, Dinv_stack, Dinv_K_ck, S = system.reduced_blocks()
+    lu = perm = None
+    if system.kernels.config.sigma == 1 or not S.diagonal().all():
+        lu, perm = _static_pivot_lu(S)
+    if lu is None:
+        try:
+            lu = spla.splu(S)
+        except RuntimeError as exc:  # singular factorization, SuperLU reports pivot
+            raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
+    return _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, lu, perm)
+
+
+def _static_pivot_lu(S: sp.csc_matrix):
+    """``(lu, perm)``: a static-pivot LU of ``S``'s rows permuted by ``perm``.
+
+    ``perm`` is a maximum-product matching of rows to columns (Duff and
+    Koster, SIMAX 22, 2001), found as the minimum-weight full matching on
+    ``log(colmax_j) - log|s_ij|``, so every diagonal entry of ``S[perm]`` is
+    large.  SuperLU then orders ``S[perm]`` symmetrically by minimum degree
+    on ``A^T + A`` and keeps those diagonal pivots (threshold 0), as in
+    SuperLU_DIST (Li and Demmel, TOMS 29, 2003).  A probe solve checks the
+    factor with ``linear_solve``'s acceptance rule, a relative residual
+    within ``RESIDUAL_TOL`` after at most one refinement step; its
+    right-hand side is a fixed Gaussian vector, which reaches the
+    ill-conditioned directions that smooth data can miss.  ``(None, None)``
+    when the probe fails or SuperLU finds a zero pivot.  A structurally
+    singular ``S``, with no full matching, raises ``LinearSolveError``.
+    """
+    mag = np.abs(S.data)  # S holds no explicit zeros
+    colmax = np.repeat(abs(S).max(axis=0).toarray().ravel(), np.diff(S.indptr))
+    # the matching needs nonzero weights; a shift by 1 leaves its optimum alone
+    cost = sp.csc_matrix((1.0 + np.log(colmax) - np.log(mag), S.indices, S.indptr), S.shape)
+    try:  # row i of S is matched to column to_col[i], and becomes row to_col[i]
+        _, to_col = min_weight_full_bipartite_matching(cost)
+    except ValueError as exc:
+        raise LinearSolveError(f"structurally singular Schur complement: {exc}") from exc
+    # a relabelled copy that owns its arrays: splu sorts its input in place
+    Sp = sp.csc_matrix((S.data.copy(), to_col[S.indices], S.indptr.copy()), S.shape)
     try:
-        lu = spla.splu(S)
-    except RuntimeError as exc:  # singular factorization, SuperLU reports pivot
-        raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
-    return _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, lu)
+        lu = spla.splu(Sp, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
+    except RuntimeError:  # an exactly zero pivot
+        return None, None
+    probe = np.random.default_rng(0).standard_normal(S.shape[0])
+    if not _refined_solve(Sp, lu.solve, probe)[1] <= RESIDUAL_TOL:
+        return None, None
+    return lu, np.argsort(to_col)
 
 
 def solve_steady(mesh: Mesh, config: SpaceConfig, problem) -> DiscreteSolution:
@@ -172,11 +242,16 @@ def solve_evolutionary(
     ``K`` makes a failed step raise ``LinearSolveError``.  The coefficients
     do not depend on time, so ``K``, its boundary lift and the condensed
     factor of ``_factorize`` come from one element layout and are reused by
-    every step.  The per-mesh step data are built once too: ``f`` and ``g``
-    are evaluated at the kernels' read-only ``qxy`` and ``boundary_xy`` (the
-    forcing's cache hits them by identity), the right-hand side is one
-    product with the lift, whose flux rows give the compatibility check, and
-    the condensed solve is one sparse product on each side of SuperLU.
+    every step.  That factor is chosen and checked once, before the first
+    step: static pivots after a row matching for the P1 tuples and for
+    sigma = 1, SuperLU's threshold pivoting for the sigma = 0 tuples with a
+    nonzero pressure diagonal or when the static factor fails its probe.
+    The per-mesh step data are built once too: ``f`` and ``g`` are evaluated
+    at the kernels' read-only ``qxy`` and ``boundary_xy`` (the forcing's
+    cache hits them by identity), the right-hand side is one product with
+    the lift, whose flux rows give the compatibility check, and the
+    condensed solve is one sparse product on each side of SuperLU, with the
+    row permutation, if any, gathered onto the kept right-hand side.
 
     The mass form lives on the element-interior velocity block only, and
     the interiors lead the ``K_dofs`` numbering, so between steps only the

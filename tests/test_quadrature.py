@@ -1,14 +1,27 @@
 import numpy as np
 import pytest
 import sympy
+from scipy.special import roots_jacobi
 
 from gwgflow.quadrature import (
+    MAX_ORDER,
+    _gauss_jacobi_1_0,
     edge_quadrature,
     map_to_physical,
     triangle_quadrature,
 )
 
 _x, _y = sympy.symbols("x y")
+
+
+@pytest.mark.parametrize("npts", range(1, (MAX_ORDER + 2) // 2 + 1))
+def test_gauss_jacobi_rule_matches_scipy(npts):
+    # the Golub-Welsch rule for the weight (1 - x) against SciPy's, for every
+    # size a triangle rule up to MAX_ORDER takes
+    x, w = _gauss_jacobi_1_0(npts)
+    x_ref, w_ref = roots_jacobi(npts, 1.0, 0.0)
+    assert np.abs(x - x_ref).max() <= 1e-14
+    assert np.abs(w - w_ref).max() <= 1e-14
 
 
 def _exact_triangle_monomial(a: int, b: int) -> float:

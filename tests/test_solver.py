@@ -21,6 +21,7 @@ from gwgflow.problems import manufactured_problem
 from gwgflow.solver import (
     LinearSolveError,
     TimeGrid,
+    _CondensedFactor,
     _factorize,
     linear_solve,
     solve_evolutionary,
@@ -188,7 +189,7 @@ def test_factored_matrix_is_the_condensed_one(mesh4, element_tuple, monkeypatch)
     # pressure modes of every element, and one pressure DOF is pinned
     factored, expected = [], []
     splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda S: factored.append(S.shape) or splu(S))
+    monkeypatch.setattr(spla, "splu", lambda S, **kw: factored.append(S.shape) or splu(S, **kw))
     for sigma in (0, 1):
         cfg = SpaceConfig(*element_tuple, sigma=sigma)
         solve_steady(mesh4, cfg, manufactured_problem("steady_oseen_ex1"))
@@ -197,6 +198,76 @@ def test_factored_matrix_is_the_condensed_one(mesh4, element_tuple, monkeypatch)
         n -= dm.n_elements * (dm.dn - 1) if sigma == 0 else 0
         expected.append((n, n))
     assert factored == expected
+
+
+def _record_splu(monkeypatch):
+    # the keyword arguments of every spla.splu call of the solver
+    calls, splu = [], spla.splu
+    monkeypatch.setattr(spla, "splu", lambda S, **kw: calls.append(kw) or splu(S, **kw))
+    return calls
+
+
+STATIC = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+          "options": {"SymmetricMode": True}}
+
+
+@pytest.mark.parametrize(
+    "element, sigma, static",
+    [((1, 0, 1, 0, 0), 0, True), ((1, 0, 1, 0, 0), 1, True), ((2, 1, 1, 1, 1), 1, True),
+     ((2, 1, 1, 1, 1), 0, False)],
+    ids=["P1-sigma0", "P1-sigma1", "P2-sigma1", "P2-sigma0"],
+)
+@pytest.mark.parametrize("kind", ["steady", "backward_euler"])
+def test_factor_recipe_follows_the_schur_complement(mesh8, element, sigma, static, kind,
+                                                     monkeypatch):
+    # a zero diagonal in S (the kept P1 pressures with sigma = 0) or sigma = 1
+    # takes the static-pivot path, with less fill than SuperLU's default
+    # factor; the P2 tuple with sigma = 0 keeps the default factor alone
+    system = _system(kind, mesh8, SpaceConfig(*element, sigma=sigma))
+    S = system.reduced_blocks()[-1]
+    assert S.diagonal().all() == (element[0] == 2 or sigma == 1)
+    before = S.copy()
+    calls = _record_splu(monkeypatch)
+    factor = _factorize(system)
+    monkeypatch.undo()
+    assert calls == ([STATIC] if static else [{}])
+    assert (factor.perm is not None) == static
+    if static:
+        assert factor.lu.nnz < spla.splu(S).nnz
+    # the cached S is left as it was: the factored copy owns its arrays
+    assert S.has_sorted_indices and abs(S - before).max() == 0.0
+    K, rhs = system.operator()
+    assert np.linalg.norm(K @ factor.solve(rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_failed_probe_falls_back_to_the_default_factor(monkeypatch):
+    # steady P1 at mu = 1e-4: the static pivots grow, the probe solve fails
+    # and SuperLU factors S with its defaults, as if the probe had not run
+    mu = 1e-4
+    mesh, cfg = build_uniform_triangulation(16), SpaceConfig(1, 0, 1, 0, 0, mu=mu)
+    system = _steady_system(mesh, cfg, manufactured_problem("steady_oseen_ex1", mu=mu))
+    *_, Dinv_stack, Dinv_K_ck, S = system.reduced_blocks()
+    plain = _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, spla.splu(S))
+    calls = _record_splu(monkeypatch)
+    factor = _factorize(system)
+    monkeypatch.undo()
+    assert calls == [STATIC, {}]
+    assert factor.perm is None
+    x, ref = linear_solve(system, factor), linear_solve(system, plain)
+    assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_structurally_singular_schur_complement_raises(mesh4, config_low):
+    # two columns of S with one entry each, in the same row: no row matching
+    # exists, and the matching's ValueError surfaces as a LinearSolveError
+    system = _system("steady", mesh4, config_low)
+    *blocks, S = system.reduced_blocks()
+    S = S.tolil()
+    S[:, :2] = 0.0
+    S[0, :2] = 1.0
+    system._blocks = (*blocks, S.tocsc())
+    with pytest.raises(LinearSolveError, match="structurally singular"):
+        linear_solve(system)
 
 
 def test_factor_of_another_system_fails_the_residual_check(mesh4, element_tuple):
