@@ -257,6 +257,20 @@ def test_failed_probe_falls_back_to_the_default_factor(monkeypatch):
     assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def test_zero_static_pivot_falls_back_to_the_default_factor(mesh4, config_low, monkeypatch):
+    splu = spla.splu
+
+    def zero_static_pivot(S, **kw):
+        if kw:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(S)
+
+    monkeypatch.setattr(spla, "splu", zero_static_pivot)
+    system = _system("steady", mesh4, config_low)
+    assert _factorize(system).perm is None
+    linear_solve(system)
+
+
 def test_structurally_singular_schur_complement_raises(mesh4, config_low):
     # two columns of S with one entry each, in the same row: no row matching
     # exists, and the matching's ValueError surfaces as a LinearSolveError
