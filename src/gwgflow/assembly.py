@@ -231,11 +231,11 @@ class SaddleSystem:
         [[D, K_ck], [K_kc, K_kk]]`` with ``D`` block diagonal; the solver
         factors ``S = K_kk - K_kc D^-1 K_ck`` (CSC, no stored zeros), indexed
         by ``K`` index minus ``nc``.  It takes static pivots after a row
-        matching when ``S`` has a zero diagonal entry or sigma is 1, and
-        SuperLU's threshold pivoting otherwise or when that factor fails its
-        check (``solver._factorize``).  The solver applies ``Dinv_stack =
-        [K_kc D^-1; D^-1]`` before it and ``Dinv_K_ck = D^-1 K_ck`` after it,
-        both formed per element.
+        matching when ``S`` has a zero diagonal entry and no nonzero one is
+        outgrown in its column, and SuperLU's threshold pivoting otherwise or
+        when a solve with that factor fails its check (``solver._factorize``).
+        The solver applies ``Dinv_stack = [K_kc D^-1; D^-1]`` before it and
+        ``Dinv_K_ck = D^-1 K_ck`` after it, both formed per element.
         """
         if self._blocks is not None:
             return self._blocks

@@ -85,16 +85,26 @@ def linear_solve(system: SaddleSystem, factor=None) -> np.ndarray:
 
     Every solve, steady or time step, goes through here, with the
     condensed factor of ``_factorize`` (built here unless ``factor`` is
-    given): a static-pivot LU of the row-matched Schur complement, or
-    SuperLU's own threshold-pivoted LU when that recipe does not apply or
-    fails its probe.  It and ``K`` come from one element layout.  The
-    relative residual is checked on ``K`` against ``RESIDUAL_TOL``; one step
+    given); it and ``K`` come from one element layout.  The relative
+    residual is checked on ``K`` against ``RESIDUAL_TOL``.  A static-pivot
+    factor that fails the check is not refined: it is refactored in place
+    with SuperLU's threshold pivoting (``_CondensedFactor.fall_back``), which
+    every later solve with it then uses, and the solve is repeated.  One step
     of iterative refinement is applied if needed, and ``LinearSolveError`` is
     raised when the residual still fails the check, including when it is NaN.
     """
     K, rhs = system.operator()
     lu = factor if factor is not None else _factorize(system)
-    x, res = _refined_solve(K, lu.solve, rhs)
+    scale = max(np.linalg.norm(rhs), 1e-300)
+    x = lu.solve(rhs)
+    res = np.linalg.norm(K @ x - rhs) / scale
+    if not res <= RESIDUAL_TOL and lu.perm is not None:
+        lu.fall_back()
+        x = lu.solve(rhs)
+        res = np.linalg.norm(K @ x - rhs) / scale
+    if not res <= RESIDUAL_TOL:
+        x = x + lu.solve(rhs - K @ x)
+        res = np.linalg.norm(K @ x - rhs) / scale
     if not res <= RESIDUAL_TOL:
         raise LinearSolveError(
             f"linear solve failed: relative residual {res:.3e} > {RESIDUAL_TOL:.1e}"
@@ -102,40 +112,24 @@ def linear_solve(system: SaddleSystem, factor=None) -> np.ndarray:
     return x
 
 
-def _refined_solve(A, solve, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(x, res)``: ``solve(b)``, refined once if its residual fails ``RESIDUAL_TOL``.
-
-    ``res`` is the relative residual ``|A x - b| / |b|``, NaN when ``x`` is.
-    """
-    x = solve(b)
-    scale = max(np.linalg.norm(b), 1e-300)
-    res = np.linalg.norm(A @ x - b) / scale
-    if not res <= RESIDUAL_TOL:
-        x = x + solve(b - A @ x)
-        res = np.linalg.norm(A @ x - b) / scale
-    return x, res
-
-
-@dataclass(frozen=True)
+@dataclass
 class _CondensedFactor:
     """Factor of the pinned ``K`` with every element-local unknown condensed out.
 
     The ``nc`` condensed unknowns lead ``K`` (see the ``assembly`` module
     docstring), so ``K = [[D, K_ck], [K_kc, K_kk]]`` split at ``nc``, with
-    ``D`` block diagonal.  SuperLU factors only ``S = K_kk - K_kc D^-1 K_ck``.
+    ``D`` block diagonal.  Only ``S = K_kk - K_kc D^-1 K_ck`` is factored.
     The condensed blocks are kept as the two products a solve needs, both
     formed per element: ``Dinv_stack = [K_kc D^-1; D^-1]``, applied to the
     condensed part of the right-hand side before SuperLU, and ``Dinv_K_ck =
     D^-1 K_ck``, applied to its solution after.  ``solve`` takes and returns
     vectors of ``K``'s size.
 
-    On the static-pivot path of ``_factorize`` (a zero diagonal in ``S``, as
-    for the P1 tuples with sigma = 0, or sigma = 1, with a passed probe)
-    ``lu`` factors ``S`` with its rows permuted by ``perm``: row ``perm[j]``
-    of ``S`` is row ``j`` of the factored matrix, so ``solve`` gathers the
-    kept right-hand side by ``perm``.  ``perm`` is None when SuperLU factored
-    ``S`` itself with threshold pivoting: the other tuples, and the fallback
-    after a failed probe.
+    On the static-pivot path of ``_factorize`` ``lu`` factors ``S`` with its
+    rows permuted by ``perm``: row ``perm[j]`` of ``S`` is row ``j`` of the
+    factored matrix, so ``solve`` gathers the kept right-hand side by
+    ``perm``, and ``S`` is kept for ``fall_back``.  ``perm`` and ``S`` are
+    None when SuperLU factored ``S`` itself with threshold pivoting.
     """
 
     nc: int
@@ -143,6 +137,7 @@ class _CondensedFactor:
     Dinv_K_ck: sp.csr_matrix
     lu: spla.SuperLU
     perm: np.ndarray | None = None
+    S: sp.csc_matrix | None = None
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         y = self.Dinv_stack @ r[: self.nc]       # [K_kc D^-1 r_c; D^-1 r_c]
@@ -151,50 +146,63 @@ class _CondensedFactor:
         x_k = self.lu.solve(b if self.perm is None else b[self.perm])
         return np.concatenate([y[m:] - self.Dinv_K_ck @ x_k, x_k])
 
+    def fall_back(self) -> None:
+        """Replace the static-pivot LU by SuperLU's threshold-pivoted LU of ``S``."""
+        self.lu, self.perm, self.S = _threshold_pivot_lu(self.S), None, None
+
 
 def _factorize(system: SaddleSystem) -> _CondensedFactor:
     """Condensed factor of the pinned ``K`` (see ``_CondensedFactor``).
 
     The recipe for the ``S`` of ``system.reduced_blocks()`` is chosen from
     ``S`` itself.  When ``S`` has a structurally zero diagonal entry (the
-    kept pressures of the P1 tuples with sigma = 0) or sigma is 1, it is
-    ``_static_pivot_lu``: match, order, factor, check.  Otherwise, or when
-    that factor fails its probe, SuperLU factors ``S`` with its defaults
-    (COLAMD and threshold pivoting); static pivoting is unstable on sigma = 0
-    tuples whose kept pressures have a nonzero diagonal, such as the P2
-    tuple.  A singular element block, a structurally singular ``S`` or a
-    singular factorization raises ``LinearSolveError``.
+    kept pressures of the P1 tuples with sigma = 0) and each nonzero
+    diagonal entry is the largest in magnitude in its column, it is
+    ``_static_pivot_lu``: match, order, factor; ``linear_solve`` checks it
+    on every solve and falls back when it fails.  Otherwise, or when that
+    factor meets an exactly zero pivot, SuperLU factors ``S`` with its
+    defaults (COLAMD and threshold pivoting).  A nonzero diagonal entry
+    outgrown in its column marks a convection-dominated ``S`` (steady P1 at
+    mu = 1e-3 or below): there the matching is slow and the static pivots
+    grow.  Static pivoting is unstable on the sigma = 0 tuples whose kept
+    pressures have a nonzero diagonal, such as the P2 tuple.  A singular
+    element block, a structurally singular ``S`` or a singular
+    factorization raises ``LinearSolveError``.
     """
     *_, Dinv_stack, Dinv_K_ck, S = system.reduced_blocks()
-    lu = perm = None
-    if system.kernels.config.sigma == 1 or not S.diagonal().all():
-        lu, perm = _static_pivot_lu(S)
-    if lu is None:
-        try:
-            lu = spla.splu(S)
-        except RuntimeError as exc:  # singular factorization, SuperLU reports pivot
-            raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
-    return _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, lu, perm)
+    d = np.abs(S.diagonal())
+    if not d.all():
+        colmax = abs(S).max(axis=0).toarray().ravel()
+        if np.all((d == 0) | (d == colmax)):
+            static = _static_pivot_lu(S, colmax)
+            if static is not None:
+                return _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, *static, S)
+    return _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, _threshold_pivot_lu(S))
 
 
-def _static_pivot_lu(S: sp.csc_matrix):
+def _threshold_pivot_lu(S: sp.csc_matrix) -> spla.SuperLU:
+    """SuperLU's LU of ``S`` with its defaults: COLAMD and threshold pivoting."""
+    try:
+        return spla.splu(S)
+    except RuntimeError as exc:  # singular factorization, SuperLU reports pivot
+        raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
+
+
+def _static_pivot_lu(S: sp.csc_matrix, colmax: np.ndarray):
     """``(lu, perm)``: a static-pivot LU of ``S``'s rows permuted by ``perm``.
 
     ``perm`` is a maximum-product matching of rows to columns (Duff and
     Koster, SIMAX 22, 2001), found as the minimum-weight full matching on
-    ``log(colmax_j) - log|s_ij|``, so every diagonal entry of ``S[perm]`` is
-    large.  SuperLU then orders ``S[perm]`` symmetrically by minimum degree
-    on ``A^T + A`` and keeps those diagonal pivots (threshold 0), as in
-    SuperLU_DIST (Li and Demmel, TOMS 29, 2003).  A probe solve checks the
-    factor with ``linear_solve``'s acceptance rule, a relative residual
-    within ``RESIDUAL_TOL`` after at most one refinement step; its
-    right-hand side is a fixed Gaussian vector, which reaches the
-    ill-conditioned directions that smooth data can miss.  ``(None, None)``
-    when the probe fails or SuperLU finds a zero pivot.  A structurally
-    singular ``S``, with no full matching, raises ``LinearSolveError``.
+    ``log(colmax_j) - log|s_ij|``, ``colmax`` being the largest magnitude in
+    each column, so every diagonal entry of ``S[perm]`` is large.  SuperLU
+    then orders ``S[perm]`` symmetrically by minimum degree on ``A^T + A``
+    and keeps those diagonal pivots (threshold 0), as in SuperLU_DIST (Li
+    and Demmel, TOMS 29, 2003).  None when SuperLU finds an exactly zero
+    pivot.  A structurally singular ``S``, with no full matching, raises
+    ``LinearSolveError``.
     """
     mag = np.abs(S.data)  # S holds no explicit zeros
-    colmax = np.repeat(abs(S).max(axis=0).toarray().ravel(), np.diff(S.indptr))
+    colmax = np.repeat(colmax, np.diff(S.indptr))
     # the matching needs nonzero weights; a shift by 1 leaves its optimum alone
     cost = sp.csc_matrix((1.0 + np.log(colmax) - np.log(mag), S.indices, S.indptr), S.shape)
     try:  # row i of S is matched to column to_col[i], and becomes row to_col[i]
@@ -207,10 +215,7 @@ def _static_pivot_lu(S: sp.csc_matrix):
         lu = spla.splu(Sp, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
     except RuntimeError:  # an exactly zero pivot
-        return None, None
-    probe = np.random.default_rng(0).standard_normal(S.shape[0])
-    if not _refined_solve(Sp, lu.solve, probe)[1] <= RESIDUAL_TOL:
-        return None, None
+        return None
     return lu, np.argsort(to_col)
 
 
@@ -242,11 +247,12 @@ def solve_evolutionary(
     ``K`` makes a failed step raise ``LinearSolveError``.  The coefficients
     do not depend on time, so ``K``, its boundary lift and the condensed
     factor of ``_factorize`` come from one element layout and are reused by
-    every step.  That factor is chosen and checked once, before the first
-    step: static pivots after a row matching for the P1 tuples and for
-    sigma = 1, SuperLU's threshold pivoting for the sigma = 0 tuples with a
-    nonzero pressure diagonal or when the static factor fails its probe.
-    The per-mesh step data are built once too: ``f`` and ``g`` are evaluated
+    every step.  That factor is chosen once, before the first step: static
+    pivots after a row matching for the P1 tuples with sigma = 0 whose ``S``
+    is not convection dominated, SuperLU's threshold pivoting otherwise.
+    Every step's residual check guards it, and the first step whose check
+    the static factor fails replaces it with the threshold-pivoted one for
+    the rest of the march.  The per-mesh step data are built once too: ``f`` and ``g`` are evaluated
     at the kernels' read-only ``qxy`` and ``boundary_xy`` (the forcing's
     cache hits them by identity), the right-hand side is one product with
     the lift, whose flux rows give the compatibility check, and the

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from gwgflow import problems
+from gwgflow import problems, solver
 from gwgflow.assembly import (
     SaddleSystem,
     apply_dirichlet,
@@ -213,19 +213,19 @@ STATIC = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
 
 @pytest.mark.parametrize(
     "element, sigma, static",
-    [((1, 0, 1, 0, 0), 0, True), ((1, 0, 1, 0, 0), 1, True), ((2, 1, 1, 1, 1), 1, True),
+    [((1, 0, 1, 0, 0), 0, True), ((1, 0, 1, 0, 0), 1, False), ((2, 1, 1, 1, 1), 1, False),
      ((2, 1, 1, 1, 1), 0, False)],
     ids=["P1-sigma0", "P1-sigma1", "P2-sigma1", "P2-sigma0"],
 )
 @pytest.mark.parametrize("kind", ["steady", "backward_euler"])
 def test_factor_recipe_follows_the_schur_complement(mesh8, element, sigma, static, kind,
                                                      monkeypatch):
-    # a zero diagonal in S (the kept P1 pressures with sigma = 0) or sigma = 1
-    # takes the static-pivot path, with less fill than SuperLU's default
-    # factor; the P2 tuple with sigma = 0 keeps the default factor alone
+    # a zero diagonal in S (the kept P1 pressures with sigma = 0) takes the
+    # static-pivot path, with less fill than SuperLU's default factor; a
+    # nonzero diagonal (sigma = 1, or the P2 tuple) keeps the default alone
     system = _system(kind, mesh8, SpaceConfig(*element, sigma=sigma))
     S = system.reduced_blocks()[-1]
-    assert S.diagonal().all() == (element[0] == 2 or sigma == 1)
+    assert S.diagonal().all() == (not static)
     before = S.copy()
     calls = _record_splu(monkeypatch)
     factor = _factorize(system)
@@ -240,21 +240,46 @@ def test_factor_recipe_follows_the_schur_complement(mesh8, element, sigma, stati
     assert np.linalg.norm(K @ factor.solve(rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
-def test_failed_probe_falls_back_to_the_default_factor(monkeypatch):
-    # steady P1 at mu = 1e-4: the static pivots grow, the probe solve fails
-    # and SuperLU factors S with its defaults, as if the probe had not run
-    mu = 1e-4
+def _low_viscosity_system(mu):
     mesh, cfg = build_uniform_triangulation(16), SpaceConfig(1, 0, 1, 0, 0, mu=mu)
-    system = _steady_system(mesh, cfg, manufactured_problem("steady_oseen_ex1", mu=mu))
-    *_, Dinv_stack, Dinv_K_ck, S = system.reduced_blocks()
-    plain = _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, spla.splu(S))
+    return _steady_system(mesh, cfg, manufactured_problem("steady_oseen_ex1", mu=mu))
+
+
+@pytest.mark.parametrize("mu", [1e-3, 1e-4])
+def test_convection_dominated_schur_complement_keeps_the_default_factor(mu, monkeypatch):
+    # steady P1 at small mu: S has a zero diagonal, but its nonzero diagonal
+    # entries are outgrown in their columns, so no matching is tried
+    system = _low_viscosity_system(mu)
+    S = system.reduced_blocks()[-1]
+    assert not S.diagonal().all()
+    monkeypatch.setattr(solver, "min_weight_full_bipartite_matching", None)
     calls = _record_splu(monkeypatch)
     factor = _factorize(system)
-    monkeypatch.undo()
-    assert calls == [STATIC, {}]
-    assert factor.perm is None
-    x, ref = linear_solve(system, factor), linear_solve(system, plain)
+    assert calls == [{}] and factor.perm is None
+    linear_solve(system, factor)
+
+
+def test_failed_static_solve_falls_back_to_the_default_factor(monkeypatch):
+    # static pivots forced onto steady P1 at mu = 1e-4 grow: the first solve
+    # fails the residual check, is not refined, and SuperLU refactors S with
+    # its defaults; the solution is the default factor's, and later solves
+    # keep the new factor
+    system = _low_viscosity_system(1e-4)
+    *_, Dinv_stack, Dinv_K_ck, S = system.reduced_blocks()
+    plain = _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, spla.splu(S))
+    colmax = abs(S).max(axis=0).toarray().ravel()
+    static = _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck,
+                              *solver._static_pivot_lu(S, colmax), S)
+    K, rhs = system.operator()
+    assert not np.linalg.norm(K @ static.solve(rhs) - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    calls = _record_splu(monkeypatch)
+    x = linear_solve(system, static)
+    assert calls == [{}]
+    assert static.perm is None and static.S is None
+    ref = linear_solve(system, plain)
     assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
+    linear_solve(system, static)
+    assert calls == [{}]
 
 
 def test_zero_static_pivot_falls_back_to_the_default_factor(mesh4, config_low, monkeypatch):
