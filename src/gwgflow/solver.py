@@ -87,11 +87,12 @@ def linear_solve(system: SaddleSystem, factor=None) -> np.ndarray:
     condensed factor of ``_factorize`` (built here unless ``factor`` is
     given); it and ``K`` come from one element layout.  The relative
     residual is checked on ``K`` against ``RESIDUAL_TOL``.  A static-pivot
-    factor that fails the check is not refined: it is refactored in place
-    with SuperLU's threshold pivoting (``_CondensedFactor.fall_back``), which
-    every later solve with it then uses, and the solve is repeated.  One step
-    of iterative refinement is applied if needed, and ``LinearSolveError`` is
-    raised when the residual still fails the check, including when it is NaN.
+    factor whose solve fails the check is not refined: it is refactored in
+    place with SuperLU's threshold pivoting (``_CondensedFactor.fall_back``),
+    kept for every later solve, and the solve is repeated.  One step of
+    iterative refinement is then applied if needed, and ``LinearSolveError``
+    is raised when the residual still fails the check, including when it is
+    NaN.
     """
     K, rhs = system.operator()
     lu = factor if factor is not None else _factorize(system)
@@ -163,8 +164,7 @@ def _factorize(system: SaddleSystem) -> _CondensedFactor:
     factor meets an exactly zero pivot, SuperLU factors ``S`` with its
     defaults (COLAMD and threshold pivoting).  A nonzero diagonal entry
     outgrown in its column marks a convection-dominated ``S`` (steady P1 at
-    mu = 1e-3 or below): there the matching is slow and the static pivots
-    grow.  Static pivoting is unstable on the sigma = 0 tuples whose kept
+    small mu): there the matching is slow and the static pivots grow.  Static pivoting is unstable on the sigma = 0 tuples whose kept
     pressures have a nonzero diagonal, such as the P2 tuple.  A singular
     element block, a structurally singular ``S`` or a singular
     factorization raises ``LinearSolveError``.
