@@ -16,8 +16,10 @@ component-local velocity matrix, placed on both components: ``mu viscous
 + s1`` (with ``rho/tau mass`` for a backward-Euler step) per shape class
 plus ``rho convection`` per element; ``B_local`` is the divergence matrix
 of each shape class.  ``element_layout`` places both on every element's
-unknowns, once per solve: ``reduced_blocks`` scatters it into the pinned
+unknowns, once per system: ``reduced_blocks`` scatters it into the pinned
 ``K`` and its boundary-lifting columns and condenses it for the solver.
+A system holds no step data: ``operator`` and ``expand`` take the load and
+the boundary traces ``Q_b g``, so one system serves every time step.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ def _kept_modes(kernels: ElementKernels) -> int:
 
 @dataclass
 class SaddleSystem:
-    """Element matrices, the pinned numbering and the data of one solve.
+    """Element matrices and the pinned numbering of one mesh and config.
 
     ``A_local`` is (nT, ncomp, ncomp), ``B_local`` (nC, dn, nloc).  ``K_dofs``
     is the pinned numbering: the global index (pressures after velocities)
@@ -193,8 +195,6 @@ class SaddleSystem:
     S2: sp.csr_matrix
     K_dofs: np.ndarray
     nc: int
-    rhs_vel: np.ndarray
-    dirichlet_values: np.ndarray | None = None
     mean_vector: np.ndarray | None = None
     _blocks: tuple | None = field(default=None, repr=False)
 
@@ -286,36 +286,32 @@ class SaddleSystem:
         self._blocks = (K, lift, Dinv_stack, Dinv_K_ck, S)
         return self._blocks
 
-    def operator(self):
-        """The pinned ``K`` and the right-hand side of the current data.
+    def operator(self, rhs_vel: np.ndarray, traces: np.ndarray):
+        """The pinned ``K`` and the right-hand side of one step's data.
 
-        The right-hand side is formed on every call from ``rhs_vel`` and the
-        boundary data, by one product with the lift.  The equation dropped
+        ``rhs_vel`` is the velocity load, and one product with the lift moves
+        the boundary ``traces`` to the right-hand side.  The equation dropped
         with the pinned pressure DOF, the sum of the constant-mode rows, says
         that g has no net outward flux; a ``ValueError`` is raised when the
         lift's flux rows fail that by more than ``COMPAT_TOL``.
         """
-        if self.dirichlet_values is None:
-            raise ValueError("apply_dirichlet must run before forming the operator")
-        if self.mean_vector is None:
-            raise ValueError("constrain_system must run before forming the operator")
         K, lift = self.reduced_blocks()[:2]
         dm, n = self.kernels.dofmap, self.K_dofs.size
         nI = dm.n_interior
-        lifted = lift @ self.dirichlet_values
+        lifted = lift @ traces
         flux = lifted[n:]
         if abs(flux.sum()) > COMPAT_TOL * np.abs(flux).sum():
             raise ValueError(f"boundary data g has net outward flux {flux.sum():.3e}, not 0")
         rhs = -lifted[:n]
         # the velocity unknowns of K: the interiors lead, the free traces follow nc
-        rhs[:nI] += self.rhs_vel[:nI]
-        rhs[self.nc : self.nc + dm.free_dofs.size - nI] += self.rhs_vel[dm.free_dofs[nI:]]
+        rhs[:nI] += rhs_vel[:nI]
+        rhs[self.nc : self.nc + dm.free_dofs.size - nI] += rhs_vel[dm.free_dofs[nI:]]
         return K, rhs
 
-    def expand(self, x: np.ndarray):
-        """Full velocity and pressure vectors of a solution of ``operator()``.
+    def expand(self, x: np.ndarray, traces: np.ndarray):
+        """Full velocity and pressure vectors of a solution of ``operator``.
 
-        The boundary traces take ``dirichlet_values`` and the pinned pressure
+        The boundary DOFs take the step's ``traces`` and the pinned pressure
         DOF 0, then every element's constant mode is shifted by one value so
         that ``mean_vector @ pres`` is 0.  Both vectors are views of one new
         array, so a kept state does not hold x.
@@ -324,7 +320,7 @@ class SaddleSystem:
         full = np.zeros(dm.n_velocity + dm.n_pressure)
         full[self.K_dofs] = x
         vel, pres = full[: dm.n_velocity], full[dm.n_velocity :]
-        vel[dm.boundary_dofs] = self.dirichlet_values
+        vel[dm.boundary_dofs] = traces
         const = dm.elem_pres[:, 0]
         pres[const] -= (self.mean_vector @ pres) / self.mean_vector[const].sum()
         return vel, pres
@@ -381,11 +377,10 @@ def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
 
 
 def build_saddle_system(kernels: ElementKernels, beta, tau: float | None = None) -> SaddleSystem:
-    """Form the element matrices and the pinned numbering; ``rhs_vel`` starts at zero.
+    """Form the element matrices and the pinned numbering.
 
     With ``tau``, ``rho/tau`` times the mass enters the velocity element sum
-    (a backward-Euler step).  The caller sets ``rhs_vel`` (for instance from
-    ``assemble_load``) before forming the operator.
+    (a backward-Euler step).
     """
     dm, nv, nI = kernels.dofmap, kernels.dofmap.n_velocity, kernels.dofmap.n_interior
     modes = dm.elem_pres[:, _kept_modes(kernels) :]
@@ -399,20 +394,16 @@ def build_saddle_system(kernels: ElementKernels, beta, tau: float | None = None)
         K_dofs=np.r_[dm.free_dofs[:nI], nv + np.sort(modes, axis=None), dm.free_dofs[nI:],
                      nv + np.flatnonzero(kept)],
         nc=nI + modes.size,
-        rhs_vel=np.zeros(dm.n_velocity),
     )
 
 
-def apply_dirichlet(system: SaddleSystem, g, time: float | None = None) -> SaddleSystem:
-    """Set boundary trace DOFs to Q_b g and mark them eliminated.
+def apply_dirichlet(system: SaddleSystem, g, time: float | None = None) -> np.ndarray:
+    """The boundary traces ``Q_b g`` at ``time``, flat in boundary-DOF order.
 
-    The eliminated couplings move to the right-hand side when the reduced
-    operator is formed, so the same system can be re-lifted with new
-    boundary data (time stepping) without reassembly.
+    They are the ``traces`` that ``operator`` lifts to the right-hand side
+    and ``expand`` puts back, so new boundary data need no reassembly.
     """
-    traces = project_boundary_traces(system.kernels, g, time)
-    system.dirichlet_values = traces.reshape(-1)
-    return system
+    return project_boundary_traces(system.kernels, g, time).reshape(-1)
 
 
 def constrain_system(system: SaddleSystem) -> SaddleSystem:

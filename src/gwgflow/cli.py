@@ -181,7 +181,10 @@ def _cmd_verify(args) -> int:
     print(f"[{'PASS' if ok else 'FAIL'}] energy-norm kernel: "
           f"min eigenvalue {lam:.3e} on the zero-trace subspace")
 
-    beta_h = estimate_infsup(kernels)
+    try:
+        beta_h = estimate_infsup(kernels)
+    except ValueError as exc:
+        raise SystemExit(f"verify stopped: {exc}") from None
     ok = beta_h > 0
     failures += 0 if ok else 1
     print(f"[{'PASS' if ok else 'FAIL'}] inf-sup constant: {beta_h:.4f}")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,8 +80,8 @@ class DiscreteSolution:
         return float(self.system.mean_vector @ self.pressure_vector)
 
 
-def linear_solve(system: SaddleSystem, factor=None) -> np.ndarray:
-    """Direct solve of ``system.operator()``, in the numbering ``system.K_dofs``.
+def linear_solve(system: SaddleSystem, rhs_vel, traces, factor=None) -> np.ndarray:
+    """Direct solve of ``system.operator(rhs_vel, traces)``, in ``system.K_dofs`` order.
 
     Every solve, steady or time step, goes through here, with the
     condensed factor of ``_factorize`` (built here unless ``factor`` is
@@ -90,17 +90,19 @@ def linear_solve(system: SaddleSystem, factor=None) -> np.ndarray:
     factor whose solve fails the check is not refined: it is refactored in
     place with SuperLU's threshold pivoting (``_CondensedFactor.fall_back``),
     kept for every later solve, and the solve is repeated.  One step of
-    iterative refinement is then applied if needed, and ``LinearSolveError``
-    is raised when the residual still fails the check, including when it is
-    NaN.
+    iterative refinement is then applied if needed, and ``LinearSolveError``,
+    naming the pivoting tried and the order of ``S``, is raised when the
+    residual still fails the check, including when it is NaN.
     """
-    K, rhs = system.operator()
+    K, rhs = system.operator(rhs_vel, traces)
     lu = factor if factor is not None else _factorize(system)
     scale = max(np.linalg.norm(rhs), 1e-300)
     x = lu.solve(rhs)
     res = np.linalg.norm(K @ x - rhs) / scale
+    pivoting = "threshold pivoting"
     if not res <= RESIDUAL_TOL and lu.perm is not None:
         lu.fall_back()
+        pivoting = "static pivots, then threshold pivoting"
         x = lu.solve(rhs)
         res = np.linalg.norm(K @ x - rhs) / scale
     if not res <= RESIDUAL_TOL:
@@ -108,7 +110,8 @@ def linear_solve(system: SaddleSystem, factor=None) -> np.ndarray:
         res = np.linalg.norm(K @ x - rhs) / scale
     if not res <= RESIDUAL_TOL:
         raise LinearSolveError(
-            f"linear solve failed: relative residual {res:.3e} > {RESIDUAL_TOL:.1e}"
+            f"linear solve failed with the LU of S (order {K.shape[0] - lu.nc}) by {pivoting}: "
+            f"relative residual {res:.3e} > {RESIDUAL_TOL:.1e}"
         )
     return x
 
@@ -164,10 +167,11 @@ def _factorize(system: SaddleSystem) -> _CondensedFactor:
     factor meets an exactly zero pivot, SuperLU factors ``S`` with its
     defaults (COLAMD and threshold pivoting).  A nonzero diagonal entry
     outgrown in its column marks a convection-dominated ``S`` (steady P1 at
-    small mu): there the matching is slow and the static pivots grow.  Static pivoting is unstable on the sigma = 0 tuples whose kept
-    pressures have a nonzero diagonal, such as the P2 tuple.  A singular
-    element block, a structurally singular ``S`` or a singular
-    factorization raises ``LinearSolveError``.
+    small mu): there the matching is slow and the static pivots grow.
+    Static pivoting is unstable on the sigma = 0 tuples whose kept pressures
+    have a nonzero diagonal, such as the P2 tuple.  A singular element block,
+    a structurally singular ``S`` or a singular factorization raises
+    ``LinearSolveError``.
     """
     *_, Dinv_stack, Dinv_K_ck, S = system.reduced_blocks()
     d = np.abs(S.diagonal())
@@ -224,10 +228,10 @@ def solve_steady(mesh: Mesh, config: SpaceConfig, problem) -> DiscreteSolution:
     _check_inputs(config, problem)
     ker = ElementKernels(mesh, config)
     system = build_saddle_system(ker, problem.beta)
-    system.rhs_vel = assemble_load(ker, problem.f, 0.0)
-    apply_dirichlet(system, problem.g, time=0.0)
+    load = assemble_load(ker, problem.f, 0.0)
+    traces = apply_dirichlet(system, problem.g, time=0.0)
     constrain_system(system)
-    return _solution(system, linear_solve(system), 0.0)
+    return _solution(system, linear_solve(system, load, traces), traces, 0.0)
 
 
 def solve_evolutionary(
@@ -241,34 +245,31 @@ def solve_evolutionary(
     """March the fully-discrete scheme with backward Euler.
 
     The initial state is the weak projection of the initial velocity; each
-    step sets the load and boundary data of the new time level and solves,
-    through ``linear_solve``, the system ``build_saddle_system`` built with
-    ``tau`` (mass in the element sum), whose residual check on the pinned
-    ``K`` makes a failed step raise ``LinearSolveError``.  The coefficients
-    do not depend on time, so ``K``, its boundary lift and the condensed
-    factor of ``_factorize`` come from one element layout and are reused by
-    every step.  That factor is chosen once, before the first step: static
+    step passes the load and boundary traces of the new time level to
+    ``linear_solve``, with the one system ``build_saddle_system`` built with
+    ``tau`` (mass in the element sum), and a failed residual check on the
+    pinned ``K`` raises ``LinearSolveError``.  The coefficients do not
+    depend on time, so ``K``, its boundary lift and the condensed factor of
+    ``_factorize`` come from one element layout and are reused by every
+    step.  That factor is chosen once, before the first step: static
     pivots after a row matching for the P1 tuples with sigma = 0 whose ``S``
     is not convection dominated, SuperLU's threshold pivoting otherwise.
     Every step's residual check guards it, and the first step whose check
     the static factor fails replaces it with the threshold-pivoted one for
-    the rest of the march.  The per-mesh step data are built once too: ``f`` and ``g`` are evaluated
-    at the kernels' read-only ``qxy`` and ``boundary_xy`` (the forcing's
-    cache hits them by identity), the right-hand side is one product with
-    the lift, whose flux rows give the compatibility check, and the
-    condensed solve is one sparse product on each side of SuperLU, with the
-    row permutation, if any, gathered onto the kept right-hand side.
+    the rest of the march.  ``f`` and ``g`` are evaluated at the kernels'
+    read-only ``qxy`` and ``boundary_xy`` (the forcing's cache hits them by
+    identity), the right-hand side is one product with the lift, whose flux
+    rows give the compatibility check, and the condensed solve is one
+    sparse product on each side of SuperLU, with the row permutation, if
+    any, gathered onto the kept right-hand side.
 
     The mass form lives on the element-interior velocity block only, and
     the interiors lead the ``K_dofs`` numbering, so between steps only the
     interior part ``x[:n_interior]`` of the solution is carried; its mass
     term ``mass_II @ (u_I / tau)`` is added to the load's interior rows.
-    States are expanded to full vectors only when they are returned: the
-    final one, or every one when ``keep_trajectory`` is set.  Each returned
-    state holds its own shallow copy of the system (sharing the matrices and
-    the factored operator) with that step's ``rhs_vel`` and
-    ``dirichlet_values``.  Returns the solution at the final time, or the
-    whole trajectory when ``keep_trajectory`` is set.
+    States are expanded to full vectors only when they are returned.
+    Returns the solution at the final time, or, when ``keep_trajectory`` is
+    set, every step's, all holding the one system.
     """
     _check_inputs(config, problem)
     ker = ElementKernels(mesh, config)
@@ -283,15 +284,15 @@ def solve_evolutionary(
     trajectory = []
     for step in range(1, grid.n_steps + 1):
         t = step * grid.tau
-        system.rhs_vel = assemble_load(ker, problem.f, t)
-        system.rhs_vel[:nI] += mass_II @ (u_I / grid.tau)
-        apply_dirichlet(system, problem.g, t)
-        x = linear_solve(system, lu)
+        load = assemble_load(ker, problem.f, t)
+        load[:nI] += mass_II @ (u_I / grid.tau)
+        traces = apply_dirichlet(system, problem.g, t)
+        x = linear_solve(system, load, traces, lu)
         u_I = x[:nI]
         if keep_trajectory:
-            trajectory.append(_solution(replace(system), x, t))
+            trajectory.append(_solution(system, x, traces, t))
 
-    return trajectory if keep_trajectory else _solution(system, x, t)
+    return trajectory if keep_trajectory else _solution(system, x, traces, t)
 
 
 def _check_inputs(config: SpaceConfig, problem) -> None:
@@ -308,5 +309,5 @@ def _check_inputs(config: SpaceConfig, problem) -> None:
         )
 
 
-def _solution(system: SaddleSystem, x: np.ndarray, time: float) -> DiscreteSolution:
-    return DiscreteSolution(*system.expand(x), time, system)
+def _solution(system: SaddleSystem, x, traces, time: float) -> DiscreteSolution:
+    return DiscreteSolution(*system.expand(x, traces), time, system)

@@ -11,6 +11,7 @@ report.
 from __future__ import annotations
 
 import functools
+import math
 import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -171,7 +172,7 @@ def _fmt_order(value: float | None) -> str:
 def _format_tau(tau: float) -> str:
     frac = Fraction(tau).limit_denominator(10**6)
     if abs(float(frac) - tau) < 1e-14:
-        return f"{frac.numerator}/{frac.denominator}" if frac.denominator > 1 else str(frac.numerator)
+        return str(frac)  # "n/d", or "n" when d is 1
     return f"{tau:.6g}"
 
 
@@ -189,7 +190,6 @@ def compute_order(errors, steps) -> list[float | None]:
         raise ValueError("errors and steps must have equal length")
     if any(b >= a for a, b in zip(steps, steps[1:])):
         raise ValueError("steps must be strictly decreasing")
-    import math
 
     orders: list[float | None] = [None]
     for i in range(1, len(errors)):

@@ -247,16 +247,20 @@ def estimate_infsup(kernels: ElementKernels) -> float:
 
     Smallest nonzero generalized eigenvalue of B (K + S1)^{-1} B^T against
     the pressure mass matrix, square-rooted, with the constant-pressure
-    direction removed.
+    direction removed.  The eigenproblem is dense: above ``DENSE_EIG_LIMIT``
+    pressure DOFs ``ValueError`` is raised before any array is formed.
     """
     ker, dm = kernels, kernels.dofmap
+    npres = dm.n_pressure
+    if npres > DENSE_EIG_LIMIT:
+        raise ValueError(f"the inf-sup estimate forms dense {npres} x {npres} arrays: "
+                         f"{npres} pressure DOFs exceed DENSE_EIG_LIMIT = {DENSE_EIG_LIMIT}")
     free = dm.free_dofs
     K = _energy_matrix(ker)[free][:, free].tocsc()
     B = assemble_bilinear("divergence", ker)
     B_f = B[:, free].tocsc()
 
     lu = spla.splu(K)
-    npres = dm.n_pressure
     S = np.empty((npres, npres))
     step = max(1, min(256, npres))
     Bt = B_f.T.tocsc()

@@ -158,21 +158,19 @@ def test_apply_dirichlet_values(mesh4, element_tuple):
     system = build_saddle_system(ElementKernels(mesh4, cfg), prob.beta)
 
     # homogeneous data eliminates to zero values
-    apply_dirichlet(system, lambda x, y, t: np.zeros(np.broadcast(x, y).shape + (2,)), 0.0)
-    assert np.all(system.dirichlet_values == 0.0)
+    zero = apply_dirichlet(system, lambda x, y, t: np.zeros(np.broadcast(x, y).shape + (2,)), 0.0)
+    assert np.all(zero == 0.0)
 
     # constants are reproduced exactly by the trace projection
-    apply_dirichlet(
+    vals = apply_dirichlet(
         system, lambda x, y, t: np.ones(np.broadcast(x, y).shape + (2,)), 0.0
-    )
-    vals = system.dirichlet_values.reshape(-1, 2, cfg.j + 1)
+    ).reshape(-1, 2, cfg.j + 1)
     assert np.allclose(vals[:, :, 0], 1.0, atol=1e-14)
     if cfg.j >= 1:
         assert np.allclose(vals[:, :, 1:], 0.0, atol=1e-14)
 
     # the exact velocity of the benchmark vanishes on y = 0
-    apply_dirichlet(system, prob.g, 0.0)
-    vals = system.dirichlet_values.reshape(-1, 2, cfg.j + 1)
+    vals = apply_dirichlet(system, prob.g, 0.0).reshape(-1, 2, cfg.j + 1)
     for idx, e in enumerate(mesh4.boundary_edges):
         va, vb = mesh4.vertices[mesh4.edges[e]]
         if va[1] == 0.0 and vb[1] == 0.0:
@@ -200,9 +198,8 @@ def test_operator_has_no_dense_row(mesh8, element_tuple):
     dm = ker.dofmap
     prob = manufactured_problem("steady_oseen_ex1")
     system = build_saddle_system(ker, prob.beta)
-    apply_dirichlet(system, prob.g, 0.0)
-    constrain_system(system)
-    K = system.operator()[0]
+    load, traces = assemble_load(ker, prob.f, 0.0), apply_dirichlet(system, prob.g, 0.0)
+    K = system.operator(load, traces)[0]
     n = dm.free_dofs.size + dm.n_pressure - 1
     assert K.shape == (n, n)
     assert np.diff(K.tocsr().indptr).max() <= 2 * ker.nloc
@@ -295,12 +292,10 @@ def test_pinned_K_equals_sliced_global_blocks(element_tuple, kind, sigma, mesh_k
     tau = 0.1 if kind == "backward_euler" else None
     prob = manufactured_problem("steady_oseen_ex1" if tau is None else "evolutionary_oseen_ex2")
     system = build_saddle_system(ker, prob.beta, tau)
-    system.rhs_vel = assemble_load(ker, prob.f, tau or 0.0)
-    apply_dirichlet(system, prob.g, tau or 0.0)
-    constrain_system(system)
-    K, rhs = system.operator()
+    load, g = assemble_load(ker, prob.f, tau or 0.0), apply_dirichlet(system, prob.g, tau or 0.0)
+    K, rhs = system.operator(load, g)
 
-    free, bnd, g = dm.free_dofs, dm.boundary_dofs, system.dirichlet_values
+    free, bnd = dm.free_dofs, dm.boundary_dofs
     keep = np.delete(np.arange(dm.n_pressure), dm.elem_pres[0, 0])
     A = assembly.assemble_velocity_block(ker, prob.beta)
     if tau is not None:
@@ -323,5 +318,5 @@ def test_pinned_K_equals_sliced_global_blocks(element_tuple, kind, sigma, mesh_k
     assert np.array_equal(K.indptr, ref.indptr) and np.array_equal(K.indices, ref.indices)
     assert np.all(K.data != 0)
 
-    expected = np.concatenate([system.rhs_vel[free] - A[free][:, bnd] @ g, -(B[:, bnd] @ g)])[at]
+    expected = np.concatenate([load[free] - A[free][:, bnd] @ g, -(B[:, bnd] @ g)])[at]
     assert np.abs(rhs - expected).max() <= 1e-14 * np.abs(expected).max()

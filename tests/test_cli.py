@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gwgflow import verify
 from gwgflow.cli import main
 
 
@@ -118,6 +119,15 @@ def test_verify_command_passes(capsys):
     assert rc == 0
     assert out.count("[PASS]") == 4
     assert "[FAIL]" not in out
+
+
+def test_verify_above_the_dense_limit_is_a_message(monkeypatch, capsys):
+    # the inf-sup estimate is dense; above its limit verify exits with the size
+    monkeypatch.setattr(verify, "DENSE_EIG_LIMIT", 7)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--cells", "2", "--trials", "1"])
+    assert exc.value.code.startswith("verify stopped: the inf-sup estimate forms dense 8 x 8")
+    assert "8 pressure DOFs exceed DENSE_EIG_LIMIT = 7" in exc.value.code
 
 
 def test_evolutionary_solve_command(capsys):

@@ -82,22 +82,22 @@ def test_problem_built_for_other_mu_rho_rejected(mesh4):
 
 
 def _steady_system(mesh, cfg, prob):
+    # the system and its step data: the load and the boundary traces
     ker = ElementKernels(mesh, cfg)
     system = build_saddle_system(ker, prob.beta)
-    system.rhs_vel = assemble_load(ker, prob.f, 0.0)
-    apply_dirichlet(system, prob.g, 0.0)
+    step = assemble_load(ker, prob.f, 0.0), apply_dirichlet(system, prob.g, 0.0)
     constrain_system(system)
-    return system
+    return system, step
 
 
 def _backward_euler_system(mesh, cfg, prob, tau=0.1):
-    # the mass-augmented system of one step of solve_evolutionary
+    # the mass-augmented system of solve_evolutionary, with the data of a
+    # step at time tau from a state at rest
     ker = ElementKernels(mesh, cfg)
     system = build_saddle_system(ker, prob.beta, tau)
-    system.rhs_vel = assemble_load(ker, prob.f, tau)
-    apply_dirichlet(system, prob.g, tau)
+    step = assemble_load(ker, prob.f, tau), apply_dirichlet(system, prob.g, tau)
     constrain_system(system)
-    return system
+    return system, step
 
 
 def _system(kind, mesh, cfg):
@@ -106,17 +106,17 @@ def _system(kind, mesh, cfg):
     return _backward_euler_system(mesh, cfg, manufactured_problem("evolutionary_oseen_ex2"))
 
 
-def _assert_condensed_solve_equals_full_solve(system):
-    K, rhs = system.operator()
+def _assert_condensed_solve_equals_full_solve(system, step):
+    K, rhs = system.operator(*step)
     full = spla.spsolve(K, rhs)
     condensed = _factorize(system).solve(rhs)
     assert np.linalg.norm(condensed - full) <= 1e-9 * np.linalg.norm(full)
-    assert np.linalg.norm(linear_solve(system) - full) <= 1e-9 * np.linalg.norm(full)
+    assert np.linalg.norm(linear_solve(system, *step) - full) <= 1e-9 * np.linalg.norm(full)
 
 
 @pytest.mark.parametrize("kind", ["steady", "backward_euler"])
 def test_condensed_solve_equals_full_solve(mesh8, element_tuple, kind):
-    _assert_condensed_solve_equals_full_solve(_system(kind, mesh8, SpaceConfig(*element_tuple)))
+    _assert_condensed_solve_equals_full_solve(*_system(kind, mesh8, SpaceConfig(*element_tuple)))
 
 
 @pytest.mark.parametrize("kind", ["steady", "backward_euler"])
@@ -126,14 +126,14 @@ def test_condensed_solve_equals_full_solve_off_uniform_sigma0(element_tuple, kin
     # pressure mode and adds the pressure jumps S2 to the factored block
     mesh = _jittered_mesh(6) if case == "jittered" else build_uniform_triangulation(6)
     cfg = SpaceConfig(*element_tuple, sigma=int(case == "sigma1"))
-    _assert_condensed_solve_equals_full_solve(_system(kind, mesh, cfg))
+    _assert_condensed_solve_equals_full_solve(*_system(kind, mesh, cfg))
 
 
 def test_factorize_builds_from_element_matrices(mesh4, element_tuple, monkeypatch):
     # the factor condenses the element layout and never slices the pinned K;
     # what SuperLU gets is the Schur complement of K split at nc, the count
     # of condensed unknowns, which lead K
-    system = _system("steady", mesh4, SpaceConfig(*element_tuple))
+    system, step = _system("steady", mesh4, SpaceConfig(*element_tuple))
 
     def forbidden(self, key):
         raise AssertionError("a sparse matrix was sliced")
@@ -142,7 +142,7 @@ def test_factorize_builds_from_element_matrices(mesh4, element_tuple, monkeypatc
         monkeypatch.setattr(cls, "__getitem__", forbidden)
     factor = _factorize(system)
     monkeypatch.undo()
-    K, rhs = system.operator()
+    K, rhs = system.operator(*step)
     x = factor.solve(rhs)
     assert np.linalg.norm(K @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
     nc, K = factor.nc, K.toarray()
@@ -223,7 +223,7 @@ def test_factor_recipe_follows_the_schur_complement(mesh8, element, sigma, stati
     # a zero diagonal in S (the kept P1 pressures with sigma = 0) takes the
     # static-pivot path, with less fill than SuperLU's default factor; a
     # nonzero diagonal (sigma = 1, or the P2 tuple) keeps the default alone
-    system = _system(kind, mesh8, SpaceConfig(*element, sigma=sigma))
+    system, step = _system(kind, mesh8, SpaceConfig(*element, sigma=sigma))
     S = system.reduced_blocks()[-1]
     assert S.diagonal().all() == (not static)
     before = S.copy()
@@ -236,7 +236,7 @@ def test_factor_recipe_follows_the_schur_complement(mesh8, element, sigma, stati
         assert factor.lu.nnz < spla.splu(S).nnz
     # the cached S is left as it was: the factored copy owns its arrays
     assert S.has_sorted_indices and abs(S - before).max() == 0.0
-    K, rhs = system.operator()
+    K, rhs = system.operator(*step)
     assert np.linalg.norm(K @ factor.solve(rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
@@ -249,14 +249,14 @@ def _low_viscosity_system(mu):
 def test_convection_dominated_schur_complement_keeps_the_default_factor(mu, monkeypatch):
     # steady P1 at small mu: S has a zero diagonal, but its nonzero diagonal
     # entries are outgrown in their columns, so no matching is tried
-    system = _low_viscosity_system(mu)
+    system, step = _low_viscosity_system(mu)
     S = system.reduced_blocks()[-1]
     assert not S.diagonal().all()
     monkeypatch.setattr(solver, "min_weight_full_bipartite_matching", None)
     calls = _record_splu(monkeypatch)
     factor = _factorize(system)
     assert calls == [{}] and factor.perm is None
-    linear_solve(system, factor)
+    linear_solve(system, *step, factor)
 
 
 def test_failed_static_solve_falls_back_to_the_default_factor(monkeypatch):
@@ -264,21 +264,21 @@ def test_failed_static_solve_falls_back_to_the_default_factor(monkeypatch):
     # fails the residual check, is not refined, and SuperLU refactors S with
     # its defaults; the solution is the default factor's, and later solves
     # keep the new factor
-    system = _low_viscosity_system(1e-4)
+    system, step = _low_viscosity_system(1e-4)
     *_, Dinv_stack, Dinv_K_ck, S = system.reduced_blocks()
     plain = _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, spla.splu(S))
     colmax = abs(S).max(axis=0).toarray().ravel()
     static = _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck,
                               *solver._static_pivot_lu(S, colmax), S)
-    K, rhs = system.operator()
+    K, rhs = system.operator(*step)
     assert not np.linalg.norm(K @ static.solve(rhs) - rhs) <= 1e-10 * np.linalg.norm(rhs)
     calls = _record_splu(monkeypatch)
-    x = linear_solve(system, static)
+    x = linear_solve(system, *step, static)
     assert calls == [{}]
     assert static.perm is None and static.S is None
-    ref = linear_solve(system, plain)
+    ref = linear_solve(system, *step, plain)
     assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
-    linear_solve(system, static)
+    linear_solve(system, *step, static)
     assert calls == [{}]
 
 
@@ -291,34 +291,35 @@ def test_zero_static_pivot_falls_back_to_the_default_factor(mesh4, config_low, m
         return splu(S)
 
     monkeypatch.setattr(spla, "splu", zero_static_pivot)
-    system = _system("steady", mesh4, config_low)
+    system, step = _system("steady", mesh4, config_low)
     assert _factorize(system).perm is None
-    linear_solve(system)
+    linear_solve(system, *step)
 
 
 def test_structurally_singular_schur_complement_raises(mesh4, config_low):
     # two columns of S with one entry each, in the same row: no row matching
     # exists, and the matching's ValueError surfaces as a LinearSolveError
-    system = _system("steady", mesh4, config_low)
+    system, step = _system("steady", mesh4, config_low)
     *blocks, S = system.reduced_blocks()
     S = S.tolil()
     S[:, :2] = 0.0
     S[0, :2] = 1.0
     system._blocks = (*blocks, S.tocsc())
     with pytest.raises(LinearSolveError, match="structurally singular"):
-        linear_solve(system)
+        linear_solve(system, *step)
 
 
 def test_factor_of_another_system_fails_the_residual_check(mesh4, element_tuple):
     # the residual is checked on the full pinned K, not on the factored one
     cfg = SpaceConfig(*element_tuple)
-    other = _factorize(_system("backward_euler", mesh4, cfg))
+    other = _factorize(_system("backward_euler", mesh4, cfg)[0])
+    system, step = _system("steady", mesh4, cfg)
     with pytest.raises(LinearSolveError, match="relative residual"):
-        linear_solve(_system("steady", mesh4, cfg), other)
+        linear_solve(system, *step, other)
 
 
 def test_singular_interior_block_raises(mesh4, element_tuple):
-    system = _steady_system(
+    system, step = _steady_system(
         mesh4, SpaceConfig(*element_tuple), manufactured_problem("steady_oseen_ex1")
     )
     # the interior rows and columns of element 5's velocity element matrix
@@ -326,27 +327,17 @@ def test_singular_interior_block_raises(mesh4, element_tuple):
     system.A_local[5, :dk] = 0.0
     system.A_local[5, :, :dk] = 0.0
     with pytest.raises(LinearSolveError, match="condensed block of element 5 is singular"):
-        linear_solve(system)
+        linear_solve(system, *step)
 
 
 def test_linear_solve_residual_check(mesh4, element_tuple):
     cfg = SpaceConfig(*element_tuple)
     prob = manufactured_problem("steady_oseen_ex1")
-    system = _steady_system(mesh4, cfg, prob)
-    x = linear_solve(system)
-    K, rhs = system.operator()
+    system, step = _steady_system(mesh4, cfg, prob)
+    x = linear_solve(system, *step)
+    K, rhs = system.operator(*step)
     res = np.linalg.norm(K @ x - rhs) / np.linalg.norm(rhs)
     assert res <= 1e-10
-
-
-def test_solver_requires_reduction_steps(mesh4, config_low):
-    prob = manufactured_problem("steady_oseen_ex1")
-    system = build_saddle_system(ElementKernels(mesh4, config_low), prob.beta)
-    with pytest.raises(ValueError):
-        system.operator()
-    apply_dirichlet(system, prob.g, 0.0)
-    with pytest.raises(ValueError):
-        system.operator()
 
 
 def test_incompatible_boundary_data_raises(mesh4, element_tuple):
@@ -419,7 +410,7 @@ def test_steady_solution_invariants(mesh8, element_tuple):
     assert abs(sol.pressure_mean) < 1e-10
     assert incompressibility_residual(sol) < 1e-9
     # boundary traces equal the projected boundary data
-    vals = sol.system.dirichlet_values
+    vals = apply_dirichlet(sol.system, prob.g, 0.0)
     vec = sol.velocity_vector
     assert np.array_equal(vec[sol.system.kernels.dofmap.boundary_dofs], vals)
 
@@ -454,14 +445,23 @@ def test_evolutionary_matches_reference_cell():
     assert rep.l2_velocity_proj == pytest.approx(2.0985e-03, rel=0.02)
 
 
+def _step_data(system, prob, u_prev, t, tau):
+    # the load and the boundary traces of the backward-Euler step to time t
+    # from the velocity vector u_prev, whose mass term the load carries
+    ker = system.kernels
+    load = assemble_load(ker, prob.f, t) + assemble_bilinear("mass", ker) @ (u_prev / tau)
+    return load, apply_dirichlet(system, prob.g, t)
+
+
 def test_factor_reuse_equals_refactoring(mesh4, config_low):
-    # the march reuses one factorization; a fresh solve of the final-step
-    # system must give the same state
+    # the march reuses one factorization; a fresh solve of the final step,
+    # with its data rebuilt from the state before it, gives the same state
     prob = manufactured_problem("evolutionary_oseen_ex2")
     grid = TimeGrid.from_tau(0.25, 0.25 / 4)
-    reused = solve_evolutionary(mesh4, config_low, prob, grid)
+    *_, prev, reused = solve_evolutionary(mesh4, config_low, prob, grid, keep_trajectory=True)
     system = reused.system
-    vel, pres = system.expand(spla.spsolve(*system.operator()))
+    step = _step_data(system, prob, prev.velocity_vector, reused.time, grid.tau)
+    vel, pres = system.expand(spla.spsolve(*system.operator(*step)), step[1])
     assert np.abs(reused.velocity_vector - vel).max() < 1e-12
     assert np.abs(reused.pressure_vector - pres).max() < 1e-12
 
@@ -470,15 +470,12 @@ def _full_state_march(mesh, cfg, prob, grid):
     # backward Euler carrying the whole expanded state between steps, with
     # the mass term on every velocity row: the reference for the lean march
     ker = ElementKernels(mesh, cfg)
-    mass = assemble_bilinear("mass", ker)
     system = build_saddle_system(ker, prob.beta, grid.tau)
     constrain_system(system)
     u_prev = ker.dofmap.velocity_vector(*project_velocity(ker, prob.g2))
     for step in range(1, grid.n_steps + 1):
-        t = step * grid.tau
-        system.rhs_vel = assemble_load(ker, prob.f, t) + mass @ (u_prev / grid.tau)
-        apply_dirichlet(system, prob.g, t)
-        u_prev, pres = system.expand(linear_solve(system))
+        load, traces = _step_data(system, prob, u_prev, step * grid.tau, grid.tau)
+        u_prev, pres = system.expand(linear_solve(system, load, traces), traces)
     return u_prev, pres
 
 
@@ -516,8 +513,9 @@ def test_march_expands_only_returned_states(mesh4, element_tuple, monkeypatch):
     grid = TimeGrid.from_tau(0.5, 0.5 / 5)
     expands, operators = [], []
     expand, operator = SaddleSystem.expand, SaddleSystem.operator
-    monkeypatch.setattr(SaddleSystem, "expand", lambda s, x: expands.append(1) or expand(s, x))
-    monkeypatch.setattr(SaddleSystem, "operator", lambda s: operators.append(1) or operator(s))
+    monkeypatch.setattr(SaddleSystem, "expand", lambda s, *a: expands.append(1) or expand(s, *a))
+    monkeypatch.setattr(SaddleSystem, "operator",
+                        lambda s, *a: operators.append(1) or operator(s, *a))
     final = solve_evolutionary(mesh4, cfg, prob, grid)
     assert len(expands) == 1
     assert len(operators) == grid.n_steps   # one right-hand side a step
@@ -566,27 +564,58 @@ def test_evolutionary_late_nan_forcing_raises(mesh4, config_low):
 
 
 def test_linear_solve_nan_rhs_raises(mesh4, config_low):
-    # a NaN right-hand side that bypasses the input checks still fails loud
+    # a NaN right-hand side that bypasses the input checks still fails loud,
+    # naming the factors tried (P1 with sigma = 0 starts with static pivots)
+    # and the order of S
     prob = manufactured_problem("steady_oseen_ex1")
-    system = _steady_system(mesh4, config_low, prob)
-    system.rhs_vel = np.full_like(system.rhs_vel, np.nan)
-    with pytest.raises(LinearSolveError):
-        linear_solve(system)
+    system, (load, traces) = _steady_system(mesh4, config_low, prob)
+    order = system.K_dofs.size - system.nc
+    match = rf"LU of S \(order {order}\) by static pivots, then threshold pivoting: .* nan"
+    with pytest.raises(LinearSolveError, match=match):
+        linear_solve(system, np.full_like(load, np.nan), traces)
 
 
 def test_trajectory_states_keep_their_own_step_data(mesh4, config_low):
-    # every state of a kept trajectory carries its own step's boundary data
-    # and right-hand side, so its system reproduces that state
+    # every state of a kept trajectory takes its own step's boundary data,
+    # and its step data, rebuilt from the state before it, reproduce it
     prob = manufactured_problem("evolutionary_oseen_ex2")
     grid = TimeGrid.from_tau(1.0, 1.0 / 4)
     traj = solve_evolutionary(mesh4, config_low, prob, grid, keep_trajectory=True)
+    system = traj[0].system
+    ker = system.kernels
+    u_prev = ker.dofmap.velocity_vector(*project_velocity(ker, prob.g2))
     for sol in traj:
-        system = sol.system
-        boundary = sol.velocity_vector[system.kernels.dofmap.boundary_dofs]
-        assert np.array_equal(boundary, system.dirichlet_values)
-        vel, pres = system.expand(spla.spsolve(*system.operator()))
+        step = _step_data(system, prob, u_prev, sol.time, grid.tau)
+        assert np.array_equal(sol.velocity_vector[ker.dofmap.boundary_dofs], step[1])
+        vel, pres = system.expand(spla.spsolve(*system.operator(*step)), step[1])
         assert np.abs(sol.velocity_vector - vel).max() < 1e-12
         assert np.abs(sol.pressure_vector - pres).max() < 1e-12
+        u_prev = sol.velocity_vector
+
+
+def test_trajectory_states_share_one_system(mesh4, element_tuple):
+    # the system holds no step data, so the march keeps no per-state copy
+    prob = manufactured_problem("evolutionary_oseen_ex2")
+    grid = TimeGrid.from_tau(0.5, 0.5 / 4)
+    traj = solve_evolutionary(mesh4, SpaceConfig(*element_tuple), prob, grid,
+                              keep_trajectory=True)
+    assert all(sol.system is traj[0].system for sol in traj)
+
+
+def test_operator_holds_no_step_data(mesh4, element_tuple):
+    # a call with another step's data leaves no trace: the same step data
+    # give a bit-identical K and right-hand side before and after it
+    prob = manufactured_problem("evolutionary_oseen_ex2")
+    system, step_a = _backward_euler_system(mesh4, SpaceConfig(*element_tuple), prob)
+    ker = system.kernels
+    step_b = assemble_load(ker, prob.f, 0.2), apply_dirichlet(system, prob.g, 0.2)
+    assert not np.array_equal(step_a[1], step_b[1])
+    K, rhs = system.operator(*step_a)
+    rhs = rhs.copy()
+    system.operator(*step_b)
+    K_again, rhs_again = system.operator(*step_a)
+    assert (K != K_again).nnz == 0 and np.array_equal(K.data, K_again.data)
+    assert np.array_equal(rhs, rhs_again)
 
 
 def test_time_march_approaches_steady_fixed_point(mesh4, config_low):

@@ -3,6 +3,7 @@ import pytest
 
 from dataclasses import replace
 
+from gwgflow import verify
 from gwgflow.config import SpaceConfig
 from gwgflow.localops import ElementKernels, project_pressure, project_velocity
 from gwgflow.mesh import build_uniform_triangulation
@@ -110,6 +111,16 @@ def test_infsup_positive_and_stable(element_tuple):
     # non-degeneracy under refinement
     change = abs(vals[16] - vals[8]) / vals[8]
     assert change < 0.20
+
+
+def test_infsup_refuses_more_pressure_dofs_than_the_dense_limit(mesh4, config_low, monkeypatch):
+    # the estimate forms several dense npres x npres arrays, so it stops
+    # before forming any of them above the limit; mesh4 P1 has 32
+    monkeypatch.setattr(verify, "DENSE_EIG_LIMIT", 31)
+    with pytest.raises(ValueError, match="dense 32 x 32 arrays: 32 pressure DOFs exceed"):
+        estimate_infsup(ElementKernels(mesh4, config_low))
+    monkeypatch.setattr(verify, "DENSE_EIG_LIMIT", 32)
+    assert estimate_infsup(ElementKernels(mesh4, config_low)) > 0
 
 
 def test_coercivity_margin(mesh8, element_tuple):
