@@ -232,8 +232,9 @@ class SaddleSystem:
         factors ``S = K_kk - K_kc D^-1 K_ck`` (CSC, no stored zeros), indexed
         by ``K`` index minus ``nc``.  It takes static pivots after a row
         matching when ``S`` has a zero diagonal entry and no nonzero one is
-        outgrown in its column, and SuperLU's threshold pivoting otherwise or
-        when a solve with that factor fails its check (``solver._factorize``).
+        outgrown in its column, and SuperLU's threshold pivoting of ``S``
+        equilibrated by powers of two otherwise or when a solve with that
+        factor fails its check (``solver._factorize``).
         The solver applies ``Dinv_stack = [K_kc D^-1; D^-1]`` before it and
         ``Dinv_K_ck = D^-1 K_ck`` after it, both formed per element.
         """
@@ -316,6 +317,8 @@ class SaddleSystem:
         that ``mean_vector @ pres`` is 0.  Both vectors are views of one new
         array, so a kept state does not hold x.
         """
+        if self.mean_vector is None:
+            raise ValueError("expand needs mean_vector: call constrain_system(system) first")
         dm = self.kernels.dofmap
         full = np.zeros(dm.n_velocity + dm.n_pressure)
         full[self.K_dofs] = x

@@ -88,7 +88,7 @@ def linear_solve(system: SaddleSystem, rhs_vel, traces, factor=None) -> np.ndarr
     given); it and ``K`` come from one element layout.  The relative
     residual is checked on ``K`` against ``RESIDUAL_TOL``.  A static-pivot
     factor whose solve fails the check is not refined: it is refactored in
-    place with SuperLU's threshold pivoting (``_CondensedFactor.fall_back``),
+    place with equilibrated threshold pivoting (``_CondensedFactor.fall_back``),
     kept for every later solve, and the solve is repeated.  One step of
     iterative refinement is then applied if needed, and ``LinearSolveError``,
     naming the pivoting tried and the order of ``S``, is raised when the
@@ -99,10 +99,10 @@ def linear_solve(system: SaddleSystem, rhs_vel, traces, factor=None) -> np.ndarr
     scale = max(np.linalg.norm(rhs), 1e-300)
     x = lu.solve(rhs)
     res = np.linalg.norm(K @ x - rhs) / scale
-    pivoting = "threshold pivoting"
+    pivoting = "equilibrated threshold pivoting"
     if not res <= RESIDUAL_TOL and lu.perm is not None:
         lu.fall_back()
-        pivoting = "static pivots, then threshold pivoting"
+        pivoting = "static pivots, then equilibrated threshold pivoting"
         x = lu.solve(rhs)
         res = np.linalg.norm(K @ x - rhs) / scale
     if not res <= RESIDUAL_TOL:
@@ -132,14 +132,15 @@ class _CondensedFactor:
     On the static-pivot path of ``_factorize`` ``lu`` factors ``S`` with its
     rows permuted by ``perm``: row ``perm[j]`` of ``S`` is row ``j`` of the
     factored matrix, so ``solve`` gathers the kept right-hand side by
-    ``perm``, and ``S`` is kept for ``fall_back``.  ``perm`` and ``S`` are
-    None when SuperLU factored ``S`` itself with threshold pivoting.
+    ``perm``, and ``S`` is kept for ``fall_back``.  Otherwise ``lu`` is the
+    ``_EquilibratedLU`` of ``_threshold_pivot_lu``, which solves with ``S``
+    itself, and ``perm`` and ``S`` are None.
     """
 
     nc: int
     Dinv_stack: sp.csc_matrix
     Dinv_K_ck: sp.csr_matrix
-    lu: spla.SuperLU
+    lu: spla.SuperLU | _EquilibratedLU
     perm: np.ndarray | None = None
     S: sp.csc_matrix | None = None
 
@@ -151,7 +152,7 @@ class _CondensedFactor:
         return np.concatenate([y[m:] - self.Dinv_K_ck @ x_k, x_k])
 
     def fall_back(self) -> None:
-        """Replace the static-pivot LU by SuperLU's threshold-pivoted LU of ``S``."""
+        """Replace the static-pivot LU by the equilibrated threshold-pivoted LU of ``S``."""
         self.lu, self.perm, self.S = _threshold_pivot_lu(self.S), None, None
 
 
@@ -164,10 +165,11 @@ def _factorize(system: SaddleSystem) -> _CondensedFactor:
     diagonal entry is the largest in magnitude in its column, it is
     ``_static_pivot_lu``: match, order, factor; ``linear_solve`` checks it
     on every solve and falls back when it fails.  Otherwise, or when that
-    factor meets an exactly zero pivot, SuperLU factors ``S`` with its
-    defaults (COLAMD and threshold pivoting).  A nonzero diagonal entry
-    outgrown in its column marks a convection-dominated ``S`` (steady P1 at
-    small mu): there the matching is slow and the static pivots grow.
+    factor meets an exactly zero pivot, it is ``_threshold_pivot_lu``:
+    SuperLU factors ``S`` equilibrated by powers of two, in a COLAMD order
+    with threshold pivoting.  A nonzero diagonal entry outgrown in its
+    column marks a convection-dominated ``S`` (steady P1 at small mu):
+    there the matching is slow and the static pivots grow.
     Static pivoting is unstable on the sigma = 0 tuples whose kept pressures
     have a nonzero diagonal, such as the P2 tuple.  A singular element block,
     a structurally singular ``S`` or a singular factorization raises
@@ -184,12 +186,48 @@ def _factorize(system: SaddleSystem) -> _CondensedFactor:
     return _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, _threshold_pivot_lu(S))
 
 
-def _threshold_pivot_lu(S: sp.csc_matrix) -> spla.SuperLU:
-    """SuperLU's LU of ``S`` with its defaults: COLAMD and threshold pivoting."""
+@dataclass(frozen=True)
+class _EquilibratedLU:
+    """The LU of ``diag(r) S diag(c)``, solving with ``S``."""
+
+    lu: spla.SuperLU
+    r: np.ndarray
+    c: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.c * self.lu.solve(self.r * b)
+
+
+def _threshold_pivot_lu(S: sp.csc_matrix) -> _EquilibratedLU:
+    """SuperLU's threshold-pivoted LU of ``S``, equilibrated as by LAPACK's ``dgeequb``.
+
+    ``r`` scales each row of ``S`` by the inverse of its largest magnitude,
+    and ``c`` each column of ``diag(r) S`` likewise, both rounded down to
+    powers of two, so the scaling is exact and every column of ``diag(r) S
+    diag(c)`` has its largest magnitude in [0.5, 1).  SuperLU factors that
+    matrix in a COLAMD order with threshold 0.1 (UMFPACK's default, Davis,
+    TOMS 30, 2004): there its diagonal pivots mostly stand, where on ``S``
+    they are outgrown and the row interchanges add fill.  An empty row or
+    column of ``S``, or a singular factorization, raises ``LinearSolveError``.
+    """
+    n, counts = S.shape[0], np.diff(S.indptr)
+    rowmax = np.zeros(n)
+    np.maximum.at(rowmax, S.indices, np.abs(S.data))  # S holds no explicit zeros
+    if not (rowmax.all() and counts.all()):
+        raise LinearSolveError(
+            f"structurally singular Schur complement: S (order {n}) has an empty row or column"
+        )
+    r = np.ldexp(1.0, -np.frexp(rowmax)[1])  # 2^-e for rowmax = m 2^e, 0.5 <= m < 1
+    rs = S.data * r[S.indices]
+    c = np.ldexp(1.0, -np.frexp(np.maximum.reduceat(np.abs(rs), S.indptr[:-1]))[1])
+    # a copy that owns its arrays: splu sorts its input in place
+    scaled = sp.csc_matrix((rs * np.repeat(c, counts), S.indices.copy(), S.indptr.copy()),
+                           S.shape)
     try:
-        return spla.splu(S)
+        lu = spla.splu(scaled, permc_spec="COLAMD", diag_pivot_thresh=0.1)
     except RuntimeError as exc:  # singular factorization, SuperLU reports pivot
-        raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
+        raise LinearSolveError(f"sparse factorization failed for S (order {n}): {exc}") from exc
+    return _EquilibratedLU(lu, r, c)
 
 
 def _static_pivot_lu(S: sp.csc_matrix, colmax: np.ndarray):
@@ -253,15 +291,16 @@ def solve_evolutionary(
     ``_factorize`` come from one element layout and are reused by every
     step.  That factor is chosen once, before the first step: static
     pivots after a row matching for the P1 tuples with sigma = 0 whose ``S``
-    is not convection dominated, SuperLU's threshold pivoting otherwise.
-    Every step's residual check guards it, and the first step whose check
-    the static factor fails replaces it with the threshold-pivoted one for
-    the rest of the march.  ``f`` and ``g`` are evaluated at the kernels'
-    read-only ``qxy`` and ``boundary_xy`` (the forcing's cache hits them by
-    identity), the right-hand side is one product with the lift, whose flux
-    rows give the compatibility check, and the condensed solve is one
-    sparse product on each side of SuperLU, with the row permutation, if
-    any, gathered onto the kept right-hand side.
+    is not convection dominated, SuperLU's threshold pivoting of the
+    equilibrated ``S`` otherwise.  Every step's residual check guards it,
+    and the first step whose check the static factor fails replaces it with
+    the equilibrated threshold-pivoted one for the rest of the march.
+    ``f`` and ``g`` are evaluated at the kernels' read-only ``qxy`` and
+    ``boundary_xy`` (the forcing's cache hits them by identity), the
+    right-hand side is one product with the lift, whose flux rows give the
+    compatibility check, and the condensed solve is one sparse product on
+    each side of the LU solve of ``S``, which gathers the kept right-hand
+    side by the row permutation, if any, or scales it and its solution.
 
     The mass form lives on the element-interior velocity block only, and
     the interiors lead the ``K_dofs`` numbering, so between steps only the

@@ -191,6 +191,18 @@ def test_constraint_row(mesh4, element_tuple):
     assert abs(c @ coeffs) < 1e-12
 
 
+def test_expand_before_constrain_system_names_it(mesh4, config_low):
+    # expand reads mean_vector, which only constrain_system records
+    ker = ElementKernels(mesh4, config_low)
+    system = build_saddle_system(ker, manufactured_problem("steady_oseen_ex1").beta)
+    x, traces = np.zeros(system.K_dofs.size), np.zeros(ker.dofmap.boundary_dofs.size)
+    with pytest.raises(ValueError, match=r"constrain_system\(system\)"):
+        system.expand(x, traces)
+    constrain_system(system)
+    vel, pres = system.expand(x, traces)
+    assert not vel.any() and not pres.any()
+
+
 def test_operator_has_no_dense_row(mesh8, element_tuple):
     # one pinned pressure DOF and no bordering row: every row and column of
     # the operator couples at most two elements' local DOFs

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -209,6 +210,7 @@ def _record_splu(monkeypatch):
 
 STATIC = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
           "options": {"SymmetricMode": True}}
+EQUILIBRATED = {"permc_spec": "COLAMD", "diag_pivot_thresh": 0.1}
 
 
 @pytest.mark.parametrize(
@@ -222,7 +224,8 @@ def test_factor_recipe_follows_the_schur_complement(mesh8, element, sigma, stati
                                                      monkeypatch):
     # a zero diagonal in S (the kept P1 pressures with sigma = 0) takes the
     # static-pivot path, with less fill than SuperLU's default factor; a
-    # nonzero diagonal (sigma = 1, or the P2 tuple) keeps the default alone
+    # nonzero diagonal (sigma = 1, or the P2 tuple) takes the equilibrated
+    # threshold-pivoted factor alone
     system, step = _system(kind, mesh8, SpaceConfig(*element, sigma=sigma))
     S = system.reduced_blocks()[-1]
     assert S.diagonal().all() == (not static)
@@ -230,14 +233,22 @@ def test_factor_recipe_follows_the_schur_complement(mesh8, element, sigma, stati
     calls = _record_splu(monkeypatch)
     factor = _factorize(system)
     monkeypatch.undo()
-    assert calls == ([STATIC] if static else [{}])
+    assert calls == ([STATIC] if static else [EQUILIBRATED])
     assert (factor.perm is not None) == static
-    if static:
-        assert factor.lu.nnz < spla.splu(S).nnz
+    lu = factor.lu if static else factor.lu.lu
+    assert lu.nnz < spla.splu(S).nnz
+    if not static:  # r and c are powers of two, and lead every column to [0.5, 1)
+        r, c = factor.lu.r, factor.lu.c
+        assert np.all(np.frexp(r)[0] == 0.5) and np.all(np.frexp(c)[0] == 0.5)
+        colmax = abs(sp.diags(r) @ S @ sp.diags(c)).max(axis=0).toarray()
+        assert colmax.min() >= 0.5 and colmax.max() < 1.0
     # the cached S is left as it was: the factored copy owns its arrays
     assert S.has_sorted_indices and abs(S - before).max() == 0.0
     K, rhs = system.operator(*step)
-    assert np.linalg.norm(K @ factor.solve(rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    x = factor.solve(rhs)
+    assert np.linalg.norm(K @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    # the checked solve takes that one solve, with no refinement step
+    assert np.array_equal(linear_solve(system, *step, factor), x)
 
 
 def _low_viscosity_system(mu):
@@ -255,18 +266,18 @@ def test_convection_dominated_schur_complement_keeps_the_default_factor(mu, monk
     monkeypatch.setattr(solver, "min_weight_full_bipartite_matching", None)
     calls = _record_splu(monkeypatch)
     factor = _factorize(system)
-    assert calls == [{}] and factor.perm is None
+    assert calls == [EQUILIBRATED] and factor.perm is None
     linear_solve(system, *step, factor)
 
 
 def test_failed_static_solve_falls_back_to_the_default_factor(monkeypatch):
     # static pivots forced onto steady P1 at mu = 1e-4 grow: the first solve
-    # fails the residual check, is not refined, and SuperLU refactors S with
-    # its defaults; the solution is the default factor's, and later solves
-    # keep the new factor
+    # fails the residual check, is not refined, and S is refactored with
+    # equilibrated threshold pivoting; the solution is that factor's, and
+    # later solves keep the new factor
     system, step = _low_viscosity_system(1e-4)
     *_, Dinv_stack, Dinv_K_ck, S = system.reduced_blocks()
-    plain = _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, spla.splu(S))
+    plain = _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, solver._threshold_pivot_lu(S))
     colmax = abs(S).max(axis=0).toarray().ravel()
     static = _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck,
                               *solver._static_pivot_lu(S, colmax), S)
@@ -274,25 +285,28 @@ def test_failed_static_solve_falls_back_to_the_default_factor(monkeypatch):
     assert not np.linalg.norm(K @ static.solve(rhs) - rhs) <= 1e-10 * np.linalg.norm(rhs)
     calls = _record_splu(monkeypatch)
     x = linear_solve(system, *step, static)
-    assert calls == [{}]
+    assert calls == [EQUILIBRATED]
     assert static.perm is None and static.S is None
     ref = linear_solve(system, *step, plain)
     assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
     linear_solve(system, *step, static)
-    assert calls == [{}]
+    assert calls == [EQUILIBRATED]
 
 
 def test_zero_static_pivot_falls_back_to_the_default_factor(mesh4, config_low, monkeypatch):
     splu = spla.splu
 
     def zero_static_pivot(S, **kw):
-        if kw:
+        if kw == STATIC:
             raise RuntimeError("Factor is exactly singular")
-        return splu(S)
+        calls.append(kw)
+        return splu(S, **kw)
 
+    calls = []
     monkeypatch.setattr(spla, "splu", zero_static_pivot)
     system, step = _system("steady", mesh4, config_low)
     assert _factorize(system).perm is None
+    assert calls == [EQUILIBRATED]
     linear_solve(system, *step)
 
 
@@ -307,6 +321,30 @@ def test_structurally_singular_schur_complement_raises(mesh4, config_low):
     system._blocks = (*blocks, S.tocsc())
     with pytest.raises(LinearSolveError, match="structurally singular"):
         linear_solve(system, *step)
+
+
+@pytest.mark.parametrize("line", ["row", "column"])
+def test_empty_line_of_schur_complement_raises_before_superlu(mesh4, config_high, line,
+                                                              monkeypatch):
+    # an empty row or column of a threshold-path S (the P2 tuple) is caught
+    # before its inverse row or column maximum, 1/0, is taken: SuperLU is not
+    # called, and no floating-point warning is raised
+    system, step = _system("steady", mesh4, config_high)
+    *blocks, S = system.reduced_blocks()
+    S = S.tolil()
+    if line == "row":
+        S[3, :] = 0.0
+    else:
+        S[:, 3] = 0.0
+    S = S.tocsc()
+    S.eliminate_zeros()
+    system._blocks = (*blocks, S)
+    calls = _record_splu(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LinearSolveError, match=rf"structurally singular.*order {S.shape[0]}"):
+            linear_solve(system, *step)
+    assert calls == []
 
 
 def test_factor_of_another_system_fails_the_residual_check(mesh4, element_tuple):
@@ -570,7 +608,8 @@ def test_linear_solve_nan_rhs_raises(mesh4, config_low):
     prob = manufactured_problem("steady_oseen_ex1")
     system, (load, traces) = _steady_system(mesh4, config_low, prob)
     order = system.K_dofs.size - system.nc
-    match = rf"LU of S \(order {order}\) by static pivots, then threshold pivoting: .* nan"
+    match = (rf"LU of S \(order {order}\) by static pivots, then equilibrated threshold "
+             r"pivoting: .* nan")
     with pytest.raises(LinearSolveError, match=match):
         linear_solve(system, np.full_like(load, np.nan), traces)
 
