@@ -277,7 +277,7 @@ def test_failed_static_solve_falls_back_to_the_default_factor(monkeypatch):
     # later solves keep the new factor
     system, step = _low_viscosity_system(1e-4)
     *_, Dinv_stack, Dinv_K_ck, S = system.reduced_blocks()
-    plain = _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, solver._threshold_pivot_lu(S))
+    default = _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, solver._threshold_pivot_lu(S))
     colmax = abs(S).max(axis=0).toarray().ravel()
     static = _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck,
                               *solver._static_pivot_lu(S, colmax), S)
@@ -287,7 +287,7 @@ def test_failed_static_solve_falls_back_to_the_default_factor(monkeypatch):
     x = linear_solve(system, *step, static)
     assert calls == [EQUILIBRATED]
     assert static.perm is None and static.S is None
-    ref = linear_solve(system, *step, plain)
+    ref = linear_solve(system, *step, default)
     assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
     linear_solve(system, *step, static)
     assert calls == [EQUILIBRATED]
