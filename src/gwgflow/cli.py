@@ -12,7 +12,7 @@ from .config import SpaceConfig
 from .localops import ElementKernels
 from .mesh import build_uniform_triangulation
 from .problems import PROBLEM_NAMES, manufactured_problem
-from .solver import TimeGrid, solve_evolutionary, solve_steady
+from .solver import LinearSolveError, TimeGrid, solve_evolutionary, solve_steady
 from .study import StudyConfig, run_convergence_study
 from .verify import (
     check_weak_identities,
@@ -87,10 +87,13 @@ def _cmd_solve(args) -> int:
     except ValueError as exc:
         raise SystemExit(f"invalid solve parameters: {exc}") from None
     mesh = build_uniform_triangulation(args.cells)
-    if grid is None:
-        solution = solve_steady(mesh, cfg, problem)
-    else:
-        solution = solve_evolutionary(mesh, cfg, problem, grid)
+    try:
+        if grid is None:
+            solution = solve_steady(mesh, cfg, problem)
+        else:
+            solution = solve_evolutionary(mesh, cfg, problem, grid)
+    except LinearSolveError as exc:
+        raise SystemExit(f"solve stopped: {exc}") from None
     report = evaluate_errors(solution, problem)
     print(f"problem      : {args.problem}")
     print(f"mesh         : {args.cells} x {args.cells} cells, "
@@ -154,7 +157,10 @@ def _cmd_study(args) -> int:
         study = StudyConfig(**values)
     except ValueError as exc:
         raise SystemExit(f"invalid study config: {exc}") from None
-    report = run_convergence_study(study)
+    try:
+        report = run_convergence_study(study)
+    except LinearSolveError as exc:
+        raise SystemExit(f"study stopped: {exc}") from None
     sys.stdout.write(report.markdown_text())
     if study.out_dir is not None:
         print(f"reports written to {study.out_dir}")

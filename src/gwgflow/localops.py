@@ -387,12 +387,6 @@ def project_velocity(
     return interior, traces
 
 
-def project_pressure(kernels: ElementKernels, f, time: float | None = None) -> np.ndarray:
-    """Project a scalar field onto the broken pressure space, (nT, dn)."""
-    vals = _eval_field("pressure field", f, *kernels.qxy, time)
-    return _project_pressure_values(kernels, vals)
-
-
 def _project_interior(kernels: ElementKernels, vals: np.ndarray) -> np.ndarray:
     """Interior coefficients (nT, 2, dk) of Q_0 from values (nT, np, 2) at ``qp``."""
     rhs = kernels.interior_moments(vals)

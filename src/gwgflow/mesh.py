@@ -67,10 +67,6 @@ class Mesh:
     boundary_edges: np.ndarray
 
     @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
     def n_elements(self) -> int:
         return self.elements.shape[0]
 

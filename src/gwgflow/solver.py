@@ -87,22 +87,23 @@ def linear_solve(system: SaddleSystem, rhs_vel, traces, factor=None) -> np.ndarr
     condensed factor of ``_factorize`` (built here unless ``factor`` is
     given); it and ``K`` come from one element layout.  The relative
     residual is checked on ``K`` against ``RESIDUAL_TOL``.  A static-pivot
-    factor whose solve fails the check is not refined: it is refactored in
-    place with equilibrated threshold pivoting (``_CondensedFactor.fall_back``),
-    kept for every later solve, and the solve is repeated.  One step of
-    iterative refinement is then applied if needed, and ``LinearSolveError``,
-    naming the pivoting tried and the order of ``S``, is raised when the
-    residual still fails the check, including when it is NaN.
+    solve (``schur.rows`` set) that fails the check is not refined: the
+    factor's ``schur`` becomes ``_threshold_pivot_lu`` of the system's
+    ``S``, for this and every later solve, so a given ``factor`` must be
+    this system's.  One step of iterative refinement is then applied if
+    needed, and ``LinearSolveError``, naming the pivoting tried and the
+    order of ``S``, is raised when the residual still fails the check,
+    including when it is NaN.
     """
     K, rhs = system.operator(rhs_vel, traces)
     lu = factor if factor is not None else _factorize(system)
     scale = max(np.linalg.norm(rhs), 1e-300)
     x = lu.solve(rhs)
     res = np.linalg.norm(K @ x - rhs) / scale
-    pivoting = "equilibrated threshold pivoting"
-    if not res <= RESIDUAL_TOL and lu.perm is not None:
-        lu.fall_back()
-        pivoting = "static pivots, then equilibrated threshold pivoting"
+    pivoting = "threshold pivoting"
+    if not res <= RESIDUAL_TOL and lu.schur.rows is not None:
+        lu.schur = _threshold_pivot_lu(system.reduced_blocks()[-1])
+        pivoting = "static pivots, then threshold pivoting"
         x = lu.solve(rhs)
         res = np.linalg.norm(K @ x - rhs) / scale
     if not res <= RESIDUAL_TOL:
@@ -110,8 +111,8 @@ def linear_solve(system: SaddleSystem, rhs_vel, traces, factor=None) -> np.ndarr
         res = np.linalg.norm(K @ x - rhs) / scale
     if not res <= RESIDUAL_TOL:
         raise LinearSolveError(
-            f"linear solve failed with the LU of S (order {K.shape[0] - lu.nc}) by {pivoting}: "
-            f"relative residual {res:.3e} > {RESIDUAL_TOL:.1e}"
+            f"linear solve failed with the equilibrated LU of S (order {K.shape[0] - lu.nc}) "
+            f"by {pivoting}: relative residual {res:.3e} > {RESIDUAL_TOL:.1e}"
         )
     return x
 
@@ -122,93 +123,77 @@ class _CondensedFactor:
 
     The ``nc`` condensed unknowns lead ``K`` (see the ``assembly`` module
     docstring), so ``K = [[D, K_ck], [K_kc, K_kk]]`` split at ``nc``, with
-    ``D`` block diagonal.  Only ``S = K_kk - K_kc D^-1 K_ck`` is factored.
-    The condensed blocks are kept as the two products a solve needs, both
-    formed per element: ``Dinv_stack = [K_kc D^-1; D^-1]``, applied to the
-    condensed part of the right-hand side before SuperLU, and ``Dinv_K_ck =
-    D^-1 K_ck``, applied to its solution after.  ``solve`` takes and returns
-    vectors of ``K``'s size.
-
-    On the static-pivot path of ``_factorize`` ``lu`` factors ``S`` with its
-    rows permuted by ``perm``: row ``perm[j]`` of ``S`` is row ``j`` of the
-    factored matrix, so ``solve`` gathers the kept right-hand side by
-    ``perm``, and ``S`` is kept for ``fall_back``.  Otherwise ``lu`` is the
-    ``_EquilibratedLU`` of ``_threshold_pivot_lu``, which solves with ``S``
-    itself, and ``perm`` and ``S`` are None.
+    ``D`` block diagonal.  Only ``S = K_kk - K_kc D^-1 K_ck`` is factored,
+    as the ``_ScaledLU`` ``schur``.  The condensed blocks are kept as the
+    two products a solve needs, both formed per element: ``Dinv_stack =
+    [K_kc D^-1; D^-1]``, applied to the condensed part of the right-hand
+    side before ``schur``, and ``Dinv_K_ck = D^-1 K_ck``, applied to its
+    solution after.  ``solve`` takes and returns vectors of ``K``'s size.
     """
 
     nc: int
     Dinv_stack: sp.csc_matrix
     Dinv_K_ck: sp.csr_matrix
-    lu: spla.SuperLU | _EquilibratedLU
-    perm: np.ndarray | None = None
-    S: sp.csc_matrix | None = None
+    schur: _ScaledLU
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         y = self.Dinv_stack @ r[: self.nc]       # [K_kc D^-1 r_c; D^-1 r_c]
         m = y.size - self.nc
-        b = r[self.nc :] - y[:m]
-        x_k = self.lu.solve(b if self.perm is None else b[self.perm])
+        x_k = self.schur.solve(r[self.nc :] - y[:m])
         return np.concatenate([y[m:] - self.Dinv_K_ck @ x_k, x_k])
-
-    def fall_back(self) -> None:
-        """Replace the static-pivot LU by the equilibrated threshold-pivoted LU of ``S``."""
-        self.lu, self.perm, self.S = _threshold_pivot_lu(self.S), None, None
 
 
 def _factorize(system: SaddleSystem) -> _CondensedFactor:
     """Condensed factor of the pinned ``K`` (see ``_CondensedFactor``).
 
     The recipe for the ``S`` of ``system.reduced_blocks()`` is chosen from
-    ``S`` itself.  When ``S`` has a structurally zero diagonal entry (the
-    kept pressures of the P1 tuples with sigma = 0) and each nonzero
+    ``S`` itself; both factor ``S`` equilibrated by powers of two
+    (``_scaled_lu``).  When ``S`` has a structurally zero diagonal entry
+    (the kept pressures of the P1 tuples with sigma = 0) and each nonzero
     diagonal entry is the largest in magnitude in its column, it is
-    ``_static_pivot_lu``: match, order, factor; ``linear_solve`` checks it
-    on every solve and falls back when it fails.  Otherwise, or when that
-    factor meets an exactly zero pivot, it is ``_threshold_pivot_lu``:
-    SuperLU factors ``S`` equilibrated by powers of two, in a COLAMD order
-    with threshold pivoting.  A nonzero diagonal entry outgrown in its
-    column marks a convection-dominated ``S`` (steady P1 at small mu):
-    there the matching is slow and the static pivots grow.
-    Static pivoting is unstable on the sigma = 0 tuples whose kept pressures
-    have a nonzero diagonal, such as the P2 tuple.  A singular element block,
-    a structurally singular ``S`` or a singular factorization raises
-    ``LinearSolveError``.
+    ``_static_pivot_lu``: match, scale, order, factor; ``linear_solve``
+    checks it on every solve and replaces it when it fails.  Otherwise, or
+    when that factor meets an exactly zero pivot, it is
+    ``_threshold_pivot_lu``: COLAMD with threshold pivoting.  A nonzero
+    diagonal entry outgrown in its column marks a convection-dominated
+    ``S`` (steady P1 at small mu): there the matching is slow and the
+    static pivots grow.  Static pivoting is unstable on the sigma = 0
+    tuples whose kept pressures have a nonzero diagonal, such as the P2
+    tuple.  A singular element block, a structurally singular ``S`` or a
+    singular factorization raises ``LinearSolveError``.
     """
     *_, Dinv_stack, Dinv_K_ck, S = system.reduced_blocks()
     d = np.abs(S.diagonal())
+    schur = None
     if not d.all():
         colmax = abs(S).max(axis=0).toarray().ravel()
         if np.all((d == 0) | (d == colmax)):
-            static = _static_pivot_lu(S, colmax)
-            if static is not None:
-                return _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, *static, S)
-    return _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, _threshold_pivot_lu(S))
+            schur = _static_pivot_lu(S, colmax)
+    return _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, schur or _threshold_pivot_lu(S))
 
 
 @dataclass(frozen=True)
-class _EquilibratedLU:
-    """The LU of ``diag(r) S diag(c)``, solving with ``S``."""
+class _ScaledLU:
+    """The LU of ``diag(r) S[rows] diag(c)``, solving with ``S``; ``rows=None`` permutes none."""
 
     lu: spla.SuperLU
+    rows: np.ndarray | None
     r: np.ndarray
     c: np.ndarray
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.c * self.lu.solve(self.r * b)
+        return self.c * self.lu.solve(self.r * (b if self.rows is None else b[self.rows]))
 
 
-def _threshold_pivot_lu(S: sp.csc_matrix) -> _EquilibratedLU:
-    """SuperLU's threshold-pivoted LU of ``S``, equilibrated as by LAPACK's ``dgeequb``.
+def _scaled_lu(S: sp.csc_matrix, rows: np.ndarray | None, **splu_keywords) -> _ScaledLU:
+    """SuperLU's LU of ``S[rows]``, equilibrated as by LAPACK's ``dgeequb``.
 
-    ``r`` scales each row of ``S`` by the inverse of its largest magnitude,
-    and ``c`` each column of ``diag(r) S`` likewise, both rounded down to
-    powers of two, so the scaling is exact and every column of ``diag(r) S
-    diag(c)`` has its largest magnitude in [0.5, 1).  SuperLU factors that
-    matrix in a COLAMD order with threshold 0.1 (UMFPACK's default, Davis,
-    TOMS 30, 2004): there its diagonal pivots mostly stand, where on ``S``
-    they are outgrown and the row interchanges add fill.  An empty row or
-    column of ``S``, or a singular factorization, raises ``LinearSolveError``.
+    ``r`` scales each row of ``S[rows]`` by the inverse of its largest
+    magnitude, and ``c`` each column of ``diag(r) S[rows]`` likewise, both
+    rounded down to powers of two, so the scaling is exact and every column
+    of ``diag(r) S[rows] diag(c)`` has its largest magnitude in [0.5, 1).
+    ``splu_keywords`` are the recipe's.  An empty row or column of ``S``,
+    or a singular factorization, raises ``LinearSolveError``.
     """
     n, counts = S.shape[0], np.diff(S.indptr)
     rowmax = np.zeros(n)
@@ -220,28 +205,40 @@ def _threshold_pivot_lu(S: sp.csc_matrix) -> _EquilibratedLU:
     r = np.ldexp(1.0, -np.frexp(rowmax)[1])  # 2^-e for rowmax = m 2^e, 0.5 <= m < 1
     rs = S.data * r[S.indices]
     c = np.ldexp(1.0, -np.frexp(np.maximum.reduceat(np.abs(rs), S.indptr[:-1]))[1])
-    # a copy that owns its arrays: splu sorts its input in place
-    scaled = sp.csc_matrix((rs * np.repeat(c, counts), S.indices.copy(), S.indptr.copy()),
-                           S.shape)
+    # a relabelled copy that owns its arrays: splu sorts its input in place
+    indices = S.indices.copy() if rows is None else np.argsort(rows)[S.indices]
+    scaled = sp.csc_matrix((rs * np.repeat(c, counts), indices, S.indptr.copy()), S.shape)
     try:
-        lu = spla.splu(scaled, permc_spec="COLAMD", diag_pivot_thresh=0.1)
+        lu = spla.splu(scaled, **splu_keywords)
     except RuntimeError as exc:  # singular factorization, SuperLU reports pivot
         raise LinearSolveError(f"sparse factorization failed for S (order {n}): {exc}") from exc
-    return _EquilibratedLU(lu, r, c)
+    return _ScaledLU(lu, rows, r if rows is None else r[rows], c)
 
 
-def _static_pivot_lu(S: sp.csc_matrix, colmax: np.ndarray):
-    """``(lu, perm)``: a static-pivot LU of ``S``'s rows permuted by ``perm``.
+def _threshold_pivot_lu(S: sp.csc_matrix) -> _ScaledLU:
+    """SuperLU's threshold-pivoted LU of ``S``, equilibrated, with no rows permuted.
 
-    ``perm`` is a maximum-product matching of rows to columns (Duff and
+    SuperLU factors ``diag(r) S diag(c)`` in a COLAMD order with threshold
+    0.1 (UMFPACK's default, Davis, TOMS 30, 2004): there its diagonal
+    pivots mostly stand, where on ``S`` they are outgrown and the row
+    interchanges add fill.
+    """
+    return _scaled_lu(S, None, permc_spec="COLAMD", diag_pivot_thresh=0.1)
+
+
+def _static_pivot_lu(S: sp.csc_matrix, colmax: np.ndarray) -> _ScaledLU | None:
+    """A static-pivot LU of ``S``, equilibrated, with its rows permuted by a matching.
+
+    ``rows`` is a maximum-product matching of rows to columns (Duff and
     Koster, SIMAX 22, 2001), found as the minimum-weight full matching on
     ``log(colmax_j) - log|s_ij|``, ``colmax`` being the largest magnitude in
-    each column, so every diagonal entry of ``S[perm]`` is large.  SuperLU
-    then orders ``S[perm]`` symmetrically by minimum degree on ``A^T + A``
-    and keeps those diagonal pivots (threshold 0), as in SuperLU_DIST (Li
-    and Demmel, TOMS 29, 2003).  None when SuperLU finds an exactly zero
-    pivot.  A structurally singular ``S``, with no full matching, raises
-    ``LinearSolveError``.
+    each column, so every diagonal entry of ``S[rows]`` is large; the
+    power-of-two scaling multiplies every matching's product alike, so it
+    keeps that one.  SuperLU then orders ``diag(r) S[rows] diag(c)``
+    symmetrically by minimum degree on ``A^T + A`` and keeps those diagonal
+    pivots (threshold 0), as in SuperLU_DIST (Li and Demmel, TOMS 29,
+    2003).  None when SuperLU finds an exactly zero pivot.  A structurally
+    singular ``S``, with no full matching, raises ``LinearSolveError``.
     """
     mag = np.abs(S.data)  # S holds no explicit zeros
     colmax = np.repeat(colmax, np.diff(S.indptr))
@@ -251,14 +248,11 @@ def _static_pivot_lu(S: sp.csc_matrix, colmax: np.ndarray):
         _, to_col = min_weight_full_bipartite_matching(cost)
     except ValueError as exc:
         raise LinearSolveError(f"structurally singular Schur complement: {exc}") from exc
-    # a relabelled copy that owns its arrays: splu sorts its input in place
-    Sp = sp.csc_matrix((S.data.copy(), to_col[S.indices], S.indptr.copy()), S.shape)
     try:
-        lu = spla.splu(Sp, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
-    except RuntimeError:  # an exactly zero pivot
+        return _scaled_lu(S, np.argsort(to_col), permc_spec="MMD_AT_PLUS_A",
+                          diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    except LinearSolveError:  # an exactly zero pivot
         return None
-    return lu, np.argsort(to_col)
 
 
 def solve_steady(mesh: Mesh, config: SpaceConfig, problem) -> DiscreteSolution:
@@ -289,18 +283,17 @@ def solve_evolutionary(
     pinned ``K`` raises ``LinearSolveError``.  The coefficients do not
     depend on time, so ``K``, its boundary lift and the condensed factor of
     ``_factorize`` come from one element layout and are reused by every
-    step.  That factor is chosen once, before the first step: static
-    pivots after a row matching for the P1 tuples with sigma = 0 whose ``S``
-    is not convection dominated, SuperLU's threshold pivoting of the
-    equilibrated ``S`` otherwise.  Every step's residual check guards it,
+    step.  That factor's LU of the equilibrated ``S`` is chosen once,
+    before the first step: static pivots after a row matching for the P1
+    tuples with sigma = 0 whose ``S`` is not convection dominated,
+    threshold pivoting otherwise.  Every step's residual check guards it,
     and the first step whose check the static factor fails replaces it with
-    the equilibrated threshold-pivoted one for the rest of the march.
+    the threshold-pivoted one for the rest of the march.
     ``f`` and ``g`` are evaluated at the kernels' read-only ``qxy`` and
     ``boundary_xy`` (the forcing's cache hits them by identity), the
     right-hand side is one product with the lift, whose flux rows give the
     compatibility check, and the condensed solve is one sparse product on
-    each side of the LU solve of ``S``, which gathers the kept right-hand
-    side by the row permutation, if any, or scales it and its solution.
+    each side of the ``_ScaledLU`` solve of ``S``.
 
     The mass form lives on the element-interior velocity block only, and
     the interiors lead the ``K_dofs`` numbering, so between steps only the

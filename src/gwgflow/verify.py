@@ -197,15 +197,8 @@ def check_weak_identities(
 
 def _trace_values(ker: ElementKernels, vloc: np.ndarray) -> np.ndarray:
     """Trace-part values of local DOF vectors at edge points, (nT, 3, nq, 2)."""
-    dk, dj = ker.dk, ker.dj
-    nT = vloc.shape[0]
-    out = np.empty((nT, 3, ker.edge_s.size, 2))
-    for le in range(3):
-        for c in range(2):
-            start = 2 * dk + le * 2 * dj + c * dj
-            coeff = vloc[:, start : start + dj]
-            out[:, le, :, c] = coeff @ ker.Qj.T
-    return out
+    coeff = vloc[:, 2 * ker.dk :].reshape(vloc.shape[0], 3, 2, ker.dj)  # (edge, component)
+    return np.einsum("tlca,qa->tlqc", coeff, ker.Qj)
 
 
 # -- stability diagnostics ----------------------------------------------------

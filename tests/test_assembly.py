@@ -11,7 +11,7 @@ from gwgflow.assembly import (
     constrain_system,
 )
 from gwgflow.config import SpaceConfig
-from gwgflow.localops import ElementKernels, project_pressure, project_velocity
+from gwgflow.localops import ElementKernels, _project_pressure_values, project_velocity
 from gwgflow.mesh import build_uniform_triangulation
 from gwgflow.problems import manufactured_problem
 from test_localops import _jittered_mesh
@@ -82,7 +82,8 @@ def test_s2_empty_when_sigma_zero(mesh4, config_low):
 def test_s2_kills_continuous_pressures_only(mesh4):
     cfg, ker, dm = _setup(mesh4, (2, 1, 1, 1, 1), sigma=1)
     S2 = assemble_bilinear("s2", ker)
-    smooth = project_pressure(ker, lambda x, y: 1.0 + 2 * x - 3 * y).reshape(-1)
+    x, y = ker.qxy
+    smooth = _project_pressure_values(ker, 1.0 + 2 * x - 3 * y).reshape(-1)
     assert np.abs(S2 @ smooth).max() < 1e-12
     rng = np.random.default_rng(1)
     rough = rng.standard_normal(dm.n_pressure)
@@ -187,7 +188,8 @@ def test_constraint_row(mesh4, element_tuple):
     const = np.zeros(ker.dofmap.n_pressure)
     const[ker.dofmap.elem_pres[:, 0]] = 1.0
     assert c @ const == pytest.approx(1.0, abs=1e-12)  # area of the domain
-    coeffs = project_pressure(ker, lambda x, y: (2 * x - 1) * (2 * y - 1)).reshape(-1)
+    x, y = ker.qxy
+    coeffs = _project_pressure_values(ker, (2 * x - 1) * (2 * y - 1)).reshape(-1)
     assert abs(c @ coeffs) < 1e-12
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gwgflow import verify
+import gwgflow
+from gwgflow import solver, verify
 from gwgflow.cli import main
 
 
@@ -128,6 +133,36 @@ def test_verify_above_the_dense_limit_is_a_message(monkeypatch, capsys):
         main(["verify", "--cells", "2", "--trials", "1"])
     assert exc.value.code.startswith("verify stopped: the inf-sup estimate forms dense 8 x 8")
     assert "8 pressure DOFs exceed DENSE_EIG_LIMIT = 7" in exc.value.code
+
+
+FAILED_SOLVE = "linear solve failed with the equilibrated LU of S (order "
+
+
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_failed_linear_solve_is_a_message(command, monkeypatch, capsys, tmp_path):
+    # no solve passes a zero residual tolerance: the LinearSolveError ends
+    # the command with its text instead of a traceback
+    monkeypatch.setattr(solver, "RESIDUAL_TOL", 0.0)
+    argv = ["--cells", "2"] if command == "solve" else ["--mesh", "2", "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv])
+    assert exc.value.code.startswith(f"{command} stopped: {FAILED_SOLVE}")
+    assert "relative residual" in exc.value.code
+    assert not (tmp_path / "study.csv").exists()
+
+
+def test_failed_linear_solve_prints_no_traceback():
+    # the same failure in a fresh interpreter: exit status 1, and stderr
+    # holds the message alone
+    script = ("import sys; from gwgflow import cli, solver; solver.RESIDUAL_TOL = 0.0; "
+              "sys.exit(cli.main(['solve', '--cells', '2']))")
+    src = str(Path(gwgflow.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 1
+    assert run.stderr.startswith(f"solve stopped: {FAILED_SOLVE}")
+    assert "Traceback" not in run.stderr
 
 
 def test_evolutionary_solve_command(capsys):

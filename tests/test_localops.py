@@ -7,9 +7,9 @@ from gwgflow.config import SpaceConfig
 from gwgflow.localops import (
     _CLASS_TABLES,
     ElementKernels,
+    _project_pressure_values,
     _solve_mass,
     project_boundary_traces,
-    project_pressure,
     project_velocity,
 )
 from gwgflow.mesh import _build_topology, build_uniform_triangulation
@@ -28,7 +28,8 @@ def test_project_interior_reproduces_constant(mesh4, config_high):
 def test_project_interior_mean_value(config_low):
     # P0 projection of f = x equals the centroid value
     mesh = build_uniform_triangulation(1)
-    coeff = project_pressure(ElementKernels(mesh, config_low), lambda x, y: x)
+    ker = ElementKernels(mesh, config_low)
+    coeff = _project_pressure_values(ker, ker.qxy[0])
     assert np.allclose(coeff[:, 0], mesh.centroids[:, 0], atol=1e-14, rtol=0)
 
 
@@ -264,7 +265,7 @@ def _renumbered_mesh(n: int, seed: int = 0):
     between congruent elements, and with them the trace basis on an edge.
     """
     mesh = build_uniform_triangulation(n)
-    perm = np.random.default_rng(seed).permutation(mesh.n_vertices)
+    perm = np.random.default_rng(seed).permutation(mesh.vertices.shape[0])
     verts = np.empty_like(mesh.vertices)
     verts[perm] = mesh.vertices
     return _build_topology(verts, perm[mesh.elements])
@@ -274,7 +275,8 @@ def _two_sizes_mesh(n: int):
     """The uniform n x n mesh beside a copy of it at half the size."""
     mesh = build_uniform_triangulation(n)
     verts = np.concatenate([mesh.vertices, 0.5 * mesh.vertices + [2.0, 0.0]])
-    return _build_topology(verts, np.concatenate([mesh.elements, mesh.elements + mesh.n_vertices]))
+    nv = mesh.vertices.shape[0]
+    return _build_topology(verts, np.concatenate([mesh.elements, mesh.elements + nv]))
 
 
 def _single_element_mesh(mesh, t: int):

@@ -6,23 +6,23 @@ from gwgflow.mesh import BOUNDARY, _build_topology, build_uniform_triangulation
 
 def test_single_cell_counts():
     m = build_uniform_triangulation(1)
-    assert m.n_vertices == 4
+    assert m.vertices.shape[0] == 4
     assert m.n_elements == 2
     assert m.n_edges == 5
 
 
 def test_counts_n8_and_euler():
     m = build_uniform_triangulation(8)
-    assert m.n_vertices == 81
+    assert m.vertices.shape[0] == 81
     assert m.n_elements == 128
     assert m.n_edges == 208
-    assert m.n_vertices - m.n_edges + m.n_elements == 1
+    assert m.vertices.shape[0] - m.n_edges + m.n_elements == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_euler_and_edge_counts(n):
     m = build_uniform_triangulation(n)
-    assert m.n_vertices - m.n_edges + m.n_elements == 1
+    assert m.vertices.shape[0] - m.n_edges + m.n_elements == 1
     assert len(m.boundary_edges) == 4 * n
     interior = m.n_edges - len(m.boundary_edges)
     # every interior edge has two incident elements, boundary edges one

@@ -224,8 +224,8 @@ def test_factor_recipe_follows_the_schur_complement(mesh8, element, sigma, stati
                                                      monkeypatch):
     # a zero diagonal in S (the kept P1 pressures with sigma = 0) takes the
     # static-pivot path, with less fill than SuperLU's default factor; a
-    # nonzero diagonal (sigma = 1, or the P2 tuple) takes the equilibrated
-    # threshold-pivoted factor alone
+    # nonzero diagonal (sigma = 1, or the P2 tuple) takes the threshold-
+    # pivoted factor alone; both are equilibrated
     system, step = _system(kind, mesh8, SpaceConfig(*element, sigma=sigma))
     S = system.reduced_blocks()[-1]
     assert S.diagonal().all() == (not static)
@@ -234,14 +234,14 @@ def test_factor_recipe_follows_the_schur_complement(mesh8, element, sigma, stati
     factor = _factorize(system)
     monkeypatch.undo()
     assert calls == ([STATIC] if static else [EQUILIBRATED])
-    assert (factor.perm is not None) == static
-    lu = factor.lu if static else factor.lu.lu
-    assert lu.nnz < spla.splu(S).nnz
-    if not static:  # r and c are powers of two, and lead every column to [0.5, 1)
-        r, c = factor.lu.r, factor.lu.c
-        assert np.all(np.frexp(r)[0] == 0.5) and np.all(np.frexp(c)[0] == 0.5)
-        colmax = abs(sp.diags(r) @ S @ sp.diags(c)).max(axis=0).toarray()
-        assert colmax.min() >= 0.5 and colmax.max() < 1.0
+    rows = factor.schur.rows
+    assert (rows is not None) == static
+    assert factor.schur.lu.nnz < spla.splu(S).nnz
+    # r and c are powers of two, and lead every column of diag(r) S[rows] diag(c) to [0.5, 1)
+    r, c = factor.schur.r, factor.schur.c
+    assert np.all(np.frexp(r)[0] == 0.5) and np.all(np.frexp(c)[0] == 0.5)
+    colmax = abs(sp.diags(r) @ (S if rows is None else S[rows]) @ sp.diags(c)).max(axis=0)
+    assert colmax.min() >= 0.5 and colmax.max() < 1.0
     # the cached S is left as it was: the factored copy owns its arrays
     assert S.has_sorted_indices and abs(S - before).max() == 0.0
     K, rhs = system.operator(*step)
@@ -266,27 +266,27 @@ def test_convection_dominated_schur_complement_keeps_the_default_factor(mu, monk
     monkeypatch.setattr(solver, "min_weight_full_bipartite_matching", None)
     calls = _record_splu(monkeypatch)
     factor = _factorize(system)
-    assert calls == [EQUILIBRATED] and factor.perm is None
+    assert calls == [EQUILIBRATED] and factor.schur.rows is None
     linear_solve(system, *step, factor)
 
 
 def test_failed_static_solve_falls_back_to_the_default_factor(monkeypatch):
     # static pivots forced onto steady P1 at mu = 1e-4 grow: the first solve
     # fails the residual check, is not refined, and S is refactored with
-    # equilibrated threshold pivoting; the solution is that factor's, and
-    # later solves keep the new factor
+    # threshold pivoting; the solution is that factor's, and later solves
+    # keep the new factor
     system, step = _low_viscosity_system(1e-4)
     *_, Dinv_stack, Dinv_K_ck, S = system.reduced_blocks()
     default = _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, solver._threshold_pivot_lu(S))
     colmax = abs(S).max(axis=0).toarray().ravel()
     static = _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck,
-                              *solver._static_pivot_lu(S, colmax), S)
+                              solver._static_pivot_lu(S, colmax))
     K, rhs = system.operator(*step)
     assert not np.linalg.norm(K @ static.solve(rhs) - rhs) <= 1e-10 * np.linalg.norm(rhs)
     calls = _record_splu(monkeypatch)
     x = linear_solve(system, *step, static)
     assert calls == [EQUILIBRATED]
-    assert static.perm is None and static.S is None
+    assert static.schur.rows is None
     ref = linear_solve(system, *step, default)
     assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
     linear_solve(system, *step, static)
@@ -305,7 +305,7 @@ def test_zero_static_pivot_falls_back_to_the_default_factor(mesh4, config_low, m
     calls = []
     monkeypatch.setattr(spla, "splu", zero_static_pivot)
     system, step = _system("steady", mesh4, config_low)
-    assert _factorize(system).perm is None
+    assert _factorize(system).schur.rows is None
     assert calls == [EQUILIBRATED]
     linear_solve(system, *step)
 
@@ -608,7 +608,7 @@ def test_linear_solve_nan_rhs_raises(mesh4, config_low):
     prob = manufactured_problem("steady_oseen_ex1")
     system, (load, traces) = _steady_system(mesh4, config_low, prob)
     order = system.K_dofs.size - system.nc
-    match = (rf"LU of S \(order {order}\) by static pivots, then equilibrated threshold "
+    match = (rf"equilibrated LU of S \(order {order}\) by static pivots, then threshold "
              r"pivoting: .* nan")
     with pytest.raises(LinearSolveError, match=match):
         linear_solve(system, np.full_like(load, np.nan), traces)

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 from gwgflow import verify
 from gwgflow.config import SpaceConfig
-from gwgflow.localops import ElementKernels, project_pressure, project_velocity
+from gwgflow.localops import ElementKernels, _project_pressure_values, project_velocity
 from gwgflow.mesh import build_uniform_triangulation
 from gwgflow.problems import manufactured_problem
 from gwgflow.solver import DiscreteSolution, solve_steady
@@ -26,7 +26,7 @@ def _projection_errors(mesh, cfg):
     ker = system.kernels
     projected = DiscreteSolution(
         velocity_vector=ker.dofmap.velocity_vector(*project_velocity(ker, prob.u, 0.0)),
-        pressure_vector=project_pressure(ker, prob.p, 0.0).reshape(-1),
+        pressure_vector=_project_pressure_values(ker, prob.p(*ker.qxy, 0.0)).reshape(-1),
         time=0.0,
         system=system,
     )
