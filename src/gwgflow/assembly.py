@@ -16,10 +16,13 @@ component-local velocity matrix, placed on both components: ``mu viscous
 + s1`` (with ``rho/tau mass`` for a backward-Euler step) per shape class
 plus ``rho convection`` per element; ``B_local`` is the divergence matrix
 of each shape class.  ``element_layout`` places both on every element's
-unknowns, once per system: ``reduced_blocks`` scatters it into the pinned
-``K`` and its boundary-lifting columns and condenses it for the solver.
-A system holds no step data: ``operator`` and ``expand`` take the load and
-the boundary traces ``Q_b g``, so one system serves every time step.
+unknowns, once per system: ``reduced_blocks`` scatters it into the
+boundary-lifting columns, condenses it for the solver and keeps it.  The
+pinned ``K`` has two products from that kept layout: ``apply`` sums the
+element products, with no ``K`` built, and ``matrix`` scatters the CSR
+``K`` once, for a caller that takes many products with it.  A system holds
+no step data: ``operator`` and ``expand`` take the load and the boundary
+traces ``Q_b g``, so one system serves every time step.
 """
 
 from __future__ import annotations
@@ -197,6 +200,8 @@ class SaddleSystem:
     nc: int
     mean_vector: np.ndarray | None = None
     _blocks: tuple | None = field(default=None, repr=False)
+    _layout: tuple | None = field(default=None, repr=False)
+    _K: sp.csr_matrix | None = field(default=None, repr=False)
 
     def element_layout(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Every element's ``[[A, -B^T], [B, 0]]``, (nT, nloc+dn, nloc+dn).
@@ -221,18 +226,21 @@ class SaddleSystem:
         return E, dofs, cond.size
 
     def reduced_blocks(self) -> tuple:
-        """``(K, L, Dinv_stack, Dinv_K_ck, S)`` from one ``element_layout``, kept.
+        """``(lift, Dinv_stack, Dinv_K_ck, S)`` from one ``element_layout``, kept.
 
-        ``K`` (CSR, with ``S2`` on the kept pressures) and the lift ``L`` are
-        scatters of the layout.  ``L @ g`` couples the boundary traces ``g``
-        to every row of ``K``, in ``K`` order, and then to each element's
-        constant pressure mode, the flux rows ``operator`` checks.  The rest
-        condense the layout element by element.  Split at ``nc``, ``K =
-        [[D, K_ck], [K_kc, K_kk]]`` with ``D`` block diagonal; the solver
-        factors ``S = K_kk - K_kc D^-1 K_ck`` (CSC, no stored zeros), indexed
-        by ``K`` index minus ``nc`` (``solver._factorize``).  The solver
-        applies ``Dinv_stack = [K_kc D^-1; D^-1]`` before it and ``Dinv_K_ck
-        = D^-1 K_ck`` after it, both formed per element.
+        The lift is a scatter of the layout: ``lift @ g`` couples the
+        boundary traces ``g`` to every row of the pinned ``K``, in ``K``
+        order, and then to each element's constant pressure mode, the flux
+        rows ``operator`` checks.  The rest condense the layout element by
+        element.  Split at ``nc``, ``K = [[D, K_ck], [K_kc, K_kk]]`` with
+        ``D`` block diagonal; the solver factors ``S = K_kk - K_kc D^-1
+        K_ck`` (CSC, no stored zeros), indexed by ``K`` index minus ``nc``
+        (``solver._factorize``).  The solver applies ``Dinv_stack = [K_kc
+        D^-1; D^-1]`` before it and ``Dinv_K_ck = D^-1 K_ck`` after it, both
+        formed per element.  The layout itself is kept too, with the rows and
+        columns of the boundary traces and the pinned pressure zeroed, with
+        its ``K`` indices and, when sigma = 1, ``S2`` in ``K`` order:
+        ``apply`` and ``matrix`` take ``K`` from it.
         """
         if self._blocks is not None:
             return self._blocks
@@ -245,9 +253,6 @@ class SaddleSystem:
         i2, j2 = (K_of[dm.n_velocity + ij][:, None] for ij in (S2.row, S2.col))
         E, dofs, c = self.element_layout()
         k, b = K_of[dofs], bnd[dofs]
-        K = _scatter(E, k, k, (n, n))
-        if S2.nnz:  # on the kept pressures, where the layout has no entry
-            K = K + _scatter(S2.data[:, None, None], i2, j2, K.shape)
         t = np.flatnonzero((b >= 0).any(axis=1))  # the elements on the boundary
         p0 = np.flatnonzero(dofs[0] == dm.n_velocity + dm.elem_pres[0, 0])  # constant mode
         Et, rows = E[t], np.concatenate([k[t], n + t[:, None]], axis=1)   # flux row n + t
@@ -274,25 +279,63 @@ class SaddleSystem:
         np.matmul(vals[..., nk:], E[:, c:, :c].transpose(0, 2, 1), out=vals[..., :nk])
         Dinv_stack = _csr(cols, vals.reshape(nc, nk + c)[row], m + nc).T
         Dinv_K_ck = _csr(kzc, Dinv_K_ck.reshape(nc, nk)[row], m)
-        del E, Et, Dinv, K_ck, cols, vals  # before S and its factor are allocated
+        del Et, Dinv, K_ck, cols, vals  # before S and its factor are allocated
         rows, cols = np.repeat(kz, nk, axis=1).ravel(), np.tile(kz, nk).ravel()
         S = sp.csc_matrix((S_local.ravel(), (rows, cols)), shape=(m, m))
         if S2.nnz:
             S = S + _scatter(S2.data[:, None, None], i2 - nc, j2 - nc, S.shape)
         S.eliminate_zeros()
-        self._blocks = (K, lift, Dinv_stack, Dinv_K_ck, S)
+        # S2 on the kept pressures, where the layout has no entry
+        S2_K = _scatter(S2.data[:, None, None], i2, j2, (n, n)) if S2.nnz else None
+        self._layout = (E, k, S2_K)
+        self._blocks = (lift, Dinv_stack, Dinv_K_ck, S)
         return self._blocks
 
-    def operator(self, rhs_vel: np.ndarray, traces: np.ndarray):
-        """The pinned ``K`` and the right-hand side of one step's data.
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``K @ x`` for the pinned ``K``, summed from the kept element layout.
+
+        ``x`` is gathered onto every element's unknowns, those dropped from
+        ``K`` (whose layout entries are zero) reading a zero, multiplied by
+        the element matrices in one batched product, and the products are
+        summed into ``K`` order by one ``np.bincount``; ``S2`` adds its own
+        on the kept pressures.  No ``K`` is built, as in the element-by-element
+        products of Hughes, Levit and Winget (CMAME 36, 1983): for one
+        product this is several times cheaper than scattering ``K``.
+        """
+        self.reduced_blocks()
+        E, k, S2 = self._layout
+        n = self.K_dofs.size
+        at = np.where(k < 0, n, k)  # dropped unknowns read, and sum into, slot n
+        local = np.matmul(E, np.append(x, 0.0)[at][..., None])
+        Kx = np.bincount(at.ravel(), local.ravel(), minlength=n + 1)[:n]
+        return Kx if S2 is None else Kx + S2 @ x
+
+    def matrix(self) -> sp.csr_matrix:
+        """The pinned ``K`` (CSR, with ``S2`` on the kept pressures), scattered once and kept.
+
+        For a caller that takes many products with one ``K``, such as the
+        residual check of every step of a march: a CSR product is cheaper
+        than ``apply``, once the scatter is paid.
+        """
+        if self._K is None:
+            self.reduced_blocks()
+            E, k, S2 = self._layout
+            n = self.K_dofs.size
+            K = _scatter(E, k, k, (n, n))
+            self._K = K if S2 is None else K + S2
+        return self._K
+
+    def operator(self, rhs_vel: np.ndarray, traces: np.ndarray) -> np.ndarray:
+        """The right-hand side of the pinned ``K`` for one step's data.
 
         ``rhs_vel`` is the velocity load, and one product with the lift moves
         the boundary ``traces`` to the right-hand side.  The equation dropped
         with the pinned pressure DOF, the sum of the constant-mode rows, says
         that g has no net outward flux; a ``ValueError`` is raised when the
-        lift's flux rows fail that by more than ``COMPAT_TOL``.
+        lift's flux rows fail that by more than ``COMPAT_TOL``.  ``K`` itself
+        is ``matrix()``, or its product ``apply(x)``.
         """
-        K, lift = self.reduced_blocks()[:2]
+        lift = self.reduced_blocks()[0]
         dm, n = self.kernels.dofmap, self.K_dofs.size
         nI = dm.n_interior
         lifted = lift @ traces
@@ -303,7 +346,7 @@ class SaddleSystem:
         # the velocity unknowns of K: the interiors lead, the free traces follow nc
         rhs[:nI] += rhs_vel[:nI]
         rhs[self.nc : self.nc + dm.free_dofs.size - nI] += rhs_vel[dm.free_dofs[nI:]]
-        return K, rhs
+        return rhs
 
     def expand(self, x: np.ndarray, traces: np.ndarray):
         """Full velocity and pressure vectors of a solution of ``operator``.

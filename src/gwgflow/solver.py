@@ -81,37 +81,46 @@ class DiscreteSolution:
 
 
 def linear_solve(system: SaddleSystem, rhs_vel, traces, factor=None) -> np.ndarray:
-    """Direct solve of ``system.operator(rhs_vel, traces)``, in ``system.K_dofs`` order.
+    """Direct solve of ``K x = system.operator(rhs_vel, traces)``, in ``system.K_dofs`` order.
 
     Every solve, steady or time step, goes through here, with the
-    condensed factor of ``_factorize`` (built here unless ``factor`` is
-    given); it and ``K`` come from one element layout.  The relative
-    residual is checked on ``K`` against ``RESIDUAL_TOL``.  A static-pivot
-    solve (``schur.rows`` set) that fails the check is not refined: the
-    factor's ``schur`` becomes ``_threshold_pivot_lu`` of the system's
-    ``S``, for this and every later solve, so a given ``factor`` must be
-    this system's.  One step of iterative refinement is then applied if
-    needed, and ``LinearSolveError``, naming the pivoting tried and the
-    order of ``S``, is raised when the residual still fails the check,
-    including when it is NaN.
+    condensed factor of ``_factorize``, built here unless ``factor`` is
+    given; a given ``factor`` must be one built from this system's
+    ``reduced_blocks()``, or a ``ValueError`` is raised before it is used.
+    The relative residual is checked on the full pinned ``K`` against
+    ``RESIDUAL_TOL``.  A factor built here serves one right-hand side, so
+    its products with ``K`` are ``system.apply``, summed from the element
+    matrices; a given factor is reused, so they are products with the CSR
+    ``system.matrix()``, scattered on the first such solve.  A
+    static-pivot solve (``schur.rows`` set) that fails the check is not
+    refined: the factor's ``schur`` becomes ``_threshold_pivot_lu`` of the
+    system's ``S``, for this and every later solve.  One step of iterative
+    refinement is then applied if needed, and ``LinearSolveError``, naming
+    the pivoting tried and the order of ``S``, is raised when the residual
+    still fails the check, including when it is NaN.
     """
-    K, rhs = system.operator(rhs_vel, traces)
-    lu = factor if factor is not None else _factorize(system)
+    if factor is not None and factor.Dinv_stack is not system.reduced_blocks()[1]:
+        raise ValueError("factor was not built from this system's reduced_blocks()")
+    rhs = system.operator(rhs_vel, traces)
+    if factor is None:
+        lu, apply = _factorize(system), system.apply
+    else:
+        lu, apply = factor, system.matrix().dot
     scale = max(np.linalg.norm(rhs), 1e-300)
     x = lu.solve(rhs)
-    res = np.linalg.norm(K @ x - rhs) / scale
+    res = np.linalg.norm(apply(x) - rhs) / scale
     pivoting = "threshold pivoting"
     if not res <= RESIDUAL_TOL and lu.schur.rows is not None:
         lu.schur = _threshold_pivot_lu(system.reduced_blocks()[-1])
         pivoting = "static pivots, then threshold pivoting"
         x = lu.solve(rhs)
-        res = np.linalg.norm(K @ x - rhs) / scale
+        res = np.linalg.norm(apply(x) - rhs) / scale
     if not res <= RESIDUAL_TOL:
-        x = x + lu.solve(rhs - K @ x)
-        res = np.linalg.norm(K @ x - rhs) / scale
+        x = x + lu.solve(rhs - apply(x))
+        res = np.linalg.norm(apply(x) - rhs) / scale
     if not res <= RESIDUAL_TOL:
         raise LinearSolveError(
-            f"linear solve failed with the equilibrated LU of S (order {K.shape[0] - lu.nc}) "
+            f"linear solve failed with the equilibrated LU of S (order {rhs.size - lu.nc}) "
             f"by {pivoting}: relative residual {res:.3e} > {RESIDUAL_TOL:.1e}"
         )
     return x
@@ -281,14 +290,16 @@ def solve_evolutionary(
     ``linear_solve``, with the one system ``build_saddle_system`` built with
     ``tau`` (mass in the element sum), and a failed residual check on the
     pinned ``K`` raises ``LinearSolveError``.  The coefficients do not
-    depend on time, so ``K``, its boundary lift and the condensed factor of
+    depend on time, so the boundary lift and the condensed factor of
     ``_factorize`` come from one element layout and are reused by every
-    step.  That factor's LU of the equilibrated ``S`` is chosen once,
-    before the first step: static pivots after a row matching for the P1
-    tuples with sigma = 0 whose ``S`` is not convection dominated,
-    threshold pivoting otherwise.  Every step's residual check guards it,
-    and the first step whose check the static factor fails replaces it with
-    the threshold-pivoted one for the rest of the march.
+    step, and so is the CSR ``K`` of the residual checks, which the first
+    step scatters from that layout (``SaddleSystem.matrix``).  That
+    factor's LU of the equilibrated ``S`` is chosen once, before the first
+    step: static pivots after a row matching for the P1 tuples with sigma
+    = 0 whose ``S`` is not convection dominated, threshold pivoting
+    otherwise.  Every step's residual check guards it, and the first step
+    whose check the static factor fails replaces it with the
+    threshold-pivoted one for the rest of the march.
     ``f`` and ``g`` are evaluated at the kernels' read-only ``qxy`` and
     ``boundary_xy`` (the forcing's cache hits them by identity), the
     right-hand side is one product with the lift, whose flux rows give the

@@ -213,7 +213,8 @@ def test_operator_has_no_dense_row(mesh8, element_tuple):
     prob = manufactured_problem("steady_oseen_ex1")
     system = build_saddle_system(ker, prob.beta)
     load, traces = assemble_load(ker, prob.f, 0.0), apply_dirichlet(system, prob.g, 0.0)
-    K = system.operator(load, traces)[0]
+    system.operator(load, traces)
+    K = system.matrix()
     n = dm.free_dofs.size + dm.n_pressure - 1
     assert K.shape == (n, n)
     assert np.diff(K.tocsr().indptr).max() <= 2 * ker.nloc
@@ -227,7 +228,7 @@ def test_assembly_deterministic_rebuild(mesh4, element_tuple):
     second = build_saddle_system(ElementKernels(mesh4, cfg), prob.beta)
     assert np.array_equal(first.A_local, second.A_local)
     assert np.array_equal(first.B_local, second.B_local)
-    assert (first.reduced_blocks()[0] != second.reduced_blocks()[0]).nnz == 0
+    assert (first.matrix() != second.matrix()).nnz == 0
     first_load = assemble_load(first.kernels, prob.f, 0.0)
     assert np.array_equal(first_load, assemble_load(second.kernels, prob.f, 0.0))
 
@@ -307,7 +308,7 @@ def test_pinned_K_equals_sliced_global_blocks(element_tuple, kind, sigma, mesh_k
     prob = manufactured_problem("steady_oseen_ex1" if tau is None else "evolutionary_oseen_ex2")
     system = build_saddle_system(ker, prob.beta, tau)
     load, g = assemble_load(ker, prob.f, tau or 0.0), apply_dirichlet(system, prob.g, tau or 0.0)
-    K, rhs = system.operator(load, g)
+    rhs, K = system.operator(load, g), system.matrix()
 
     free, bnd = dm.free_dofs, dm.boundary_dofs
     keep = np.delete(np.arange(dm.n_pressure), dm.elem_pres[0, 0])
@@ -331,6 +332,9 @@ def test_pinned_K_equals_sliced_global_blocks(element_tuple, kind, sigma, mesh_k
     K.sort_indices()
     assert np.array_equal(K.indptr, ref.indptr) and np.array_equal(K.indices, ref.indices)
     assert np.all(K.data != 0)
+    # the element-by-element product, with no K built
+    x = np.random.default_rng(0).standard_normal(K.shape[0])
+    assert np.abs(system.apply(x) - ref @ x).max() <= 1e-14 * np.abs(ref @ x).max()
 
     expected = np.concatenate([load[free] - A[free][:, bnd] @ g, -(B[:, bnd] @ g)])[at]
     assert np.abs(rhs - expected).max() <= 1e-14 * np.abs(expected).max()

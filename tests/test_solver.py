@@ -108,8 +108,8 @@ def _system(kind, mesh, cfg):
 
 
 def _assert_condensed_solve_equals_full_solve(system, step):
-    K, rhs = system.operator(*step)
-    full = spla.spsolve(K, rhs)
+    rhs = system.operator(*step)
+    full = spla.spsolve(system.matrix(), rhs)
     condensed = _factorize(system).solve(rhs)
     assert np.linalg.norm(condensed - full) <= 1e-9 * np.linalg.norm(full)
     assert np.linalg.norm(linear_solve(system, *step) - full) <= 1e-9 * np.linalg.norm(full)
@@ -143,7 +143,7 @@ def test_factorize_builds_from_element_matrices(mesh4, element_tuple, monkeypatc
         monkeypatch.setattr(cls, "__getitem__", forbidden)
     factor = _factorize(system)
     monkeypatch.undo()
-    K, rhs = system.operator(*step)
+    rhs, K = system.operator(*step), system.matrix()
     x = factor.solve(rhs)
     assert np.linalg.norm(K @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
     nc, K = factor.nc, K.toarray()
@@ -167,6 +167,23 @@ def test_one_element_layout_per_solve(mesh4, element_tuple, kind, sigma, monkeyp
     assert len(calls) == 1
 
 
+def test_one_shot_solve_builds_no_K_and_a_march_builds_it_once(mesh4, element_tuple,
+                                                               monkeypatch):
+    # a steady solve checks its residual with the element product, so the
+    # matrix() cache stays empty; a march scatters K on its first step and
+    # takes a CSR product with it on every step
+    cfg = SpaceConfig(*element_tuple)
+    sol = solve_steady(mesh4, cfg, manufactured_problem("steady_oseen_ex1"))
+    assert sol.system._K is None
+    builds, matrix = [], SaddleSystem.matrix
+    monkeypatch.setattr(SaddleSystem, "matrix", lambda s: builds.append(s._K is None) or matrix(s))
+    grid = TimeGrid.from_tau(0.5, 0.5 / 4)
+    traj = solve_evolutionary(mesh4, cfg, manufactured_problem("evolutionary_oseen_ex2"), grid,
+                              keep_trajectory=True)
+    assert builds == [True] + [False] * (grid.n_steps - 1)
+    assert isinstance(traj[0].system._K, sp.csr_matrix)
+
+
 def test_backward_euler_element_sum_equals_added_mass(mesh4, element_tuple):
     # rho/tau mass enters the element sum of the velocity block: the element
     # matrices differ by rho/tau Mk on the interior slots, and the pinned K
@@ -178,7 +195,7 @@ def test_backward_euler_element_sum_equals_added_mass(mesh4, element_tuple):
     added = steady.A_local.copy()
     added[:, :dk, :dk] += ker.config.rho * ker.Mk / 0.1
     assert abs(stepped.A_local - added).max() <= 1e-14 * abs(added).max()
-    K_stepped, K_steady = stepped.reduced_blocks()[0], steady.reduced_blocks()[0]
+    K_stepped, K_steady = stepped.matrix(), steady.matrix()
     rest = sp.csr_matrix((K_steady.shape[0] - nI,) * 2)
     mass = sp.block_diag([assemble_bilinear("mass", ker)[:nI, :nI] / 0.1, rest])
     assert abs(K_stepped - (K_steady + mass)).max() <= 1e-14 * abs(K_stepped).max()
@@ -244,7 +261,7 @@ def test_factor_recipe_follows_the_schur_complement(mesh8, element, sigma, stati
     assert colmax.min() >= 0.5 and colmax.max() < 1.0
     # the cached S is left as it was: the factored copy owns its arrays
     assert S.has_sorted_indices and abs(S - before).max() == 0.0
-    K, rhs = system.operator(*step)
+    rhs, K = system.operator(*step), system.matrix()
     x = factor.solve(rhs)
     assert np.linalg.norm(K @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
     # the checked solve takes that one solve, with no refinement step
@@ -281,7 +298,7 @@ def test_failed_static_solve_falls_back_to_the_default_factor(monkeypatch):
     colmax = abs(S).max(axis=0).toarray().ravel()
     static = _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck,
                               solver._static_pivot_lu(S, colmax))
-    K, rhs = system.operator(*step)
+    rhs, K = system.operator(*step), system.matrix()
     assert not np.linalg.norm(K @ static.solve(rhs) - rhs) <= 1e-10 * np.linalg.norm(rhs)
     calls = _record_splu(monkeypatch)
     x = linear_solve(system, *step, static)
@@ -347,13 +364,32 @@ def test_empty_line_of_schur_complement_raises_before_superlu(mesh4, config_high
     assert calls == []
 
 
-def test_factor_of_another_system_fails_the_residual_check(mesh4, element_tuple):
-    # the residual is checked on the full pinned K, not on the factored one
+def test_factor_of_another_system_is_rejected_and_left_intact(mesh4, element_tuple):
+    # a factor that this system's reduced_blocks() did not build is refused
+    # before it is used (a failed static solve would replace its schur), so
+    # it still solves its own system afterwards
     cfg = SpaceConfig(*element_tuple)
-    other = _factorize(_system("backward_euler", mesh4, cfg)[0])
+    own, own_step = _system("backward_euler", mesh4, cfg)
+    other = _factorize(own)
+    schur = other.schur
     system, step = _system("steady", mesh4, cfg)
-    with pytest.raises(LinearSolveError, match="relative residual"):
+    with pytest.raises(ValueError, match="not built from this system"):
         linear_solve(system, *step, other)
+    assert other.schur is schur
+    linear_solve(own, *own_step, other)
+
+
+def test_factor_of_a_perturbed_schur_complement_fails_the_residual_check(mesh4, element_tuple):
+    # the residual is checked on the full pinned K, not on the factored S:
+    # the system's own factor holding the LU of a perturbed S fails it, also
+    # after the refinement step
+    system, step = _system("steady", mesh4, SpaceConfig(*element_tuple))
+    factor = _factorize(system)
+    perturbed = system.reduced_blocks()[-1].copy()
+    perturbed.data *= 1 + 0.1 * np.random.default_rng(0).standard_normal(perturbed.nnz)
+    factor.schur = solver._threshold_pivot_lu(perturbed)
+    with pytest.raises(LinearSolveError, match="relative residual"):
+        linear_solve(system, *step, factor)
 
 
 def test_singular_interior_block_raises(mesh4, element_tuple):
@@ -368,14 +404,35 @@ def test_singular_interior_block_raises(mesh4, element_tuple):
         linear_solve(system, *step)
 
 
-def test_linear_solve_residual_check(mesh4, element_tuple):
+def test_linear_solve_residual_check(mesh4, element_tuple, monkeypatch):
     cfg = SpaceConfig(*element_tuple)
     prob = manufactured_problem("steady_oseen_ex1")
     system, step = _steady_system(mesh4, cfg, prob)
     x = linear_solve(system, *step)
-    K, rhs = system.operator(*step)
+    rhs, K = system.operator(*step), system.matrix()
     res = np.linalg.norm(K @ x - rhs) / np.linalg.norm(rhs)
     assert res <= 1e-10
+    # a one-shot solve whose factor is off by 1e-8 (the threshold LU of a
+    # scaled S) needs its refinement step, and takes every product with K,
+    # the refinement's too, from the element matrices
+    fresh, _ = _steady_system(mesh4, cfg, prob)
+    factorize = solver._factorize
+
+    def scaled_factor(system):
+        factor = factorize(system)
+        factor.schur = solver._threshold_pivot_lu(system.reduced_blocks()[-1] * (1 + 1e-8))
+        return factor
+
+    def no_matrix(system):
+        raise AssertionError("a one-shot solve scattered K")
+
+    applies, apply = [], SaddleSystem.apply
+    monkeypatch.setattr(solver, "_factorize", scaled_factor)
+    monkeypatch.setattr(SaddleSystem, "apply", lambda s, x: applies.append(1) or apply(s, x))
+    monkeypatch.setattr(SaddleSystem, "matrix", no_matrix)
+    refined = linear_solve(fresh, *step)
+    assert len(applies) == 3   # the first residual, the refinement's, the last
+    assert np.linalg.norm(refined - x) <= 1e-9 * np.linalg.norm(x)
 
 
 def test_incompatible_boundary_data_raises(mesh4, element_tuple):
@@ -499,7 +556,7 @@ def test_factor_reuse_equals_refactoring(mesh4, config_low):
     *_, prev, reused = solve_evolutionary(mesh4, config_low, prob, grid, keep_trajectory=True)
     system = reused.system
     step = _step_data(system, prob, prev.velocity_vector, reused.time, grid.tau)
-    vel, pres = system.expand(spla.spsolve(*system.operator(*step)), step[1])
+    vel, pres = system.expand(spla.spsolve(system.matrix(), system.operator(*step)), step[1])
     assert np.abs(reused.velocity_vector - vel).max() < 1e-12
     assert np.abs(reused.pressure_vector - pres).max() < 1e-12
 
@@ -626,7 +683,8 @@ def test_trajectory_states_keep_their_own_step_data(mesh4, config_low):
     for sol in traj:
         step = _step_data(system, prob, u_prev, sol.time, grid.tau)
         assert np.array_equal(sol.velocity_vector[ker.dofmap.boundary_dofs], step[1])
-        vel, pres = system.expand(spla.spsolve(*system.operator(*step)), step[1])
+        vel, pres = system.expand(spla.spsolve(system.matrix(), system.operator(*step)),
+                                  step[1])
         assert np.abs(sol.velocity_vector - vel).max() < 1e-12
         assert np.abs(sol.pressure_vector - pres).max() < 1e-12
         u_prev = sol.velocity_vector
@@ -649,10 +707,9 @@ def test_operator_holds_no_step_data(mesh4, element_tuple):
     ker = system.kernels
     step_b = assemble_load(ker, prob.f, 0.2), apply_dirichlet(system, prob.g, 0.2)
     assert not np.array_equal(step_a[1], step_b[1])
-    K, rhs = system.operator(*step_a)
-    rhs = rhs.copy()
+    rhs, K = system.operator(*step_a).copy(), system.matrix()
     system.operator(*step_b)
-    K_again, rhs_again = system.operator(*step_a)
+    rhs_again, K_again = system.operator(*step_a), system.matrix()
     assert (K != K_again).nnz == 0 and np.array_equal(K.data, K_again.data)
     assert np.array_equal(rhs, rhs_again)
 
