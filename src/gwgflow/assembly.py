@@ -21,8 +21,8 @@ boundary-lifting columns, condenses it for the solver and keeps it.  The
 pinned ``K`` has two products from that kept layout: ``apply`` sums the
 element products, with no ``K`` built, and ``matrix`` scatters the CSR
 ``K`` once, for a caller that takes many products with it.  A system holds
-no step data: ``operator`` and ``expand`` take the load and the boundary
-traces ``Q_b g``, so one system serves every time step.
+no step data: ``operator`` takes the interior load and the boundary traces
+``Q_b g``, and ``expand`` the traces, so one system serves every time step.
 """
 
 from __future__ import annotations
@@ -160,12 +160,9 @@ def _assemble_s2(ker: ElementKernels) -> sp.csr_matrix:
 
 
 def assemble_load(kernels: ElementKernels, f, time: float | None = None) -> np.ndarray:
-    """Load vector (f, v0); only interior velocity entries are nonzero."""
+    """The load (f, v0), (n_interior,): only the interior velocity tests it."""
     vals = _eval_field("forcing f", f, *kernels.qxy, time)
-    vec = np.zeros(kernels.dofmap.n_velocity)
-    interior, _ = kernels.dofmap.split_velocity(vec)
-    interior[...] = kernels.interior_moments(vals)
-    return vec
+    return kernels.interior_moments(vals).reshape(-1)
 
 
 class LinearSolveError(RuntimeError):
@@ -207,8 +204,8 @@ class SaddleSystem:
         """Every element's ``[[A, -B^T], [B, 0]]``, (nT, nloc+dn, nloc+dn).
 
         With the global index of each unknown (pressures after velocities)
-        and the count ``c`` of condensed unknowns, which lead.  Free it after
-        use: it is several times the size of ``A_local``.
+        and the count ``c`` of condensed unknowns, which lead.  It is several
+        times the size of ``A_local``, and ``reduced_blocks`` keeps it.
         """
         ker = self.kernels
         dm, nloc, dn = ker.dofmap, ker.nloc, ker.dn
@@ -325,27 +322,26 @@ class SaddleSystem:
             self._K = K if S2 is None else K + S2
         return self._K
 
-    def operator(self, rhs_vel: np.ndarray, traces: np.ndarray) -> np.ndarray:
+    def operator(self, load: np.ndarray, traces: np.ndarray) -> np.ndarray:
         """The right-hand side of the pinned ``K`` for one step's data.
 
-        ``rhs_vel`` is the velocity load, and one product with the lift moves
-        the boundary ``traces`` to the right-hand side.  The equation dropped
-        with the pinned pressure DOF, the sum of the constant-mode rows, says
-        that g has no net outward flux; a ``ValueError`` is raised when the
-        lift's flux rows fail that by more than ``COMPAT_TOL``.  ``K`` itself
-        is ``matrix()``, or its product ``apply(x)``.
+        The interior ``load`` (a ``ValueError`` unless of length n_interior)
+        is added to the interior rows that lead ``K``, and one product with
+        the lift moves the boundary ``traces`` to the right-hand side.  The
+        equation dropped with the pinned pressure DOF, the sum of the
+        constant-mode rows, says that g has no net outward flux; a
+        ``ValueError`` is raised when the lift's flux rows fail that by more
+        than ``COMPAT_TOL``.  ``K`` itself is ``matrix()``, or ``apply(x)``.
         """
-        lift = self.reduced_blocks()[0]
-        dm, n = self.kernels.dofmap, self.K_dofs.size
-        nI = dm.n_interior
-        lifted = lift @ traces
+        nI, n = self.kernels.dofmap.n_interior, self.K_dofs.size
+        if load.shape != (nI,):
+            raise ValueError(f"load has shape {load.shape}, not the interior load's ({nI},)")
+        lifted = self.reduced_blocks()[0] @ traces
         flux = lifted[n:]
         if abs(flux.sum()) > COMPAT_TOL * np.abs(flux).sum():
             raise ValueError(f"boundary data g has net outward flux {flux.sum():.3e}, not 0")
         rhs = -lifted[:n]
-        # the velocity unknowns of K: the interiors lead, the free traces follow nc
-        rhs[:nI] += rhs_vel[:nI]
-        rhs[self.nc : self.nc + dm.free_dofs.size - nI] += rhs_vel[dm.free_dofs[nI:]]
+        rhs[:nI] += load
         return rhs
 
     def expand(self, x: np.ndarray, traces: np.ndarray):

@@ -112,20 +112,16 @@ def _cmd_solve(args) -> int:
 
 
 def _dump_solution(path: Path, solution) -> None:
-    """Plain-text dump: per-element interior and per-edge trace coefficients."""
+    """Plain-text dump: interior and pressure coefficients per element, traces per edge."""
     dm = solution.system.kernels.dofmap
     interior, traces = dm.split_velocity(solution.velocity_vector)
+    sections = [("interior", interior), ("trace", traces),
+                ("pressure", solution.pressure_vector[dm.elem_pres])]
     with path.open("w") as fh:
         fh.write(f"# time {solution.time:.17g}\n")
-        for t, block in enumerate(interior):
-            flat = " ".join(f"{v:.17g}" for v in block.ravel())
-            fh.write(f"interior {t} {flat}\n")
-        for e, block in enumerate(traces):
-            flat = " ".join(f"{v:.17g}" for v in block.ravel())
-            fh.write(f"trace {e} {flat}\n")
-        for t, block in enumerate(solution.pressure_vector[dm.elem_pres]):
-            flat = " ".join(f"{v:.17g}" for v in block.ravel())
-            fh.write(f"pressure {t} {flat}\n")
+        for label, blocks in sections:
+            for i, block in enumerate(blocks):
+                fh.write(f"{label} {i} {' '.join(f'{v:.17g}' for v in block.ravel())}\n")
 
 
 def _cmd_study(args) -> int:

@@ -236,7 +236,7 @@ class ElementKernels:
     def _build_edge_tables(self, k, l, m, n):
         mesh, config, r = self.mesh, self.config, self.reps
         s, ew = self.edge_rule.points, self.edge_rule.weights
-        self.edge_s, self.edge_w = s, ew
+        self.edge_w = ew
 
         va = mesh.vertices[mesh.edges[:, 0]]
         vb = mesh.vertices[mesh.edges[:, 1]]

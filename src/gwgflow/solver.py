@@ -80,10 +80,10 @@ class DiscreteSolution:
         return float(self.system.mean_vector @ self.pressure_vector)
 
 
-def linear_solve(system: SaddleSystem, rhs_vel, traces, factor=None) -> np.ndarray:
-    """Direct solve of ``K x = system.operator(rhs_vel, traces)``, in ``system.K_dofs`` order.
+def linear_solve(system: SaddleSystem, load, traces, factor=None) -> np.ndarray:
+    """Direct solve of ``K x = system.operator(load, traces)``, in ``system.K_dofs`` order.
 
-    Every solve, steady or time step, goes through here, with the
+    Every solve of an interior load goes through here, with the
     condensed factor of ``_factorize``, built here unless ``factor`` is
     given; a given ``factor`` must be one built from this system's
     ``reduced_blocks()``, or a ``ValueError`` is raised before it is used.
@@ -101,7 +101,7 @@ def linear_solve(system: SaddleSystem, rhs_vel, traces, factor=None) -> np.ndarr
     """
     if factor is not None and factor.Dinv_stack is not system.reduced_blocks()[1]:
         raise ValueError("factor was not built from this system's reduced_blocks()")
-    rhs = system.operator(rhs_vel, traces)
+    rhs = system.operator(load, traces)
     if factor is None:
         lu, apply = _factorize(system), system.apply
     else:
@@ -309,7 +309,7 @@ def solve_evolutionary(
     The mass form lives on the element-interior velocity block only, and
     the interiors lead the ``K_dofs`` numbering, so between steps only the
     interior part ``x[:n_interior]`` of the solution is carried; its mass
-    term ``mass_II @ (u_I / tau)`` is added to the load's interior rows.
+    term ``mass_II @ (u_I / tau)`` is added to the interior load.
     States are expanded to full vectors only when they are returned.
     Returns the solution at the final time, or, when ``keep_trajectory`` is
     set, every step's, all holding the one system.
@@ -328,7 +328,7 @@ def solve_evolutionary(
     for step in range(1, grid.n_steps + 1):
         t = step * grid.tau
         load = assemble_load(ker, problem.f, t)
-        load[:nI] += mass_II @ (u_I / grid.tau)
+        load += mass_II @ (u_I / grid.tau)
         traces = apply_dirichlet(system, problem.g, t)
         x = linear_solve(system, load, traces, lu)
         u_I = x[:nI]

@@ -119,22 +119,23 @@ class ConvergenceReport:
     wall_time: float
     commit: str
 
-    def csv_text(self) -> str:
-        lines = [CSV_HEADER]
+    def _row_fields(self):
+        """The eight formatted fields of each row, as ``CSV_HEADER`` names them."""
         o = self.orders
         for i, row in enumerate(self.rows):
-            tau = "" if row.tau is None else _format_tau(row.tau)
-            lines.append(
-                f"1/{row.cells},{tau},"
-                f"{row.err_energy:.4e},{_fmt_order(o['energy'][i])},"
-                f"{row.err_l2u:.4e},{_fmt_order(o['l2u'][i])},"
-                f"{row.err_l2p:.4e},{_fmt_order(o['l2p'][i])}"
+            yield (
+                f"1/{row.cells}", "" if row.tau is None else _format_tau(row.tau),
+                f"{row.err_energy:.4e}", _fmt_order(o["energy"][i]),
+                f"{row.err_l2u:.4e}", _fmt_order(o["l2u"][i]),
+                f"{row.err_l2p:.4e}", _fmt_order(o["l2p"][i]),
             )
+
+    def csv_text(self) -> str:
+        lines = [CSV_HEADER, *(",".join(fields) for fields in self._row_fields())]
         return "\n".join(lines) + "\n"
 
     def markdown_text(self) -> str:
         cfg = self.config
-        o = self.orders
         lines = [
             f"# Convergence study: {cfg.problem}",
             "",
@@ -148,16 +149,7 @@ class ConvergenceReport:
             "",
             "| h | tau | energy err | order | L2(u) err | order | L2(p) err | order |",
             "|---|-----|-----------|-------|-----------|-------|-----------|-------|",
-        ]
-        for i, row in enumerate(self.rows):
-            tau = "" if row.tau is None else _format_tau(row.tau)
-            lines.append(
-                f"| 1/{row.cells} | {tau} | {row.err_energy:.4e} | "
-                f"{_fmt_order(o['energy'][i])} | {row.err_l2u:.4e} | "
-                f"{_fmt_order(o['l2u'][i])} | {row.err_l2p:.4e} | "
-                f"{_fmt_order(o['l2p'][i])} |"
-            )
-        lines += [
+            *(f"| {' | '.join(fields)} |" for fields in self._row_fields()),
             "",
             f"Wall time: {self.wall_time:.2f} s; commit: {self.commit}",
             "",

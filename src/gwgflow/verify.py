@@ -239,9 +239,10 @@ def estimate_infsup(kernels: ElementKernels) -> float:
     """Discrete inf-sup constant of the divergence coupling.
 
     Smallest nonzero generalized eigenvalue of B (K + S1)^{-1} B^T against
-    the pressure mass matrix, square-rooted, with the constant-pressure
-    direction removed.  The eigenproblem is dense: above ``DENSE_EIG_LIMIT``
-    pressure DOFs ``ValueError`` is raised before any array is formed.
+    the pressure mass matrix, square-rooted: the smallest, the 0 of the
+    constant pressure, is skipped.  The eigenproblem is dense: above
+    ``DENSE_EIG_LIMIT`` pressure DOFs ``ValueError`` is raised before any
+    array is formed.
     """
     ker, dm = kernels, kernels.dofmap
     npres = dm.n_pressure
@@ -250,8 +251,7 @@ def estimate_infsup(kernels: ElementKernels) -> float:
                          f"{npres} pressure DOFs exceed DENSE_EIG_LIMIT = {DENSE_EIG_LIMIT}")
     free = dm.free_dofs
     K = _energy_matrix(ker)[free][:, free].tocsc()
-    B = assemble_bilinear("divergence", ker)
-    B_f = B[:, free].tocsc()
+    B_f = assemble_bilinear("divergence", ker)[:, free].tocsc()
 
     lu = spla.splu(K)
     S = np.empty((npres, npres))
@@ -264,13 +264,8 @@ def estimate_infsup(kernels: ElementKernels) -> float:
 
     # pressure DOFs are per-element contiguous, so the mass matrix is block-diagonal
     Mp = sp.block_diag(ker.Mn, format="csr").toarray()
-    const = np.zeros(npres)
-    const[dm.elem_pres[:, 0]] = 1.0  # the constant function in the local basis
-    row = (Mp @ const)[None, :]
-    Z = scipy.linalg.null_space(row)
-    Sz = Z.T @ S @ Z
-    Mz = Z.T @ Mp @ Z
-    vals = scipy.linalg.eigh(Sz, Mz, eigvals_only=True)
+    # B^T annihilates the constant pressure: the smallest eigenvalue is its 0
+    vals = scipy.linalg.eigh(S, Mp, eigvals_only=True, subset_by_index=[1, 1])
     return float(np.sqrt(max(vals[0], 0.0)))
 
 

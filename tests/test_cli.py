@@ -9,6 +9,9 @@ import pytest
 import gwgflow
 from gwgflow import solver, verify
 from gwgflow.cli import main
+from gwgflow.config import SpaceConfig
+from gwgflow.mesh import build_uniform_triangulation
+from gwgflow.problems import manufactured_problem
 
 
 def test_problems_lists_registry(capsys):
@@ -32,9 +35,16 @@ def test_solve_dump(tmp_path, capsys):
     assert rc == 0
     text = dump.read_text()
     assert text.startswith("# time")
-    assert "interior 0 " in text
-    assert "trace 0 " in text
-    assert "pressure 0 " in text
+    # one full line per section, from the DOF vectors of the same solve
+    sol = solver.solve_steady(build_uniform_triangulation(2), SpaceConfig(1, 0, 1, 0, 0),
+                              manufactured_problem("stokes_patch"))
+    dm = sol.system.kernels.dofmap
+    vel, nI, last = sol.velocity_vector, dm.n_interior, dm.n_elements - 1
+    for label, values in [("interior 0", vel[: 2 * dm.dk]),
+                          ("trace 1", vel[nI + 2 * dm.dj : nI + 4 * dm.dj]),
+                          (f"pressure {last}", sol.pressure_vector[last * dm.dn :])]:
+        line = f"{label} {' '.join(f'{v:.17g}' for v in values)}\n"
+        assert line in text.splitlines(keepends=True)
 
 
 def test_study_writes_requested_formats(tmp_path, capsys):
