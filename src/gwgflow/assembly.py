@@ -134,10 +134,22 @@ def _divergence_local(ker: ElementKernels) -> np.ndarray:
 
 
 def _convection_local(ker: ElementKernels, W: np.ndarray, beta) -> np.ndarray:
-    """(beta . grad_w phi_j, phi_i) for the interior test functions, (nT, dk, ncomp)."""
+    """(beta . grad_w phi_j, phi_i) for the interior test functions, (nT, dk, ncomp).
+
+    The form is linear in the ``np * 2`` values of beta at an element's
+    points: ``sum_pq beta_q(x_p) wVk[p, i] W[q, p, j]``.  So each shape
+    class contracts its elements' values with one (np * 2, dk * ncomp)
+    tensor of ``wVk`` and ``W``, in one matrix product.
+    """
     bvals = _eval_field("convection field beta", beta, *ker.qxy)    # (nT, np, 2)
-    bW = bvals[..., 0, None] * W[:, 0] + bvals[..., 1, None] * W[:, 1]
-    return np.matmul(ker.wVk.transpose(0, 2, 1), bW)
+    r, nT = ker.reps, len(bvals)
+    T = np.einsum("cpi,cqpj->cpqij", ker.wVk[r], W[r]).reshape(len(r), bvals[0].size, -1)
+    bvals = bvals.reshape(nT, -1)
+    local = np.empty((nT, T.shape[-1]))
+    members = np.split(np.argsort(ker.shape_class), np.cumsum(np.bincount(ker.shape_class))[:-1])
+    for T_c, at in zip(T, members):
+        local[at] = bvals[at] @ T_c
+    return local.reshape(nT, ker.dk, -1)
 
 
 def _assemble_s2(ker: ElementKernels) -> sp.csr_matrix:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+from scipy.sparse import csgraph
 
 from .assembly import (
     LinearSolveError,
@@ -91,13 +91,14 @@ def linear_solve(system: SaddleSystem, load, traces, factor=None) -> np.ndarray:
     ``RESIDUAL_TOL``.  A factor built here serves one right-hand side, so
     its products with ``K`` are ``system.apply``, summed from the element
     matrices; a given factor is reused, so they are products with the CSR
-    ``system.matrix()``, scattered on the first such solve.  A
-    static-pivot solve (``schur.rows`` set) that fails the check is not
-    refined: the factor's ``schur`` becomes ``_threshold_pivot_lu`` of the
-    system's ``S``, for this and every later solve.  One step of iterative
-    refinement is then applied if needed, and ``LinearSolveError``, naming
-    the pivoting tried and the order of ``S``, is raised when the residual
-    still fails the check, including when it is NaN.
+    ``system.matrix()``, scattered on the first such solve.  A solve
+    through the null-space factor (``_NullSpaceLU``) that fails the check
+    is not refined: the factor's ``schur`` becomes ``_threshold_pivot_lu``
+    of the system's ``S``, for this and every later solve.  One step of
+    iterative refinement is then applied if needed, and
+    ``LinearSolveError``, naming the factors tried and the order of ``S``,
+    is raised when the residual still fails the check, including when it
+    is NaN.
     """
     if factor is not None and factor.Dinv_stack is not system.reduced_blocks()[1]:
         raise ValueError("factor was not built from this system's reduced_blocks()")
@@ -109,10 +110,10 @@ def linear_solve(system: SaddleSystem, load, traces, factor=None) -> np.ndarray:
     scale = max(np.linalg.norm(rhs), 1e-300)
     x = lu.solve(rhs)
     res = np.linalg.norm(apply(x) - rhs) / scale
-    pivoting = "threshold pivoting"
-    if not res <= RESIDUAL_TOL and lu.schur.rows is not None:
+    tried = "threshold pivoting"
+    if not res <= RESIDUAL_TOL and isinstance(lu.schur, _NullSpaceLU):
+        tried = f"the null-space factor R (order {lu.schur.R.c.size}) of S, then {tried}"
         lu.schur = _threshold_pivot_lu(system.reduced_blocks()[-1])
-        pivoting = "static pivots, then threshold pivoting"
         x = lu.solve(rhs)
         res = np.linalg.norm(apply(x) - rhs) / scale
     if not res <= RESIDUAL_TOL:
@@ -121,7 +122,7 @@ def linear_solve(system: SaddleSystem, load, traces, factor=None) -> np.ndarray:
     if not res <= RESIDUAL_TOL:
         raise LinearSolveError(
             f"linear solve failed with the equilibrated LU of S (order {rhs.size - lu.nc}) "
-            f"by {pivoting}: relative residual {res:.3e} > {RESIDUAL_TOL:.1e}"
+            f"by {tried}: relative residual {res:.3e} > {RESIDUAL_TOL:.1e}"
         )
     return x
 
@@ -132,18 +133,19 @@ class _CondensedFactor:
 
     The ``nc`` condensed unknowns lead ``K`` (see the ``assembly`` module
     docstring), so ``K = [[D, K_ck], [K_kc, K_kk]]`` split at ``nc``, with
-    ``D`` block diagonal.  Only ``S = K_kk - K_kc D^-1 K_ck`` is factored,
-    as the ``_ScaledLU`` ``schur``.  The condensed blocks are kept as the
-    two products a solve needs, both formed per element: ``Dinv_stack =
-    [K_kc D^-1; D^-1]``, applied to the condensed part of the right-hand
-    side before ``schur``, and ``Dinv_K_ck = D^-1 K_ck``, applied to its
-    solution after.  ``solve`` takes and returns vectors of ``K``'s size.
+    ``D`` block diagonal.  Only ``S = K_kk - K_kc D^-1 K_ck`` is solved
+    with, by the ``schur`` factor: a ``_NullSpaceLU`` or a ``_ScaledLU``.
+    The condensed blocks are kept as the two products a solve needs, both
+    formed per element: ``Dinv_stack = [K_kc D^-1; D^-1]``, applied to the
+    condensed part of the right-hand side before ``schur``, and ``Dinv_K_ck
+    = D^-1 K_ck``, applied to its solution after.  ``solve`` takes and
+    returns vectors of ``K``'s size.
     """
 
     nc: int
     Dinv_stack: sp.csc_matrix
     Dinv_K_ck: sp.csr_matrix
-    schur: _ScaledLU
+    schur: _NullSpaceLU | _ScaledLU
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         y = self.Dinv_stack @ r[: self.nc]       # [K_kc D^-1 r_c; D^-1 r_c]
@@ -155,113 +157,290 @@ class _CondensedFactor:
 def _factorize(system: SaddleSystem) -> _CondensedFactor:
     """Condensed factor of the pinned ``K`` (see ``_CondensedFactor``).
 
-    The recipe for the ``S`` of ``system.reduced_blocks()`` is chosen from
-    ``S`` itself; both factor ``S`` equilibrated by powers of two
-    (``_scaled_lu``).  When ``S`` has a structurally zero diagonal entry
-    (the kept pressures of the P1 tuples with sigma = 0) and each nonzero
-    diagonal entry is the largest in magnitude in its column, it is
-    ``_static_pivot_lu``: match, scale, order, factor; ``linear_solve``
-    checks it on every solve and replaces it when it fails.  Otherwise, or
-    when that factor meets an exactly zero pivot, it is
-    ``_threshold_pivot_lu``: COLAMD with threshold pivoting.  A nonzero
-    diagonal entry outgrown in its column marks a convection-dominated
-    ``S`` (steady P1 at small mu): there the matching is slow and the
-    static pivots grow.  Static pivoting is unstable on the sigma = 0
-    tuples whose kept pressures have a nonzero diagonal, such as the P2
-    tuple.  A singular element block, a structurally singular ``S`` or a
-    singular factorization raises ``LinearSolveError``.
+    The ``S`` of ``system.reduced_blocks()`` is solved with through its
+    null space when ``_null_space_lu`` takes it (the P1 tuple with sigma =
+    0, whose kept pressures have a zero block); ``linear_solve`` checks
+    that factor on every solve and replaces it when it fails.  Every other
+    ``S``, or one whose ``R`` meets an exactly zero pivot, gets
+    ``_threshold_pivot_lu``: COLAMD with threshold pivoting.  A singular
+    element block, a structurally singular ``S`` or a singular
+    factorization raises ``LinearSolveError``.
     """
     *_, Dinv_stack, Dinv_K_ck, S = system.reduced_blocks()
-    d = np.abs(S.diagonal())
-    schur = None
-    if not d.all():
-        colmax = abs(S).max(axis=0).toarray().ravel()
-        if np.all((d == 0) | (d == colmax)):
-            schur = _static_pivot_lu(S, colmax)
+    try:
+        schur = _null_space_lu(system, S)
+    except LinearSolveError:  # R is singular, or has an exactly zero pivot
+        schur = None
     return _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, schur or _threshold_pivot_lu(S))
 
 
 @dataclass(frozen=True)
 class _ScaledLU:
-    """The LU of ``diag(r) S[rows] diag(c)``, solving with ``S``; ``rows=None`` permutes none."""
+    """The LU of ``diag(r) A diag(c)``, solving with ``A``."""
 
     lu: spla.SuperLU
-    rows: np.ndarray | None
     r: np.ndarray
     c: np.ndarray
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.c * self.lu.solve(self.r * (b if self.rows is None else b[self.rows]))
+        return self.c * self.lu.solve(self.r * b)
 
 
-def _scaled_lu(S: sp.csc_matrix, rows: np.ndarray | None, **splu_keywords) -> _ScaledLU:
-    """SuperLU's LU of ``S[rows]``, equilibrated as by LAPACK's ``dgeequb``.
+def _scaled_lu(A: sp.csc_matrix, **splu_keywords) -> _ScaledLU:
+    """SuperLU's LU of ``A``, equilibrated as by LAPACK's ``dgeequb``.
 
-    ``r`` scales each row of ``S[rows]`` by the inverse of its largest
-    magnitude, and ``c`` each column of ``diag(r) S[rows]`` likewise, both
-    rounded down to powers of two, so the scaling is exact and every column
-    of ``diag(r) S[rows] diag(c)`` has its largest magnitude in [0.5, 1).
-    ``splu_keywords`` are the recipe's.  An empty row or column of ``S``,
-    or a singular factorization, raises ``LinearSolveError``.
+    ``r`` scales each row of ``A`` by the inverse of its largest magnitude,
+    and ``c`` each column of ``diag(r) A`` likewise, both rounded down to
+    powers of two, so the scaling is exact and every column of ``diag(r) A
+    diag(c)`` has its largest magnitude in [0.5, 1).  ``splu_keywords`` are
+    the recipe's.  An empty row or column of ``A``, or a singular
+    factorization, raises ``LinearSolveError``; it says when ``A`` is
+    structurally singular.
     """
-    n, counts = S.shape[0], np.diff(S.indptr)
+    n, counts = A.shape[0], np.diff(A.indptr)
     rowmax = np.zeros(n)
-    np.maximum.at(rowmax, S.indices, np.abs(S.data))  # S holds no explicit zeros
+    np.maximum.at(rowmax, A.indices, np.abs(A.data))  # A holds no explicit zeros
     if not (rowmax.all() and counts.all()):
         raise LinearSolveError(
             f"structurally singular Schur complement: S (order {n}) has an empty row or column"
         )
     r = np.ldexp(1.0, -np.frexp(rowmax)[1])  # 2^-e for rowmax = m 2^e, 0.5 <= m < 1
-    rs = S.data * r[S.indices]
-    c = np.ldexp(1.0, -np.frexp(np.maximum.reduceat(np.abs(rs), S.indptr[:-1]))[1])
-    # a relabelled copy that owns its arrays: splu sorts its input in place
-    indices = S.indices.copy() if rows is None else np.argsort(rows)[S.indices]
-    scaled = sp.csc_matrix((rs * np.repeat(c, counts), indices, S.indptr.copy()), S.shape)
+    rs = A.data * r[A.indices]
+    c = np.ldexp(1.0, -np.frexp(np.maximum.reduceat(np.abs(rs), A.indptr[:-1]))[1])
+    # a copy that owns its arrays: splu sorts its input in place
+    scaled = sp.csc_matrix((rs * np.repeat(c, counts), A.indices.copy(), A.indptr.copy()), A.shape)
     try:
         lu = spla.splu(scaled, **splu_keywords)
     except RuntimeError as exc:  # singular factorization, SuperLU reports pivot
-        raise LinearSolveError(f"sparse factorization failed for S (order {n}): {exc}") from exc
-    return _ScaledLU(lu, rows, r if rows is None else r[rows], c)
+        rank = csgraph.structural_rank(A)
+        what = f"structurally singular, rank {rank}" if rank < n else "singular"
+        raise LinearSolveError(f"sparse factorization failed for S (order {n}), {what}: "
+                               f"{exc}") from exc
+    return _ScaledLU(lu, r, c)
 
 
 def _threshold_pivot_lu(S: sp.csc_matrix) -> _ScaledLU:
-    """SuperLU's threshold-pivoted LU of ``S``, equilibrated, with no rows permuted.
+    """SuperLU's threshold-pivoted LU of ``S``, equilibrated.
 
     SuperLU factors ``diag(r) S diag(c)`` in a COLAMD order with threshold
     0.1 (UMFPACK's default, Davis, TOMS 30, 2004): there its diagonal
     pivots mostly stand, where on ``S`` they are outgrown and the row
     interchanges add fill.
     """
-    return _scaled_lu(S, None, permc_spec="COLAMD", diag_pivot_thresh=0.1)
+    return _scaled_lu(S, permc_spec="COLAMD", diag_pivot_thresh=0.1)
 
 
-def _static_pivot_lu(S: sp.csc_matrix, colmax: np.ndarray) -> _ScaledLU | None:
-    """A static-pivot LU of ``S``, equilibrated, with its rows permuted by a matching.
+@dataclass(frozen=True)
+class _ElementTree:
+    """Solves with ``B_tree``, the fluxes of a spanning tree of the elements.
 
-    ``rows`` is a maximum-product matching of rows to columns (Duff and
-    Koster, SIMAX 22, 2001), found as the minimum-weight full matching on
-    ``log(colmax_j) - log|s_ij|``, ``colmax`` being the largest magnitude in
-    each column, so every diagonal entry of ``S[rows]`` is large; the
-    power-of-two scaling multiplies every matching's product alike, so it
-    keeps that one.  SuperLU then orders ``diag(r) S[rows] diag(c)``
-    symmetrically by minimum degree on ``A^T + A`` and keeps those diagonal
-    pivots (threshold 0), as in SuperLU_DIST (Li and Demmel, TOMS 29,
-    2003).  None when SuperLU finds an exactly zero pivot.  A structurally
-    singular ``S``, with no full matching, raises ``LinearSolveError``.
+    Node ``j`` is the element of kept pressure ``j``, joined to its parent
+    by its tree edge, on which column ``j`` of ``N`` lies, so ``B_tree = B
+    N`` has two entries in column ``j``: ``d_j`` in row ``j`` and ``-d_j``
+    in the parent's row, none when the parent is the pinned root.  So
+    ``B_tree^-1 g`` is ``a = 1 / d`` times the subtree sums of ``g``, and
+    ``B_tree^-T h`` the sums of ``a h`` along the paths to the root.  In a
+    preorder of the tree, ``pre``, node ``j`` heads the run ``[lo_j,
+    hi_j)`` of its subtree, so either sum is one cumulative sum: O(nT) and
+    no factorization.
     """
-    mag = np.abs(S.data)  # S holds no explicit zeros
-    colmax = np.repeat(colmax, np.diff(S.indptr))
-    # the matching needs nonzero weights; a shift by 1 leaves its optimum alone
-    cost = sp.csc_matrix((1.0 + np.log(colmax) - np.log(mag), S.indices, S.indptr), S.shape)
-    try:  # row i of S is matched to column to_col[i], and becomes row to_col[i]
-        _, to_col = min_weight_full_bipartite_matching(cost)
-    except ValueError as exc:
-        raise LinearSolveError(f"structurally singular Schur complement: {exc}") from exc
-    try:
-        return _scaled_lu(S, np.argsort(to_col), permc_spec="MMD_AT_PLUS_A",
-                          diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    except LinearSolveError:  # an exactly zero pivot
+
+    a: np.ndarray
+    pre: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def solve(self, g: np.ndarray) -> np.ndarray:
+        """``B_tree^-1 g``: the subtree sums, differences of one cumulative sum."""
+        cs = np.zeros(g.size + 1)
+        np.cumsum(g[self.pre], out=cs[1:])
+        return self.a * (cs[self.hi] - cs[self.lo])
+
+    def solve_transposed(self, h: np.ndarray) -> np.ndarray:
+        """``B_tree^-T h``: each node's ``a h`` enters at ``lo`` and leaves at ``hi``."""
+        u = self.a * h
+        runs = np.bincount(np.concatenate([self.lo, self.hi]), np.concatenate([u, -u]),
+                           minlength=h.size + 1)
+        return np.cumsum(runs)[self.lo]
+
+
+@dataclass(frozen=True)
+class _NullSpaceLU:
+    """Solves with ``S = [[S_tt, -B^T], [B, 0]]`` through the null space of ``B``.
+
+    The unknowns are the ``nk`` free traces ``t`` and the kept constant
+    pressures ``p``; ``B`` holds each element's net flux over its edges.
+    ``Z`` spans ``ker B`` and ``N`` carries one unit flux across each tree
+    edge (``_null_space_lu``), so for ``S [t; p] = [b_t; g]``, after
+    Benzi, Golub and Liesen (Acta Numerica 14, 2005, section 6) and Arioli
+    and Manzini (Commun. Numer. Meth. Engng 18, 2002):
+
+    - ``t0 = N B_tree^-1 g`` meets the constraint ``B t0 = g``;
+    - ``t = t0 + Z R^-1 Z^T (b_t - S_tt t0)``, with ``R = Z^T S_tt Z``;
+    - ``p = B_tree^-T N^T (S_tt t - b_t)``.
+
+    ``R``, about half the order of ``S``, is the one matrix factored.  The
+    products are stacked so a solve takes three: ``S_t``, the trace columns
+    ``[S_tt; B]`` of ``S``, ``ZN_T = [Z^T; N^T]`` and ``ZC = [Z; N^T S_tt
+    Z]``.  ``N`` itself is ``n_vals`` at the trace rows ``n_rows``, two per
+    tree node.
+    """
+
+    R: _ScaledLU
+    S_t: sp.csc_matrix
+    ZN_T: sp.csr_matrix
+    ZC: sp.csr_matrix
+    tree: _ElementTree
+    n_rows: np.ndarray
+    n_vals: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        nk, nz = self.S_t.shape[1], self.R.c.size
+        t = np.zeros(nk)
+        t[self.n_rows] = self.n_vals * self.tree.solve(b[nk:])[:, None]
+        w = self.ZN_T @ (b[:nk] - (self.S_t @ t)[:nk])   # Z^T r, N^T r
+        v = self.ZC @ self.R.solve(w[:nz])                # Z y, N^T S_tt Z y
+        t += v[:nk]
+        return np.concatenate([t, self.tree.solve_transposed(v[nk:] - w[nz:])])
+
+
+def _null_space_lu(system: SaddleSystem, S: sp.csc_matrix) -> _NullSpaceLU | None:
+    """The null-space factor of the P1 ``S``, or None when ``S`` is not of its kind.
+
+    It takes ``S`` when the traces are piecewise constant (one unknown per
+    component and free edge, ``nk`` in all, edge by edge) and one pressure
+    per element is kept, and when ``S`` checks out exactly: its kept-
+    pressure block is empty, ``S_tp = -S_pt^T``, ``B Z = 0``, and the tree
+    gives ``B_tree`` opposite entries on each edge (``_element_tree``).
+    Only the P1 tuple with sigma = 0 does (sigma = 1 adds the pressure
+    jumps).
+
+    ``f_e`` is the owner's ``B`` row on edge ``e``'s two traces (the
+    neighbour's, negated, when the owner holds the pinned pressure).  ``Z``
+    has a tangential column ``(-f_y, f_x) / |f_e|`` per free edge, then a
+    discrete stream-function column per interior vertex ``v``: ``+-f_e /
+    |f_e|^2`` on each of its edges, ``+`` where the edge, counterclockwise
+    in its owner, ends at ``v``, so every element's two edges at ``v``
+    cancel.  ``N`` puts ``f_e / |f_e|^2`` on the edge that joins each
+    element to its parent in a breadth-first tree of the elements rooted
+    at the pinned one (``_element_tree``).  ``R = Z^T S_tt Z`` is factored
+    by ``_scaled_lu`` in a symmetric minimum-degree order with static
+    pivots (threshold 0); ``linear_solve`` checks every solve.
+    """
+    ker, mesh = system.kernels, system.kernels.mesh
+    dm, nT, m = ker.dofmap, mesh.n_elements, S.shape[0]
+    nk = dm.free_dofs.size - dm.n_interior
+    if ker.dj != 1 or m - nk != nT - 1:
         return None
+    start = S.indptr[nk]  # where the trace columns' entries end
+    if (S.indices[start:] >= nk).any():
+        return None
+    S_t = sp.csc_matrix((S.data[:start], S.indices[:start], S.indptr[: nk + 1]), shape=(m, nk))
+    on_p = S_t.indices >= nk
+    p_row, t_col = S_t.indices[on_p] - nk, np.repeat(np.arange(nk), np.diff(S_t.indptr))[on_p]
+    b = S_t.data[on_p]
+    by_row = np.argsort(p_row, kind="stable")  # B's entries in the order of S_tp's
+    if not (b.size == S.nnz - start
+            and (p_row[by_row] == np.repeat(np.arange(m - nk), np.diff(S.indptr[nk:]))).all()
+            and (t_col[by_row] == S.indices[start:]).all()
+            and (b[by_row] == -S.data[start:]).all()):
+        return None
+
+    free = np.flatnonzero(mesh.edge_elements[:, 1] >= 0)  # the edge of traces 2i, 2i + 1
+    nfe, root = free.size, dm.elem_pres[0, 0]
+    owner = mesh.edge_elements[free, 0]
+    elems = system.K_dofs[system.nc + nk :] - dm.n_velocity  # element of each kept pressure
+    # side[0]: the owner's row on each edge's traces, side[1]: the neighbour's
+    i, comp = np.divmod(t_col, 2)
+    side = np.zeros((2, nfe, 2))
+    side[(elems[p_row] != owner[i]).astype(int), i, comp] = b
+    f = np.where((owner == root)[:, None], -side[1], side[0])
+    f2 = (f * f).sum(axis=1)
+    normal = f / f2[:, None]
+    tree = _element_tree(mesh, free, elems, root, side, normal)
+    if tree is None:
+        return None
+    tree, node_edge = tree
+
+    interior = np.ones(len(mesh.vertices), dtype=bool)
+    interior[mesh.edges[mesh.boundary_edges]] = False
+    nz = nfe + interior.sum()
+    vcol = np.where(interior, nfe + np.cumsum(interior) - 1, -1)
+    le = mesh.edge_local_index[free, :1]
+    ends = mesh.elements[owner[:, None], (le + [1, 0]) % 3]   # (end, start), counterclockwise
+    # [Z^T; N^T]: rows are Z's columns, then one row per tree node
+    n_rows = 2 * node_edge[:, None] + np.arange(2)
+    rows = np.concatenate([np.column_stack([np.arange(nfe), vcol[ends]]).repeat(2, axis=1),
+                           np.repeat(nz + np.arange(nT - 1), 2)], axis=None)
+    cols = np.concatenate([np.tile(np.arange(nk).reshape(nfe, 2), 3), n_rows], axis=None)
+    tangent = np.column_stack([-f[:, 1], f[:, 0]]) / np.sqrt(f2)[:, None]
+    vals = np.concatenate([np.hstack([tangent, normal, -normal]), normal[node_edge]], axis=None)
+    keep = (rows >= 0) & (vals != 0)
+    ZN_T = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(nz + nT - 1, nk))
+    Z = _csr_rows(ZN_T, 0, nz, nk).T
+    SZ = S_t @ Z    # [S_tt Z; B Z]
+    if (SZ.indices >= nk).any():
+        return None
+    RC = _csr_rows(ZN_T, 0, nz + nT - 1, m) @ SZ   # [R; N^T S_tt Z]
+    R = _scaled_lu(_csr_rows(RC, 0, nz, nz).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    ZC = sp.vstack([Z.tocsr(), _csr_rows(RC, nz, nz + nT - 1, nz)], format="csr")
+    return _NullSpaceLU(R, S_t, ZN_T, ZC, tree, n_rows, normal[node_edge])
+
+
+def _csr_rows(A: sp.csr_matrix, start: int, stop: int, n: int) -> sp.csr_matrix:
+    """Rows ``start:stop`` of ``A`` as a CSR matrix with ``n`` columns, on ``A``'s arrays."""
+    a, b = A.indptr[start], A.indptr[stop]
+    return sp.csr_matrix((A.data[a:b], A.indices[a:b], A.indptr[start : stop + 1] - a),
+                         shape=(stop - start, n))
+
+
+def _element_tree(mesh, free, elems, root, side, normal) -> tuple[_ElementTree, np.ndarray] | None:
+    """The breadth-first element tree of ``_null_space_lu`` and each node's tree edge.
+
+    Node ``j`` is element ``elems[j]``; the free edges ``free`` join the
+    elements, and ``side`` holds the owner's and the neighbour's ``B`` rows
+    on each.  None unless the two rows on each tree edge give exactly
+    opposite entries of ``B_tree``.  The subtree sizes come from pointer
+    jumping (Wyllie's list ranking), in as many rounds as the tree's depth
+    has binary digits.
+    """
+    nT, m = mesh.n_elements, elems.size
+    ee = mesh.element_edges
+    across = mesh.edge_elements[ee].sum(axis=2) - np.arange(nT)[:, None]  # -1: boundary
+    inner = across >= 0
+    graph = sp.csr_matrix((np.ones(inner.sum()), across[inner], np.r_[0, np.cumsum(inner.sum(1))]),
+                          shape=(nT, nT))
+    _, pred = csgraph.breadth_first_order(graph, root)
+    if (pred[elems] < 0).any():
+        raise LinearSolveError("the elements are not connected by free edges")
+    edge = ee[elems, np.argmax(across[elems] == pred[elems, None], axis=1)]
+    at = np.full(mesh.n_edges, -1)
+    at[free] = np.arange(free.size)
+    node_edge = at[edge]
+    node = np.full(nT, m)
+    node[elems] = np.arange(m)
+    parent = node[pred[elems]]   # m under the root
+    # this node's row and its parent's on the tree edge's column of N
+    mine = (elems != mesh.edge_elements[edge, 0]).astype(int)
+    d = (side[mine, node_edge] * normal[node_edge]).sum(axis=1)
+    o = (side[1 - mine, node_edge] * normal[node_edge]).sum(axis=1)
+    if (o != np.where(parent < m, -d, 0.0)).any():
+        return None
+    size, up, jumps = np.ones(m, dtype=np.int64), parent, []
+    while (up < m).any():
+        jumps.append(up)
+        up = np.append(up, m)[up]
+    for up in reversed(jumps):
+        size += np.bincount(up, size, minlength=m + 1)[:m].astype(np.int64)
+    by_parent = np.argsort(pred[elems], kind="stable")
+    kids = sp.csr_matrix((np.ones(m), elems[by_parent],
+                          np.r_[0, np.cumsum(np.bincount(pred[elems], minlength=nT))]),
+                         shape=(nT, nT))
+    pre = node[csgraph.depth_first_order(kids, root, return_predecessors=False)[1:]]
+    lo = np.empty(m, dtype=np.int64)
+    lo[pre] = np.arange(m)
+    return _ElementTree(1.0 / d, pre, lo, lo + size), node_edge
 
 
 def solve_steady(mesh: Mesh, config: SpaceConfig, problem) -> DiscreteSolution:
@@ -293,18 +472,18 @@ def solve_evolutionary(
     depend on time, so the boundary lift and the condensed factor of
     ``_factorize`` come from one element layout and are reused by every
     step, and so is the CSR ``K`` of the residual checks, which the first
-    step scatters from that layout (``SaddleSystem.matrix``).  That
-    factor's LU of the equilibrated ``S`` is chosen once, before the first
-    step: static pivots after a row matching for the P1 tuples with sigma
-    = 0 whose ``S`` is not convection dominated, threshold pivoting
-    otherwise.  Every step's residual check guards it, and the first step
-    whose check the static factor fails replaces it with the
-    threshold-pivoted one for the rest of the march.
+    step scatters from that layout (``SaddleSystem.matrix``).  How that
+    factor solves with ``S`` is chosen once, before the first step: through
+    the null space of the flux rows for the P1 tuple with sigma = 0
+    (``_NullSpaceLU``, whose one LU is that of ``R``), by the
+    threshold-pivoted LU of ``S`` otherwise.  Every step's residual check
+    guards it, and the first step whose check the null-space factor fails
+    replaces it with the threshold-pivoted one for the rest of the march.
     ``f`` and ``g`` are evaluated at the kernels' read-only ``qxy`` and
     ``boundary_xy`` (the forcing's cache hits them by identity), the
     right-hand side is one product with the lift, whose flux rows give the
     compatibility check, and the condensed solve is one sparse product on
-    each side of the ``_ScaledLU`` solve of ``S``.
+    each side of the solve with ``S``.
 
     The mass form lives on the element-interior velocity block only, and
     the interiors lead the ``K_dofs`` numbering, so between steps only the

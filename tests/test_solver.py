@@ -205,7 +205,9 @@ def test_backward_euler_element_sum_equals_added_mass(mesh4, element_tuple):
 def test_factored_matrix_is_the_condensed_one(mesh4, element_tuple, monkeypatch):
     # SuperLU sees only the traces and the kept pressure modes: the element
     # interiors are eliminated, with sigma = 0 so are the non-constant
-    # pressure modes of every element, and one pressure DOF is pinned
+    # pressure modes of every element, and one pressure DOF is pinned.  The
+    # P1 S with sigma = 0 is solved through the null space of its flux rows:
+    # SuperLU factors R, whose order is S's less twice the kept pressures
     factored, expected = [], []
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda S, **kw: factored.append(S.shape) or splu(S, **kw))
@@ -215,6 +217,7 @@ def test_factored_matrix_is_the_condensed_one(mesh4, element_tuple, monkeypatch)
         dm = ElementKernels(mesh4, cfg).dofmap
         n = dm.free_dofs.size - 2 * dm.dk * dm.n_elements + dm.n_pressure - 1
         n -= dm.n_elements * (dm.dn - 1) if sigma == 0 else 0
+        n -= 2 * (dm.n_elements - 1) if (element_tuple, sigma) == ((1, 0, 1, 0, 0), 0) else 0
         expected.append((n, n))
     assert factored == expected
 
@@ -231,34 +234,42 @@ STATIC = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
 EQUILIBRATED = {"permc_spec": "COLAMD", "diag_pivot_thresh": 0.1}
 
 
+def _null_space_R(factor, S):
+    # R = Z^T S_tt Z, from the Z that the factor stacks over N^T S_tt Z
+    nk = factor.S_t.shape[1]
+    Z = factor.ZC[:nk]
+    return (Z.T @ S[:nk, :nk] @ Z).tocsc()
+
+
 @pytest.mark.parametrize(
-    "element, sigma, static",
+    "element, sigma, null_space",
     [((1, 0, 1, 0, 0), 0, True), ((1, 0, 1, 0, 0), 1, False), ((2, 1, 1, 1, 1), 1, False),
      ((2, 1, 1, 1, 1), 0, False)],
     ids=["P1-sigma0", "P1-sigma1", "P2-sigma1", "P2-sigma0"],
 )
 @pytest.mark.parametrize("kind", ["steady", "backward_euler"])
-def test_factor_recipe_follows_the_schur_complement(mesh8, element, sigma, static, kind,
+def test_factor_recipe_follows_the_schur_complement(mesh8, element, sigma, null_space, kind,
                                                      monkeypatch):
-    # a zero diagonal in S (the kept P1 pressures with sigma = 0) takes the
-    # static-pivot path, with less fill than SuperLU's default factor; a
-    # nonzero diagonal (sigma = 1, or the P2 tuple) takes the threshold-
-    # pivoted factor alone; both are equilibrated
+    # a zero pressure block in S (the kept P1 pressures with sigma = 0) takes
+    # the null-space path, whose R has static pivots and less fill than
+    # SuperLU's default factor of S; a nonzero diagonal (sigma = 1, or the
+    # P2 tuple) takes the threshold-pivoted factor of S; both are equilibrated
     system, step = _system(kind, mesh8, SpaceConfig(*element, sigma=sigma))
     S = system.reduced_blocks()[-1]
-    assert S.diagonal().all() == (not static)
+    assert S.diagonal().all() == (not null_space)
     before = S.copy()
     calls = _record_splu(monkeypatch)
     factor = _factorize(system)
     monkeypatch.undo()
-    assert calls == ([STATIC] if static else [EQUILIBRATED])
-    rows = factor.schur.rows
-    assert (rows is not None) == static
-    assert factor.schur.lu.nnz < spla.splu(S).nnz
-    # r and c are powers of two, and lead every column of diag(r) S[rows] diag(c) to [0.5, 1)
-    r, c = factor.schur.r, factor.schur.c
+    assert calls == ([STATIC] if null_space else [EQUILIBRATED])
+    assert isinstance(factor.schur, solver._NullSpaceLU) == null_space
+    lu = factor.schur.R if null_space else factor.schur
+    A = _null_space_R(factor.schur, S) if null_space else S
+    assert lu.lu.nnz < spla.splu(S).nnz
+    # r and c are powers of two, and lead every column of diag(r) A diag(c) to [0.5, 1)
+    r, c = lu.r, lu.c
     assert np.all(np.frexp(r)[0] == 0.5) and np.all(np.frexp(c)[0] == 0.5)
-    colmax = abs(sp.diags(r) @ (S if rows is None else S[rows]) @ sp.diags(c)).max(axis=0)
+    colmax = abs(sp.diags(r) @ A @ sp.diags(c)).max(axis=0)
     assert colmax.min() >= 0.5 and colmax.max() < 1.0
     # the cached S is left as it was: the factored copy owns its arrays
     assert S.has_sorted_indices and abs(S - before).max() == 0.0
@@ -275,43 +286,44 @@ def _low_viscosity_system(mu):
 
 
 @pytest.mark.parametrize("mu", [1e-3, 1e-4])
-def test_convection_dominated_schur_complement_keeps_the_default_factor(mu, monkeypatch):
-    # steady P1 at small mu: S has a zero diagonal, but its nonzero diagonal
-    # entries are outgrown in their columns, so no matching is tried
+def test_convection_dominated_schur_complement_takes_the_null_space_factor(mu, monkeypatch):
+    # steady P1 at small mu: S keeps its zero pressure block, so R is
+    # factored with static pivots, whatever the convection does to S's
+    # diagonal, and the factor passes the residual check at n = 16
     system, step = _low_viscosity_system(mu)
     S = system.reduced_blocks()[-1]
     assert not S.diagonal().all()
-    monkeypatch.setattr(solver, "min_weight_full_bipartite_matching", None)
     calls = _record_splu(monkeypatch)
     factor = _factorize(system)
-    assert calls == [EQUILIBRATED] and factor.schur.rows is None
+    assert calls == [STATIC] and isinstance(factor.schur, solver._NullSpaceLU)
     linear_solve(system, *step, factor)
+    assert calls == [STATIC] and isinstance(factor.schur, solver._NullSpaceLU)
 
 
-def test_failed_static_solve_falls_back_to_the_default_factor(monkeypatch):
-    # static pivots forced onto steady P1 at mu = 1e-4 grow: the first solve
-    # fails the residual check, is not refined, and S is refactored with
-    # threshold pivoting; the solution is that factor's, and later solves
-    # keep the new factor
-    system, step = _low_viscosity_system(1e-4)
+def test_failed_static_solve_falls_back_to_the_default_factor(mesh4, config_low, monkeypatch):
+    # a null-space factor whose R is off by 1e-6 fails the residual check:
+    # the solve is not refined, and S is refactored with threshold pivoting;
+    # the solution is that factor's, and later solves keep the new factor
+    system, step = _system("steady", mesh4, config_low)
     *_, Dinv_stack, Dinv_K_ck, S = system.reduced_blocks()
     default = _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck, solver._threshold_pivot_lu(S))
-    colmax = abs(S).max(axis=0).toarray().ravel()
-    static = _CondensedFactor(system.nc, Dinv_stack, Dinv_K_ck,
-                              solver._static_pivot_lu(S, colmax))
+    failing = _factorize(system)
+    R = solver._scaled_lu(_null_space_R(failing.schur, S) * (1 + 1e-6), **STATIC)
+    failing.schur = replace(failing.schur, R=R)
     rhs, K = system.operator(*step), system.matrix()
-    assert not np.linalg.norm(K @ static.solve(rhs) - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    assert not np.linalg.norm(K @ failing.solve(rhs) - rhs) <= 1e-10 * np.linalg.norm(rhs)
     calls = _record_splu(monkeypatch)
-    x = linear_solve(system, *step, static)
+    x = linear_solve(system, *step, failing)
     assert calls == [EQUILIBRATED]
-    assert static.schur.rows is None
+    assert isinstance(failing.schur, solver._ScaledLU)
     ref = linear_solve(system, *step, default)
     assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
-    linear_solve(system, *step, static)
+    linear_solve(system, *step, failing)
     assert calls == [EQUILIBRATED]
 
 
 def test_zero_static_pivot_falls_back_to_the_default_factor(mesh4, config_low, monkeypatch):
+    # an exactly zero static pivot of R leaves S to the threshold-pivoted factor
     splu = spla.splu
 
     def zero_static_pivot(S, **kw):
@@ -323,14 +335,15 @@ def test_zero_static_pivot_falls_back_to_the_default_factor(mesh4, config_low, m
     calls = []
     monkeypatch.setattr(spla, "splu", zero_static_pivot)
     system, step = _system("steady", mesh4, config_low)
-    assert _factorize(system).schur.rows is None
+    assert isinstance(_factorize(system).schur, solver._ScaledLU)
     assert calls == [EQUILIBRATED]
     linear_solve(system, *step)
 
 
 def test_structurally_singular_schur_complement_raises(mesh4, config_low):
-    # two columns of S with one entry each, in the same row: no row matching
-    # exists, and the matching's ValueError surfaces as a LinearSolveError
+    # two columns of S with one entry each, in the same row: S is no longer
+    # the P1 saddle point, SuperLU meets a zero pivot, and the structural
+    # rank of S names the cause
     system, step = _system("steady", mesh4, config_low)
     *blocks, S = system.reduced_blocks()
     S = S.tolil()
@@ -665,13 +678,14 @@ def test_evolutionary_late_nan_forcing_raises(mesh4, config_low):
 
 def test_linear_solve_nan_rhs_raises(mesh4, config_low):
     # a NaN right-hand side that bypasses the input checks still fails loud,
-    # naming the factors tried (P1 with sigma = 0 starts with static pivots)
-    # and the order of S
+    # naming the factors tried (P1 with sigma = 0 starts with the null-space
+    # factor R) and the orders of S and R
     prob = manufactured_problem("steady_oseen_ex1")
     system, (load, traces) = _steady_system(mesh4, config_low, prob)
     order = system.K_dofs.size - system.nc
-    match = (rf"equilibrated LU of S \(order {order}\) by static pivots, then threshold "
-             r"pivoting: .* nan")
+    order_R = order - 2 * (system.kernels.mesh.n_elements - 1)
+    match = (rf"equilibrated LU of S \(order {order}\) by the null-space factor R \(order "
+             rf"{order_R}\) of S, then threshold pivoting: .* nan")
     with pytest.raises(LinearSolveError, match=match):
         linear_solve(system, np.full_like(load, np.nan), traces)
 
