@@ -98,6 +98,8 @@ def _cmd_solve(args) -> int:
     print(f"problem      : {args.problem}")
     print(f"mesh         : {args.cells} x {args.cells} cells, "
           f"{mesh.n_elements} triangles, {mesh.n_edges} edges")
+    if grid is not None:
+        print(f"time steps   : {grid.n_steps} of tau = {grid.tau:.6g}, up to T = {grid.t_final:g}")
     print(f"energy error : {report.energy:.4e}")
     print(f"L2(u) error  : {report.l2_velocity_proj:.4e}  "
           f"(vs exact: {report.l2_velocity_true:.4e})")

@@ -231,40 +231,6 @@ def _threshold_pivot_lu(S: sp.csc_matrix) -> _ScaledLU:
 
 
 @dataclass(frozen=True)
-class _ElementTree:
-    """Solves with ``B_tree``, the fluxes of a spanning tree of the elements.
-
-    Node ``j`` is the element of kept pressure ``j``, joined to its parent
-    by its tree edge, on which column ``j`` of ``N`` lies, so ``B_tree = B
-    N`` has two entries in column ``j``: ``d_j`` in row ``j`` and ``-d_j``
-    in the parent's row, none when the parent is the pinned root.  So
-    ``B_tree^-1 g`` is ``a = 1 / d`` times the subtree sums of ``g``, and
-    ``B_tree^-T h`` the sums of ``a h`` along the paths to the root.  In a
-    preorder of the tree, ``pre``, node ``j`` heads the run ``[lo_j,
-    hi_j)`` of its subtree, so either sum is one cumulative sum: O(nT) and
-    no factorization.
-    """
-
-    a: np.ndarray
-    pre: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def solve(self, g: np.ndarray) -> np.ndarray:
-        """``B_tree^-1 g``: the subtree sums, differences of one cumulative sum."""
-        cs = np.zeros(g.size + 1)
-        np.cumsum(g[self.pre], out=cs[1:])
-        return self.a * (cs[self.hi] - cs[self.lo])
-
-    def solve_transposed(self, h: np.ndarray) -> np.ndarray:
-        """``B_tree^-T h``: each node's ``a h`` enters at ``lo`` and leaves at ``hi``."""
-        u = self.a * h
-        runs = np.bincount(np.concatenate([self.lo, self.hi]), np.concatenate([u, -u]),
-                           minlength=h.size + 1)
-        return np.cumsum(runs)[self.lo]
-
-
-@dataclass(frozen=True)
 class _NullSpaceLU:
     """Solves with ``S = [[S_tt, -B^T], [B, 0]]`` through the null space of ``B``.
 
@@ -279,29 +245,31 @@ class _NullSpaceLU:
     - ``t = t0 + Z R^-1 Z^T (b_t - S_tt t0)``, with ``R = Z^T S_tt Z``;
     - ``p = B_tree^-T N^T (S_tt t - b_t)``.
 
-    ``R``, about half the order of ``S``, is the one matrix factored.  The
-    products are stacked so a solve takes three: ``S_t``, the trace columns
-    ``[S_tt; B]`` of ``S``, ``ZN_T = [Z^T; N^T]`` and ``ZC = [Z; N^T S_tt
-    Z]``.  ``N`` itself is ``n_vals`` at the trace rows ``n_rows``, two per
-    tree node.
+    Each solve with ``B_tree = B N`` is one cumulative sum over the tree's
+    preorder ``pre`` (``_element_tree``): ``t0 = ND @ [0, cumsum(g[pre])]``
+    and ``p = cumsum(-ND^T (S_tt t - b_t))[lo]``.  ``R``, about half the
+    order of ``S``, is the one matrix factored.  The products are stacked
+    so a solve takes three: ``S_t``, the trace columns ``[S_tt; B]`` of
+    ``S``, ``ZN_T = [Z^T; -ND^T]`` and ``ZC = [Z; -ND^T S_tt Z]``.
     """
 
     R: _ScaledLU
     S_t: sp.csc_matrix
+    ND: sp.csc_matrix
     ZN_T: sp.csr_matrix
     ZC: sp.csr_matrix
-    tree: _ElementTree
-    n_rows: np.ndarray
-    n_vals: np.ndarray
+    pre: np.ndarray
+    lo: np.ndarray
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         nk, nz = self.S_t.shape[1], self.R.c.size
-        t = np.zeros(nk)
-        t[self.n_rows] = self.n_vals * self.tree.solve(b[nk:])[:, None]
-        w = self.ZN_T @ (b[:nk] - (self.S_t @ t)[:nk])   # Z^T r, N^T r
-        v = self.ZC @ self.R.solve(w[:nz])                # Z y, N^T S_tt Z y
+        cs = np.zeros(self.ND.shape[1])
+        np.cumsum(b[nk:][self.pre], out=cs[1:])
+        t = self.ND @ cs                                  # t0
+        w = self.ZN_T @ (b[:nk] - (self.S_t @ t)[:nk])    # Z^T r, -ND^T r
+        v = self.ZC @ self.R.solve(w[:nz])                # Z y, -ND^T S_tt Z y
         t += v[:nk]
-        return np.concatenate([t, self.tree.solve_transposed(v[nk:] - w[nz:])])
+        return np.concatenate([t, np.cumsum(v[nk:] - w[nz:])[self.lo]])
 
 
 def _null_space_lu(system: SaddleSystem, S: sp.csc_matrix) -> _NullSpaceLU | None:
@@ -323,9 +291,12 @@ def _null_space_lu(system: SaddleSystem, S: sp.csc_matrix) -> _NullSpaceLU | Non
     in its owner, ends at ``v``, so every element's two edges at ``v``
     cancel.  ``N`` puts ``f_e / |f_e|^2`` on the edge that joins each
     element to its parent in a breadth-first tree of the elements rooted
-    at the pinned one (``_element_tree``).  ``R = Z^T S_tt Z`` is factored
-    by ``_scaled_lu`` in a symmetric minimum-degree order with static
-    pivots (threshold 0); ``linear_solve`` checks every solve.
+    at the pinned one (``_element_tree``).  ``ND = N diag(a) (E_hi -
+    E_lo)``, where ``E_hi`` and ``E_lo`` pick entries ``hi`` and ``lo``, is
+    ``-+a_j f_e / |f_e|^2`` on node ``j``'s edge in columns ``lo_j`` and
+    ``hi_j``.  ``R = Z^T S_tt Z`` is factored by ``_scaled_lu`` in a
+    symmetric minimum-degree order with static pivots (threshold 0);
+    ``linear_solve`` checks every solve.
     """
     ker, mesh = system.kernels, system.kernels.mesh
     dm, nT, m = ker.dofmap, mesh.n_elements, S.shape[0]
@@ -360,7 +331,7 @@ def _null_space_lu(system: SaddleSystem, S: sp.csc_matrix) -> _NullSpaceLU | Non
     tree = _element_tree(mesh, free, elems, root, side, normal)
     if tree is None:
         return None
-    tree, node_edge = tree
+    a, pre, lo, hi, node_edge = tree
 
     interior = np.ones(len(mesh.vertices), dtype=bool)
     interior[mesh.edges[mesh.boundary_edges]] = False
@@ -368,24 +339,26 @@ def _null_space_lu(system: SaddleSystem, S: sp.csc_matrix) -> _NullSpaceLU | Non
     vcol = np.where(interior, nfe + np.cumsum(interior) - 1, -1)
     le = mesh.edge_local_index[free, :1]
     ends = mesh.elements[owner[:, None], (le + [1, 0]) % 3]   # (end, start), counterclockwise
-    # [Z^T; N^T]: rows are Z's columns, then one row per tree node
-    n_rows = 2 * node_edge[:, None] + np.arange(2)
+    # [Z^T; -ND^T]: rows are Z's columns, then the entries of the cumulative sum
+    tree_traces, an = 2 * node_edge[:, None] + np.arange(2), a[:, None] * normal[node_edge]
     rows = np.concatenate([np.column_stack([np.arange(nfe), vcol[ends]]).repeat(2, axis=1),
-                           np.repeat(nz + np.arange(nT - 1), 2)], axis=None)
-    cols = np.concatenate([np.tile(np.arange(nk).reshape(nfe, 2), 3), n_rows], axis=None)
+                           nz + np.repeat(hi, 2), nz + np.repeat(lo, 2)], axis=None)
+    cols = np.concatenate([np.tile(np.arange(nk).reshape(nfe, 2), 3), tree_traces, tree_traces],
+                          axis=None)
     tangent = np.column_stack([-f[:, 1], f[:, 0]]) / np.sqrt(f2)[:, None]
-    vals = np.concatenate([np.hstack([tangent, normal, -normal]), normal[node_edge]], axis=None)
+    vals = np.concatenate([np.hstack([tangent, normal, -normal]), -an, an], axis=None)
     keep = (rows >= 0) & (vals != 0)
-    ZN_T = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(nz + nT - 1, nk))
+    ZN_T = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(nz + nT, nk))
     Z = _csr_rows(ZN_T, 0, nz, nk).T
     SZ = S_t @ Z    # [S_tt Z; B Z]
     if (SZ.indices >= nk).any():
         return None
-    RC = _csr_rows(ZN_T, 0, nz + nT - 1, m) @ SZ   # [R; N^T S_tt Z]
+    RC = _csr_rows(ZN_T, 0, nz + nT, m) @ SZ   # [R; -ND^T S_tt Z]
     R = _scaled_lu(_csr_rows(RC, 0, nz, nz).tocsc(), permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    ZC = sp.vstack([Z.tocsr(), _csr_rows(RC, nz, nz + nT - 1, nz)], format="csr")
-    return _NullSpaceLU(R, S_t, ZN_T, ZC, tree, n_rows, normal[node_edge])
+    ZC = sp.vstack([Z.tocsr(), _csr_rows(RC, nz, nz + nT, nz)], format="csr")
+    ND = -_csr_rows(ZN_T, nz, nz + nT, nk).T
+    return _NullSpaceLU(R, S_t, ND, ZN_T, ZC, pre, lo)
 
 
 def _csr_rows(A: sp.csr_matrix, start: int, stop: int, n: int) -> sp.csr_matrix:
@@ -395,12 +368,19 @@ def _csr_rows(A: sp.csr_matrix, start: int, stop: int, n: int) -> sp.csr_matrix:
                          shape=(stop - start, n))
 
 
-def _element_tree(mesh, free, elems, root, side, normal) -> tuple[_ElementTree, np.ndarray] | None:
-    """The breadth-first element tree of ``_null_space_lu`` and each node's tree edge.
+def _element_tree(mesh, free, elems, root, side, normal):
+    """The breadth-first element tree of ``_null_space_lu``, as index arrays.
 
-    Node ``j`` is element ``elems[j]``; the free edges ``free`` join the
-    elements, and ``side`` holds the owner's and the neighbour's ``B`` rows
-    on each.  None unless the two rows on each tree edge give exactly
+    Node ``j``, element ``elems[j]``, is joined to its parent by free edge
+    ``node_edge[j]`` (of the free edges ``free``), which carries column
+    ``j`` of ``N``; so ``B_tree = B N`` has ``d_j`` in row ``j`` and
+    ``-d_j`` in the parent's (none under the pinned root), and ``B_tree^-1
+    g`` is ``a = 1 / d`` times the subtree sums of ``g``, ``B_tree^-T h``
+    the sums of ``a h`` along the paths to the root.  In the preorder
+    ``pre`` node ``j`` is at ``lo[j]`` and heads the run ``[lo[j], hi[j])``
+    of its subtree, so either sum is one cumulative sum.  Returns ``(a,
+    pre, lo, hi, node_edge)``, or None unless the owner's and the
+    neighbour's ``B`` rows on each tree edge (``side``) give exactly
     opposite entries of ``B_tree``.  The subtree sizes come from pointer
     jumping (Wyllie's list ranking), in as many rounds as the tree's depth
     has binary digits.
@@ -440,7 +420,7 @@ def _element_tree(mesh, free, elems, root, side, normal) -> tuple[_ElementTree, 
     pre = node[csgraph.depth_first_order(kids, root, return_predecessors=False)[1:]]
     lo = np.empty(m, dtype=np.int64)
     lo[pre] = np.arange(m)
-    return _ElementTree(1.0 / d, pre, lo, lo + size), node_edge
+    return 1.0 / d, pre, lo, lo + size, node_edge
 
 
 def solve_steady(mesh: Mesh, config: SpaceConfig, problem) -> DiscreteSolution:

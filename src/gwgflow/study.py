@@ -68,35 +68,39 @@ class StudyConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if len(self.elements) != 5:
             raise ValueError(f"elements must be the 5 degrees k, j, l, m, n, got {self.elements}")
+        if not set(self.formats) <= {"csv", "md"}:
+            raise ValueError(f"formats must be csv or md, got {self.formats}")
         self.space_config().validate_solver_compatibility()
-        for _, tau in self.cells():  # validate the rule and every tau eagerly
-            if tau is not None:
-                TimeGrid.from_tau(self.t_final, tau)
+        self.cells()  # validate the rule and every tau eagerly
 
     def cells(self) -> list[tuple[int, float | None]]:
         """The (cells_per_side, tau) pairs the study runs, in output order.
 
-        Steady problems ignore the tau rule.  A ``list:`` rule with a single
+        Steady problems ignore the tau rule.  Each tau is the step that is
+        marched: the rule's value rounded to a whole number of steps in
+        ``t_final`` (``TimeGrid.from_tau``).  A ``list:`` rule with a single
         mesh runs that mesh once per tau (a time-refinement study).
         """
         if manufactured_problem(self.problem).steady:
             return [(n, None) for n in self.mesh_sizes]
-        rule = self.tau_rule
+        rule, sizes = self.tau_rule, self.mesh_sizes
         if rule == "h2":
-            return [(n, 1.0 / (n * n)) for n in self.mesh_sizes]
-        if rule.startswith("fixed:"):
-            v = float(rule.split(":", 1)[1])
-            return [(n, v) for n in self.mesh_sizes]
-        if rule.startswith("list:"):
-            vals = tuple(float(s) for s in rule.split(":", 1)[1].split(","))
-            if len(self.mesh_sizes) == 1:
-                if any(b >= a for a, b in zip(vals, vals[1:])):
-                    raise ValueError("tau list must be strictly decreasing")
-                return [(self.mesh_sizes[0], v) for v in vals]
-            if len(vals) != len(self.mesh_sizes):
+            vals = [1.0 / (n * n) for n in sizes]
+        elif rule.startswith("fixed:"):
+            vals = [float(rule.split(":", 1)[1])] * len(sizes)
+        elif rule.startswith("list:"):
+            vals = [float(s) for s in rule.split(":", 1)[1].split(",")]
+            if len(sizes) == 1:
+                sizes = sizes * len(vals)
+            elif len(vals) != len(sizes):
                 raise ValueError("tau list length must match mesh_sizes")
-            return list(zip(self.mesh_sizes, vals))
-        raise ValueError(f"unknown tau rule {rule!r}")
+        else:
+            raise ValueError(f"unknown tau rule {rule!r}")
+        taus = [TimeGrid.from_tau(self.t_final, v).tau for v in vals]
+        # a time-refinement study at one mesh must refine
+        if len(set(sizes)) < len(sizes) and any(b >= a for a, b in zip(taus, taus[1:])):
+            raise ValueError("tau list must be strictly decreasing")
+        return list(zip(sizes, taus))
 
 
 @dataclass

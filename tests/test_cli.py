@@ -91,7 +91,8 @@ def test_study_config_rejects_unknown_keys(tmp_path):
 
 @pytest.mark.parametrize(
     "values, field",
-    [({"elements": [1, 0, 1, 0]}, "elements"), ({"workers": 2.5}, "workers")],
+    [({"elements": [1, 0, 1, 0]}, "elements"), ({"workers": 2.5}, "workers"),
+     ({"formats": ["pdf"]}, "formats")],
 )
 def test_study_config_file_with_bad_value_is_a_message(tmp_path, values, field):
     path = tmp_path / "study.json"
@@ -189,6 +190,11 @@ def test_evolutionary_solve_command(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "div residual" in out
+    assert "time steps   : 4 of tau = 0.25, up to T = 1\n" in out
+    # a tau that does not divide the final time is rounded to whole steps
+    assert main(["solve", "--problem", "evolutionary_oseen_ex2", "--cells", "2",
+                 "--tau", "0.7", "--tfinal", "1.0"]) == 0
+    assert "time steps   : 1 of tau = 1, up to T = 1\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from gwgflow.problems import manufactured_problem
 from gwgflow.solver import TimeGrid, _null_space_lu, solve_evolutionary, solve_steady
 from test_solver import _system
 
-SIZES = [2, 4, 8, 16]
+SIZES = [2, 3, 4, 6, 8, 16]
 
 
 def _factor(kind, n, config=SpaceConfig(1, 0, 1, 0, 0)):
@@ -21,10 +21,10 @@ def _factor(kind, n, config=SpaceConfig(1, 0, 1, 0, 0)):
 
 
 def _blocks(factor, S):
-    # B, Z and N of the factor, in S's numbering: nk free traces, then the
-    # kept pressures
-    nk, nz = factor.S_t.shape[1], factor.R.c.size
-    return S[nk:, :nk], factor.ZC[:nk], factor.ZN_T[nz:].T
+    # B and Z of the factor, in S's numbering: nk free traces, then the kept
+    # pressures
+    nk = factor.S_t.shape[1]
+    return S[nk:, :nk], factor.ZC[:nk]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -34,7 +34,7 @@ def test_stream_function_basis_spans_the_null_space_of_B(kind, n):
     # interior vertex: B Z is exactly zero, and Z has the dimension of ker B
     # (B has full row rank nT - 1) and full column rank
     system, S, factor = _factor(kind, n)
-    B, Z, _ = _blocks(factor, S)
+    B, Z = _blocks(factor, S)
     assert (B @ Z).nnz == 0
     mesh = system.kernels.mesh
     n_free = mesh.n_edges - mesh.boundary_edges.size
@@ -45,30 +45,48 @@ def test_stream_function_basis_spans_the_null_space_of_B(kind, n):
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("kind", ["steady", "backward_euler"])
-def test_element_tree_reaches_every_element(kind, n):
+def test_element_tree_reaches_every_element(kind, n, monkeypatch):
     # every element but the pinned root is a node; in the preorder each node
     # heads the run of its subtree, and the root's subtrees tile the order
-    system, S, factor = _factor(kind, n)
-    tree, m = factor.tree, system.kernels.mesh.n_elements - 1
-    assert np.array_equal(np.sort(tree.pre), np.arange(m))
-    assert np.array_equal(tree.lo[tree.pre], np.arange(m))
-    assert np.all(tree.hi > tree.lo) and tree.hi.max() == m
-    # N has one column per node, on its tree edge, and no edge serves two nodes
-    _, _, N = _blocks(factor, S)
-    assert np.unique(factor.n_rows[:, 0]).size == m and N.shape[1] == m
+    trees, element_tree = [], solver._element_tree
+    monkeypatch.setattr(solver, "_element_tree",
+                        lambda *args: trees.append(element_tree(*args)) or trees[-1])
+    system, _, factor = _factor(kind, n)
+    (_, pre, lo, hi, node_edge), m = trees[0], system.kernels.mesh.n_elements - 1
+    assert np.array_equal(np.sort(pre), np.arange(m))
+    assert np.array_equal(lo[pre], np.arange(m))
+    assert np.all(hi > lo) and hi.max() == m
+    assert np.array_equal(factor.pre, pre) and np.array_equal(factor.lo, lo)
+    # ND = N diag(a) (E_hi - E_lo) lies on the nodes' tree edges, in columns
+    # lo and hi of each, and no edge serves two nodes
+    assert np.unique(node_edge).size == m and factor.ND.shape[1] == m + 1
+    node = np.full(factor.ND.shape[0] // 2, -1)
+    node[node_edge] = np.arange(m)
+    rows, cols = factor.ND.nonzero()
+    j = node[rows // 2]
+    assert (j >= 0).all() and ((cols == lo[j]) | (cols == hi[j])).all()
 
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("kind", ["steady", "backward_euler"])
 def test_tree_sweeps_equal_dense_solves(kind, n):
-    # the cumulative-sum sweeps solve with B_tree = B N and its transpose
+    # the particular solution t0(g) = ND [0, cumsum(g[pre])] meets B t0 = g;
+    # the pressure sweep p(r) = cumsum(-ND^T r)[lo] is its adjoint, and so
+    # undoes B^T: p(B^T q) = q
     _, S, factor = _factor(kind, n)
-    B, _, N = _blocks(factor, S)
-    B_tree = (B @ N).toarray()
-    g = np.random.default_rng(n).standard_normal(B_tree.shape[0])
-    for sweep, dense in ((factor.tree.solve, B_tree), (factor.tree.solve_transposed, B_tree.T)):
-        ref = np.linalg.solve(dense, g)
-        assert np.linalg.norm(sweep(g) - ref) <= 1e-14 * np.linalg.norm(ref)
+    B, _ = _blocks(factor, S)
+    nz = factor.R.c.size
+    rng = np.random.default_rng(n)
+    g, q = rng.standard_normal((2, B.shape[0]))
+    r = rng.standard_normal(B.shape[1])
+
+    def p(r):
+        return np.cumsum(factor.ZN_T[nz:] @ r)[factor.lo]
+
+    t0 = factor.ND @ np.r_[0, np.cumsum(g[factor.pre])]
+    assert np.linalg.norm(B @ t0 - g) <= 1e-14 * np.linalg.norm(g)
+    assert abs(p(r) @ g - r @ t0) <= 1e-14 * np.linalg.norm(p(r)) * np.linalg.norm(g)
+    assert np.linalg.norm(p(B.T @ q) - q) <= 1e-14 * np.linalg.norm(q)
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -1,3 +1,4 @@
+import dataclasses
 import shutil
 import subprocess
 from pathlib import Path
@@ -171,6 +172,11 @@ def test_evolutionary_study_h2_rule():
     assert report.rows[0].tau == pytest.approx(1 / 4)
     assert report.rows[1].tau == pytest.approx(1 / 16)
     assert report.csv_text().count("1/4") >= 2  # h column and tau column
+    # a step that does not divide t_final is rounded to whole steps, and the
+    # rows report the step that was marched: three steps of 1/3
+    fixed = run_convergence_study(dataclasses.replace(study, mesh_sizes=(2,), tau_rule="fixed:0.3"))
+    assert fixed.rows[0].tau == 1 / 3
+    assert fixed.csv_text().splitlines()[1].startswith("1/2,1/3,")
 
 
 def test_tau_refinement_study_orders_use_tau():
