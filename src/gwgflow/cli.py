@@ -108,7 +108,10 @@ def _cmd_solve(args) -> int:
     print(f"pressure mean: {solution.pressure_mean:.3e}")
     print(f"div residual : {incompressibility_residual(solution):.3e}")
     if args.dump is not None:
-        _dump_solution(Path(args.dump), solution)
+        try:
+            _dump_solution(Path(args.dump), solution)
+        except OSError as exc:
+            raise SystemExit(f"solve stopped: cannot write the solution dump: {exc}") from None
         print(f"solution dump: {args.dump}")
     return 0
 
@@ -129,7 +132,13 @@ def _dump_solution(path: Path, solution) -> None:
 def _cmd_study(args) -> int:
     values = {}
     if args.config is not None:
-        values.update(json.loads(Path(args.config).read_text()))
+        try:
+            values = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+            raise SystemExit(f"invalid study config: {args.config}: {exc}") from None
+        if not isinstance(values, dict):
+            raise SystemExit(f"invalid study config: {args.config}: the top level is {values!r}, "
+                             "not an object")
         unknown = set(values) - {f.name for f in dataclasses.fields(StudyConfig)}
         if unknown:
             raise SystemExit(f"unknown config keys: {sorted(unknown)}")
@@ -157,7 +166,7 @@ def _cmd_study(args) -> int:
         raise SystemExit(f"invalid study config: {exc}") from None
     try:
         report = run_convergence_study(study)
-    except LinearSolveError as exc:
+    except (LinearSolveError, OSError) as exc:
         raise SystemExit(f"study stopped: {exc}") from None
     sys.stdout.write(report.markdown_text())
     if study.out_dir is not None:

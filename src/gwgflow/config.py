@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -13,6 +14,15 @@ def require_integer(what: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def require_finite(what: str, value) -> float:
+    """``value``, or a ``ValueError`` naming ``what`` if it is not a finite real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -49,8 +59,7 @@ class SpaceConfig:
             if value < 0:
                 raise ValueError(f"degree {name} must be >= 0")
         for name in ("gamma", "alpha", "zeta", "mu", "rho"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            require_finite(name, getattr(self, name))
         if not self.zeta > 0:
             raise ValueError("zeta must be positive")
         if not self.mu > 0:

@@ -24,6 +24,7 @@ from .localops import ElementKernels, project_velocity
 from .mesh import Mesh
 
 RESIDUAL_TOL = 1e-10
+ROUNDING = 64 * np.finfo(float).eps  # relative rounding bound of the null-space checks
 MAX_TIME_STEPS = 10**7
 
 
@@ -158,10 +159,11 @@ def _factorize(system: SaddleSystem) -> _CondensedFactor:
     """Condensed factor of the pinned ``K`` (see ``_CondensedFactor``).
 
     The ``S`` of ``system.reduced_blocks()`` is solved with through its
-    null space when ``_null_space_lu`` takes it (the P1 tuple with sigma =
-    0, whose kept pressures have a zero block); ``linear_solve`` checks
-    that factor on every solve and replaces it when it fails.  Every other
-    ``S``, or one whose ``R`` meets an exactly zero pivot, gets
+    null space when ``_null_space_lu`` takes it: the P1 tuple with sigma =
+    0, whose element flux rows ``B_local`` leave out the interior velocity,
+    so that the kept pressures have a zero block in ``S``.  ``linear_solve``
+    checks that factor on every solve and replaces it when it fails.  Every
+    other ``S``, or one whose ``R`` meets an exactly zero pivot, gets
     ``_threshold_pivot_lu``: COLAMD with threshold pivoting.  A singular
     element block, a structurally singular ``S`` or a singular
     factorization raises ``LinearSolveError``.
@@ -241,20 +243,20 @@ class _NullSpaceLU:
     Benzi, Golub and Liesen (Acta Numerica 14, 2005, section 6) and Arioli
     and Manzini (Commun. Numer. Meth. Engng 18, 2002):
 
-    - ``t0 = N B_tree^-1 g`` meets the constraint ``B t0 = g``;
+    - ``t0 = N B_tree^-1 g`` meets the constraint ``B t0 = g`` (to rounding);
     - ``t = t0 + Z R^-1 Z^T (b_t - S_tt t0)``, with ``R = Z^T S_tt Z``;
     - ``p = B_tree^-T N^T (S_tt t - b_t)``.
 
     Each solve with ``B_tree = B N`` is one cumulative sum over the tree's
     preorder ``pre`` (``_element_tree``): ``t0 = ND @ [0, cumsum(g[pre])]``
     and ``p = cumsum(-ND^T (S_tt t - b_t))[lo]``.  ``R``, about half the
-    order of ``S``, is the one matrix factored.  The products are stacked
-    so a solve takes three: ``S_t``, the trace columns ``[S_tt; B]`` of
-    ``S``, ``ZN_T = [Z^T; -ND^T]`` and ``ZC = [Z; -ND^T S_tt Z]``.
+    order of ``S``, is the one matrix factored.  A solve takes three sparse
+    products: with ``S_tt``, ``ZN_T = [Z^T; -ND^T]`` and ``ZC = [Z; -ND^T
+    S_tt Z]``; ``B`` itself is not kept.
     """
 
     R: _ScaledLU
-    S_t: sp.csc_matrix
+    S_tt: sp.csr_matrix
     ND: sp.csc_matrix
     ZN_T: sp.csr_matrix
     ZC: sp.csr_matrix
@@ -262,11 +264,11 @@ class _NullSpaceLU:
     lo: np.ndarray
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        nk, nz = self.S_t.shape[1], self.R.c.size
+        nk, nz = self.S_tt.shape[0], self.R.c.size
         cs = np.zeros(self.ND.shape[1])
         np.cumsum(b[nk:][self.pre], out=cs[1:])
         t = self.ND @ cs                                  # t0
-        w = self.ZN_T @ (b[:nk] - (self.S_t @ t)[:nk])    # Z^T r, -ND^T r
+        w = self.ZN_T @ (b[:nk] - self.S_tt @ t)          # Z^T r, -ND^T r
         v = self.ZC @ self.R.solve(w[:nz])                # Z y, -ND^T S_tt Z y
         t += v[:nk]
         return np.concatenate([t, np.cumsum(v[nk:] - w[nz:])[self.lo]])
@@ -275,60 +277,48 @@ class _NullSpaceLU:
 def _null_space_lu(system: SaddleSystem, S: sp.csc_matrix) -> _NullSpaceLU | None:
     """The null-space factor of the P1 ``S``, or None when ``S`` is not of its kind.
 
-    It takes ``S`` when the traces are piecewise constant (one unknown per
-    component and free edge, ``nk`` in all, edge by edge) and one pressure
-    per element is kept, and when ``S`` checks out exactly: its kept-
-    pressure block is empty, ``S_tp = -S_pt^T``, ``B Z = 0``, and the tree
-    gives ``B_tree`` opposite entries on each edge (``_element_tree``).
-    Only the P1 tuple with sigma = 0 does (sigma = 1 adds the pressure
-    jumps).
+    It takes a system with one trace unknown per component and free edge
+    (``nk`` in all, edge by edge), one pressure per element and sigma = 0,
+    whose ``B_local`` row is exactly zero on the interior velocity: then
+    ``reduced_blocks`` gives ``S`` a zero kept-pressure block and ``S_tp =
+    -S_pt^T``, ``S_pt`` being ``B``, the ``B_local`` entries on the free
+    traces, bit for bit.  The tuples with weak divergence degree ``m = 0``
+    have such rows, the P1 tuple among them; with ``m > 0`` the row mostly
+    holds rounding.  Kept pressure ``j`` is element ``j + 1``'s: element 0
+    holds the pinned one.  It also checks that ``|B Z| <= ROUNDING |B|
+    |Z|`` entry by entry, with ``B`` read from ``S``, and that the tree
+    gives ``B_tree`` opposite entries on each edge to the same bound
+    (``_element_tree``).
 
     ``f_e`` is the owner's ``B`` row on edge ``e``'s two traces (the
-    neighbour's, negated, when the owner holds the pinned pressure).  ``Z``
-    has a tangential column ``(-f_y, f_x) / |f_e|`` per free edge, then a
+    neighbour's, negated, when the owner is element 0).  ``Z`` has a
+    tangential column ``(-f_y, f_x) / |f_e|`` per free edge, then a
     discrete stream-function column per interior vertex ``v``: ``+-f_e /
     |f_e|^2`` on each of its edges, ``+`` where the edge, counterclockwise
     in its owner, ends at ``v``, so every element's two edges at ``v``
     cancel.  ``N`` puts ``f_e / |f_e|^2`` on the edge that joins each
     element to its parent in a breadth-first tree of the elements rooted
-    at the pinned one (``_element_tree``).  ``ND = N diag(a) (E_hi -
-    E_lo)``, where ``E_hi`` and ``E_lo`` pick entries ``hi`` and ``lo``, is
-    ``-+a_j f_e / |f_e|^2`` on node ``j``'s edge in columns ``lo_j`` and
-    ``hi_j``.  ``R = Z^T S_tt Z`` is factored by ``_scaled_lu`` in a
-    symmetric minimum-degree order with static pivots (threshold 0);
-    ``linear_solve`` checks every solve.
+    at element 0 (``_element_tree``).  ``ND = N diag(a) (E_hi - E_lo)``,
+    where ``E_hi`` and ``E_lo`` pick entries ``hi`` and ``lo``, is ``-+a_j
+    f_e / |f_e|^2`` on node ``j``'s edge in columns ``lo_j`` and ``hi_j``.
+    ``R = Z^T S_tt Z`` is factored by ``_scaled_lu`` in a symmetric
+    minimum-degree order with static pivots (threshold 0); ``linear_solve``
+    checks every solve.
     """
     ker, mesh = system.kernels, system.kernels.mesh
-    dm, nT, m = ker.dofmap, mesh.n_elements, S.shape[0]
-    nk = dm.free_dofs.size - dm.n_interior
-    if ker.dj != 1 or m - nk != nT - 1:
+    if (ker.dj, ker.dn, ker.config.sigma) != (1, 1, 0) or system.B_local[..., : 2 * ker.dk].any():
         return None
-    start = S.indptr[nk]  # where the trace columns' entries end
-    if (S.indices[start:] >= nk).any():
-        return None
-    S_t = sp.csc_matrix((S.data[:start], S.indices[:start], S.indptr[: nk + 1]), shape=(m, nk))
-    on_p = S_t.indices >= nk
-    p_row, t_col = S_t.indices[on_p] - nk, np.repeat(np.arange(nk), np.diff(S_t.indptr))[on_p]
-    b = S_t.data[on_p]
-    by_row = np.argsort(p_row, kind="stable")  # B's entries in the order of S_tp's
-    if not (b.size == S.nnz - start
-            and (p_row[by_row] == np.repeat(np.arange(m - nk), np.diff(S.indptr[nk:]))).all()
-            and (t_col[by_row] == S.indices[start:]).all()
-            and (b[by_row] == -S.data[start:]).all()):
-        return None
-
     free = np.flatnonzero(mesh.edge_elements[:, 1] >= 0)  # the edge of traces 2i, 2i + 1
-    nfe, root = free.size, dm.elem_pres[0, 0]
-    owner = mesh.edge_elements[free, 0]
-    elems = system.K_dofs[system.nc + nk :] - dm.n_velocity  # element of each kept pressure
-    # side[0]: the owner's row on each edge's traces, side[1]: the neighbour's
-    i, comp = np.divmod(t_col, 2)
-    side = np.zeros((2, nfe, 2))
-    side[(elems[p_row] != owner[i]).astype(int), i, comp] = b
-    f = np.where((owner == root)[:, None], -side[1], side[0])
+    nfe, nT, m, two = free.size, mesh.n_elements, S.shape[0], mesh.edge_elements[free]
+    nk, owner = 2 * nfe, two[:, 0]
+    # side[i, s]: the B row of edge i's owner (s = 0) or neighbour on its traces
+    slots = 2 * ker.dk + 2 * mesh.edge_local_index[free, :, None] + np.arange(2)
+    side = system.B_local[ker.shape_class[two][..., None], 0, slots]
+    side[two == 0] = 0.0  # element 0's pressure is pinned
+    f = np.where((owner == 0)[:, None], -side[:, 1], side[:, 0])
     f2 = (f * f).sum(axis=1)
     normal = f / f2[:, None]
-    tree = _element_tree(mesh, free, elems, root, side, normal)
+    tree = _element_tree(mesh, free, side, normal)
     if tree is None:
         return None
     a, pre, lo, hi, node_edge = tree
@@ -349,16 +339,20 @@ def _null_space_lu(system: SaddleSystem, S: sp.csc_matrix) -> _NullSpaceLU | Non
     vals = np.concatenate([np.hstack([tangent, normal, -normal]), -an, an], axis=None)
     keep = (rows >= 0) & (vals != 0)
     ZN_T = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(nz + nT, nk))
-    Z = _csr_rows(ZN_T, 0, nz, nk).T
-    SZ = S_t @ Z    # [S_tt Z; B Z]
-    if (SZ.indices >= nk).any():
+    Z = _csr_rows(ZN_T, 0, nz, nk).T.tocsr()
+    start = S.indptr[nk]  # where the trace columns' entries end
+    S_t = sp.csc_matrix((S.data[:start], S.indices[:start], S.indptr[: nk + 1]), shape=(m, nk))
+    S_t = S_t.tocsr()  # [S_tt; B]
+    S_tt, B = _csr_rows(S_t, 0, nk, nk), _csr_rows(S_t, nk, m, nk)
+    BZ = B @ Z
+    if BZ.nnz and (abs(BZ) > ROUNDING * (abs(B) @ abs(Z))).nnz:
         return None
-    RC = _csr_rows(ZN_T, 0, nz + nT, m) @ SZ   # [R; -ND^T S_tt Z]
+    RC = ZN_T @ (S_tt @ Z).sorted_indices()   # [R; -ND^T S_tt Z]
     R = _scaled_lu(_csr_rows(RC, 0, nz, nz).tocsc(), permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    ZC = sp.vstack([Z.tocsr(), _csr_rows(RC, nz, nz + nT, nz)], format="csr")
+    ZC = sp.vstack([Z, _csr_rows(RC, nz, nz + nT, nz)], format="csr")
     ND = -_csr_rows(ZN_T, nz, nz + nT, nk).T
-    return _NullSpaceLU(R, S_t, ND, ZN_T, ZC, pre, lo)
+    return _NullSpaceLU(R, S_tt, ND, ZN_T, ZC, pre, lo)
 
 
 def _csr_rows(A: sp.csr_matrix, start: int, stop: int, n: int) -> sp.csr_matrix:
@@ -368,58 +362,52 @@ def _csr_rows(A: sp.csr_matrix, start: int, stop: int, n: int) -> sp.csr_matrix:
                          shape=(stop - start, n))
 
 
-def _element_tree(mesh, free, elems, root, side, normal):
+def _element_tree(mesh, free, side, normal):
     """The breadth-first element tree of ``_null_space_lu``, as index arrays.
 
-    Node ``j``, element ``elems[j]``, is joined to its parent by free edge
-    ``node_edge[j]`` (of the free edges ``free``), which carries column
-    ``j`` of ``N``; so ``B_tree = B N`` has ``d_j`` in row ``j`` and
-    ``-d_j`` in the parent's (none under the pinned root), and ``B_tree^-1
-    g`` is ``a = 1 / d`` times the subtree sums of ``g``, ``B_tree^-T h``
-    the sums of ``a h`` along the paths to the root.  In the preorder
-    ``pre`` node ``j`` is at ``lo[j]`` and heads the run ``[lo[j], hi[j])``
-    of its subtree, so either sum is one cumulative sum.  Returns ``(a,
-    pre, lo, hi, node_edge)``, or None unless the owner's and the
-    neighbour's ``B`` rows on each tree edge (``side``) give exactly
-    opposite entries of ``B_tree``.  The subtree sizes come from pointer
-    jumping (Wyllie's list ranking), in as many rounds as the tree's depth
-    has binary digits.
+    Node ``j`` is element ``j + 1``, and the root is element 0.  Node ``j``
+    is joined to its parent by free edge ``node_edge[j]`` (of the free edges
+    ``free``), which carries column ``j`` of ``N``; so ``B_tree = B N`` has
+    ``d_j`` in row ``j`` and ``-d_j`` in the parent's (none under the
+    root), and ``B_tree^-1 g`` is ``a = 1 / d`` times the subtree sums of
+    ``g``, ``B_tree^-T h`` the sums of ``a h`` along the paths to the root.
+    In the preorder ``pre`` node ``j`` is at ``lo[j]`` and heads the run
+    ``[lo[j], hi[j])`` of its subtree, so either sum is one cumulative sum.
+    Returns ``(a, pre, lo, hi, node_edge)``, or None unless the parent's
+    ``B`` row on each tree edge (``side``) gives an entry ``o_j`` of
+    ``B_tree`` with ``|o_j + d_j| <= ROUNDING |d_j|``.  The subtree sizes
+    come from pointer jumping (Wyllie's list ranking), in as many rounds as
+    the tree's depth has binary digits.
     """
-    nT, m = mesh.n_elements, elems.size
-    ee = mesh.element_edges
+    nT, ee = mesh.n_elements, mesh.element_edges
     across = mesh.edge_elements[ee].sum(axis=2) - np.arange(nT)[:, None]  # -1: boundary
     inner = across >= 0
     graph = sp.csr_matrix((np.ones(inner.sum()), across[inner], np.r_[0, np.cumsum(inner.sum(1))]),
                           shape=(nT, nT))
-    _, pred = csgraph.breadth_first_order(graph, root)
-    if (pred[elems] < 0).any():
+    pred = csgraph.breadth_first_order(graph, 0)[1][1:]   # each node's parent element
+    if (pred < 0).any():
         raise LinearSolveError("the elements are not connected by free edges")
-    edge = ee[elems, np.argmax(across[elems] == pred[elems, None], axis=1)]
+    edge = ee[np.arange(1, nT), np.argmax(across[1:] == pred[:, None], axis=1)]
     at = np.full(mesh.n_edges, -1)
     at[free] = np.arange(free.size)
     node_edge = at[edge]
-    node = np.full(nT, m)
-    node[elems] = np.arange(m)
-    parent = node[pred[elems]]   # m under the root
     # this node's row and its parent's on the tree edge's column of N
-    mine = (elems != mesh.edge_elements[edge, 0]).astype(int)
-    d = (side[mine, node_edge] * normal[node_edge]).sum(axis=1)
-    o = (side[1 - mine, node_edge] * normal[node_edge]).sum(axis=1)
-    if (o != np.where(parent < m, -d, 0.0)).any():
+    mine = (np.arange(1, nT) != mesh.edge_elements[edge, 0]).astype(int)
+    d = (side[node_edge, mine] * normal[node_edge]).sum(axis=1)
+    o = (side[node_edge, 1 - mine] * normal[node_edge]).sum(axis=1)
+    if (abs(o + (pred > 0) * d) > ROUNDING * abs(d)).any():
         return None
-    size, up, jumps = np.ones(m, dtype=np.int64), parent, []
-    while (up < m).any():
+    size, up, jumps = np.ones(nT - 1, dtype=np.int64), pred, []
+    while up.any():
         jumps.append(up)
-        up = np.append(up, m)[up]
+        up = np.r_[0, up][up]
     for up in reversed(jumps):
-        size += np.bincount(up, size, minlength=m + 1)[:m].astype(np.int64)
-    by_parent = np.argsort(pred[elems], kind="stable")
-    kids = sp.csr_matrix((np.ones(m), elems[by_parent],
-                          np.r_[0, np.cumsum(np.bincount(pred[elems], minlength=nT))]),
-                         shape=(nT, nT))
-    pre = node[csgraph.depth_first_order(kids, root, return_predecessors=False)[1:]]
-    lo = np.empty(m, dtype=np.int64)
-    lo[pre] = np.arange(m)
+        size += np.bincount(up, size, minlength=nT)[1:].astype(np.int64)
+    kids = sp.csr_matrix((np.ones(nT - 1), np.argsort(pred, kind="stable") + 1,
+                          np.r_[0, np.cumsum(np.bincount(pred, minlength=nT))]), shape=(nT, nT))
+    pre = csgraph.depth_first_order(kids, 0, return_predecessors=False)[1:] - 1
+    lo = np.empty(nT - 1, dtype=np.int64)
+    lo[pre] = np.arange(nT - 1)
     return 1.0 / d, pre, lo, lo + size, node_edge
 
 

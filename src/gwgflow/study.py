@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .config import SpaceConfig, require_integer
+from .config import SpaceConfig, require_finite, require_integer
 from .mesh import build_uniform_triangulation
 from .problems import manufactured_problem
 from .solver import TimeGrid, solve_evolutionary, solve_steady
@@ -56,6 +57,15 @@ class StudyConfig:
         )
 
     def __post_init__(self):
+        for name in ("problem", "tau_rule"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        require_finite("t_final", self.t_final)
+        if self.out_dir is not None:
+            if not isinstance(self.out_dir, (str, os.PathLike)):
+                raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
+            if Path(self.out_dir).exists() and not Path(self.out_dir).is_dir():
+                raise ValueError(f"out_dir must be a directory, got the file {str(self.out_dir)!r}")
         if len(self.mesh_sizes) < 1:
             raise ValueError("mesh_sizes must not be empty")
         for n in self.mesh_sizes:
@@ -68,7 +78,7 @@ class StudyConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if len(self.elements) != 5:
             raise ValueError(f"elements must be the 5 degrees k, j, l, m, n, got {self.elements}")
-        if not set(self.formats) <= {"csv", "md"}:
+        if not all(f in ("csv", "md") for f in self.formats):
             raise ValueError(f"formats must be csv or md, got {self.formats}")
         self.space_config().validate_solver_compatibility()
         self.cells()  # validate the rule and every tau eagerly

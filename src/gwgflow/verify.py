@@ -240,9 +240,11 @@ def estimate_infsup(kernels: ElementKernels) -> float:
 
     Smallest nonzero generalized eigenvalue of B (K + S1)^{-1} B^T against
     the pressure mass matrix, square-rooted: the smallest, the 0 of the
-    constant pressure, is skipped.  The eigenproblem is dense: above
-    ``DENSE_EIG_LIMIT`` pressure DOFs ``ValueError`` is raised before any
-    array is formed.
+    constant pressure, is skipped.  An eigenvalue at or below ``npres * eps``
+    times the spectrum's bound ``||S||_inf / lambda_min(Mp)`` is rounding
+    and reads 0, as a singular value does in ``numpy.linalg.matrix_rank``.
+    The eigenproblem is dense: above ``DENSE_EIG_LIMIT`` pressure DOFs
+    ``ValueError`` is raised before any array is formed.
     """
     ker, dm = kernels, kernels.dofmap
     npres = dm.n_pressure
@@ -265,8 +267,9 @@ def estimate_infsup(kernels: ElementKernels) -> float:
     # pressure DOFs are per-element contiguous, so the mass matrix is block-diagonal
     Mp = sp.block_diag(ker.Mn, format="csr").toarray()
     # B^T annihilates the constant pressure: the smallest eigenvalue is its 0
-    vals = scipy.linalg.eigh(S, Mp, eigvals_only=True, subset_by_index=[1, 1])
-    return float(np.sqrt(max(vals[0], 0.0)))
+    lam = scipy.linalg.eigh(S, Mp, eigvals_only=True, subset_by_index=[1, 1])[0]
+    bound = np.abs(S).sum(axis=1).max() / np.linalg.eigvalsh(ker.Mn).min()
+    return float(np.sqrt(lam)) if lam > npres * np.finfo(float).eps * bound else 0.0
 
 
 def estimate_coercivity(kernels: ElementKernels, beta) -> float:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import gwgflow
-from gwgflow import solver, verify
+from gwgflow import solver, study, verify
 from gwgflow.cli import main
 from gwgflow.config import SpaceConfig
 from gwgflow.mesh import build_uniform_triangulation
@@ -92,14 +92,45 @@ def test_study_config_rejects_unknown_keys(tmp_path):
 @pytest.mark.parametrize(
     "values, field",
     [({"elements": [1, 0, 1, 0]}, "elements"), ({"workers": 2.5}, "workers"),
-     ({"formats": ["pdf"]}, "formats")],
+     ({"formats": ["pdf"]}, "formats"), ({"gamma": "x"}, "gamma"), ({"mu": None}, "mu"),
+     ({"t_final": "1"}, "t_final"), ({"tau_rule": 5}, "tau_rule"), ({"out_dir": 5}, "out_dir"),
+     ({"problem": [1]}, "problem")],
 )
-def test_study_config_file_with_bad_value_is_a_message(tmp_path, values, field):
+def test_study_config_file_with_bad_value_is_a_message(tmp_path, values, field, monkeypatch):
+    # each field's type is checked when the config is built, before any cell
+    monkeypatch.setattr(study, "_run_cell", lambda *args: pytest.fail("a cell was solved"))
     path = tmp_path / "study.json"
     path.write_text(json.dumps({"problem": "stokes_patch", "mesh_sizes": [2], **values}))
     with pytest.raises(SystemExit) as exc:
         main(["study", "--config", str(path)])
     assert exc.value.code.startswith(f"invalid study config: {field} must be")
+
+
+@pytest.mark.parametrize("text, message", [("{bad", "Expecting property name"),
+                                           (None, "No such file"),
+                                           ("[1, 2]", "the top level is [1, 2], not an object")],
+                         ids=["malformed", "missing", "list"])
+def test_unreadable_study_config_is_a_message(tmp_path, text, message):
+    path = tmp_path / "study.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--config", str(path)])
+    assert exc.value.code.startswith(f"invalid study config: {path}: ")
+    assert message in exc.value.code
+
+
+def test_unwritable_output_is_a_message(tmp_path, monkeypatch):
+    # a dump into a missing directory stops the solve with a message; an out
+    # directory that is a file is refused before any cell is solved
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--cells", "2", "--dump", str(tmp_path / "missing" / "dump.txt")])
+    assert exc.value.code.startswith("solve stopped: cannot write the solution dump: ")
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(study, "_run_cell", lambda *args: pytest.fail("a cell was solved"))
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--mesh", "2", "--out", str(tmp_path / "file")])
+    assert exc.value.code.startswith("invalid study config: out_dir must be a directory")
 
 
 @pytest.mark.parametrize("values, field", [({"elements": 5}, "elements"), ({"mesh_sizes": 2}, "mesh_sizes")])
@@ -135,6 +166,14 @@ def test_verify_command_passes(capsys):
     assert rc == 0
     assert out.count("[PASS]") == 4
     assert "[FAIL]" not in out
+
+
+def test_verify_command_fails_an_inf_sup_unstable_pair(capsys):
+    # P1 pressures against P0 traces: the inf-sup eigenvalue is rounding,
+    # about 1e-16, and reads 0
+    rc = main(["verify", "--cells", "2", "--elements", "1,0,1,0,1", "--trials", "10"])
+    assert rc == 1
+    assert "[FAIL] inf-sup constant: 0.0000\n" in capsys.readouterr().out
 
 
 def test_verify_above_the_dense_limit_is_a_message(monkeypatch, capsys):

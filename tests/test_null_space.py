@@ -9,13 +9,20 @@ from gwgflow.config import SpaceConfig
 from gwgflow.mesh import build_uniform_triangulation
 from gwgflow.problems import manufactured_problem
 from gwgflow.solver import TimeGrid, _null_space_lu, solve_evolutionary, solve_steady
+from test_localops import _jittered_mesh, _renumbered_mesh
 from test_solver import _system
 
 SIZES = [2, 3, 4, 6, 8, 16]
+# the tuples whose B_local row has no interior-velocity entry: the gate takes them
+TAKEN = [(1, 0, 1, 0, 0), (1, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 1, 0, 0), (1, 0, 2, 0, 0)]
+MESHES = {"jittered5": lambda: _jittered_mesh(5), "jittered6": lambda: _jittered_mesh(6),
+          "renumbered6": lambda: _renumbered_mesh(6)}
 
 
 def _factor(kind, n, config=SpaceConfig(1, 0, 1, 0, 0)):
-    system, step = _system(kind, build_uniform_triangulation(n), config)
+    # n: cells per side of a uniform mesh, or a name in MESHES
+    mesh = MESHES[n]() if isinstance(n, str) else build_uniform_triangulation(n)
+    system, step = _system(kind, mesh, config)
     S = system.reduced_blocks()[-1]
     return system, S, _null_space_lu(system, S)
 
@@ -23,7 +30,7 @@ def _factor(kind, n, config=SpaceConfig(1, 0, 1, 0, 0)):
 def _blocks(factor, S):
     # B and Z of the factor, in S's numbering: nk free traces, then the kept
     # pressures
-    nk = factor.S_t.shape[1]
+    nk = factor.S_tt.shape[0]
     return S[nk:, :nk], factor.ZC[:nk]
 
 
@@ -41,6 +48,19 @@ def test_stream_function_basis_spans_the_null_space_of_B(kind, n):
     assert Z.shape == (2 * n_free, 2 * n_free - (mesh.n_elements - 1))
     if n <= 4:
         assert np.linalg.matrix_rank(Z.toarray()) == Z.shape[1]
+
+
+@pytest.mark.parametrize("mesh", [5, "jittered5", "jittered6", "renumbered6"])
+@pytest.mark.parametrize("kind", ["steady", "backward_euler"])
+def test_null_space_of_rounded_flux_rows_is_taken(kind, mesh):
+    # on these meshes the owner's and the neighbour's flux rows, and so B Z,
+    # differ from exact cancellation by rounding: the gate bounds B Z entry
+    # by entry by ROUNDING |B| |Z|, takes them, and the solve stays accurate
+    _, S, factor = _factor(kind, mesh)
+    assert factor is not None
+    B, Z = _blocks(factor, S)
+    assert (abs(B @ Z) > solver.ROUNDING * (abs(B) @ abs(Z))).nnz == 0
+    _assert_equals_threshold_solve(S, factor)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -92,21 +112,39 @@ def test_tree_sweeps_equal_dense_solves(kind, n):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("kind", ["steady", "backward_euler"])
 def test_null_space_solve_equals_threshold_solve(kind, n):
-    _, S, factor = _factor(kind, n)
-    b = np.random.default_rng(n).standard_normal(S.shape[0])
+    _assert_equals_threshold_solve(*_factor(kind, n)[1:], seed=n)
+
+
+def _assert_equals_threshold_solve(S, factor, seed=0):
+    b = np.random.default_rng(seed).standard_normal(S.shape[0])
     ref = solver._threshold_pivot_lu(S).solve(b)
     assert np.linalg.norm(factor.solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("mesh", [4, 5, "jittered6"])
+@pytest.mark.parametrize("element", TAKEN, ids=lambda t: "".join(map(str, t)))
+@pytest.mark.parametrize("kind", ["steady", "backward_euler"])
+def test_taken_schur_complement_is_a_saddle_point(kind, element, mesh):
+    # a zero interior-velocity row of B_local makes S exactly [[S_tt, -B^T],
+    # [B, 0]], the facts the gate no longer reads from S
+    _, S, factor = _factor(kind, mesh, SpaceConfig(*element))
+    assert factor is not None
+    nk = factor.S_tt.shape[0]
+    assert (S[:nk, nk:] != -S[nk:, :nk].T).nnz == 0 and S[nk:, nk:].nnz == 0
+    _assert_equals_threshold_solve(S, factor)
+
+
 @pytest.mark.parametrize(
     "element, sigma",
-    [((1, 0, 1, 0, 0), 1), ((2, 1, 1, 1, 1), 0), ((2, 1, 1, 1, 1), 1), ((1, 1, 1, 1, 0), 0)],
-    ids=["P1-sigma1", "P2-sigma0", "P2-sigma1", "11110-sigma0"],
+    [((1, 0, 1, 0, 0), 1), ((2, 1, 1, 1, 1), 0), ((2, 1, 1, 1, 1), 1), ((1, 1, 1, 1, 0), 0),
+     ((1, 0, 1, 1, 0), 0), ((1, 0, 1, 2, 0), 0)],
+    ids=["P1-sigma1", "P2-sigma0", "P2-sigma1", "11110-sigma0", "10110-sigma0", "10120-sigma0"],
 )
 @pytest.mark.parametrize("kind", ["steady", "backward_euler"])
 def test_gate_refuses_other_schur_complements(kind, element, sigma):
-    # sigma = 1 fills the pressure block; the other tuples have P1 traces,
-    # and their kept pressures a nonzero diagonal
+    # sigma = 1 fills the pressure block; (2,1,1,1,1) and (1,1,1,1,0) have
+    # P1 traces, and the tuples with m > 0 a B_local row whose rounding
+    # reaches the interior velocity
     assert _factor(kind, 4, SpaceConfig(*element, sigma=sigma))[2] is None
 
 

@@ -236,7 +236,7 @@ EQUILIBRATED = {"permc_spec": "COLAMD", "diag_pivot_thresh": 0.1}
 
 def _null_space_R(factor, S):
     # R = Z^T S_tt Z, from the Z that the factor stacks over N^T S_tt Z
-    nk = factor.S_t.shape[1]
+    nk = factor.S_tt.shape[0]
     Z = factor.ZC[:nk]
     return (Z.T @ S[:nk, :nk] @ Z).tocsc()
 
