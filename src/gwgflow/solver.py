@@ -24,7 +24,6 @@ from .localops import ElementKernels, project_velocity
 from .mesh import Mesh
 
 RESIDUAL_TOL = 1e-10
-ROUNDING = 64 * np.finfo(float).eps  # relative rounding bound of the null-space checks
 MAX_TIME_STEPS = 10**7
 
 
@@ -243,7 +242,7 @@ class _NullSpaceLU:
     Benzi, Golub and Liesen (Acta Numerica 14, 2005, section 6) and Arioli
     and Manzini (Commun. Numer. Meth. Engng 18, 2002):
 
-    - ``t0 = N B_tree^-1 g`` meets the constraint ``B t0 = g`` (to rounding);
+    - ``t0 = N B_tree^-1 g`` meets the constraint ``B t0 = g``;
     - ``t = t0 + Z R^-1 Z^T (b_t - S_tt t0)``, with ``R = Z^T S_tt Z``;
     - ``p = B_tree^-T N^T (S_tt t - b_t)``.
 
@@ -277,18 +276,18 @@ class _NullSpaceLU:
 def _null_space_lu(system: SaddleSystem, S: sp.csc_matrix) -> _NullSpaceLU | None:
     """The null-space factor of the P1 ``S``, or None when ``S`` is not of its kind.
 
-    It takes a system with one trace unknown per component and free edge
-    (``nk`` in all, edge by edge), one pressure per element and sigma = 0,
-    whose ``B_local`` row is exactly zero on the interior velocity: then
-    ``reduced_blocks`` gives ``S`` a zero kept-pressure block and ``S_tp =
-    -S_pt^T``, ``S_pt`` being ``B``, the ``B_local`` entries on the free
-    traces, bit for bit.  The tuples with weak divergence degree ``m = 0``
-    have such rows, the P1 tuple among them; with ``m > 0`` the row mostly
-    holds rounding.  Kept pressure ``j`` is element ``j + 1``'s: element 0
-    holds the pinned one.  It also checks that ``|B Z| <= ROUNDING |B|
-    |Z|`` entry by entry, with ``B`` read from ``S``, and that the tree
-    gives ``B_tree`` opposite entries on each edge to the same bound
-    (``_element_tree``).
+    It takes the tuples with one trace unknown per component and free edge
+    (``nk`` in all, edge by edge), one pressure per element, weak
+    divergence degree ``m = 0`` and sigma = 0, the P1 tuple among them.
+    With ``m = 0`` the weak divergence has no interior term (the gradient
+    of a constant is exactly 0), so the ``B_local`` row is exactly zero on
+    the interior velocity and ``reduced_blocks`` gives ``S`` a zero
+    kept-pressure block and ``S_tp = -S_pt^T``, ``S_pt`` being ``B``, the
+    ``B_local`` entries on the free traces, bit for bit.  Kept pressure
+    ``j`` is element ``j + 1``'s: element 0 holds the pinned one.  It also
+    checks that ``B Z = 0``, with ``B`` read from ``S``, and that the tree
+    gives ``B_tree`` opposite entries on each edge (``_element_tree``),
+    both exactly.
 
     ``f_e`` is the owner's ``B`` row on edge ``e``'s two traces (the
     neighbour's, negated, when the owner is element 0).  ``Z`` has a
@@ -306,7 +305,7 @@ def _null_space_lu(system: SaddleSystem, S: sp.csc_matrix) -> _NullSpaceLU | Non
     checks every solve.
     """
     ker, mesh = system.kernels, system.kernels.mesh
-    if (ker.dj, ker.dn, ker.config.sigma) != (1, 1, 0) or system.B_local[..., : 2 * ker.dk].any():
+    if (ker.dj, ker.dn, ker.config.m, ker.config.sigma) != (1, 1, 0, 0):
         return None
     free = np.flatnonzero(mesh.edge_elements[:, 1] >= 0)  # the edge of traces 2i, 2i + 1
     nfe, nT, m, two = free.size, mesh.n_elements, S.shape[0], mesh.edge_elements[free]
@@ -339,20 +338,18 @@ def _null_space_lu(system: SaddleSystem, S: sp.csc_matrix) -> _NullSpaceLU | Non
     vals = np.concatenate([np.hstack([tangent, normal, -normal]), -an, an], axis=None)
     keep = (rows >= 0) & (vals != 0)
     ZN_T = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(nz + nT, nk))
-    Z = _csr_rows(ZN_T, 0, nz, nk).T.tocsr()
+    Z = _csr_rows(ZN_T, 0, nz, nk).T
     start = S.indptr[nk]  # where the trace columns' entries end
     S_t = sp.csc_matrix((S.data[:start], S.indices[:start], S.indptr[: nk + 1]), shape=(m, nk))
-    S_t = S_t.tocsr()  # [S_tt; B]
-    S_tt, B = _csr_rows(S_t, 0, nk, nk), _csr_rows(S_t, nk, m, nk)
-    BZ = B @ Z
-    if BZ.nnz and (abs(BZ) > ROUNDING * (abs(B) @ abs(Z))).nnz:
+    SZ = S_t @ Z    # [S_tt Z; B Z]
+    if (SZ.indices >= nk).any():
         return None
-    RC = ZN_T @ (S_tt @ Z).sorted_indices()   # [R; -ND^T S_tt Z]
+    RC = _csr_rows(ZN_T, 0, nz + nT, m) @ SZ   # [R; -ND^T S_tt Z]
     R = _scaled_lu(_csr_rows(RC, 0, nz, nz).tocsc(), permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    ZC = sp.vstack([Z, _csr_rows(RC, nz, nz + nT, nz)], format="csr")
+    ZC = sp.vstack([Z.tocsr(), _csr_rows(RC, nz, nz + nT, nz)], format="csr")
     ND = -_csr_rows(ZN_T, nz, nz + nT, nk).T
-    return _NullSpaceLU(R, S_tt, ND, ZN_T, ZC, pre, lo)
+    return _NullSpaceLU(R, _csr_rows(S_t.tocsr(), 0, nk, nk), ND, ZN_T, ZC, pre, lo)
 
 
 def _csr_rows(A: sp.csr_matrix, start: int, stop: int, n: int) -> sp.csr_matrix:
@@ -374,10 +371,10 @@ def _element_tree(mesh, free, side, normal):
     In the preorder ``pre`` node ``j`` is at ``lo[j]`` and heads the run
     ``[lo[j], hi[j])`` of its subtree, so either sum is one cumulative sum.
     Returns ``(a, pre, lo, hi, node_edge)``, or None unless the parent's
-    ``B`` row on each tree edge (``side``) gives an entry ``o_j`` of
-    ``B_tree`` with ``|o_j + d_j| <= ROUNDING |d_j|``.  The subtree sizes
-    come from pointer jumping (Wyllie's list ranking), in as many rounds as
-    the tree's depth has binary digits.
+    ``B`` row on each tree edge (``side``) gives the entry ``-d_j`` of
+    ``B_tree`` exactly.  The subtree sizes come from pointer jumping
+    (Wyllie's list ranking), in as many rounds as the tree's depth has
+    binary digits.
     """
     nT, ee = mesh.n_elements, mesh.element_edges
     across = mesh.edge_elements[ee].sum(axis=2) - np.arange(nT)[:, None]  # -1: boundary
@@ -395,7 +392,7 @@ def _element_tree(mesh, free, side, normal):
     mine = (np.arange(1, nT) != mesh.edge_elements[edge, 0]).astype(int)
     d = (side[node_edge, mine] * normal[node_edge]).sum(axis=1)
     o = (side[node_edge, 1 - mine] * normal[node_edge]).sum(axis=1)
-    if (abs(o + (pred > 0) * d) > ROUNDING * abs(d)).any():
+    if (o != np.where(pred > 0, -d, 0.0)).any():
         return None
     size, up, jumps = np.ones(nT - 1, dtype=np.int64), pred, []
     while up.any():
