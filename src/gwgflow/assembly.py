@@ -171,10 +171,16 @@ def _assemble_s2(ker: ElementKernels) -> sp.csr_matrix:
     return _scatter(local, cols, cols, (npres, npres))
 
 
-def assemble_load(kernels: ElementKernels, f, time: float | None = None) -> np.ndarray:
-    """The load (f, v0), (n_interior,): only the interior velocity tests it."""
-    vals = _eval_field("forcing f", f, *kernels.qxy, time)
-    return kernels.interior_moments(vals).reshape(-1)
+def assemble_load(kernels: ElementKernels, f) -> np.ndarray:
+    """The loads (F_k, v0) of the forcing's spatial terms, (K, n_interior).
+
+    ``f(x, y)`` gives the K terms as (..., K, 2); only the interior velocity
+    tests them.  The load at time t is ``f_time(t) @`` this (``problems``).
+    """
+    vals, (nT, nq) = _eval_field("forcing f", f, *kernels.qxy), kernels.qxy[0].shape
+    if vals.ndim != 4 or vals.shape[:2] + vals.shape[3:] != (nT, nq, 2):
+        raise ValueError(f"forcing f has shape {vals.shape}, not ({nT}, {nq}, K, 2)")
+    return kernels.interior_moments(np.moveaxis(vals, 2, 0)).reshape(vals.shape[2], -1)
 
 
 class LinearSolveError(RuntimeError):

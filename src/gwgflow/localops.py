@@ -170,10 +170,8 @@ class ElementKernels:
 
     The points at which fields are evaluated are read-only and owned here:
     ``qxy``, the ``(x, y)`` views of ``qp``, ``edge_xy``, those of
-    ``edge_pts``, and ``boundary_xy``, those of the boundary edges' points.
-    Every evaluation passes these same objects, so a field can tell by
-    identity that it sees the points of its last call (the evolutionary
-    forcing's cache does, on every time step).
+    ``edge_pts``, and ``boundary_xy``, those of the boundary edges' points;
+    every evaluation shares them, so a field cannot write them.
     """
 
     Vk, Vl, Vm, Vn = (_prefix("_V", d) for d in ("dk", "dl", "dm", "dn"))
@@ -339,8 +337,8 @@ class ElementKernels:
         return W[self.shape_class]
 
     def interior_moments(self, vals: np.ndarray) -> np.ndarray:
-        """Moments (v, phi_i)_T of vector values (nT, np, 2) at ``qp``, (nT, 2, dk)."""
-        return np.matmul(vals.transpose(0, 2, 1), self.wVk)
+        """Moments (v, phi_i)_T of values (..., nT, np, 2) at ``qp``, (..., nT, 2, dk)."""
+        return np.matmul(vals.swapaxes(-1, -2), self.wVk)
 
     def stabilizer_local(self) -> np.ndarray:
         """Component-local s1 matrices, (nT, ncomp, ncomp), with zeta * h_T**gamma.

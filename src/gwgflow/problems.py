@@ -9,19 +9,17 @@ so discretization errors can be measured exactly.  All fields are numpy
 vectorized: scalars map (x, y[, t]) -> array, vector fields return the
 components stacked in a trailing axis.
 
-The evolutionary forcing separates as ``exp(-t) F1(x, y) + sin(t) F2(x, y)``.
-Its problem keeps ``F1`` and ``F2`` for the last point set it was called
-on, so a time march, which evaluates f at the same quadrature points every
-step, forms the convection field's ``sin``/``cos`` once.  The cache holds one
-point set per problem instance.  It hits only when the call passes the very
-``x`` and ``y`` of the last call and neither these arrays nor the arrays
-they view can be written (``ElementKernels.qxy`` are such), so points that
-may have changed since are always recomputed.
+The forcing is stated as a short sum ``f(x, y, t) = sum_k a_k(t) F_k(x, y)``:
+``Problem.f`` gives the spatial terms ``F_k``, stacked in the axis before the
+components, and ``Problem.f_time`` the coefficients ``a_k(t)``, so the forcing
+at ``t`` is ``f_time(t) @ f(x, y)``.  The steady problems have one term with
+``a = 1``; the evolutionary one has ``exp(-t) F1 + sin(t) F2``.  A solver
+forms the load of each term once per mesh and only scales it per time step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +34,8 @@ class Problem:
     u: callable          # exact velocity (x, y, t) -> (..., 2)
     p: callable          # exact zero-mean pressure (x, y, t) -> (...)
     beta: callable       # convection field (x, y) -> (..., 2)
-    f: callable          # forcing (x, y, t) -> (..., 2)
+    f: callable          # forcing's spatial terms (x, y) -> (..., K, 2)
+    f_time: callable     # forcing's time coefficients t -> (K,)
     g: callable          # boundary velocity (trace of u)
     g2: callable         # initial velocity (x, y) -> (..., 2)
     steady: bool
@@ -44,13 +43,9 @@ class Problem:
     rho: float = 1.0
 
 
-def _read_only(a) -> bool:
-    """Whether ``a`` is an array that neither it nor the array it views lets write."""
-    base = getattr(a, "base", None)
-    return (
-        isinstance(a, np.ndarray) and not a.flags.writeable
-        and (base is None or isinstance(base, np.ndarray) and not base.flags.writeable)
-    )
+def _constant(t):
+    """The coefficient of a one-term forcing that does not change in time."""
+    return np.ones(1)
 
 
 def _beta_standard(x, y):
@@ -68,11 +63,11 @@ def _steady_ex1(mu: float, rho: float) -> Problem:
     def p(x, y, t=0.0):
         return (2 * x - 1.0) * (2 * y - 1.0) + 0.0 * x
 
-    def f(x, y, t=0.0):
+    def f(x, y):
         b1, b2 = np.moveaxis(_beta_standard(x, y), -1, 0)
         f1 = -mu * 2 * y + rho * (b1 * 2 * x * y + b2 * x**2) + 2 * (2 * y - 1.0)
         f2 = mu * 2 * x + rho * (-b1 * y**2 - b2 * 2 * x * y) + 2 * (2 * x - 1.0)
-        return np.stack([f1, f2], axis=-1)
+        return np.stack([f1, f2], axis=-1)[..., None, :]
 
     return Problem(
         name="steady_oseen_ex1",
@@ -80,6 +75,7 @@ def _steady_ex1(mu: float, rho: float) -> Problem:
         p=p,
         beta=_beta_standard,
         f=f,
+        f_time=_constant,
         g=u,
         g2=lambda x, y: u(x, y, 0.0),
         steady=True,
@@ -95,21 +91,8 @@ def _evolutionary_ex2(mu: float, rho: float) -> Problem:
     def p(x, y, t):
         return np.sin(t) * (2 * x - 1.0) * (2 * y - 1.0) + 0.0 * x
 
-    cache = None  # (x, y, F1, F2) of the last points
-
-    def spatial_factors(x, y):
-        """``(F1, F2)`` with ``f = exp(-t) F1 + sin(t) F2``, kept for the last points.
-
-        A hit needs the very ``x`` and ``y`` of the last call, read-only then
-        and now; the entry is one tuple, read and replaced whole, so threads
-        sharing the problem never pair one point set with another's factors.
-        """
-        nonlocal cache
-        entry, frozen = cache, _read_only(x) and _read_only(y)
-        if frozen and entry is not None and x is entry[0] and y is entry[1]:
-            return entry[2], entry[3]
-        points = (x, y) if frozen else (None, None)
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    def f(x, y):
+        """``F1`` and ``F2`` of ``f = exp(-t) F1 + sin(t) F2``, (..., 2, 2)."""
         b1, b2 = np.moveaxis(_beta_standard(x, y), -1, 0)
         F1 = np.stack(
             [
@@ -119,14 +102,7 @@ def _evolutionary_ex2(mu: float, rho: float) -> Problem:
             axis=-1,
         )
         F2 = np.stack([2 * (2 * y - 1.0), 2 * (2 * x - 1.0)], axis=-1)
-        cache = (*points, F1, F2)
-        return F1, F2
-
-    def f(x, y, t):
-        F1, F2 = spatial_factors(x, y)
-        vals = F1 * np.exp(-t)
-        vals += np.sin(t) * F2
-        return vals
+        return np.stack([F1, F2], axis=-2)
 
     return Problem(
         name="evolutionary_oseen_ex2",
@@ -134,6 +110,7 @@ def _evolutionary_ex2(mu: float, rho: float) -> Problem:
         p=p,
         beta=_beta_standard,
         f=f,
+        f_time=lambda t: np.array([np.exp(-t), np.sin(t)]),
         g=u,
         g2=lambda x, y: _poly_velocity(x, y),
         steady=False,
@@ -157,7 +134,8 @@ def _stokes_patch(mu: float, rho: float) -> Problem:
         u=u,
         p=zero_scalar,
         beta=lambda x, y: zero_vector(x, y),
-        f=zero_vector,
+        f=lambda x, y: zero_vector(x, y)[..., None, :],
+        f_time=_constant,
         g=u,
         g2=lambda x, y: u(x, y, 0.0),
         steady=True,

@@ -248,10 +248,12 @@ class _NullSpaceLU:
 
     Each solve with ``B_tree = B N`` is one cumulative sum over the tree's
     preorder ``pre`` (``_element_tree``): ``t0 = ND @ [0, cumsum(g[pre])]``
-    and ``p = cumsum(-ND^T (S_tt t - b_t))[lo]``.  ``R``, about half the
-    order of ``S``, is the one matrix factored.  A solve takes three sparse
-    products: with ``S_tt``, ``ZN_T = [Z^T; -ND^T]`` and ``ZC = [Z; -ND^T
-    S_tt Z]``; ``B`` itself is not kept.
+    and ``p = cumsum(EA @ N^T (S_tt t - b_t))[lo]``, with ``-ND^T = EA N^T``.
+    ``N^T S_tt t`` and ``N^T b_t`` cancel node by node before ``EA`` sums
+    the nodes at each end of a subtree run.  ``R``, about half the order of
+    ``S``, is the one matrix factored.  A solve takes four sparse products:
+    with ``S_tt``, ``ZN_T = [Z^T; N^T]``, ``ZC = [Z; N^T S_tt Z]`` and
+    ``EA``; ``B`` itself is not kept.
     """
 
     R: _ScaledLU
@@ -259,6 +261,7 @@ class _NullSpaceLU:
     ND: sp.csc_matrix
     ZN_T: sp.csr_matrix
     ZC: sp.csr_matrix
+    EA: sp.csr_matrix
     pre: np.ndarray
     lo: np.ndarray
 
@@ -267,10 +270,10 @@ class _NullSpaceLU:
         cs = np.zeros(self.ND.shape[1])
         np.cumsum(b[nk:][self.pre], out=cs[1:])
         t = self.ND @ cs                                  # t0
-        w = self.ZN_T @ (b[:nk] - self.S_tt @ t)          # Z^T r, -ND^T r
-        v = self.ZC @ self.R.solve(w[:nz])                # Z y, -ND^T S_tt Z y
+        w = self.ZN_T @ (b[:nk] - self.S_tt @ t)          # Z^T r, N^T r
+        v = self.ZC @ self.R.solve(w[:nz])                # Z y, N^T S_tt Z y
         t += v[:nk]
-        return np.concatenate([t, np.cumsum(v[nk:] - w[nz:])[self.lo]])
+        return np.concatenate([t, np.cumsum(self.EA @ (v[nk:] - w[nz:]))[self.lo]])
 
 
 def _null_space_lu(system: SaddleSystem, S: sp.csc_matrix) -> _NullSpaceLU | None:
@@ -299,7 +302,9 @@ def _null_space_lu(system: SaddleSystem, S: sp.csc_matrix) -> _NullSpaceLU | Non
     element to its parent in a breadth-first tree of the elements rooted
     at element 0 (``_element_tree``).  ``ND = N diag(a) (E_hi - E_lo)``,
     where ``E_hi`` and ``E_lo`` pick entries ``hi`` and ``lo``, is ``-+a_j
-    f_e / |f_e|^2`` on node ``j``'s edge in columns ``lo_j`` and ``hi_j``.
+    f_e / |f_e|^2`` on node ``j``'s edge in columns ``lo_j`` and ``hi_j``,
+    and ``EA = (E_lo - E_hi)^T diag(a)`` is ``+-a_j`` in rows ``lo_j`` and
+    ``hi_j`` of column ``j``.
     ``R = Z^T S_tt Z`` is factored by ``_scaled_lu`` in a symmetric
     minimum-degree order with static pivots (threshold 0); ``linear_solve``
     checks every solve.
@@ -328,28 +333,28 @@ def _null_space_lu(system: SaddleSystem, S: sp.csc_matrix) -> _NullSpaceLU | Non
     vcol = np.where(interior, nfe + np.cumsum(interior) - 1, -1)
     le = mesh.edge_local_index[free, :1]
     ends = mesh.elements[owner[:, None], (le + [1, 0]) % 3]   # (end, start), counterclockwise
-    # [Z^T; -ND^T]: rows are Z's columns, then the entries of the cumulative sum
-    tree_traces, an = 2 * node_edge[:, None] + np.arange(2), a[:, None] * normal[node_edge]
+    # [Z^T; N^T]: rows are Z's columns, then the tree's nodes
+    tree_traces, nodes = 2 * node_edge[:, None] + np.arange(2), np.arange(nT - 1)
     rows = np.concatenate([np.column_stack([np.arange(nfe), vcol[ends]]).repeat(2, axis=1),
-                           nz + np.repeat(hi, 2), nz + np.repeat(lo, 2)], axis=None)
-    cols = np.concatenate([np.tile(np.arange(nk).reshape(nfe, 2), 3), tree_traces, tree_traces],
-                          axis=None)
+                           nz + nodes.repeat(2)], axis=None)
+    cols = np.concatenate([np.tile(np.arange(nk).reshape(nfe, 2), 3), tree_traces], axis=None)
     tangent = np.column_stack([-f[:, 1], f[:, 0]]) / np.sqrt(f2)[:, None]
-    vals = np.concatenate([np.hstack([tangent, normal, -normal]), -an, an], axis=None)
+    vals = np.concatenate([np.hstack([tangent, normal, -normal]), normal[node_edge]], axis=None)
     keep = (rows >= 0) & (vals != 0)
-    ZN_T = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(nz + nT, nk))
+    ZN_T = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(nz + nT - 1, nk))
     Z = _csr_rows(ZN_T, 0, nz, nk).T
     start = S.indptr[nk]  # where the trace columns' entries end
     S_t = sp.csc_matrix((S.data[:start], S.indices[:start], S.indptr[: nk + 1]), shape=(m, nk))
     SZ = S_t @ Z    # [S_tt Z; B Z]
     if (SZ.indices >= nk).any():
         return None
-    RC = _csr_rows(ZN_T, 0, nz + nT, m) @ SZ   # [R; -ND^T S_tt Z]
+    RC = _csr_rows(ZN_T, 0, nz + nT - 1, m) @ SZ   # [R; N^T S_tt Z]
     R = _scaled_lu(_csr_rows(RC, 0, nz, nz).tocsc(), permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    ZC = sp.vstack([Z.tocsr(), _csr_rows(RC, nz, nz + nT, nz)], format="csr")
-    ND = -_csr_rows(ZN_T, nz, nz + nT, nk).T
-    return _NullSpaceLU(R, _csr_rows(S_t.tocsr(), 0, nk, nk), ND, ZN_T, ZC, pre, lo)
+    ZC = sp.vstack([Z.tocsr(), _csr_rows(RC, nz, nz + nT - 1, nz)], format="csr")
+    EA = sp.csr_matrix((np.r_[a, -a], (np.r_[lo, hi], np.tile(nodes, 2))), shape=(nT, nT - 1))
+    ND = -(EA @ _csr_rows(ZN_T, nz, nz + nT - 1, nk)).T   # one product an entry: exact
+    return _NullSpaceLU(R, _csr_rows(S_t.tocsr(), 0, nk, nk), ND, ZN_T, ZC, EA, pre, lo)
 
 
 def _csr_rows(A: sp.csr_matrix, start: int, stop: int, n: int) -> sp.csr_matrix:
@@ -413,7 +418,7 @@ def solve_steady(mesh: Mesh, config: SpaceConfig, problem) -> DiscreteSolution:
     _check_inputs(config, problem)
     ker = ElementKernels(mesh, config)
     system = build_saddle_system(ker, problem.beta)
-    load = assemble_load(ker, problem.f, 0.0)
+    load = _forcing_load(problem, assemble_load(ker, problem.f), 0.0)
     traces = apply_dirichlet(system, problem.g, time=0.0)
     constrain_system(system)
     return _solution(system, linear_solve(system, load, traces), traces, 0.0)
@@ -444,8 +449,9 @@ def solve_evolutionary(
     threshold-pivoted LU of ``S`` otherwise.  Every step's residual check
     guards it, and the first step whose check the null-space factor fails
     replaces it with the threshold-pivoted one for the rest of the march.
-    ``f`` and ``g`` are evaluated at the kernels' read-only ``qxy`` and
-    ``boundary_xy`` (the forcing's cache hits them by identity), the
+    The loads of the forcing's spatial terms are formed once too, so a
+    step's load is ``f_time(t)`` times them (``_forcing_load``, which
+    rejects non-finite coefficients); ``g`` is projected at each step, the
     right-hand side is one product with the lift, whose flux rows give the
     compatibility check, and the condensed solve is one sparse product on
     each side of the solve with ``S``.
@@ -466,12 +472,13 @@ def solve_evolutionary(
 
     nI = ker.dofmap.n_interior
     mass_II = assemble_bilinear("mass", ker)[:nI, :nI]
+    loads = assemble_load(ker, problem.f)
     u_I = project_velocity(ker, problem.g2)[0].reshape(-1)
 
     trajectory = []
     for step in range(1, grid.n_steps + 1):
         t = step * grid.tau
-        load = assemble_load(ker, problem.f, t)
+        load = _forcing_load(problem, loads, t)
         load += mass_II @ (u_I / grid.tau)
         traces = apply_dirichlet(system, problem.g, t)
         x = linear_solve(system, load, traces, lu)
@@ -480,6 +487,15 @@ def solve_evolutionary(
             trajectory.append(_solution(system, x, traces, t))
 
     return trajectory if keep_trajectory else _solution(system, x, traces, t)
+
+
+def _forcing_load(problem, loads: np.ndarray, t: float) -> np.ndarray:
+    """The load ``f_time(t) @ loads``; a ``ValueError`` unless the coefficients are K finite."""
+    a = np.asarray(problem.f_time(t), dtype=float)
+    if a.shape != loads.shape[:1] or not np.isfinite(a).all():
+        raise ValueError(f"forcing f has time coefficients {a} at t = {t:.6g}, "
+                         f"not {len(loads)} finite values")
+    return a @ loads
 
 
 def _check_inputs(config: SpaceConfig, problem) -> None:

@@ -13,7 +13,7 @@ from gwgflow.assembly import (
 from gwgflow.config import SpaceConfig
 from gwgflow.localops import ElementKernels, _project_pressure_values, project_velocity
 from gwgflow.mesh import build_uniform_triangulation
-from gwgflow.problems import manufactured_problem
+from gwgflow.problems import PROBLEM_NAMES, manufactured_problem
 from test_localops import _jittered_mesh
 
 
@@ -128,16 +128,16 @@ def test_energy_kernel_positive(mesh4, element_tuple):
 def test_load_zero_and_constant(mesh4, config_low):
     zero = assemble_load(
         ElementKernels(mesh4, config_low),
-        lambda x, y, t: np.zeros(np.broadcast(x, y).shape + (2,)),
-        0.0,
+        lambda x, y: np.zeros(np.broadcast(x, y).shape + (1, 2)),
     )
+    assert zero.shape == (1, ElementKernels(mesh4, config_low).dofmap.n_interior)
     assert np.all(zero == 0)
 
     # f = (1, 0), k = 0: each interior entry equals the element area
     ker = ElementKernels(mesh4, SpaceConfig(0, 0, 0, 0, 0))
     vec = assemble_load(
-        ker, lambda x, y: np.stack([np.ones_like(x), np.zeros_like(y)], axis=-1)
-    )
+        ker, lambda x, y: np.stack([np.ones_like(x), np.zeros_like(y)], axis=-1)[..., None, :]
+    )[0]
     dm = ker.dofmap
     first = vec[dm.elem_vel[:, 0]]
     assert np.allclose(first, mesh4.areas, atol=1e-14)
@@ -147,10 +147,23 @@ def test_load_zero_and_constant(mesh4, config_low):
 def test_load_matches_refined_quadrature_oracle(mesh8, element_tuple):
     cfg = SpaceConfig(*element_tuple)
     prob = manufactured_problem("steady_oseen_ex1")
-    base = assemble_load(ElementKernels(mesh8, cfg), prob.f, 0.0)
+    base = assemble_load(ElementKernels(mesh8, cfg), prob.f)
     fine = ElementKernels(mesh8, cfg, quad_order=min(cfg.quad_order + 8, 20))
-    oracle = assemble_load(fine, prob.f, 0.0)
+    oracle = assemble_load(fine, prob.f)
     assert np.abs(base - oracle).max() < 1e-10
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_separable_load_equals_moments_of_the_summed_forcing(mesh4, element_tuple, name):
+    # the load is linear in f, so scaling the loads of the terms gives the
+    # moments of the forcing summed at the points, to roundoff
+    ker = ElementKernels(mesh4, SpaceConfig(*element_tuple))
+    prob = manufactured_problem(name)
+    loads = assemble_load(ker, prob.f)
+    for t in (0.0, 0.3, 1.7):
+        summed = prob.f_time(t) @ prob.f(*ker.qxy)
+        ref = ker.interior_moments(summed).reshape(-1)
+        assert np.abs(prob.f_time(t) @ loads - ref).max() <= 1e-14 * max(np.abs(ref).max(), 1)
 
 
 def test_apply_dirichlet_values(mesh4, element_tuple):
@@ -212,8 +225,8 @@ def test_operator_has_no_dense_row(mesh8, element_tuple):
     dm = ker.dofmap
     prob = manufactured_problem("steady_oseen_ex1")
     system = build_saddle_system(ker, prob.beta)
-    load, traces = assemble_load(ker, prob.f, 0.0), apply_dirichlet(system, prob.g, 0.0)
-    system.operator(load, traces)
+    load = prob.f_time(0.0) @ assemble_load(ker, prob.f)
+    system.operator(load, apply_dirichlet(system, prob.g, 0.0))
     K = system.matrix()
     n = dm.free_dofs.size + dm.n_pressure - 1
     assert K.shape == (n, n)
@@ -229,8 +242,8 @@ def test_assembly_deterministic_rebuild(mesh4, element_tuple):
     assert np.array_equal(first.A_local, second.A_local)
     assert np.array_equal(first.B_local, second.B_local)
     assert (first.matrix() != second.matrix()).nnz == 0
-    first_load = assemble_load(first.kernels, prob.f, 0.0)
-    assert np.array_equal(first_load, assemble_load(second.kernels, prob.f, 0.0))
+    first_load = assemble_load(first.kernels, prob.f)
+    assert np.array_equal(first_load, assemble_load(second.kernels, prob.f))
 
 
 def _full_layout(ker, W):
@@ -307,7 +320,8 @@ def test_pinned_K_equals_sliced_global_blocks(element_tuple, kind, sigma, mesh_k
     tau = 0.1 if kind == "backward_euler" else None
     prob = manufactured_problem("steady_oseen_ex1" if tau is None else "evolutionary_oseen_ex2")
     system = build_saddle_system(ker, prob.beta, tau)
-    load, g = assemble_load(ker, prob.f, tau or 0.0), apply_dirichlet(system, prob.g, tau or 0.0)
+    load = prob.f_time(tau or 0.0) @ assemble_load(ker, prob.f)
+    g = apply_dirichlet(system, prob.g, tau or 0.0)
     rhs, K = system.operator(load, g), system.matrix()
 
     free, bnd = dm.free_dofs, dm.boundary_dofs

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
-from gwgflow import problems
+from gwgflow import solver
 from gwgflow.localops import ElementKernels
 from gwgflow.mesh import build_uniform_triangulation
 from gwgflow.problems import PROBLEM_NAMES, manufactured_problem
@@ -54,7 +54,7 @@ def test_forcing_matches_symbolic_oracle(name, mu, rho):
     rng = np.random.default_rng(42)
     pts = rng.uniform(0, 1, size=(20, 2))
     for t in (0.0, 0.4, 1.0):
-        mine = prob.f(pts[:, 0], pts[:, 1], t)
+        mine = prob.f_time(t) @ prob.f(pts[:, 0], pts[:, 1])
         oracle = np.stack([f(pts[:, 0], pts[:, 1], t) for f in f_num], axis=-1)
         assert np.abs(mine - oracle).max() < 1e-8
 
@@ -116,9 +116,19 @@ def test_patch_problem_fields():
     prob = manufactured_problem("stokes_patch")
     pts = np.array([0.3, 0.6])
     assert np.allclose(prob.u(pts, pts, 0.0), np.stack([pts, pts], axis=-1))
-    assert np.all(prob.f(pts, pts, 0.0) == 0.0)
+    assert np.all(prob.f(pts, pts) == 0.0)
+    assert np.array_equal(prob.f_time(0.7), [1.0])
     assert np.all(prob.beta(pts, pts) == 0.0)
     assert np.all(prob.p(pts, pts, 0.0) == 0.0)
+
+
+def _ex1_closed_form(x, y, mu, rho):
+    """The strong-form ex1 forcing written out term by term."""
+    b1 = -x + np.sin(x) * np.sin(y)
+    b2 = np.cos(x) * np.cos(y)
+    f1 = -mu * 2 * y + rho * b1 * 2 * x * y + rho * b2 * x**2 + 2 * (2 * y - 1.0)
+    f2 = mu * 2 * x - rho * b1 * y**2 - rho * b2 * 2 * x * y + 2 * (2 * x - 1.0)
+    return np.stack([f1, f2], axis=-1)
 
 
 def _ex2_closed_form(x, y, t, mu, rho):
@@ -141,6 +151,25 @@ def _ex2_closed_form(x, y, t, mu, rho):
     return np.stack([f1, f2], axis=-1)
 
 
+def _forcing(prob, x, y, t):
+    """The forcing at ``t`` from its terms, checking their shapes on the way."""
+    terms, coefficients = prob.f(x, y), prob.f_time(t)
+    assert terms.shape == np.shape(x) + (coefficients.size, 2)
+    assert coefficients.shape == (coefficients.size,)
+    return coefficients @ terms
+
+
+@pytest.mark.parametrize("mu,rho", [(1.0, 1.0), (2.5, 0.7)])
+def test_ex1_forcing_matches_closed_form(mu, rho):
+    # one term, with a coefficient of 1 at every time
+    prob = manufactured_problem("steady_oseen_ex1", mu=mu, rho=rho)
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(0, 1, size=(2, 40, 6))
+    ref = _ex1_closed_form(x, y, mu, rho)
+    for t in (0.0, 0.013, 0.4, 1.0, 2.5):
+        assert np.abs(_forcing(prob, x, y, t) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("mu,rho", [(1.0, 1.0), (0.3, 1.9)])
 def test_ex2_forcing_matches_closed_form(mu, rho):
     prob = manufactured_problem("evolutionary_oseen_ex2", mu=mu, rho=rho)
@@ -148,93 +177,26 @@ def test_ex2_forcing_matches_closed_form(mu, rho):
     x, y = rng.uniform(0, 1, size=(2, 40, 6))
     for t in (0.0, 0.013, 0.4, 1.0, 2.5):
         ref = _ex2_closed_form(x, y, t, mu, rho)
-        assert np.abs(prob.f(x, y, t) - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.abs(_forcing(prob, x, y, t) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-def test_ex2_forcing_cache_follows_the_points():
-    # the time-independent factors are kept for the last point set only and
-    # matched by value, so a call on other points, or on the same array
-    # after it was overwritten, never sees stale factors
+def test_march_evaluates_the_forcing_once_per_cell(mesh4, config_low, monkeypatch):
+    # the loads of the forcing's terms are formed once per mesh and only
+    # scaled per step, so neither count grows with the step count
     prob = manufactured_problem("evolutionary_oseen_ex2")
-    rng = np.random.default_rng(3)
-    a, b, c = rng.uniform(0, 1, size=(3, 2, 30))
-    for t in (0.1, 0.2):
-        for pts in (a, b, a):
-            ref = _ex2_closed_form(*pts, t, 1.0, 1.0)
-            assert np.abs(prob.f(*pts, t) - ref).max() <= 1e-14 * np.abs(ref).max()
-    first = prob.f(a[0], a[1], 0.3)
-    again = prob.f(a[0].copy(), a[1].copy(), 0.3)   # equal values, new arrays
-    assert np.array_equal(first, again)
-    x = c[0].copy()
-    prob.f(x, c[1], 0.3)
-    x[:] = b[0]
-    ref = _ex2_closed_form(b[0], c[1], 0.3, 1.0, 1.0)
-    assert np.abs(prob.f(x, c[1], 0.3) - ref).max() <= 1e-14 * np.abs(ref).max()
-
-
-def _read_only(a):
-    a = a.copy()
-    a.flags.writeable = False
-    return a
-
-
-def _count_cache_work(monkeypatch):
-    """Lists that grow by one per forming of the ex2 factors and per value comparison.
-
-    The ex2 forcing evaluates the module's convection field only when it
-    forms its spatial factors; problems made before this call keep the
-    original as their ``beta``, so only those forming steps are counted.
-    """
-    builds, compares = [], []
-    beta, equal = problems._beta_standard, np.array_equal
-    monkeypatch.setattr(problems, "_beta_standard", lambda x, y: builds.append(1) or beta(x, y))
-    monkeypatch.setattr(np, "array_equal", lambda *args: compares.append(1) or equal(*args))
-    return builds, compares
-
-
-def test_ex2_forcing_cache_hits_read_only_points_by_identity(monkeypatch):
-    # the factors of read-only points are found again by identity; a read-only
-    # view of a writable array always misses, so writing through its base
-    # never returns stale factors, and no call compares point values
-    prob = manufactured_problem("evolutionary_oseen_ex2")
-    builds, compares = _count_cache_work(monkeypatch)
-    rng = np.random.default_rng(5)
-    a, b = rng.uniform(0, 1, size=(2, 2, 30))
-    x, y = _read_only(a[0]), _read_only(a[1])
-    prob.f(x, y, 0.1)
-    prob.f(x, y, 0.2)
-    assert len(builds) == 1
-
-    base = a[0].copy()
-    view = base[:]
-    view.flags.writeable = False
-    prob.f(view, y, 0.3)
-    base[:] = b[0]
-    ref = _ex2_closed_form(b[0], a[1], 0.3, 1.0, 1.0)
-    assert np.abs(prob.f(view, y, 0.3) - ref).max() <= 1e-14 * np.abs(ref).max()
-    assert len(builds) == 3
-    assert compares == []
-
-
-def test_march_forms_the_forcing_factors_on_its_first_step_only(mesh4, mesh8, config_low,
-                                                                monkeypatch):
-    # a march passes the kernels' read-only quadrature pair on every step, so
-    # only its first step, which finds another mesh's points cached, forms the
-    # factors, and no step compares point values
-    prob = manufactured_problem("evolutionary_oseen_ex2")
-    grid = TimeGrid.from_tau(0.5, 0.5 / 8)
-    solve_evolutionary(mesh4, config_low, prob, grid)
-    builds, compares = _count_cache_work(monkeypatch)
-    after_call, f = [], prob.f
-
-    def counted_f(x, y, t):
-        vals = f(x, y, t)
-        after_call.append(len(builds))
-        return vals
-
-    solve_evolutionary(mesh8, config_low, replace(prob, f=counted_f), grid)
-    assert after_call == [1] * grid.n_steps
-    assert compares == []
+    assemble = solver.assemble_load
+    for n_steps in (2, 8):
+        f_calls, load_calls, coefficient_calls = [], [], []
+        monkeypatch.setattr(solver, "assemble_load",
+                            lambda *a: load_calls.append(1) or assemble(*a))
+        counted = replace(prob, f=lambda x, y: f_calls.append(1) or prob.f(x, y),
+                          f_time=lambda t: coefficient_calls.append(t) or prob.f_time(t))
+        grid = TimeGrid.from_tau(0.5, 0.5 / n_steps)
+        sol = solve_evolutionary(mesh4, config_low, counted, grid)
+        assert (len(f_calls), len(load_calls)) == (1, 1)
+        assert coefficient_calls == [step * grid.tau for step in range(1, n_steps + 1)]
+        reference = solve_evolutionary(mesh4, config_low, prob, grid)
+        assert np.array_equal(sol.velocity_vector, reference.velocity_vector)
 
 
 def _threads_see_their_own_forcing(prob, sets):
@@ -246,7 +208,8 @@ def _threads_see_their_own_forcing(prob, sets):
     def work(i):
         x, y = sets[i]
         for _ in range(300):
-            if np.abs(prob.f(x, y, 0.5) - refs[i]).max() > 1e-14 * np.abs(refs[i]).max():
+            vals = prob.f_time(0.5) @ prob.f(x, y)
+            if np.abs(vals - refs[i]).max() > 1e-14 * np.abs(refs[i]).max():
                 wrong.append(i)
 
     interval = sys.getswitchinterval()
@@ -266,10 +229,4 @@ def _threads_see_their_own_forcing(prob, sets):
 def test_ex2_forcing_shared_by_threads_stays_correct():
     rng = np.random.default_rng(11)
     sets = rng.uniform(0, 1, size=(4, 2, 200))
-    _threads_see_their_own_forcing(manufactured_problem("evolutionary_oseen_ex2"), sets)
-
-
-def test_ex2_forcing_shared_by_threads_stays_correct_on_read_only_points():
-    rng = np.random.default_rng(13)
-    sets = [(_read_only(x), _read_only(y)) for x, y in rng.uniform(0, 1, size=(4, 2, 200))]
     _threads_see_their_own_forcing(manufactured_problem("evolutionary_oseen_ex2"), sets)

@@ -87,7 +87,7 @@ def _steady_system(mesh, cfg, prob):
     # the system and its step data: the load and the boundary traces
     ker = ElementKernels(mesh, cfg)
     system = build_saddle_system(ker, prob.beta)
-    step = assemble_load(ker, prob.f, 0.0), apply_dirichlet(system, prob.g, 0.0)
+    step = prob.f_time(0.0) @ assemble_load(ker, prob.f), apply_dirichlet(system, prob.g, 0.0)
     constrain_system(system)
     return system, step
 
@@ -97,7 +97,7 @@ def _backward_euler_system(mesh, cfg, prob, tau=0.1):
     # step at time tau from a state at rest
     ker = ElementKernels(mesh, cfg)
     system = build_saddle_system(ker, prob.beta, tau)
-    step = assemble_load(ker, prob.f, tau), apply_dirichlet(system, prob.g, tau)
+    step = prob.f_time(tau) @ assemble_load(ker, prob.f), apply_dirichlet(system, prob.g, tau)
     constrain_system(system)
     return system, step
 
@@ -532,7 +532,7 @@ def test_evolutionary_zero_data_stays_zero(mesh4, config_low):
 
     zero_prob = replace(
         prob, name="zero", u=zero_vec, g=zero_vec, g2=lambda x, y: zero_vec(x, y),
-        f=zero_vec, steady=False,
+        f=lambda x, y: zero_vec(x, y)[..., None, :], steady=False,
     )
     grid = TimeGrid.from_tau(0.5, 0.5 / 8)
     traj = solve_evolutionary(mesh4, config_low, zero_prob, grid, keep_trajectory=True)
@@ -562,7 +562,7 @@ def _step_data(system, prob, u_prev, t, tau):
     nI = ker.dofmap.n_interior
     mass_term = assemble_bilinear("mass", ker) @ (u_prev / tau)
     assert not mass_term[nI:].any()
-    load = assemble_load(ker, prob.f, t) + mass_term[:nI]
+    load = prob.f_time(t) @ assemble_load(ker, prob.f) + mass_term[:nI]
     return load, apply_dirichlet(system, prob.g, t)
 
 
@@ -605,8 +605,9 @@ def test_lean_march_equals_full_state_march(mesh4, element_tuple):
 
 
 def test_march_forms_beta_once_per_point_set(mesh4, mesh8, config_low, monkeypatch):
-    # the forcing's time-independent factors are formed on the first step of
-    # a march and reused; a march on another mesh forms them once more
+    # the forcing's spatial terms, whose ex2 ones hold the convection field,
+    # are evaluated once per march, before its first step; a march on another
+    # mesh evaluates them once more
     prob = manufactured_problem("evolutionary_oseen_ex2")
     calls = []
     beta = problems._beta_standard
@@ -656,24 +657,37 @@ def test_evolutionary_late_incompatible_boundary_data_raises(mesh4, config_low):
 
 def test_steady_nan_forcing_raises(mesh4, config_low):
     prob = manufactured_problem("steady_oseen_ex1")
-    nan_prob = replace(
-        prob, f=lambda x, y, t=0.0: np.full(np.shape(x) + (2,), np.nan)
-    )
+    nan_prob = replace(prob, f=lambda x, y: np.full(np.shape(x) + (1, 2), np.nan))
     with pytest.raises(ValueError, match="forcing f"):
+        solve_steady(mesh4, config_low, nan_prob)
+    nan_prob = replace(prob, f_time=lambda t: np.full(1, np.nan))
+    with pytest.raises(ValueError, match="forcing f.* at t = 0"):
         solve_steady(mesh4, config_low, nan_prob)
 
 
+def test_forcing_terms_of_another_shape_raise(mesh4, config_low):
+    # the terms are (..., K, 2) and the coefficients (K,): a forcing in the
+    # summed form (..., 2), or coefficients of another length, are refused
+    # with the shapes named, not broadcast
+    prob = manufactured_problem("steady_oseen_ex1")
+    summed = replace(prob, f=lambda x, y: prob.f(x, y)[..., 0, :])
+    with pytest.raises(ValueError, match=r"forcing f has shape \(32, 16, 2\)"):
+        solve_steady(mesh4, config_low, summed)
+    with pytest.raises(ValueError, match=r"forcing f .* not 1 finite values"):
+        solve_steady(mesh4, config_low, replace(prob, f_time=lambda t: np.ones(2)))
+
+
 def test_evolutionary_late_nan_forcing_raises(mesh4, config_low):
-    # the forcing turns NaN halfway through the march: the step must fail
-    # before it assembles the load
+    # the forcing's coefficients turn NaN halfway through the march: the step
+    # must fail before it forms the load
     prob = manufactured_problem("evolutionary_oseen_ex2")
 
-    def f(x, y, t):
-        return prob.f(x, y, t) if t <= 0.5 else np.full(np.shape(x) + (2,), np.nan)
+    def f_time(t):
+        return prob.f_time(t) if t <= 0.5 else np.full(2, np.nan)
 
     grid = TimeGrid.from_tau(1.0, 1.0 / 8)
-    with pytest.raises(ValueError, match="forcing f"):
-        solve_evolutionary(mesh4, config_low, replace(prob, f=f), grid)
+    with pytest.raises(ValueError, match=r"forcing f.* at t = 0\.625"):
+        solve_evolutionary(mesh4, config_low, replace(prob, f_time=f_time), grid)
 
 
 def test_linear_solve_nan_rhs_raises(mesh4, config_low):
@@ -724,7 +738,7 @@ def test_operator_holds_no_step_data(mesh4, element_tuple):
     prob = manufactured_problem("evolutionary_oseen_ex2")
     system, step_a = _backward_euler_system(mesh4, SpaceConfig(*element_tuple), prob)
     ker = system.kernels
-    step_b = assemble_load(ker, prob.f, 0.2), apply_dirichlet(system, prob.g, 0.2)
+    step_b = prob.f_time(0.2) @ assemble_load(ker, prob.f), apply_dirichlet(system, prob.g, 0.2)
     assert not np.array_equal(step_a[1], step_b[1])
     rhs, K = system.operator(*step_a).copy(), system.matrix()
     system.operator(*step_b)
