@@ -353,7 +353,8 @@ def _null_space_lu(system: SaddleSystem, S: sp.csc_matrix) -> _NullSpaceLU | Non
                    diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     ZC = sp.vstack([Z.tocsr(), _csr_rows(RC, nz, nz + nT - 1, nz)], format="csr")
     EA = sp.csr_matrix((np.r_[a, -a], (np.r_[lo, hi], np.tile(nodes, 2))), shape=(nT, nT - 1))
-    ND = -(EA @ _csr_rows(ZN_T, nz, nz + nT - 1, nk)).T   # one product an entry: exact
+    # each entry of ND is a single product a_j f_e / |f_e|^2
+    ND = -(EA @ _csr_rows(ZN_T, nz, nz + nT - 1, nk)).T
     return _NullSpaceLU(R, _csr_rows(S_t.tocsr(), 0, nk, nk), ND, ZN_T, ZC, EA, pre, lo)
 
 
