@@ -137,8 +137,12 @@ def _shape_classes(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     rel = (mesh.vertices[mesh.elements] - mesh.centroids[:, None, :]) / h[:, None, None]
     along = mesh.edges[mesh.element_edges, 0] == mesh.elements
     key = np.column_stack([np.round(rel.reshape(-1, 6), 12), np.round(np.log(h), 12), along])
-    _, reps, shape_class = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    return shape_class.reshape(-1), reps
+    # np.unique(key, axis=0) without its slow sort of row records
+    order = np.lexsort(key.T[::-1])
+    first = np.r_[True, np.any(key[order[1:]] != key[order[:-1]], axis=1)]
+    shape_class = np.empty_like(order)
+    shape_class[order] = np.cumsum(first) - 1
+    return shape_class, order[first]
 
 
 _CLASS_TABLES = """qw local _V _G wVk Mk Ml Mm Mn local_e _V_e normals elen E Gl_e Gm_e
@@ -165,8 +169,10 @@ class ElementKernels:
     """Precomputed discretization data for one mesh/config pair.
 
     ``_CLASS_TABLES`` and the s1 blocks are built on ``reps``, one element
-    per shape class, and read as ``table[shape_class]``; only ``qp``,
-    ``edge_pts`` and ``dofmap`` are built per element.
+    per shape class, and read as ``table[shape_class]``, a table gathered
+    the first time it is read; only ``qp``, ``edge_pts`` and ``dofmap`` are
+    built per element.  The local projections invert each class's mass
+    matrix once and apply the inverses in one batched ``matmul``.
 
     The points at which fields are evaluated are read-only and owned here:
     ``qxy``, the ``(x, y)`` views of ``qp``, ``edge_xy``, those of
@@ -209,8 +215,14 @@ class ElementKernels:
         self._build_edge_tables(k, l, m, n)
         self._build_weak_operators()
         self._build_stabilizer()
-        for name in _CLASS_TABLES:
-            setattr(self, name, getattr(self, name)[self.shape_class])
+        self._class_tables = {name: self.__dict__.pop(name) for name in _CLASS_TABLES}
+
+    def __getattr__(self, name):
+        if name not in _CLASS_TABLES:
+            raise AttributeError(f"'ElementKernels' object has no attribute {name!r}")
+        table = self._class_tables[name][self.shape_class]
+        setattr(self, name, table)
+        return table
 
     # -- construction -------------------------------------------------------
 
@@ -387,14 +399,15 @@ def project_velocity(
 
 def _project_interior(kernels: ElementKernels, vals: np.ndarray) -> np.ndarray:
     """Interior coefficients (nT, 2, dk) of Q_0 from values (nT, np, 2) at ``qp``."""
-    rhs = kernels.interior_moments(vals)
-    return _solve_mass(kernels.Mk[:, None], rhs[..., None], "projection")[..., 0]
+    inv = _solve_mass(kernels.Mk[kernels.reps], np.eye(kernels.dk), "projection")
+    return np.matmul(kernels.interior_moments(vals), inv.transpose(0, 2, 1)[kernels.shape_class])
 
 
 def _project_pressure_values(kernels: ElementKernels, vals: np.ndarray) -> np.ndarray:
     """Broken pressure coefficients (nT, dn) from values (nT, np) at ``qp``."""
-    rhs = np.einsum("tp,tp,tpi->ti", kernels.qw, vals, kernels.Vn)
-    return _solve_mass(kernels.Mn, rhs[..., None], "pressure projection")[..., 0]
+    rhs = np.matmul((kernels.qw * vals)[:, None], kernels.Vn)
+    inv = _solve_mass(kernels.Mn[kernels.reps], np.eye(kernels.dn), "pressure projection")
+    return np.matmul(rhs, inv.transpose(0, 2, 1)[kernels.shape_class])[:, 0]
 
 
 def project_boundary_traces(

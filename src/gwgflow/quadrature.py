@@ -88,6 +88,7 @@ def triangle_quadrature(order: int) -> QuadRule:
 def map_to_physical(rule: QuadRule, verts: np.ndarray) -> np.ndarray:
     """Map barycentric points onto physical triangles.
 
-    ``verts`` has shape (..., 3, 2); the result has shape (..., npts, 2).
+    ``verts`` has shape (..., 3, 2); the result has shape (..., npts, 2),
+    one batched ``matmul`` of the (npts, 3) barycentric points by ``verts``.
     """
-    return np.einsum("pb,...bd->...pd", rule.points, verts)
+    return np.matmul(rule.points, verts)

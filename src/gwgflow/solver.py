@@ -98,7 +98,8 @@ def linear_solve(system: SaddleSystem, load, traces, factor=None) -> np.ndarray:
     iterative refinement is then applied if needed, and
     ``LinearSolveError``, naming the factors tried and the order of ``S``,
     is raised when the residual still fails the check, including when it
-    is NaN.
+    is NaN; its message adds the normwise backward error
+    ``||K x - b||_inf / (||K||_inf ||x||_inf + ||b||_inf)``.
     """
     if factor is not None and factor.Dinv_stack is not system.reduced_blocks()[1]:
         raise ValueError("factor was not built from this system's reduced_blocks()")
@@ -120,9 +121,13 @@ def linear_solve(system: SaddleSystem, load, traces, factor=None) -> np.ndarray:
         x = x + lu.solve(rhs - apply(x))
         res = np.linalg.norm(apply(x) - rhs) / scale
     if not res <= RESIDUAL_TOL:
+        K = system.matrix()
+        eta = np.abs(K @ x - rhs).max() / (spla.norm(K, np.inf) * np.abs(x).max()
+                                           + np.abs(rhs).max())
         raise LinearSolveError(
             f"linear solve failed with the equilibrated LU of S (order {rhs.size - lu.nc}) "
-            f"by {tried}: relative residual {res:.3e} > {RESIDUAL_TOL:.1e}"
+            f"by {tried}: relative residual {res:.3e} > {RESIDUAL_TOL:.1e}, "
+            f"normwise backward error {eta:.1e}"
         )
     return x
 

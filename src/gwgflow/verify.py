@@ -53,13 +53,13 @@ def energy_seminorm(kernels: ElementKernels, vel_vector: np.ndarray) -> float:
     nT, npts = ker.qw.shape
     e = vel_vector[ker.dofmap.elem_vel[:, ker.comp_cols]]       # (nT, 2, ncomp)
     # weak gradient at the volume points, (element, point, q*2 + c)
-    coeff = np.einsum("tqia,tca->tiqc", ker.delta, e).reshape(nT, ker.dl, 4)
+    coeff = np.matmul(ker.delta.reshape(nT, 2 * ker.dl, ker.ncomp), e.transpose(0, 2, 1))
+    coeff = coeff.reshape(nT, 2, ker.dl, 2).transpose(0, 2, 1, 3).reshape(nT, ker.dl, 4)
     e_int = e[..., : ker.dk].transpose(0, 2, 1)                 # (nT, dk, 2)
     grad = np.matmul(ker.Gk.reshape(nT, 2 * npts, ker.dk), e_int).reshape(nT, npts, 4)
     grad += np.matmul(ker.Vl, coeff)
-    total = float(np.einsum("tp,tpk,tpk->", ker.qw, grad, grad))
-    S1 = ker.stabilizer_local()
-    total += float(np.einsum("tca,tab,tcb->", e, S1, e))
+    total = float(np.vdot(grad * ker.qw[..., None], grad))
+    total += float(np.vdot(np.matmul(e, ker.stabilizer_local()), e))
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -91,8 +91,8 @@ def evaluate_errors(solution, problem) -> ErrorReport:
 
     return ErrorReport(
         energy=energy_seminorm(ker, dm.velocity_vector(u_interior, u_traces) - u_vec),
-        l2_velocity_proj=norm(np.sum((u_h - u_q) ** 2, axis=-1)),
-        l2_velocity_true=norm(np.sum((u_h - u_exact) ** 2, axis=-1)),
+        l2_velocity_proj=norm((u_h - u_q) ** 2 @ np.ones(2)),
+        l2_velocity_true=norm((u_h - u_exact) ** 2 @ np.ones(2)),
         l2_pressure_proj=norm((p_h - p_q) ** 2),
         l2_pressure_true=norm((p_h - p_exact) ** 2),
     )

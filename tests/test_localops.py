@@ -7,7 +7,9 @@ from gwgflow.config import SpaceConfig
 from gwgflow.localops import (
     _CLASS_TABLES,
     ElementKernels,
+    _project_interior,
     _project_pressure_values,
+    _shape_classes,
     _solve_mass,
     project_boundary_traces,
     project_velocity,
@@ -337,6 +339,62 @@ def test_gathered_tables_equal_per_element_evaluation(which, element_tuple):
         pairs += [(S[t], ref.stabilizer_local()[0]), (ker.qp[t], ref.qp[0])]
         for got, want in pairs:
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("mesh", [_jittered_mesh, _renumbered_mesh], ids=["jittered", "renumbered"])
+def test_class_mass_inverse_matches_per_element_solve(mesh, element_tuple):
+    # one inverse per shape class, applied by matmul, against a LAPACK solve
+    # with every element's gathered mass matrix, on meshes of many classes
+    ker = ElementKernels(mesh(6), SpaceConfig(*element_tuple))
+    assert ker.reps.size > 2
+    x, y = ker.qxy
+    vals = np.stack([np.sin(3 * x) * y, np.exp(x - y)], axis=-1)
+    want = np.linalg.solve(ker.Mk[:, None], ker.interior_moments(vals)[..., None])[..., 0]
+    got = _project_interior(ker, vals)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    pvals = np.cos(2 * x + y)
+    rhs = np.einsum("tp,tp,tpi->ti", ker.qw, pvals, ker.Vn)
+    want = np.linalg.solve(ker.Mn, rhs[..., None])[..., 0]
+    got = _project_pressure_values(ker, pvals)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_singular_class_mass_matrix_is_named(config_high):
+    ker = ElementKernels(_renumbered_mesh(4), config_high)
+    ker.Mk = ker.Mk.copy()
+    ker.Mk[ker.shape_class == 1] = 0.0
+    vals = np.ones(ker.qp.shape)
+    with pytest.raises(np.linalg.LinAlgError, match="degenerate element geometry"):
+        _project_interior(ker, vals)
+    ker.Mn = ker.Mn.copy()
+    ker.Mn[ker.shape_class == ker.reps.size - 1, 0] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="degenerate element geometry"):
+        _project_pressure_values(ker, vals[..., 0])
+
+
+@pytest.mark.parametrize("which", ["uniform", "jittered", "renumbered", "two_sizes"])
+def test_shape_classes_match_unique_rows_reference(which):
+    # the lexsort grouping against np.unique of the key rows it replaced:
+    # same classes, numbered in the same order, with the same representatives
+    mesh = {"uniform": build_uniform_triangulation, "jittered": _jittered_mesh,
+            "renumbered": _renumbered_mesh, "two_sizes": _two_sizes_mesh}[which](6)
+    h = mesh.h_elem
+    rel = (mesh.vertices[mesh.elements] - mesh.centroids[:, None, :]) / h[:, None, None]
+    along = mesh.edges[mesh.element_edges, 0] == mesh.elements
+    key = np.column_stack([np.round(rel.reshape(-1, 6), 12), np.round(np.log(h), 12), along])
+    _, reps, shape_class = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    got_class, got_reps = _shape_classes(mesh)
+    assert np.array_equal(got_class, shape_class.reshape(-1))
+    assert np.array_equal(got_reps, reps)
+
+
+def test_class_tables_are_gathered_when_first_read(mesh4, element_tuple):
+    ker = ElementKernels(mesh4, SpaceConfig(*element_tuple))
+    assert not set(_CLASS_TABLES) & set(vars(ker))
+    Mk = ker.Mk
+    assert ker.Mk is Mk and np.array_equal(Mk, ker._class_tables["Mk"][ker.shape_class])
+    with pytest.raises(AttributeError, match="no attribute 'Mx'"):
+        ker.Mx
 
 
 def test_basis_tables_are_evaluated_once_per_shape_class(element_tuple, monkeypatch):

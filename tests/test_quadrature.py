@@ -104,3 +104,16 @@ def test_map_to_physical_area():
     assert val == pytest.approx(area, abs=1e-14)
     assert pts.shape == (r.npts, 2)
     assert np.all(pts[:, 0] >= 1.0) and np.all(pts[:, 1] >= 1.0)
+
+
+def test_map_to_physical_matches_einsum_reference():
+    # the batched matmul sums the three barycentric terms in another order
+    # than the einsum it replaced; the points are sums of nonnegative terms
+    rng = np.random.default_rng(0)
+    verts = rng.uniform(0.0, 1.0, size=(50, 3, 2))
+    for order in range(1, MAX_ORDER + 1):
+        r = triangle_quadrature(order)
+        ref = np.einsum("pb,...bd->...pd", r.points, verts)
+        pts = map_to_physical(r, verts)
+        assert pts.shape == ref.shape
+        assert np.all(np.abs(pts - ref) <= 2 * np.spacing(ref))

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 from dataclasses import replace
 
@@ -777,9 +778,22 @@ def test_steady_low_viscosity_sweep():
                 solve_steady(build_uniform_triangulation(n), cfg,
                              manufactured_problem("steady_oseen_ex1", mu=mu))
             except LinearSolveError as exc:
-                assert "relative residual" in str(exc)
+                assert "relative residual" in str(exc) and "backward error" in str(exc)
                 failed.append((elements, n, sigma, mu))
     assert failed == [((1, 0, 1, 0, 0), 32, sigma, 1e-4) for sigma in (0, 1)]
+
+
+@pytest.mark.parametrize("sigma", [0, 1])
+def test_failing_sweep_cell_is_backward_stable(sigma):
+    # the one cell of the sweep that fails the residual check solves K x = b
+    # to a normwise backward error at the level of eps: its relative
+    # residual is the rounding floor of the product, not an inaccurate solve
+    cfg = SpaceConfig(1, 0, 1, 0, 0, sigma=sigma, mu=1e-4)
+    with pytest.raises(LinearSolveError, match="relative residual") as exc:
+        solve_steady(build_uniform_triangulation(32), cfg,
+                     manufactured_problem("steady_oseen_ex1", mu=1e-4))
+    eta = float(re.search(r"normwise backward error (\S+)$", str(exc.value)).group(1))
+    assert eta < 1e-14
 
 
 def test_time_march_approaches_steady_fixed_point(mesh4, config_low):
