@@ -11,7 +11,8 @@ which then couple only to the element's own unknowns (with sigma = 1 the
 jumps ``S2`` couple neighbouring pressures).  The free traces and the kept
 pressures follow.  Each group is in global order.
 
-Element matrices are the source.  ``SaddleSystem.A_local`` is the
+Element matrices are the source, formed from the class tables of the
+kernels, ``ElementKernels.classes``.  ``SaddleSystem.A_local`` is the
 component-local velocity matrix, placed on both components: ``mu viscous
 + s1`` (with ``rho/tau mass`` for a backward-Euler step) per shape class
 plus ``rho convection`` per element; ``B_local`` is the divergence matrix
@@ -87,16 +88,14 @@ def assemble_bilinear(form: str, kernels: ElementKernels, beta=None) -> sp.csr_m
     if form == "s2":
         return _assemble_s2(ker)
     if form == "divergence":
-        local = _divergence_local(ker)[ker.shape_class]
-        return _scatter(local, dm.elem_pres, dm.elem_vel, (dm.n_pressure, dm.n_velocity))
+        return _scatter(ker.divergence, dm.elem_pres, dm.elem_vel, (dm.n_pressure, dm.n_velocity))
     if form == "mass":
         return _scatter_components(ker, config.rho * ker.Mk)
     if form == "s1":
-        return _scatter_components(ker, ker.stabilizer_local())
-    W = ker.weak_gradient_values()
+        return _scatter_components(ker, ker.s1)
     if form == "viscous":
-        return _scatter_components(ker, (config.mu * _viscous_local(ker, W))[ker.shape_class])
-    return _scatter_components(ker, config.rho * _convection_local(ker, W, beta))
+        return _scatter_components(ker, config.mu * ker.viscous)
+    return _scatter_components(ker, config.rho * _convection_local(ker, beta))
 
 
 def assemble_velocity_block(kernels: ElementKernels, beta) -> sp.csr_matrix:
@@ -109,31 +108,16 @@ def _velocity_local(ker: ElementKernels, beta, tau: float | None = None) -> np.n
 
     All but the convection are formed per shape class; (nT, ncomp, ncomp).
     """
-    cfg, dk = ker.config, ker.dk
-    W = ker.weak_gradient_values()
-    local = cfg.mu * _viscous_local(ker, W) + ker._s1
+    cfg, dk, c = ker.config, ker.dk, ker.classes
+    local = cfg.mu * c.viscous + c.s1
     if tau is not None:
-        local[:, :dk, :dk] += cfg.rho * ker.Mk[ker.reps] / tau
+        local[:, :dk, :dk] += cfg.rho * c.Mk / tau
     local = local[ker.shape_class]
-    local[:, :dk] += cfg.rho * _convection_local(ker, W, beta)
+    local[:, :dk] += cfg.rho * _convection_local(ker, beta)
     return local
 
 
-def _viscous_local(ker: ElementKernels, W: np.ndarray) -> np.ndarray:
-    """(grad_w phi_j, grad_w phi_i) per shape class, (nC, ncomp, ncomp)."""
-    W, qw, ncomp = W[ker.reps], ker.qw[ker.reps], W.shape[-1]
-    wW = (W * qw[:, None, :, None]).reshape(len(W), -1, ncomp)
-    return np.matmul(W.reshape(len(W), -1, ncomp).transpose(0, 2, 1), wW)
-
-
-def _divergence_local(ker: ElementKernels) -> np.ndarray:
-    """(div_w phi_j, q_i) per shape class, (nC, dn, nloc)."""
-    r = ker.reps
-    M_nm = np.einsum("tp,tpi,tpj->tij", ker.qw[r], ker.Vn[r], ker.Vm[r])
-    return np.matmul(M_nm, ker.div[r])
-
-
-def _convection_local(ker: ElementKernels, W: np.ndarray, beta) -> np.ndarray:
+def _convection_local(ker: ElementKernels, beta) -> np.ndarray:
     """(beta . grad_w phi_j, phi_i) for the interior test functions, (nT, dk, ncomp).
 
     The form is linear in the ``np * 2`` values of beta at an element's
@@ -142,8 +126,8 @@ def _convection_local(ker: ElementKernels, W: np.ndarray, beta) -> np.ndarray:
     tensor of ``wVk`` and ``W``, in one matrix product.
     """
     bvals = _eval_field("convection field beta", beta, *ker.qxy)    # (nT, np, 2)
-    r, nT = ker.reps, len(bvals)
-    T = np.einsum("cpi,cqpj->cpqij", ker.wVk[r], W[r]).reshape(len(r), bvals[0].size, -1)
+    wVk, W, nT = ker.classes.wVk, ker.classes.W, len(bvals)
+    T = np.einsum("cpi,cqpj->cpqij", wVk, W).reshape(len(W), bvals[0].size, -1)
     bvals = bvals.reshape(nT, -1)
     local = np.empty((nT, T.shape[-1]))
     members = np.split(np.argsort(ker.shape_class), np.cumsum(np.bincount(ker.shape_class))[:-1])
@@ -445,7 +429,7 @@ def build_saddle_system(kernels: ElementKernels, beta, tau: float | None = None)
     return SaddleSystem(
         kernels=kernels,
         A_local=_velocity_local(kernels, beta, tau),
-        B_local=_divergence_local(kernels),
+        B_local=kernels.classes.divergence,
         S2=assemble_bilinear("s2", kernels),
         K_dofs=np.r_[dm.free_dofs[:nI], nv + np.sort(modes, axis=None), dm.free_dofs[nI:],
                      nv + np.flatnonzero(kept)],

@@ -11,6 +11,7 @@ shape class (``_shape_classes``); a uniform triangulation has two classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -146,7 +147,7 @@ def _shape_classes(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 
 
 _CLASS_TABLES = """qw local _V _G wVk Mk Ml Mm Mn local_e _V_e normals elen E Gl_e Gm_e
-delta div""".split()
+delta W viscous div divergence s1""".split()
 
 
 def _read_only_xy(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,11 +169,19 @@ def _prefix(table: str, dim: str) -> property:
 class ElementKernels:
     """Precomputed discretization data for one mesh/config pair.
 
-    ``_CLASS_TABLES`` and the s1 blocks are built on ``reps``, one element
-    per shape class, and read as ``table[shape_class]``, a table gathered
-    the first time it is read; only ``qp``, ``edge_pts`` and ``dofmap`` are
-    built per element.  The local projections invert each class's mass
-    matrix once and apply the inverses in one batched ``matmul``.
+    The tables of ``_CLASS_TABLES`` are built on ``reps``, one element per
+    shape class, and kept in ``classes``, where every per-class reader (the
+    element matrices, the energy norm, the local projections) reads them.
+    Read on the kernels, ``table`` is ``classes.table[shape_class]``, one
+    entry per element, gathered the first time it is read.  Only ``qp``,
+    ``edge_pts`` and ``dofmap`` are built per element.
+
+    ``W`` (.., 2, np, ncomp), the weak gradient of every component-local
+    shape function (derivative q, point, DOF), the unit ``viscous`` matrix
+    ``(grad_w phi_j, grad_w phi_i)`` and ``s1`` (with ``zeta * h_T**gamma``),
+    both (.., ncomp, ncomp), act on each velocity component alone and
+    identically: on component c, through the local DOFs ``comp_cols[c]``.
+    ``divergence`` is ``(div_w phi_j, q_i)`` on the full layout, (.., dn, nloc).
 
     The points at which fields are evaluated are read-only and owned here:
     ``qxy``, the ``(x, y)`` views of ``qp``, ``edge_xy``, those of
@@ -215,12 +224,12 @@ class ElementKernels:
         self._build_edge_tables(k, l, m, n)
         self._build_weak_operators()
         self._build_stabilizer()
-        self._class_tables = {name: self.__dict__.pop(name) for name in _CLASS_TABLES}
+        self.classes = SimpleNamespace(**{name: self.__dict__.pop(name) for name in _CLASS_TABLES})
 
     def __getattr__(self, name):
         if name not in _CLASS_TABLES:
             raise AttributeError(f"'ElementKernels' object has no attribute {name!r}")
-        table = self._class_tables[name][self.shape_class]
+        table = getattr(self.classes, name)[self.shape_class]
         setattr(self, name, table)
         return table
 
@@ -313,6 +322,15 @@ class ElementKernels:
         self.div = np.zeros((nC, dm, self.nloc))
         for c in range(2):
             self.div[:, :, self.comp_cols[c]] = div_comp[:, c]
+        M_nm = np.einsum("tp,tpi,tpj->tij", self.qw, self.Vn, self.Vm)
+        self.divergence = np.matmul(M_nm, self.div)
+
+        # the interior-gradient part evaluated exactly, the delta part through
+        # its P_l coefficients
+        self.W = W = np.matmul(self.Vl[:, None], self.delta)
+        W[..., :dk] += self.Gk.transpose(0, 2, 1, 3)
+        wW = (W * self.qw[:, None, :, None]).reshape(nC, -1, ncomp)
+        self.viscous = np.matmul(W.reshape(nC, -1, ncomp).transpose(0, 2, 1), wW)
 
     def _build_stabilizer(self):
         cfg = self.config
@@ -329,36 +347,13 @@ class ElementKernels:
             S[:, :dk, cols] -= MeE.transpose(0, 2, 1)
             S[:, :dk, :dk] += np.einsum("tai,taj->tij", E, MeE)
         S *= (cfg.zeta * h**cfg.gamma)[:, None, None]
-        self._s1 = S
+        self.s1 = S
 
     # -- evaluation ---------------------------------------------------------
-
-    def weak_gradient_values(self) -> np.ndarray:
-        """Values of the weak gradient of every component-local shape function.
-
-        Shape (nT, 2, npts, ncomp): axes are (element, derivative q,
-        point, component-local DOF).  The weak gradient acts on each velocity
-        component alone and identically, so one table serves both: row c of
-        the weak gradient of a local vector v is ``W @ v[comp_cols[c]]``.
-        The interior-gradient part is evaluated exactly, the delta part through
-        its P_l coefficients, both on ``reps``: ``W[reps]`` are the class tables.
-        """
-        r = self.reps
-        W = np.matmul(self.Vl[r, None], self.delta[r])
-        W[..., : self.dk] += self.Gk[r].transpose(0, 2, 1, 3)
-        return W[self.shape_class]
 
     def interior_moments(self, vals: np.ndarray) -> np.ndarray:
         """Moments (v, phi_i)_T of values (..., nT, np, 2) at ``qp``, (..., nT, 2, dk)."""
         return np.matmul(vals.swapaxes(-1, -2), self.wVk)
-
-    def stabilizer_local(self) -> np.ndarray:
-        """Component-local s1 matrices, (nT, ncomp, ncomp), with zeta * h_T**gamma.
-
-        s1 acts on each velocity component alone and identically, so the
-        matrix of component c sits at rows and columns ``comp_cols[c]``.
-        """
-        return self._s1[self.shape_class]
 
 
 # -- local L2 projections ---------------------------------------------------
@@ -399,14 +394,14 @@ def project_velocity(
 
 def _project_interior(kernels: ElementKernels, vals: np.ndarray) -> np.ndarray:
     """Interior coefficients (nT, 2, dk) of Q_0 from values (nT, np, 2) at ``qp``."""
-    inv = _solve_mass(kernels.Mk[kernels.reps], np.eye(kernels.dk), "projection")
+    inv = _solve_mass(kernels.classes.Mk, np.eye(kernels.dk), "projection")
     return np.matmul(kernels.interior_moments(vals), inv.transpose(0, 2, 1)[kernels.shape_class])
 
 
 def _project_pressure_values(kernels: ElementKernels, vals: np.ndarray) -> np.ndarray:
     """Broken pressure coefficients (nT, dn) from values (nT, np) at ``qp``."""
     rhs = np.matmul((kernels.qw * vals)[:, None], kernels.Vn)
-    inv = _solve_mass(kernels.Mn[kernels.reps], np.eye(kernels.dn), "pressure projection")
+    inv = _solve_mass(kernels.classes.Mn, np.eye(kernels.dn), "pressure projection")
     return np.matmul(rhs, inv.transpose(0, 2, 1)[kernels.shape_class])[:, 0]
 
 

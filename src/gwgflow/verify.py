@@ -15,7 +15,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_bilinear, assemble_velocity_block
+from .assembly import _scatter_components, assemble_bilinear, assemble_velocity_block
 from .basis import dim_p, eval_tri_gradients, eval_tri_values, tri_exponents
 from .config import require_integer
 from .localops import (
@@ -42,24 +42,19 @@ class ErrorReport:
 
 
 def energy_seminorm(kernels: ElementKernels, vel_vector: np.ndarray) -> float:
-    """Energy seminorm: weak-gradient L2 norm plus the velocity stabilizer.
+    """Energy seminorm ``sqrt(sum_T (grad_w v, grad_w v)_T + s1(v, v))``.
 
-    The coefficients are contracted first: at the volume points the weak
-    gradient of the component c of ``vel_vector`` is ``Gk @ e_int`` plus
-    ``Vl @ (delta @ e_comp)``, with ``e_comp`` its component-local DOFs
-    and ``e_int`` their interior part, so no per-shape table is built.
+    It is the quadratic form of the unit-viscosity element matrices
+    ``viscous + s1`` of each shape class, over every element and both
+    velocity components.  ``viscous`` is ``W^T diag(qw) W``, with ``W`` the
+    weak gradient of the shape functions at the volume points, so the form
+    is the point-value norm ``sum_p qw_p |W e|^2`` of the same quadrature
+    with its sums regrouped: equal up to rounding.
     """
     ker = kernels
-    nT, npts = ker.qw.shape
-    e = vel_vector[ker.dofmap.elem_vel[:, ker.comp_cols]]       # (nT, 2, ncomp)
-    # weak gradient at the volume points, (element, point, q*2 + c)
-    coeff = np.matmul(ker.delta.reshape(nT, 2 * ker.dl, ker.ncomp), e.transpose(0, 2, 1))
-    coeff = coeff.reshape(nT, 2, ker.dl, 2).transpose(0, 2, 1, 3).reshape(nT, ker.dl, 4)
-    e_int = e[..., : ker.dk].transpose(0, 2, 1)                 # (nT, dk, 2)
-    grad = np.matmul(ker.Gk.reshape(nT, 2 * npts, ker.dk), e_int).reshape(nT, npts, 4)
-    grad += np.matmul(ker.Vl, coeff)
-    total = float(np.vdot(grad * ker.qw[..., None], grad))
-    total += float(np.vdot(np.matmul(e, ker.stabilizer_local()), e))
+    e = np.take(vel_vector[ker.dofmap.elem_vel], ker.comp_cols, axis=1)   # (nT, 2, ncomp)
+    local = (ker.classes.viscous + ker.classes.s1)[ker.shape_class]
+    total = float(np.vdot(np.matmul(e, local), e))
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -143,7 +138,7 @@ def check_weak_identities(
     Vs = eval_tri_values(s, ker.local)
     Gs = eval_tri_gradients(s, ker.local, h)
     Vs_e = eval_tri_values(s, ker.local_e)
-    W = ker.weak_gradient_values()           # (nT, 2, np, ncomp)
+    W = ker.W                                # (nT, 2, np, ncomp)
     wq_edge = ker.edge_w[None, None, :] * ker.elen[:, :, None]
     exps = tri_exponents(config.k + 1)
     Gk1 = eval_tri_gradients(config.k + 1, ker.qp, 1.0)
@@ -205,10 +200,9 @@ def _trace_values(ker: ElementKernels, vloc: np.ndarray) -> np.ndarray:
 
 
 def _energy_matrix(kernels: ElementKernels) -> sp.csr_matrix:
-    """Weak-gradient stiffness (unit viscosity) plus the velocity stabilizer."""
-    K = assemble_bilinear("viscous", kernels) / kernels.config.mu
-    S1 = assemble_bilinear("s1", kernels)
-    return (K + S1).tocsr()
+    """The matrix of the energy norm: the unit-viscosity ``viscous + s1``, scattered."""
+    c = kernels.classes
+    return _scatter_components(kernels, (c.viscous + c.s1)[kernels.shape_class])
 
 
 def _min_eig_symmetric(A: sp.spmatrix) -> float:
@@ -268,7 +262,7 @@ def estimate_infsup(kernels: ElementKernels) -> float:
     Mp = sp.block_diag(ker.Mn, format="csr").toarray()
     # B^T annihilates the constant pressure: the smallest eigenvalue is its 0
     lam = scipy.linalg.eigh(S, Mp, eigvals_only=True, subset_by_index=[1, 1])[0]
-    bound = np.abs(S).sum(axis=1).max() / np.linalg.eigvalsh(ker.Mn).min()
+    bound = np.abs(S).sum(axis=1).max() / np.linalg.eigvalsh(ker.classes.Mn).min()
     return float(np.sqrt(lam)) if lam > npres * np.finfo(float).eps * bound else 0.0
 
 

@@ -11,7 +11,12 @@ from gwgflow.assembly import (
     constrain_system,
 )
 from gwgflow.config import SpaceConfig
-from gwgflow.localops import ElementKernels, _project_pressure_values, project_velocity
+from gwgflow.localops import (
+    _CLASS_TABLES,
+    ElementKernels,
+    _project_pressure_values,
+    project_velocity,
+)
 from gwgflow.mesh import build_uniform_triangulation
 from gwgflow.problems import PROBLEM_NAMES, manufactured_problem
 from test_localops import _jittered_mesh
@@ -272,7 +277,7 @@ def test_velocity_block_equals_sum_of_forms(mesh4, element_tuple, chunk):
     assert np.abs(block - forms).max() <= 1e-13 * scale
     # independent reference: the full-layout weak gradient and interior
     # values contracted by einsum, as one (nloc, nloc) matrix per element
-    W = _full_layout(ker, ker.weak_gradient_values())
+    W = _full_layout(ker, ker.W)
     V0 = np.zeros((mesh4.n_elements, ker.qw.shape[1], 2, ker.nloc))
     for c in range(2):
         V0[:, :, c, c * ker.dk : (c + 1) * ker.dk] = ker.Vk
@@ -280,9 +285,8 @@ def test_velocity_block_equals_sum_of_forms(mesh4, element_tuple, chunk):
     local = cfg.mu * np.einsum("tp,tpcqi,tpcqj->tij", ker.qw, W, W)
     wbeta = np.einsum("tpcqi,tpq->tpci", W, bvals)
     local += cfg.rho * np.einsum("tp,tpcj,tpci->tij", ker.qw, wbeta, V0)
-    S = ker.stabilizer_local()
     for c in range(2):
-        local[:, ker.comp_cols[c][:, None], ker.comp_cols[c]] += S
+        local[:, ker.comp_cols[c][:, None], ker.comp_cols[c]] += ker.s1
     # the reference is scattered in groups of `chunk` elements and summed, so
     # the one-pass block must not depend on how the elements are grouped
     ref = sp.csr_matrix(block.shape)
@@ -295,15 +299,13 @@ def test_velocity_block_equals_sum_of_forms(mesh4, element_tuple, chunk):
     assert np.abs(block - ref).max() <= 1e-13 * scale
 
 
-def test_build_saddle_system_forms_the_weak_gradient_table_once(
-    mesh4, element_tuple, monkeypatch
-):
+def test_build_saddle_system_gathers_no_class_table(mesh4, element_tuple):
+    # the element matrices are formed per shape class, so no table is
+    # gathered to the elements only to be indexed back to the classes (with
+    # sigma = 1 the pressure jumps read the edge values per element)
     _, ker, _ = _setup(mesh4, element_tuple)
-    calls = []
-    table = ker.weak_gradient_values
-    monkeypatch.setattr(ker, "weak_gradient_values", lambda: calls.append(1) or table())
     build_saddle_system(ker, manufactured_problem("steady_oseen_ex1").beta)
-    assert len(calls) == 1
+    assert not set(_CLASS_TABLES) & set(vars(ker))
 
 
 @pytest.mark.parametrize("kind", ["steady", "backward_euler"])

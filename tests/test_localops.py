@@ -149,7 +149,7 @@ def test_weak_gradient_without_mismatch_is_plain_gradient(mesh4, element_tuple):
         vloc[start : start + 2 * ker.dj] = qb.reshape(-1)
     delta = np.einsum("qic,c->qi", ker.delta[t], vloc[ker.comp_cols[0]])
     assert np.abs(delta).max() < 1e-12
-    W = ker.weak_gradient_values()[t]
+    W = ker.W[t]
     vals = np.einsum("qpa,ca->pcq", W, vloc[ker.comp_cols])
     plain = np.einsum("pqi,ci->pcq", ker.Gk[t], interior[t])
     assert np.allclose(vals, plain, atol=1e-12)
@@ -164,8 +164,7 @@ def test_weak_gradient_of_projected_linear_field(mesh4, element_tuple):
         ker, lambda x, y: np.stack([y + 0 * x, x + 0 * y], axis=-1)
     )
     vec = dm.velocity_vector(interior, traces)
-    W = ker.weak_gradient_values()
-    vals = np.einsum("tqpa,tca->tpcq", W, vec[dm.elem_vel[:, ker.comp_cols]])
+    vals = np.einsum("tqpa,tca->tpcq", ker.W, vec[dm.elem_vel[:, ker.comp_cols]])
     assert np.abs(vals - np.array([[0.0, 1.0], [1.0, 0.0]])).max() < 1e-12
 
 
@@ -332,11 +331,10 @@ def test_gathered_tables_equal_per_element_evaluation(which, element_tuple):
             "renumbered": _renumbered_mesh, "two_sizes": _two_sizes_mesh}[which](4)
     config = SpaceConfig(*element_tuple)
     ker = ElementKernels(mesh, config)
-    S = ker.stabilizer_local()
     for t in range(mesh.n_elements):
         ref = ElementKernels(_single_element_mesh(mesh, t), config)
         pairs = [(getattr(ker, name)[t], getattr(ref, name)[0]) for name in _CLASS_TABLES]
-        pairs += [(S[t], ref.stabilizer_local()[0]), (ker.qp[t], ref.qp[0])]
+        pairs += [(ker.qp[t], ref.qp[0])]
         for got, want in pairs:
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -360,14 +358,13 @@ def test_class_mass_inverse_matches_per_element_solve(mesh, element_tuple):
 
 
 def test_singular_class_mass_matrix_is_named(config_high):
+    # the projections invert the class mass matrices, so those are corrupted
     ker = ElementKernels(_renumbered_mesh(4), config_high)
-    ker.Mk = ker.Mk.copy()
-    ker.Mk[ker.shape_class == 1] = 0.0
+    ker.classes.Mk[1] = 0.0
     vals = np.ones(ker.qp.shape)
     with pytest.raises(np.linalg.LinAlgError, match="degenerate element geometry"):
         _project_interior(ker, vals)
-    ker.Mn = ker.Mn.copy()
-    ker.Mn[ker.shape_class == ker.reps.size - 1, 0] = 0.0
+    ker.classes.Mn[-1, 0] = 0.0
     with pytest.raises(np.linalg.LinAlgError, match="degenerate element geometry"):
         _project_pressure_values(ker, vals[..., 0])
 
@@ -391,8 +388,9 @@ def test_shape_classes_match_unique_rows_reference(which):
 def test_class_tables_are_gathered_when_first_read(mesh4, element_tuple):
     ker = ElementKernels(mesh4, SpaceConfig(*element_tuple))
     assert not set(_CLASS_TABLES) & set(vars(ker))
+    assert all(len(getattr(ker.classes, name)) == ker.reps.size for name in _CLASS_TABLES)
     Mk = ker.Mk
-    assert ker.Mk is Mk and np.array_equal(Mk, ker._class_tables["Mk"][ker.shape_class])
+    assert ker.Mk is Mk and np.array_equal(Mk, ker.classes.Mk[ker.shape_class])
     with pytest.raises(AttributeError, match="no attribute 'Mx'"):
         ker.Mx
 

@@ -5,7 +5,12 @@ from dataclasses import replace
 
 from gwgflow import verify
 from gwgflow.config import SpaceConfig
-from gwgflow.localops import ElementKernels, _project_pressure_values, project_velocity
+from gwgflow.localops import (
+    _CLASS_TABLES,
+    ElementKernels,
+    _project_pressure_values,
+    project_velocity,
+)
 from gwgflow.mesh import build_uniform_triangulation
 from gwgflow.problems import manufactured_problem
 from gwgflow.solver import DiscreteSolution, solve_steady
@@ -17,6 +22,7 @@ from gwgflow.verify import (
     evaluate_errors,
     kernel_min_eigenvalue,
 )
+from test_localops import _jittered_mesh, _renumbered_mesh, _two_sizes_mesh
 
 
 def _projection_errors(mesh, cfg):
@@ -78,16 +84,16 @@ def test_weak_identities_constant_field_trivial(mesh4, config_low):
         ker, lambda x, y: np.stack([np.full_like(x, 2.0), np.full_like(y, -1.0)], axis=-1)
     )
     vec = dm.velocity_vector(interior, traces)
-    W = ker.weak_gradient_values()
-    vals = np.einsum("tqpa,tca->tpcq", W, vec[dm.elem_vel[:, ker.comp_cols]])
+    vals = np.einsum("tqpa,tca->tpcq", ker.W, vec[dm.elem_vel[:, ker.comp_cols]])
     assert np.abs(vals).max() < 1e-13
 
 
 def test_weak_identities_negative_control(mesh4, element_tuple):
-    # corrupting the sign of the boundary correction must be flagged
+    # corrupting the sign of the boundary correction, the delta part of the
+    # weak-gradient table that the check reads, must be flagged
     cfg = SpaceConfig(*element_tuple)
     ker = ElementKernels(mesh4, cfg)
-    ker.delta = -ker.delta
+    ker.W = ker.W - 2 * np.matmul(ker.Vl[:, None], ker.delta)
     report = check_weak_identities(ker, trials=5, seed=0)
     assert not report.passed
     assert report.max_residual_identity1 > 1e-6
@@ -185,24 +191,30 @@ def test_evaluate_errors_evaluates_each_exact_field_once(mesh4, config_low):
 
 
 def test_energy_seminorm_matches_weak_gradient_table(mesh4, element_tuple):
+    # the reference evaluates the weak gradient at the volume points, the
+    # interior gradient Gk @ e_int plus the delta part Vl @ (delta @ e), on
+    # meshes of two shape classes up to one class an element
+    for mesh in (mesh4, _jittered_mesh(4), _renumbered_mesh(4), _two_sizes_mesh(2)):
+        ker = ElementKernels(mesh, SpaceConfig(*element_tuple))
+        vec = np.random.default_rng(3).uniform(-1, 1, ker.dofmap.n_velocity)
+        e = vec[ker.dofmap.elem_vel[:, ker.comp_cols]]                 # (nT, 2, ncomp)
+        coeff = np.einsum("tqai,tci->tcqa", ker.delta, e)
+        grad = np.einsum("tpa,tcqa->tpcq", ker.Vl, coeff)
+        grad += np.einsum("tpqi,tci->tpcq", ker.Gk, e[..., : ker.dk])
+        ref = np.sqrt(
+            np.einsum("tp,tpcq,tpcq->", ker.qw, grad, grad)
+            + np.einsum("tca,tab,tcb->", e, ker.s1, e)
+        )
+        assert energy_seminorm(ker, vec) == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_energy_seminorm_gathers_no_table(mesh4, element_tuple):
+    # the norm reads the class matrices: it gathers no table to the
+    # elements, and the error evaluation none of the weak-gradient tables
     ker = ElementKernels(mesh4, SpaceConfig(*element_tuple))
-    vec = np.random.default_rng(3).uniform(-1, 1, ker.dofmap.n_velocity)
-    e = vec[ker.dofmap.elem_vel[:, ker.comp_cols]]                 # (nT, 2, ncomp)
-    grad = np.einsum("tqpa,tca->tpcq", ker.weak_gradient_values(), e)
-    S1 = ker.stabilizer_local()
-    ref = np.sqrt(
-        np.einsum("tp,tpcq,tpcq->", ker.qw, grad, grad)
-        + np.einsum("tca,tab,tcb->", e, S1, e)
-    )
-    assert energy_seminorm(ker, vec) == pytest.approx(ref, rel=1e-12, abs=0)
-
-
-def test_evaluate_errors_forms_no_weak_gradient_table(mesh4, element_tuple, monkeypatch):
+    energy_seminorm(ker, np.ones(ker.dofmap.n_velocity))
+    assert not set(_CLASS_TABLES) & set(vars(ker))
     prob = manufactured_problem("steady_oseen_ex1")
     sol = solve_steady(mesh4, SpaceConfig(*element_tuple), prob)
-
-    def forbidden():
-        raise AssertionError("evaluate_errors formed the weak-gradient table")
-
-    monkeypatch.setattr(sol.system.kernels, "weak_gradient_values", forbidden)
     evaluate_errors(sol, prob)
+    assert not {"W", "delta", "_G", "viscous", "s1"} & set(vars(sol.system.kernels))
