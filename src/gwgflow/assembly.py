@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .localops import ElementKernels, _eval_field, project_boundary_traces
+from .localops import ElementKernels, _eval_field, _eval_terms, project_boundary_traces
 
 COMPAT_TOL = 1e-10  # relative bound on the net boundary flux of g
 
@@ -95,37 +95,41 @@ def assemble_bilinear(form: str, kernels: ElementKernels, beta=None) -> sp.csr_m
         return _scatter_components(ker, ker.s1)
     if form == "viscous":
         return _scatter_components(ker, config.mu * ker.viscous)
-    return _scatter_components(ker, config.rho * _convection_local(ker, beta))
+    return _scatter_components(ker, config.rho * _convection_local(ker, beta)[0])
 
 
 def assemble_velocity_block(kernels: ElementKernels, beta) -> sp.csr_matrix:
     """The velocity block ``mu viscous + rho convection + s1`` in one scatter."""
-    return _scatter_components(kernels, _velocity_local(kernels, beta))
+    return _scatter_components(kernels, _velocity_local(kernels, beta)[0])
 
 
-def _velocity_local(ker: ElementKernels, beta, tau: float | None = None) -> np.ndarray:
+def _velocity_local(ker: ElementKernels, beta, tau: float | None = None) -> tuple:
     """Component-local ``[rho/tau mass +] mu viscous + s1 + rho convection``.
 
     All but the convection are formed per shape class; (nT, ncomp, ncomp).
+    Returned with the Peclet number of ``_convection_local``.
     """
     cfg, dk, c = ker.config, ker.dk, ker.classes
     local = cfg.mu * c.viscous + c.s1
     if tau is not None:
         local[:, :dk, :dk] += cfg.rho * c.Mk / tau
     local = local[ker.shape_class]
-    local[:, :dk] += cfg.rho * _convection_local(ker, beta)
-    return local
+    convection, peclet = _convection_local(ker, beta)
+    local[:, :dk] += cfg.rho * convection
+    return local, peclet
 
 
-def _convection_local(ker: ElementKernels, beta) -> np.ndarray:
+def _convection_local(ker: ElementKernels, beta) -> tuple:
     """(beta . grad_w phi_j, phi_i) for the interior test functions, (nT, dk, ncomp).
 
     The form is linear in the ``np * 2`` values of beta at an element's
     points: ``sum_pq beta_q(x_p) wVk[p, i] W[q, p, j]``.  So each shape
     class contracts its elements' values with one (np * 2, dk * ncomp)
-    tensor of ``wVk`` and ``W``, in one matrix product.
+    tensor of ``wVk`` and ``W``, in one matrix product.  Returned with the
+    largest mesh Peclet number ``max |beta| h_T / (2 mu)`` at those points.
     """
     bvals = _eval_field("convection field beta", beta, *ker.qxy)    # (nT, np, 2)
+    speed = np.linalg.norm(bvals, axis=-1).max(axis=1) * ker.mesh.h_elem
     wVk, W, nT = ker.classes.wVk, ker.classes.W, len(bvals)
     T = np.einsum("cpi,cqpj->cpqij", wVk, W).reshape(len(W), bvals[0].size, -1)
     bvals = bvals.reshape(nT, -1)
@@ -133,7 +137,7 @@ def _convection_local(ker: ElementKernels, beta) -> np.ndarray:
     members = np.split(np.argsort(ker.shape_class), np.cumsum(np.bincount(ker.shape_class))[:-1])
     for T_c, at in zip(T, members):
         local[at] = bvals[at] @ T_c
-    return local.reshape(nT, ker.dk, -1)
+    return local.reshape(nT, ker.dk, -1), float(speed.max() / (2 * ker.config.mu))
 
 
 def _assemble_s2(ker: ElementKernels) -> sp.csr_matrix:
@@ -144,9 +148,8 @@ def _assemble_s2(ker: ElementKernels) -> sp.csr_matrix:
     interior = np.flatnonzero(mesh.edge_elements[:, 1] >= 0)
     t1, t2 = mesh.edge_elements[interior].T
     le1, le2 = mesh.edge_local_index[interior].T
-    Vo = ker.Vn_e[t1, le1]                       # (nie, nq, dn)
-    Vn_ = ker.Vn_e[t2, le2]
-    jump = np.concatenate([Vo, -Vn_], axis=2)    # (nie, nq, 2*dn)
+    V_e, sc, dn = ker.classes._V_e, ker.shape_class, ker.dn
+    jump = np.concatenate([V_e[sc[t1], le1, :, :dn], -V_e[sc[t2], le2, :, :dn]], axis=2)
     he = mesh.h_edge[interior]
     wq = ker.edge_w[None, :] * he[:, None]       # physical edge measure
     scale = config.sigma * he**config.alpha
@@ -161,10 +164,8 @@ def assemble_load(kernels: ElementKernels, f) -> np.ndarray:
     ``f(x, y)`` gives the K terms as (..., K, 2); only the interior velocity
     tests them.  The load at time t is ``f_time(t) @`` this (``problems``).
     """
-    vals, (nT, nq) = _eval_field("forcing f", f, *kernels.qxy), kernels.qxy[0].shape
-    if vals.ndim != 4 or vals.shape[:2] + vals.shape[3:] != (nT, nq, 2):
-        raise ValueError(f"forcing f has shape {vals.shape}, not ({nT}, {nq}, K, 2)")
-    return kernels.interior_moments(np.moveaxis(vals, 2, 0)).reshape(vals.shape[2], -1)
+    terms = _eval_terms("forcing f", f, *kernels.qxy)
+    return kernels.interior_moments(terms).reshape(len(terms), -1)
 
 
 class LinearSolveError(RuntimeError):
@@ -197,6 +198,7 @@ class SaddleSystem:
     S2: sp.csr_matrix
     K_dofs: np.ndarray
     nc: int
+    peclet: float   # the largest mesh Peclet number of beta (_convection_local)
     mean_vector: np.ndarray | None = None
     _blocks: tuple | None = field(default=None, repr=False)
     _layout: tuple | None = field(default=None, repr=False)
@@ -426,24 +428,27 @@ def build_saddle_system(kernels: ElementKernels, beta, tau: float | None = None)
     modes = dm.elem_pres[:, _kept_modes(kernels) :]
     kept = np.ones(dm.n_pressure, dtype=bool)
     kept[modes] = kept[dm.elem_pres[0, 0]] = False
+    A_local, peclet = _velocity_local(kernels, beta, tau)
     return SaddleSystem(
         kernels=kernels,
-        A_local=_velocity_local(kernels, beta, tau),
+        A_local=A_local,
         B_local=kernels.classes.divergence,
         S2=assemble_bilinear("s2", kernels),
         K_dofs=np.r_[dm.free_dofs[:nI], nv + np.sort(modes, axis=None), dm.free_dofs[nI:],
                      nv + np.flatnonzero(kept)],
         nc=nI + modes.size,
+        peclet=peclet,
     )
 
 
-def apply_dirichlet(system: SaddleSystem, g, time: float | None = None) -> np.ndarray:
-    """The boundary traces ``Q_b g`` at ``time``, flat in boundary-DOF order.
+def apply_dirichlet(system: SaddleSystem, g) -> np.ndarray:
+    """The traces ``Q_b`` of each term of ``g``, (K, n_boundary), in boundary-DOF order.
 
-    They are the ``traces`` that ``operator`` lifts to the right-hand side
-    and ``expand`` puts back, so new boundary data need no reassembly.
+    A step's ``traces``, which ``operator`` lifts to the right-hand side and
+    ``expand`` puts back, are ``g_time(t) @`` these: no reassembly.
     """
-    return project_boundary_traces(system.kernels, g, time).reshape(-1)
+    terms = project_boundary_traces(system.kernels, g)
+    return terms.reshape(len(terms), -1)
 
 
 def constrain_system(system: SaddleSystem) -> SaddleSystem:

@@ -368,14 +368,17 @@ def _eval_field(name: str, f, x, y, time=None) -> np.ndarray:
     return vals
 
 
-def _project_edges(kernels: ElementKernels, name: str, f, xy, time) -> np.ndarray:
-    """Q_b of the vector field ``f`` on the edges whose points are ``xy``.
+def _eval_terms(name: str, f, x, y) -> np.ndarray:
+    """Values (K, ..., 2) of the K spatial terms ``f(x, y) -> (..., K, 2)`` at the points."""
+    vals = _eval_field(name, f, x, y)
+    if vals.shape[:-2] + vals.shape[-1:] != x.shape + (2,):
+        raise ValueError(f"{name} has shape {vals.shape}, not {x.shape} + (K, 2)")
+    return np.moveaxis(vals, -2, 0)
 
-    ``xy`` is the pair of coordinate arrays (ne, nq) at the edge rule's
-    points; the result is the trace coefficients (ne, 2, dj).
-    """
-    vals = _eval_field(name, f, *xy, time)
-    return np.matmul(vals.transpose(0, 2, 1), kernels.edge_projector)
+
+def _project_edges(kernels: ElementKernels, vals: np.ndarray) -> np.ndarray:
+    """Q_b trace coefficients (..., ne, 2, dj) of vector values (..., ne, nq, 2) at edge points."""
+    return np.matmul(vals.swapaxes(-1, -2), kernels.edge_projector)
 
 
 def project_velocity(
@@ -387,9 +390,8 @@ def project_velocity(
     (nE, 2, dj); the field is evaluated as ``f(x, y[, t]) -> (..., 2)``.
     """
     vals = _eval_field("velocity field", f, *kernels.qxy, time)
-    interior = _project_interior(kernels, vals)
-    traces = _project_edges(kernels, "velocity field", f, kernels.edge_xy, time)
-    return interior, traces
+    traces = _eval_field("velocity field", f, *kernels.edge_xy, time)
+    return _project_interior(kernels, vals), _project_edges(kernels, traces)
 
 
 def _project_interior(kernels: ElementKernels, vals: np.ndarray) -> np.ndarray:
@@ -405,8 +407,9 @@ def _project_pressure_values(kernels: ElementKernels, vals: np.ndarray) -> np.nd
     return np.matmul(rhs, inv.transpose(0, 2, 1)[kernels.shape_class])[:, 0]
 
 
-def project_boundary_traces(
-    kernels: ElementKernels, g, time: float | None = None
-) -> np.ndarray:
-    """Q_b g on the boundary edges only, (n_boundary, 2, dj)."""
-    return _project_edges(kernels, "boundary data g", g, kernels.boundary_xy, time)
+def project_boundary_traces(kernels: ElementKernels, g) -> np.ndarray:
+    """Q_b of each term of ``g(x, y) -> (..., K, 2)`` on the boundary edges, (K, nb, 2, dj).
+
+    Q_b is linear, so the traces at ``t`` are ``g_time(t) @`` these (``problems``).
+    """
+    return _project_edges(kernels, _eval_terms("boundary data g", g, *kernels.boundary_xy))

@@ -12,9 +12,11 @@ components stacked in a trailing axis.
 The forcing is stated as a short sum ``f(x, y, t) = sum_k a_k(t) F_k(x, y)``:
 ``Problem.f`` gives the spatial terms ``F_k``, stacked in the axis before the
 components, and ``Problem.f_time`` the coefficients ``a_k(t)``, so the forcing
-at ``t`` is ``f_time(t) @ f(x, y)``.  The steady problems have one term with
-``a = 1``; the evolutionary one has ``exp(-t) F1 + sin(t) F2``.  A solver
-forms the load of each term once per mesh and only scales it per time step.
+at ``t`` is ``f_time(t) @ f(x, y)``; ``Problem.g`` and ``g_time`` state the
+boundary values of ``u`` so.  By default a field has one constant term, as in
+the steady problems; ex2 has ``f = exp(-t) F1 + sin(t) F2`` and ``g = exp(-t)
+u(x, y, 0)``.  A solver forms the load and the boundary traces of each term
+once per mesh and only scales them per time step.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ import numpy as np
 PROBLEM_NAMES = ("steady_oseen_ex1", "evolutionary_oseen_ex2", "stokes_patch")
 
 
+def _constant(t):
+    """The coefficient of a one-term field that does not change in time."""
+    return np.ones(1)
+
+
 @dataclass(frozen=True)
 class Problem:
     """Evaluable manufactured-solution bundle."""
@@ -35,17 +42,13 @@ class Problem:
     p: callable          # exact zero-mean pressure (x, y, t) -> (...)
     beta: callable       # convection field (x, y) -> (..., 2)
     f: callable          # forcing's spatial terms (x, y) -> (..., K, 2)
-    f_time: callable     # forcing's time coefficients t -> (K,)
-    g: callable          # boundary velocity (trace of u)
+    g: callable          # boundary data's spatial terms (x, y) -> (..., K, 2)
     g2: callable         # initial velocity (x, y) -> (..., 2)
     steady: bool
     mu: float = 1.0
     rho: float = 1.0
-
-
-def _constant(t):
-    """The coefficient of a one-term forcing that does not change in time."""
-    return np.ones(1)
+    f_time: callable = _constant   # forcing's time coefficients t -> (K,)
+    g_time: callable = _constant   # boundary data's time coefficients t -> (K,)
 
 
 def _beta_standard(x, y):
@@ -75,8 +78,7 @@ def _steady_ex1(mu: float, rho: float) -> Problem:
         p=p,
         beta=_beta_standard,
         f=f,
-        f_time=_constant,
-        g=u,
+        g=lambda x, y: u(x, y)[..., None, :],
         g2=lambda x, y: u(x, y, 0.0),
         steady=True,
         mu=mu,
@@ -111,7 +113,8 @@ def _evolutionary_ex2(mu: float, rho: float) -> Problem:
         beta=_beta_standard,
         f=f,
         f_time=lambda t: np.array([np.exp(-t), np.sin(t)]),
-        g=u,
+        g=lambda x, y: _poly_velocity(x, y)[..., None, :],
+        g_time=lambda t: np.array([np.exp(-t)]),
         g2=lambda x, y: _poly_velocity(x, y),
         steady=False,
         mu=mu,
@@ -135,8 +138,7 @@ def _stokes_patch(mu: float, rho: float) -> Problem:
         p=zero_scalar,
         beta=lambda x, y: zero_vector(x, y),
         f=lambda x, y: zero_vector(x, y)[..., None, :],
-        f_time=_constant,
-        g=u,
+        g=lambda x, y: u(x, y)[..., None, :],
         g2=lambda x, y: u(x, y, 0.0),
         steady=True,
         mu=mu,

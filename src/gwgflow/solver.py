@@ -98,8 +98,8 @@ def linear_solve(system: SaddleSystem, load, traces, factor=None) -> np.ndarray:
     iterative refinement is then applied if needed, and
     ``LinearSolveError``, naming the factors tried and the order of ``S``,
     is raised when the residual still fails the check, including when it
-    is NaN; its message adds the normwise backward error
-    ``||K x - b||_inf / (||K||_inf ||x||_inf + ||b||_inf)``.
+    is NaN; its message adds the mesh Peclet number (``SaddleSystem.peclet``)
+    and the normwise backward error ``||K x - b||_inf / (||K||_inf ||x||_inf + ||b||_inf)``.
     """
     if factor is not None and factor.Dinv_stack is not system.reduced_blocks()[1]:
         raise ValueError("factor was not built from this system's reduced_blocks()")
@@ -127,7 +127,7 @@ def linear_solve(system: SaddleSystem, load, traces, factor=None) -> np.ndarray:
         raise LinearSolveError(
             f"linear solve failed with the equilibrated LU of S (order {rhs.size - lu.nc}) "
             f"by {tried}: relative residual {res:.3e} > {RESIDUAL_TOL:.1e}, "
-            f"normwise backward error {eta:.1e}"
+            f"mesh Peclet number {system.peclet:.1e}, normwise backward error {eta:.1e}"
         )
     return x
 
@@ -424,8 +424,8 @@ def solve_steady(mesh: Mesh, config: SpaceConfig, problem) -> DiscreteSolution:
     _check_inputs(config, problem)
     ker = ElementKernels(mesh, config)
     system = build_saddle_system(ker, problem.beta)
-    load = _forcing_load(problem, assemble_load(ker, problem.f), 0.0)
-    traces = apply_dirichlet(system, problem.g, time=0.0)
+    load = _at_time("forcing f", problem.f_time, assemble_load(ker, problem.f), 0.0)
+    traces = _at_time("boundary data g", problem.g_time, apply_dirichlet(system, problem.g), 0.0)
     constrain_system(system)
     return _solution(system, linear_solve(system, load, traces), traces, 0.0)
 
@@ -455,12 +455,12 @@ def solve_evolutionary(
     threshold-pivoted LU of ``S`` otherwise.  Every step's residual check
     guards it, and the first step whose check the null-space factor fails
     replaces it with the threshold-pivoted one for the rest of the march.
-    The loads of the forcing's spatial terms are formed once too, so a
-    step's load is ``f_time(t)`` times them (``_forcing_load``, which
-    rejects non-finite coefficients); ``g`` is projected at each step, the
+    The loads and boundary traces of the spatial terms of ``f`` and ``g``
+    are formed once too, and a step scales them by ``f_time(t)`` and
+    ``g_time(t)`` (``_at_time``, which rejects non-finite coefficients); the
     right-hand side is one product with the lift, whose flux rows give the
-    compatibility check, and the condensed solve is one sparse product on
-    each side of the solve with ``S``.
+    step's compatibility check, and the condensed solve is one sparse
+    product on each side of the solve with ``S``.
 
     The mass form lives on the element-interior velocity block only, and
     the interiors lead the ``K_dofs`` numbering, so between steps only the
@@ -478,15 +478,15 @@ def solve_evolutionary(
 
     nI = ker.dofmap.n_interior
     mass_II = assemble_bilinear("mass", ker)[:nI, :nI]
-    loads = assemble_load(ker, problem.f)
+    loads, boundary = assemble_load(ker, problem.f), apply_dirichlet(system, problem.g)
     u_I = project_velocity(ker, problem.g2)[0].reshape(-1)
 
     trajectory = []
     for step in range(1, grid.n_steps + 1):
         t = step * grid.tau
-        load = _forcing_load(problem, loads, t)
+        load = _at_time("forcing f", problem.f_time, loads, t)
         load += mass_II @ (u_I / grid.tau)
-        traces = apply_dirichlet(system, problem.g, t)
+        traces = _at_time("boundary data g", problem.g_time, boundary, t)
         x = linear_solve(system, load, traces, lu)
         u_I = x[:nI]
         if keep_trajectory:
@@ -495,13 +495,13 @@ def solve_evolutionary(
     return trajectory if keep_trajectory else _solution(system, x, traces, t)
 
 
-def _forcing_load(problem, loads: np.ndarray, t: float) -> np.ndarray:
-    """The load ``f_time(t) @ loads``; a ``ValueError`` unless the coefficients are K finite."""
-    a = np.asarray(problem.f_time(t), dtype=float)
-    if a.shape != loads.shape[:1] or not np.isfinite(a).all():
-        raise ValueError(f"forcing f has time coefficients {a} at t = {t:.6g}, "
-                         f"not {len(loads)} finite values")
-    return a @ loads
+def _at_time(name: str, time_coefficients, terms: np.ndarray, t: float) -> np.ndarray:
+    """``time_coefficients(t) @ terms``; a ``ValueError`` unless the coefficients are K finite."""
+    a = np.asarray(time_coefficients(t), dtype=float)
+    if a.shape != terms.shape[:1] or not np.isfinite(a).all():
+        raise ValueError(f"{name} has time coefficients {a} at t = {t:.6g}, "
+                         f"not {len(terms)} finite values")
+    return a @ terms
 
 
 def _check_inputs(config: SpaceConfig, problem) -> None:

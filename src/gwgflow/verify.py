@@ -72,7 +72,7 @@ def evaluate_errors(solution, problem) -> ErrorReport:
     u_exact = _eval_field("exact velocity", problem.u, *ker.qxy, t)
     p_exact = _eval_field("exact pressure", problem.p, *ker.qxy, t)
     u_interior = _project_interior(ker, u_exact)
-    u_traces = _project_edges(ker, "exact velocity", problem.u, ker.edge_xy, t)
+    u_traces = _project_edges(ker, _eval_field("exact velocity", problem.u, *ker.edge_xy, t))
     p_proj = _project_pressure_values(ker, p_exact)
 
     u_vec = solution.velocity_vector

@@ -171,25 +171,53 @@ def test_separable_load_equals_moments_of_the_summed_forcing(mesh4, element_tupl
         assert np.abs(prob.f_time(t) @ loads - ref).max() <= 1e-14 * max(np.abs(ref).max(), 1)
 
 
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_separable_traces_equal_projection_of_the_summed_data(mesh4, element_tuple, name):
+    # Q_b is linear in g, so scaling the traces of the terms gives the
+    # projection of the boundary data summed at the points, to roundoff
+    ker = ElementKernels(mesh4, SpaceConfig(*element_tuple))
+    prob = manufactured_problem(name)
+    system = build_saddle_system(ker, prob.beta)
+    terms = apply_dirichlet(system, prob.g)
+    assert terms.shape == (1, ker.dofmap.boundary_dofs.size)
+    for t in (0.0, 0.3, 1.7):
+        summed = prob.g_time(t) @ prob.g(*ker.boundary_xy)
+        ref = np.matmul(summed.swapaxes(-1, -2), ker.edge_projector).reshape(-1)
+        assert np.abs(prob.g_time(t) @ terms - ref).max() <= 1e-15 * max(np.abs(ref).max(), 1)
+
+
+@pytest.mark.parametrize("mu", [1.0, 1e-3])
+def test_system_peclet_number(mesh4, mu):
+    # the largest mesh Peclet number max |beta| h_T / (2 mu) over the points
+    # at which the convection is integrated; zero without convection
+    ker = ElementKernels(mesh4, SpaceConfig(1, 0, 1, 0, 0, mu=mu))
+    beta = manufactured_problem("steady_oseen_ex1").beta(*ker.qxy)
+    speed = np.sqrt((beta**2).sum(axis=-1)).max(axis=1)
+    expected = (speed * mesh4.h_elem).max() / (2 * mu)
+    system = build_saddle_system(ker, manufactured_problem("steady_oseen_ex1").beta)
+    assert system.peclet == pytest.approx(expected, rel=1e-15)
+    assert build_saddle_system(ker, manufactured_problem("stokes_patch").beta).peclet == 0.0
+
+
 def test_apply_dirichlet_values(mesh4, element_tuple):
     cfg = SpaceConfig(*element_tuple)
     prob = manufactured_problem("steady_oseen_ex1")
     system = build_saddle_system(ElementKernels(mesh4, cfg), prob.beta)
 
     # homogeneous data eliminates to zero values
-    zero = apply_dirichlet(system, lambda x, y, t: np.zeros(np.broadcast(x, y).shape + (2,)), 0.0)
+    zero = apply_dirichlet(system, lambda x, y: np.zeros(np.broadcast(x, y).shape + (1, 2)))
     assert np.all(zero == 0.0)
 
     # constants are reproduced exactly by the trace projection
     vals = apply_dirichlet(
-        system, lambda x, y, t: np.ones(np.broadcast(x, y).shape + (2,)), 0.0
-    ).reshape(-1, 2, cfg.j + 1)
+        system, lambda x, y: np.ones(np.broadcast(x, y).shape + (1, 2))
+    )[0].reshape(-1, 2, cfg.j + 1)
     assert np.allclose(vals[:, :, 0], 1.0, atol=1e-14)
     if cfg.j >= 1:
         assert np.allclose(vals[:, :, 1:], 0.0, atol=1e-14)
 
     # the exact velocity of the benchmark vanishes on y = 0
-    vals = apply_dirichlet(system, prob.g, 0.0).reshape(-1, 2, cfg.j + 1)
+    vals = (prob.g_time(0.0) @ apply_dirichlet(system, prob.g)).reshape(-1, 2, cfg.j + 1)
     for idx, e in enumerate(mesh4.boundary_edges):
         va, vb = mesh4.vertices[mesh4.edges[e]]
         if va[1] == 0.0 and vb[1] == 0.0:
@@ -231,7 +259,7 @@ def test_operator_has_no_dense_row(mesh8, element_tuple):
     prob = manufactured_problem("steady_oseen_ex1")
     system = build_saddle_system(ker, prob.beta)
     load = prob.f_time(0.0) @ assemble_load(ker, prob.f)
-    system.operator(load, apply_dirichlet(system, prob.g, 0.0))
+    system.operator(load, prob.g_time(0.0) @ apply_dirichlet(system, prob.g))
     K = system.matrix()
     n = dm.free_dofs.size + dm.n_pressure - 1
     assert K.shape == (n, n)
@@ -301,11 +329,12 @@ def test_velocity_block_equals_sum_of_forms(mesh4, element_tuple, chunk):
 
 def test_build_saddle_system_gathers_no_class_table(mesh4, element_tuple):
     # the element matrices are formed per shape class, so no table is
-    # gathered to the elements only to be indexed back to the classes (with
-    # sigma = 1 the pressure jumps read the edge values per element)
-    _, ker, _ = _setup(mesh4, element_tuple)
-    build_saddle_system(ker, manufactured_problem("steady_oseen_ex1").beta)
-    assert not set(_CLASS_TABLES) & set(vars(ker))
+    # gathered to the elements only to be indexed back to the classes; with
+    # sigma = 1 the pressure jumps read the edge values of each class too
+    for sigma in (0, 1):
+        _, ker, _ = _setup(mesh4, element_tuple, sigma=sigma)
+        build_saddle_system(ker, manufactured_problem("steady_oseen_ex1").beta)
+        assert not set(_CLASS_TABLES) & set(vars(ker))
 
 
 @pytest.mark.parametrize("kind", ["steady", "backward_euler"])
@@ -323,7 +352,7 @@ def test_pinned_K_equals_sliced_global_blocks(element_tuple, kind, sigma, mesh_k
     prob = manufactured_problem("steady_oseen_ex1" if tau is None else "evolutionary_oseen_ex2")
     system = build_saddle_system(ker, prob.beta, tau)
     load = prob.f_time(tau or 0.0) @ assemble_load(ker, prob.f)
-    g = apply_dirichlet(system, prob.g, tau or 0.0)
+    g = prob.g_time(tau or 0.0) @ apply_dirichlet(system, prob.g)
     rhs, K = system.operator(load, g), system.matrix()
 
     free, bnd = dm.free_dofs, dm.boundary_dofs

@@ -80,8 +80,8 @@ def test_projection_idempotent(mesh4, config_high):
 def test_project_edge_reproduces_polynomials(mesh4, config_high):
     # with j = 1, a constant and a field linear along the edge are reproduced
     ker = ElementKernels(mesh4, config_high)
-    traces = project_boundary_traces(
-        ker, lambda x, y: np.stack([2.0 + 0 * x, x + 2 * y], axis=-1)
+    (traces,) = project_boundary_traces(
+        ker, lambda x, y: np.stack([2.0 + 0 * x, x + 2 * y], axis=-1)[..., None, :]
     )
     c0, cl = traces[0]
     assert c0[0] == pytest.approx(2.0, abs=1e-14)
@@ -111,7 +111,7 @@ def test_edge_projector_matches_mass_solve(mesh4, element_tuple):
         _, traces = project_velocity(ker, field, t)
         ref = reference(ker.edge_pts, t)
         assert np.abs(traces - ref).max() <= 1e-14 * np.abs(ref).max()
-        bnd = project_boundary_traces(ker, field, t)
+        (bnd,) = project_boundary_traces(ker, lambda x, y: field(x, y, t)[..., None, :])
         ref = reference(ker.edge_pts[mesh4.boundary_edges], t)
         assert np.abs(bnd - ref).max() <= 1e-14 * np.abs(ref).max()
 

@@ -199,6 +199,39 @@ def test_march_evaluates_the_forcing_once_per_cell(mesh4, config_low, monkeypatc
         assert np.array_equal(sol.velocity_vector, reference.velocity_vector)
 
 
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_boundary_data_terms_give_the_exact_velocity(mesh4, name):
+    # g_time(t) @ g(x, y) is the exact velocity at the boundary points, to 1 ulp
+    prob = manufactured_problem(name)
+    from gwgflow.config import SpaceConfig
+
+    x, y = ElementKernels(mesh4, SpaceConfig(2, 1, 1, 1, 1)).boundary_xy
+    terms = prob.g(x, y)
+    assert terms.shape == x.shape + (1, 2)
+    for t in (0.0, 0.013, 0.4, 1.0, 2.5):
+        exact = prob.u(x, y, t)
+        assert np.all(np.abs(prob.g_time(t) @ terms - exact) <= np.spacing(np.abs(exact)))
+
+
+def test_march_evaluates_the_boundary_data_once_per_cell(mesh4, config_low, monkeypatch):
+    # the traces of the boundary data's terms are projected once per mesh
+    # and only scaled per step: g is called once, g_time once a step
+    prob = manufactured_problem("evolutionary_oseen_ex2")
+    dirichlet = solver.apply_dirichlet
+    for n_steps in (2, 8):
+        g_calls, projections, coefficient_calls = [], [], []
+        monkeypatch.setattr(solver, "apply_dirichlet",
+                            lambda *a: projections.append(1) or dirichlet(*a))
+        counted = replace(prob, g=lambda x, y: g_calls.append(1) or prob.g(x, y),
+                          g_time=lambda t: coefficient_calls.append(t) or prob.g_time(t))
+        grid = TimeGrid.from_tau(0.5, 0.5 / n_steps)
+        sol = solve_evolutionary(mesh4, config_low, counted, grid)
+        assert (len(g_calls), len(projections)) == (1, 1)
+        assert coefficient_calls == [step * grid.tau for step in range(1, n_steps + 1)]
+        reference = solve_evolutionary(mesh4, config_low, prob, grid)
+        assert np.array_equal(sol.velocity_vector, reference.velocity_vector)
+
+
 def _threads_see_their_own_forcing(prob, sets):
     # study cells on a thread pool share one problem, each cell with its own
     # points; every call must return the forcing of its own points

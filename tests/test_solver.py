@@ -88,7 +88,8 @@ def _steady_system(mesh, cfg, prob):
     # the system and its step data: the load and the boundary traces
     ker = ElementKernels(mesh, cfg)
     system = build_saddle_system(ker, prob.beta)
-    step = prob.f_time(0.0) @ assemble_load(ker, prob.f), apply_dirichlet(system, prob.g, 0.0)
+    step = (prob.f_time(0.0) @ assemble_load(ker, prob.f),
+            prob.g_time(0.0) @ apply_dirichlet(system, prob.g))
     constrain_system(system)
     return system, step
 
@@ -98,7 +99,8 @@ def _backward_euler_system(mesh, cfg, prob, tau=0.1):
     # step at time tau from a state at rest
     ker = ElementKernels(mesh, cfg)
     system = build_saddle_system(ker, prob.beta, tau)
-    step = prob.f_time(tau) @ assemble_load(ker, prob.f), apply_dirichlet(system, prob.g, tau)
+    step = (prob.f_time(tau) @ assemble_load(ker, prob.f),
+            prob.g_time(tau) @ apply_dirichlet(system, prob.g))
     constrain_system(system)
     return system, step
 
@@ -454,7 +456,7 @@ def test_incompatible_boundary_data_raises(mesh4, element_tuple):
     # g = (x, 0) has net outward flux 1, so no divergence-free velocity
     # takes these boundary values
     prob = manufactured_problem("stokes_patch")
-    bad = replace(prob, g=lambda x, y, t=0.0: np.stack([x, 0.0 * y], axis=-1))
+    bad = replace(prob, g=lambda x, y: np.stack([x, 0.0 * y], axis=-1)[..., None, :])
     with pytest.raises(ValueError, match=r"boundary data g has net outward flux 1\.0"):
         solve_steady(mesh4, SpaceConfig(*element_tuple), bad)
 
@@ -520,7 +522,7 @@ def test_steady_solution_invariants(mesh8, element_tuple):
     assert abs(sol.pressure_mean) < 1e-10
     assert incompressibility_residual(sol) < 1e-9
     # boundary traces equal the projected boundary data
-    vals = apply_dirichlet(sol.system, prob.g, 0.0)
+    vals = prob.g_time(0.0) @ apply_dirichlet(sol.system, prob.g)
     vec = sol.velocity_vector
     assert np.array_equal(vec[sol.system.kernels.dofmap.boundary_dofs], vals)
 
@@ -532,7 +534,8 @@ def test_evolutionary_zero_data_stays_zero(mesh4, config_low):
         return np.zeros(np.broadcast(x, y).shape + (2,))
 
     zero_prob = replace(
-        prob, name="zero", u=zero_vec, g=zero_vec, g2=lambda x, y: zero_vec(x, y),
+        prob, name="zero", u=zero_vec, g=lambda x, y: zero_vec(x, y)[..., None, :],
+        g2=lambda x, y: zero_vec(x, y),
         f=lambda x, y: zero_vec(x, y)[..., None, :], steady=False,
     )
     grid = TimeGrid.from_tau(0.5, 0.5 / 8)
@@ -564,7 +567,7 @@ def _step_data(system, prob, u_prev, t, tau):
     mass_term = assemble_bilinear("mass", ker) @ (u_prev / tau)
     assert not mass_term[nI:].any()
     load = prob.f_time(t) @ assemble_load(ker, prob.f) + mass_term[:nI]
-    return load, apply_dirichlet(system, prob.g, t)
+    return load, prob.g_time(t) @ apply_dirichlet(system, prob.g)
 
 
 def test_factor_reuse_equals_refactoring(mesh4, config_low):
@@ -643,13 +646,14 @@ def test_march_expands_only_returned_states(mesh4, element_tuple, monkeypatch):
 
 def test_evolutionary_late_incompatible_boundary_data_raises(mesh4, config_low):
     # the flux compatibility of g is checked on every step's boundary data,
-    # not only on the first step's
+    # not only on the first step's: the second term, (x, 0), has net outward
+    # flux 1 and enters only after t = 0.5
     prob = manufactured_problem("stokes_patch")
 
-    def g(x, y, t):
-        return prob.g(x, y, t) + (t > 0.5) * np.stack([x, 0.0 * y], axis=-1)
+    def g(x, y):
+        return np.stack([prob.u(x, y), np.stack([x, 0.0 * y], axis=-1)], axis=-2)
 
-    bad = replace(prob, g=g)
+    bad = replace(prob, g=g, g_time=lambda t: np.array([1.0, t > 0.5]))
     grid = TimeGrid.from_tau(1.0, 1.0 / 4)
     with pytest.raises(ValueError, match="net outward flux"):
         solve_evolutionary(mesh4, config_low, bad, grid)
@@ -689,6 +693,54 @@ def test_evolutionary_late_nan_forcing_raises(mesh4, config_low):
     grid = TimeGrid.from_tau(1.0, 1.0 / 8)
     with pytest.raises(ValueError, match=r"forcing f.* at t = 0\.625"):
         solve_evolutionary(mesh4, config_low, replace(prob, f_time=f_time), grid)
+
+
+def test_evolutionary_late_nan_boundary_data_raises(mesh4, config_low, monkeypatch):
+    # the boundary data's coefficients turn NaN halfway through the march:
+    # the step must fail, naming g and its time, before its solve
+    prob = manufactured_problem("evolutionary_oseen_ex2")
+
+    def g_time(t):
+        return prob.g_time(t) if t <= 0.5 else np.full(1, np.nan)
+
+    solves, solve = [], solver.linear_solve
+    monkeypatch.setattr(solver, "linear_solve", lambda *a: solves.append(1) or solve(*a))
+    grid = TimeGrid.from_tau(1.0, 1.0 / 8)
+    with pytest.raises(ValueError, match=r"boundary data g.* at t = 0\.625"):
+        solve_evolutionary(mesh4, config_low, replace(prob, g_time=g_time), grid)
+    assert len(solves) == 4   # the steps to t = 0.5
+
+
+def test_non_finite_boundary_terms_are_refused_once(mesh4, config_low):
+    # the terms of g are evaluated and checked once a cell, before any step
+    prob = manufactured_problem("evolutionary_oseen_ex2")
+    calls = []
+
+    def g(x, y):
+        calls.append(1)
+        vals = prob.g(x, y)
+        vals[x > 0.9] = np.inf
+        return vals
+
+    bad = replace(prob, g=g)
+    with pytest.raises(ValueError, match="boundary data g has non-finite values"):
+        solve_evolutionary(mesh4, config_low, bad, TimeGrid.from_tau(1.0, 1.0 / 8))
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="boundary data g has non-finite values"):
+        solve_steady(mesh4, config_low, replace(bad, steady=True))
+    assert len(calls) == 2
+
+
+def test_boundary_terms_of_another_shape_raise(mesh4, config_low):
+    # the terms are (..., K, 2) and the coefficients (K,): boundary data in
+    # the summed form (..., 2), or coefficients of another length, are
+    # refused with the shapes named, not broadcast
+    prob = manufactured_problem("steady_oseen_ex1")
+    summed = replace(prob, g=lambda x, y: prob.u(x, y))
+    with pytest.raises(ValueError, match=r"boundary data g has shape \(16, \d+, 2\)"):
+        solve_steady(mesh4, config_low, summed)
+    with pytest.raises(ValueError, match=r"boundary data g .* at t = 0, not 1 finite values"):
+        solve_steady(mesh4, config_low, replace(prob, g_time=lambda t: np.ones(2)))
 
 
 def test_linear_solve_nan_rhs_raises(mesh4, config_low):
@@ -739,7 +791,8 @@ def test_operator_holds_no_step_data(mesh4, element_tuple):
     prob = manufactured_problem("evolutionary_oseen_ex2")
     system, step_a = _backward_euler_system(mesh4, SpaceConfig(*element_tuple), prob)
     ker = system.kernels
-    step_b = prob.f_time(0.2) @ assemble_load(ker, prob.f), apply_dirichlet(system, prob.g, 0.2)
+    step_b = (prob.f_time(0.2) @ assemble_load(ker, prob.f),
+              prob.g_time(0.2) @ apply_dirichlet(system, prob.g))
     assert not np.array_equal(step_a[1], step_b[1])
     rhs, K = system.operator(*step_a).copy(), system.matrix()
     system.operator(*step_b)
@@ -779,6 +832,7 @@ def test_steady_low_viscosity_sweep():
                              manufactured_problem("steady_oseen_ex1", mu=mu))
             except LinearSolveError as exc:
                 assert "relative residual" in str(exc) and "backward error" in str(exc)
+                assert re.search(r"mesh Peclet number \S+, normwise", str(exc))
                 failed.append((elements, n, sigma, mu))
     assert failed == [((1, 0, 1, 0, 0), 32, sigma, 1e-4) for sigma in (0, 1)]
 
