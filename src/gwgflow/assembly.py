@@ -129,15 +129,15 @@ def _convection_local(ker: ElementKernels, beta) -> tuple:
     largest mesh Peclet number ``max |beta| h_T / (2 mu)`` at those points.
     """
     bvals = _eval_field("convection field beta", beta, *ker.qxy)    # (nT, np, 2)
-    speed = np.linalg.norm(bvals, axis=-1).max(axis=1) * ker.mesh.h_elem
     wVk, W, nT = ker.classes.wVk, ker.classes.W, len(bvals)
     T = np.einsum("cpi,cqpj->cpqij", wVk, W).reshape(len(W), bvals[0].size, -1)
     bvals = bvals.reshape(nT, -1)
+    bh2 = (bvals[:, ::2] ** 2 + bvals[:, 1::2] ** 2) * ker.mesh.h_elem[:, None] ** 2  # |beta h_T|^2
     local = np.empty((nT, T.shape[-1]))
     members = np.split(np.argsort(ker.shape_class), np.cumsum(np.bincount(ker.shape_class))[:-1])
     for T_c, at in zip(T, members):
         local[at] = bvals[at] @ T_c
-    return local.reshape(nT, ker.dk, -1), float(speed.max() / (2 * ker.config.mu))
+    return local.reshape(nT, ker.dk, -1), float(np.sqrt(bh2.max()) / (2 * ker.config.mu))
 
 
 def _assemble_s2(ker: ElementKernels) -> sp.csr_matrix:
